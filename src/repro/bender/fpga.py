@@ -15,11 +15,12 @@ import numpy as np
 
 from ..dram.commands import CommandKind, pre
 from ..dram.module import Module
-from ..errors import InfrastructureError
+from ..errors import InfrastructureError, ProtocolError
 from .program import CommandProgram
 from .scheduler import Scheduler, TimingViolation
 
 _INTER_PROGRAM_GAP_NS = 100.0
+_APA_KINDS = (CommandKind.ACT, CommandKind.PRE, CommandKind.ACT)
 
 
 @dataclass
@@ -79,6 +80,32 @@ class DramBender:
                 result.reads.append(output)
         self._quiesce()
         return result
+
+    def resolve(self, program: CommandProgram) -> str:
+        """The APA semantic :meth:`execute` would record, without replay.
+
+        ``program`` must be one ``ACT -> PRE -> ACT`` on a single bank
+        (see :func:`~repro.bender.program.apa_program`).  Its gaps come
+        from the compiled command times, exactly as the bank derives
+        them, and the bus clock advances as :meth:`execute` would, so
+        later programs run at unchanged absolute times.  Cells, noise
+        counters, event logs and bank stats are left alone.
+        """
+        steps = program.steps
+        if (
+            tuple(step.kind for step in steps) != _APA_KINDS
+            or len({step.bank for step in steps}) != 1
+        ):
+            raise ProtocolError(
+                "resolve takes one ACT -> PRE -> ACT program on one bank"
+            )
+        act, precharge, second_act = self._scheduler.place(program)
+        semantic = self._module.bank(act.bank).classify_apa(
+            act.row, second_act.row,
+            act.time_ns, precharge.time_ns, second_act.time_ns,
+        )
+        self._quiesce()
+        return semantic
 
     def execute_all(self, programs: List[CommandProgram]) -> List[ExecutionResult]:
         """Replay several programs back to back."""

@@ -73,13 +73,19 @@ class Scheduler:
         violations found (per bank: ACT->PRE vs tRAS, PRE->ACT vs tRP,
         ACT->ACT vs tRC).
         """
-        commands = program.to_commands(start_ns=self._clock)
-        if commands:
-            self._clock = commands[-1].time_ns
+        commands = self.place(program)
         scheduled = [
             ScheduledCommand(index=i, command=c) for i, c in enumerate(commands)
         ]
         return scheduled, self.audit(commands)
+
+    def place(self, program: CommandProgram) -> List[Command]:
+        """Lay a program onto the bus at the current time, without the
+        JEDEC audit; the clock ends at the last command."""
+        commands = program.to_commands(start_ns=self._clock)
+        if commands:
+            self._clock = commands[-1].time_ns
+        return commands
 
     def audit(self, commands: List[Command]) -> List[TimingViolation]:
         """Find JEDEC violations in an absolute-time command list."""

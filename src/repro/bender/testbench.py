@@ -96,3 +96,8 @@ class TestBench:
     def run(self, program: CommandProgram) -> ExecutionResult:
         """Replay one command program."""
         return self._bender.execute(program)
+
+    def resolve(self, program: CommandProgram) -> str:
+        """The semantic an APA program would resolve to, without
+        replaying it (see :meth:`DramBender.resolve`)."""
+        return self._bender.resolve(program)

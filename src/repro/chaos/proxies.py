@@ -16,7 +16,7 @@ from __future__ import annotations
 import errno
 import threading
 import time
-from typing import Dict, List, Sequence
+from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
@@ -58,8 +58,13 @@ class ChaoticBender(_ChaoticProxy):
     layer's quarantine path is the only way past it).
     """
 
-    def execute(self, program):
-        """Replay one program, unless the link drops it."""
+    def _through_link(self, program, deliver: Callable):
+        """``deliver(program)`` behind the link's fault checks.
+
+        Every program crossing the link -- replayed or only resolved --
+        consumes the same checks in the same order, so a seeded chaos
+        campaign fires the same fault sequence on every executor path.
+        """
         serial = self._wrapped.module.serial
         if self._engine.bench_should_fail(serial):
             raise PersistentBenchError(
@@ -71,13 +76,21 @@ class ChaoticBender(_ChaoticProxy):
                 "command program dropped before FPGA replay "
                 f"({len(program)} commands lost; device untouched)"
             )
-        result = self._wrapped.execute(program)
+        result = deliver(program)
         if self._engine.should_fire(FaultKind.READBACK_CORRUPTION):
             raise ReadbackCorruptionError(
                 "execution-result upload failed the host integrity check "
-                f"({len(result.reads)} RD payloads discarded)"
+                "(result discarded)"
             )
         return result
+
+    def execute(self, program):
+        """Replay one program, unless the link drops it."""
+        return self._through_link(program, self._wrapped.execute)
+
+    def resolve(self, program) -> str:
+        """Resolve one APA program's semantic, unless the link drops it."""
+        return self._through_link(program, self._wrapped.resolve)
 
     def execute_all(self, programs) -> List:
         """Replay several programs back to back (each can fault)."""

@@ -51,7 +51,7 @@ from .cell import LEVEL_HALF, bits_to_levels
 from .commands import Command, CommandKind
 from .row_decoder import HierarchicalRowDecoder
 from .subarray import Subarray
-from .timing import TimingParameters
+from .timing import ApaRegime, TimingParameters
 from .vendor import VendorProfile
 
 SENSE_DRIVE_THRESHOLD_NS = 6.0
@@ -304,6 +304,56 @@ class Bank:
 
     # -- APA resolution ----------------------------------------------------------
 
+    def classify_apa(
+        self,
+        first_row: int,
+        second_row: int,
+        act_ns: float,
+        pre_ns: float,
+        second_act_ns: float,
+    ) -> str:
+        """The semantic ``ACT first_row -> PRE -> ACT second_row`` resolves
+        to when issued at the given bus times on a precharged bank.
+
+        Pure: reads only the vendor profile, the timing windows and the
+        row geometry, so it predicts :attr:`last_event` without running
+        the command stream (cells, noise and counters are untouched).
+        """
+        first = self._address(first_row)
+        second = self._address(second_row)
+        return self._apa_decision(
+            first, second, pre_ns - act_ns, second_act_ns - pre_ns
+        )[1]
+
+    def _apa_decision(
+        self, first: RowAddress, second: RowAddress, t1: float, t2: float
+    ) -> Tuple[ApaRegime, str]:
+        """The APA decision table: timing regime and resolved semantic.
+
+        The outcome depends only on t1/t2, the vendor and whether both
+        rows share a subarray -- never on cell contents.  Both
+        :meth:`classify_apa` and the command path read it, so the
+        regime logic lives here alone.
+        """
+        regime = self._timings.classify_apa(t2)
+        same_subarray = first.subarray == second.subarray
+        if regime is ApaRegime.SIMULTANEOUS:
+            if not self._profile.supports_multi_row_activation:
+                return regime, "blocked"
+            if not same_subarray:
+                return regime, "cross-subarray"
+            if t1 >= SENSE_DRIVE_THRESHOLD_NS:
+                return regime, "copy"
+            return regime, "majority"
+        if regime is ApaRegime.CONSECUTIVE and same_subarray:
+            return regime, "rowclone"
+        return regime, "single"
+
+    def _address(self, global_row: int) -> RowAddress:
+        return decompose_row(
+            global_row, self._profile.subarray_rows, self._profile.rows_per_bank
+        )
+
     def _resolve_pending_pre(self, command: Command) -> bool:
         """Decide what the pending PRE did, given the follow-up command.
 
@@ -313,58 +363,56 @@ class Bank:
         bank.
         """
         assert self._pending_pre is not None
-        gap = command.time_ns - self._pending_pre
-        is_act = command.kind is CommandKind.ACT
-        if is_act and self._state is BankState.ACTIVE:
-            regime_simultaneous = gap <= self._timings.interrupt_window_ns
-            regime_consecutive = (
-                not regime_simultaneous
-                and gap <= self._timings.consecutive_window_ns
+        if command.kind is CommandKind.ACT and self._state is BankState.ACTIVE:
+            assert self._first_act_time is not None
+            assert self._first_act_addr is not None and command.row is not None
+            second = self._address(command.row)
+            t1 = self._pending_pre - self._first_act_time
+            t2 = command.time_ns - self._pending_pre
+            regime, semantic = self._apa_decision(
+                self._first_act_addr, second, t1, t2
             )
-            if regime_simultaneous:
-                if not self._profile.supports_multi_row_activation:
-                    self._blocked_apa(command, gap)
-                    return True
-                self._interrupted_act(command, gap)
+            if semantic == "blocked":
+                self._blocked_apa(t1, t2)
                 return True
-            if regime_consecutive:
-                self._consecutive_act(command, gap)
+            if regime is ApaRegime.SIMULTANEOUS:
+                self._interrupted_act(command, second, t1, t2, semantic)
+                return True
+            if regime is ApaRegime.CONSECUTIVE:
+                self._consecutive_act(command, second, t1, t2, semantic)
                 return True
         self._complete_precharge()
         return False
 
-    def _blocked_apa(self, command: Command, gap: float) -> None:
+    def _blocked_apa(self, t1: float, t2: float) -> None:
         """Samsung-style guard: ignore the violating PRE and second ACT."""
-        t1 = (
-            self._pending_pre - self._first_act_time
-            if self._first_act_time is not None
-            else 0.0
-        )
         assert self._first_act_addr is not None
         self._pending_pre = None
         self._record_event(ActivationEvent(
             semantic="blocked",
             t1_ns=t1,
-            t2_ns=gap,
+            t2_ns=t2,
             subarray=self._first_act_addr.subarray,
             rows=frozenset({self._first_act_addr.local_row}),
         ))
         self.stats["blocked_apa"] += 1
 
-    def _interrupted_act(self, command: Command, t2: float) -> None:
+    def _interrupted_act(
+        self,
+        command: Command,
+        second: RowAddress,
+        t1: float,
+        t2: float,
+        semantic: str,
+    ) -> None:
         """Simultaneous many-row activation (the paper's core phenomenon)."""
-        assert self._first_act_time is not None and self._first_act_addr is not None
-        assert self._pending_pre is not None and command.row is not None
-        t1 = self._pending_pre - self._first_act_time
-        second = decompose_row(
-            command.row, self._profile.subarray_rows, self._profile.rows_per_bank
-        )
+        assert self._first_act_addr is not None
         self._pending_pre = None
         self._decoder.precharge(completed=False)
         self._decoder.activate(second.subarray, second.local_row)
         first = self._first_act_addr
 
-        if second.subarray != first.subarray:
+        if semantic == "cross-subarray":
             # Hidden-row-activation style: each subarray keeps one open
             # row on its own local sense amplifiers; no charge sharing
             # between them.  The first row's charge restore completes
@@ -390,7 +438,7 @@ class Bank:
             return
 
         rows = self._decoder.asserted_rows()[first.subarray]
-        if t1 >= SENSE_DRIVE_THRESHOLD_NS:
+        if semantic == "copy":
             self._apply_copy(first.subarray, rows, t1, t2)
         else:
             self._apply_majority(first.subarray, rows, t1, t2)
@@ -464,23 +512,23 @@ class Bank:
         ))
         self.stats["multi_row_copy"] += 1
 
-    def _consecutive_act(self, command: Command, t2: float) -> None:
+    def _consecutive_act(
+        self,
+        command: Command,
+        second: RowAddress,
+        t1: float,
+        t2: float,
+        semantic: str,
+    ) -> None:
         """RowClone regime: first wordline closed, amps overwrite row two."""
-        assert self._first_act_time is not None and self._first_act_addr is not None
-        assert self._pending_pre is not None and command.row is not None
-        t1 = self._pending_pre - self._first_act_time
-        source = (
-            self._row_buffer.copy() if self._row_buffer is not None else None
-        )
-        second = decompose_row(
-            command.row, self._profile.subarray_rows, self._profile.rows_per_bank
-        )
         self._pending_pre = None
         self._decoder.precharge(completed=True)
         self._decoder.activate(second.subarray, second.local_row)
         sub = self.subarray(second.subarray)
-        same_subarray = second.subarray == self._first_act_addr.subarray
-        if source is not None and same_subarray:
+        if semantic == "rowclone":
+            # An ACTIVE bank always holds its sensed row.
+            assert self._row_buffer is not None
+            source = self._row_buffer.copy()
             z = self._reliability.rowclone_z(t1, self.temperature_c, self.vpp)
             stable = self._reliability.stable_mask(
                 z,
@@ -498,14 +546,12 @@ class Bank:
             sub.restore_row(second.local_row, result)
             self._row_buffer = result
             self._episode_written = True
-            semantic = "rowclone"
             self.stats["rowclone"] += 1
         else:
             # Different subarray: different bitlines, so the second row
             # simply activates normally.
             self._row_buffer = sub.sense_row(second.local_row)
             self._episode_written = False
-            semantic = "single"
         self._first_act_time = command.time_ns
         self._first_act_addr = second
         self._state = BankState.ACTIVE

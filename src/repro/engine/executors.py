@@ -7,8 +7,8 @@ results).  The serial executor is the reference; the process-pool
 executor shards tasks across benches and rebuilds each bench from its
 catalog spec in the worker; the batched executor pushes whole trial
 batches down into the behavior model as vectorized numpy, gated by a
-real APA probe per task so the vectorized math only runs in the regime
-it reproduces.
+per-task APA semantic probe so the vectorized math only runs in the
+regime it reproduces.
 
 The process-pool executor additionally owns a *persistent* worker
 pool: the pool spins up lazily on first use, survives across plans
@@ -147,14 +147,28 @@ def run_task_serial(
 
 
 def _probe_semantic(
-    bench: TestBench, task: TrialTask, point: "OperatingPoint"
+    kernel: TrialKernel,
+    bench: TestBench,
+    task: TrialTask,
+    point: "OperatingPoint",
 ) -> str:
-    """One real APA through the bench; the bank's resolved semantic."""
+    """The APA semantic the task's operating point resolves to.
+
+    A regime-gated kernel only needs the bank's decision, which
+    :meth:`TestBench.resolve` reads off the bank's decision table
+    without replaying cells.  A kernel with no regime gate
+    (``batched_semantic is None``) gets one real APA instead: its
+    vectorized path models no physics, and its ``finalize`` audits
+    the bench state that this real APA leaves behind.
+    """
     subarray_rows = bench.module.profile.subarray_rows
     rf_global, rs_global = task.group.global_pair(subarray_rows)
-    bench.run(
-        apa_program(task.bank, rf_global, rs_global, point.t1_ns, point.t2_ns)
+    program = apa_program(
+        task.bank, rf_global, rs_global, point.t1_ns, point.t2_ns
     )
+    if kernel.batched_semantic is not None:
+        return bench.resolve(program)
+    bench.run(program)
     event = bench.module.bank(task.bank).last_event
     return event.semantic if event is not None else "none"
 
@@ -215,8 +229,8 @@ def run_tasks_fused(
 ) -> List[TaskOutcome]:
     """Fused execution of one bench's tasks.
 
-    Probes each task with one real APA program, evaluates every
-    probe-passing task in a single :meth:`TrialKernel.run_slice` call
+    Probes each task's APA semantic (:func:`_probe_semantic`), evaluates
+    every probe-passing task in a single :meth:`TrialKernel.run_slice` call
     (block RNG + packed bit-plane reduction), and falls back to the
     per-trial serial reference for any task whose probe resolved a
     different semantic.  ``delta`` receives probe/fuse/fallback stage
@@ -227,7 +241,7 @@ def run_tasks_fused(
     for task in tasks:
         probe_started = time.perf_counter()
         kernel.setup(bench, task, point)
-        semantic = _probe_semantic(bench, task, point)
+        semantic = _probe_semantic(kernel, bench, task, point)
         delta.apa_programs += 1
         delta.add_stage("probe", time.perf_counter() - probe_started)
         if kernel.batched_semantic in (None, semantic):
@@ -1384,11 +1398,12 @@ class ProcessPoolExecutor(ExecutorBase):
 class BatchedExecutor(ExecutorBase):
     """Vectorizes whole tasks down into the behavior model.
 
-    Per task it issues ONE real APA program through the bench (the
-    probe -- also the point where chaos faults can fire) and checks the
-    bank resolved it with the semantic the kernel's batched math
-    models.  On a match the whole (trials x cells) matrix comes from
-    one :meth:`~repro.engine.kernels.TrialKernel.run_batch` call; on a
+    Per task it probes ONE APA program through the bench (resolved
+    from the bank's decision table; also the point where chaos faults
+    can fire) and checks the bank resolves it with the semantic the
+    kernel's batched math models.  On a match the whole
+    (trials x cells) matrix comes from one
+    :meth:`~repro.engine.kernels.TrialKernel.run_batch` call; on a
     mismatch (wrong timing regime, blocked vendor) the task falls back
     to the per-trial reference path.  Both paths key their noise off
     the same measurement context, so results are bit-identical either
@@ -1408,7 +1423,7 @@ class BatchedExecutor(ExecutorBase):
             kernel = plan.kernel
             probe_started = time.perf_counter()
             kernel.setup(bench, task, plan.point)
-            semantic = self._probe(bench, task, plan.point)
+            semantic = _probe_semantic(kernel, bench, task, plan.point)
             delta.apa_programs += 1
             delta.add_stage("probe", time.perf_counter() - probe_started)
             if kernel.batched_semantic in (None, semantic):
@@ -1432,11 +1447,6 @@ class BatchedExecutor(ExecutorBase):
         delta.execute_s += time.perf_counter() - execute_started
         delta.busy_s = delta.execute_s
         return self._finish(plan, delta, outcomes, started)
-
-    def _probe(
-        self, bench: TestBench, task: TrialTask, point: OperatingPoint
-    ) -> str:
-        return _probe_semantic(bench, task, point)
 
     def _run_batched(
         self,

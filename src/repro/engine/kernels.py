@@ -71,7 +71,8 @@ class TrialKernel:
     signature: str = "trial"
     batched_semantic: Optional[str] = None
     """APA semantic the vectorized path models; ``None`` skips the
-    probe gate (the kernel is regime-independent)."""
+    probe gate (the kernel is regime-independent), and its probe then
+    replays one real APA for :meth:`finalize` to audit."""
 
     @property
     def cache_token(self) -> str:
@@ -588,7 +589,10 @@ class DisturbanceKernel(TrialKernel):
     model -- APA resolution only ever writes simultaneously *asserted*
     rows, so bystanders cannot flip -- and proves it per task with a
     real read-back audit in :meth:`finalize` (the audit is ANDed into
-    the accumulated mask by every executor).
+    the accumulated mask by every executor).  With no regime gate, the
+    vectorized executors' probe replays a real APA on the group between
+    :meth:`setup` and :meth:`finalize`, so the audit checks a hammered
+    bank.
     """
 
     op_name = "disturbance"

@@ -22,6 +22,9 @@ class EngineMetrics:
     tasks: int = 0
     trials: int = 0
     apa_programs: int = 0
+    """APA programs issued: one per task probe plus one per fallback
+    trial.  A regime-gated probe resolves its semantic from the bank's
+    decision table without replaying cells; it still counts."""
     cells: int = 0
     workers: int = 1
     environment_s: float = 0.0

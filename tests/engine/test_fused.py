@@ -11,18 +11,22 @@ worker kills and off-regime fallbacks.
 import numpy as np
 import pytest
 
+from repro.bender.testbench import TestBench
 from repro.characterization.activation import (
     activation_success_distribution,
     build_activation_plan,
 )
 from repro.characterization.convergence import majx_convergence_curve
+from repro.characterization.disturbance import disturbance_check
 from repro.characterization.experiment import (
     CharacterizationScope,
     OperatingPoint,
 )
 from repro.characterization.rowcopy import build_copy_plan
-from repro.chaos import ChaosConfig
+from repro.chaos import ChaosConfig, ChaosHarness
 from repro.config import SimulationConfig
+from repro.core.rowgroups import sample_groups
+from repro.dram.bank import Bank
 from repro.dram.vendor import TESTED_MODULES
 from repro.engine import (
     FusedExecutor,
@@ -31,6 +35,7 @@ from repro.engine import (
     make_executor,
     run_plan,
 )
+from repro.errors import PersistentBenchError
 
 ACT_POINT = OperatingPoint(t1_ns=1.5, t2_ns=3.0)
 COPY_POINT = OperatingPoint(t1_ns=36.0, t2_ns=3.0)
@@ -111,12 +116,27 @@ class TestFusedInstrumentation:
         executor = FusedExecutor()
         plan = build_activation_plan(make_scope(), 8, ACT_POINT)
         run_plan(plan, executor)
-        # Fused pays exactly one real APA (the probe) per task; the
-        # trials themselves run as packed bit-plane math.
+        # Fused counts exactly one APA program (the probe, resolved
+        # without replaying cells) per task; the trials themselves run
+        # as packed bit-plane math.
         assert executor.metrics.apa_programs == len(plan.tasks)
         assert "probe" in executor.metrics.stages
         assert "fuse" in executor.metrics.stages
         assert "fallback" not in executor.metrics.stages
+
+    def test_probe_is_a_chaos_fault_point(self):
+        # The regime-gated probe resolves the semantic without replaying
+        # cells, yet it is still the bench contact where faults fire.
+        scope = make_scope()
+        bench = scope.benches[0]
+        harness = ChaosHarness(
+            ChaosConfig(seed=1, bench_failure_serials=(bench.module.serial,))
+        )
+        plan = build_activation_plan(scope, 8, ACT_POINT)
+        with harness.installed([bench]):
+            with pytest.raises(PersistentBenchError):
+                FusedExecutor().run(plan)
+        assert harness.engine.stats.injected["bench-failure"] == 1
 
     def test_make_executor_builds_fused_variants(self):
         assert make_executor("fused").name == "fused"
@@ -167,3 +187,31 @@ class TestFusedParallelSupervision:
         )
         assert candidate == reference
         assert executor.metrics.pool_restarts == 1
+
+
+class TestFusedDisturbanceAudit:
+    """The disturbance kernel has no regime gate, so its fused path
+    models no physics: the finalize audit must read back a bank that a
+    real APA hammered, or a bystander flip would go unseen."""
+
+    def test_audit_sees_an_injected_bystander_flip(self, monkeypatch):
+        config = SimulationConfig(seed=51, columns_per_row=64)
+        victim = TESTED_MODULES[0].profile.subarray_rows - 1
+        original = Bank._apply_majority
+
+        def leaky_majority(self, subarray_index, rows, t1, t2):
+            original(self, subarray_index, rows, t1, t2)
+            # A model bug: the APA also clears a bystander row.
+            self.subarray(subarray_index).write_row_bits(
+                victim, np.zeros(self.columns, dtype=np.uint8)
+            )
+
+        monkeypatch.setattr(Bank, "_apply_majority", leaky_majority)
+        group = sample_groups(0, victim + 1, 4, 1, "leak")[0]
+        for executor in (SerialExecutor(), FusedExecutor()):
+            bench = TestBench.for_spec(TESTED_MODULES[0], config=config)
+            report = disturbance_check(
+                bench, 0, group, trials=4, executor=executor
+            )
+            assert not report.clean, executor.name
+            assert victim in report.flipped_rows, executor.name
