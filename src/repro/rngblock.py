@@ -1,26 +1,28 @@
-"""Vectorized keyed uniform-bit generation.
+"""Keyed uniform bits for many seeds in one call.
 
 :func:`repro.rng.uniform_bits` derives every draw from
-``numpy.random.default_rng(stable_seed(...))`` -- one SeedSequence
-pool mix, one PCG64 construction, and one ``random(n) < 0.5`` per
-keyed draw (~28 us each).  A fused plan evaluates thousands of keyed
-draws at once, so this module reproduces that exact pipeline as
-vectorized numpy over a whole *block* of seeds:
+``numpy.random.default_rng(stable_seed(...)).random(n) < 0.5``.  A
+fused plan needs thousands of such keyed rows at once, and most of a
+``default_rng`` call is fixed cost -- hashing the seed and building the
+generator -- not the bits.  This module keeps numpy's own PCG64 stream
+and vectorizes only the seeding:
 
-- the SeedSequence entropy pool mix and ``generate_state`` hash
-  (uint32 arithmetic, data-independent hash-constant schedule);
-- the PCG64 seeding recipe (``state = (inc + initstate) * MULT + inc``
-  over 128-bit integers, carried as hi/lo uint64 limb pairs);
-- the PCG64 XSL-RR output stream, of which ``random() < 0.5`` only
-  ever observes the top bit (``random(n) = (u >> 11) * 2**-53``, so
-  ``< 0.5`` iff bit 63 of the raw output is clear).
+- the SeedSequence entropy-pool mix and ``generate_state`` hash run as
+  uint32 numpy over a ``(4, n)`` pool for every seed at once (native
+  uint32 wraparound is the hash's own arithmetic);
+- PCG64's seeding recipe (``inc = 2 * initseq + 1``, ``state = (inc +
+  initstate) * MULT + inc`` mod 2**128) runs per seed in Python ints;
+- one ``np.random.PCG64`` per call is set to each seed's state in turn,
+  and ``random_raw(n) < 2**63`` is that seed's row: ``random()`` is
+  ``(raw >> 11) * 2**-53``, which is below 0.5 exactly when the raw
+  word's top bit is clear.
 
 Bit-identity with ``default_rng`` is the contract, not an aspiration:
-the constants below are frozen by numpy's stream-compatibility
-guarantee, and a startup self-check compares the vectorized path
-against ``default_rng`` on a spread of seeds.  If the self-check ever
-fails (an exotic numpy build), the block API silently falls back to
-the per-seed reference path -- slower, never wrong.
+the hash constants below are frozen by numpy's stream-compatibility
+guarantee, and a startup self-check compares this path against
+``default_rng`` on a spread of seeds.  If the self-check ever fails (an
+exotic numpy build), the block API silently falls back to the per-seed
+reference path -- slower, never wrong.
 """
 
 from __future__ import annotations
@@ -35,277 +37,105 @@ _INIT_A = 0x43B0D7E5
 _MULT_A = 0x931E8875
 _INIT_B = 0x8B51F9DD
 _MULT_B = 0x58F38DED
-_MIX_MULT_L = 0xCA01F9DD
-_MIX_MULT_R = 0x4973F715
-_XSHIFT = 16
+_MIX_L = np.uint32(0xCA01F9DD)
+_MIX_R = np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
 _POOL_SIZE = 4
+_STATE_WORDS = 8  # generate_state(4, uint64) as uint32 words
 
 # PCG64 128-bit LCG multiplier (pcg64.h PCG_DEFAULT_MULTIPLIER).
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MULT_HI = np.uint64(_PCG_MULT >> 64)
-_MULT_LO = np.uint64(_PCG_MULT & 0xFFFFFFFFFFFFFFFF)
-
-_M32 = np.uint64(0xFFFFFFFF)
-_U0 = np.uint64(0)
-_U1 = np.uint64(1)
-_U16 = np.uint64(_XSHIFT)
-_U32 = np.uint64(32)
-_U58 = np.uint64(58)
-_U63 = np.uint64(63)
+_M128 = (1 << 128) - 1
+_TOP_BIT = np.uint64(1 << 63)
 
 
-def _hash_schedule(init: int, count: int) -> np.ndarray:
-    """The (xor-const, mult-const) pairs of ``count`` hashmix calls.
+def _hash_schedule(init: int, mult: int, count: int) -> tuple:
+    """The (xor-const, mult-const) columns of ``count`` hashmix calls.
 
     The SeedSequence hash constant evolves independently of the data
     (``value ^= hc; hc *= MULT; value *= hc``), so the whole schedule
     is precomputable: row k holds the hc value XORed into call k and
-    the advanced hc it multiplies by.
+    the advanced hc it multiplies by.  Shaped ``(count, 1)`` so a
+    slice broadcasts across a block of seeds.
     """
-    pairs = np.empty((count, 2), dtype=np.uint64)
+    xor = np.empty((count, 1), dtype=np.uint32)
+    mul = np.empty((count, 1), dtype=np.uint32)
     hc = init
     for k in range(count):
-        pairs[k, 0] = hc
-        hc = (hc * _MULT_A) & 0xFFFFFFFF
-        pairs[k, 1] = hc
-    return pairs
+        xor[k] = hc
+        hc = (hc * mult) & 0xFFFFFFFF
+        mul[k] = hc
+    return xor, mul
 
 
-_MIX_SCHEDULE = _hash_schedule(_INIT_A, _POOL_SIZE + _POOL_SIZE * (_POOL_SIZE - 1))
-_GEN_SCHEDULE = np.empty((8, 2), dtype=np.uint64)
-_hc = _INIT_B
-for _k in range(8):
-    _GEN_SCHEDULE[_k, 0] = _hc
-    _hc = (_hc * _MULT_B) & 0xFFFFFFFF
-    _GEN_SCHEDULE[_k, 1] = _hc
-del _hc, _k
-
-_MIX_L = np.uint64(_MIX_MULT_L)
-_MIX_R = np.uint64(_MIX_MULT_R)
+_MIX_XOR, _MIX_MUL = _hash_schedule(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE)
+_GEN_XOR, _GEN_MUL = _hash_schedule(_INIT_B, _MULT_B, _STATE_WORDS)
 
 
-def _hashmix(value: np.ndarray, schedule: np.ndarray, k: int) -> np.ndarray:
-    value = (value ^ schedule[k, 0]) * schedule[k, 1] & _M32
-    return value ^ (value >> _U16)
+def _by_source(consts: np.ndarray) -> np.ndarray:
+    """Spread the source-to-destination mix constants over a grid.
 
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # uint64 wraparound then & M32 == the uint32 wraparound difference.
-    result = (x * _MIX_L - y * _MIX_R) & _M32
-    return result ^ (result >> _U16)
-
-
-def _seed_pools(seeds: np.ndarray) -> list:
-    """SeedSequence(seed).pool for every seed, as four uint64 columns.
-
-    A 64-bit integer seed always assembles to its uint32 words
-    ``[lo, hi]`` zero-padded to the pool size; a seed below 2**32
-    assembles to ``[lo]`` only, but the missing words enter the mix as
-    zeros either way, so the padded form is identical for all of them.
+    After the first pass, source word s mixes into every other word in
+    ascending order with the next three constants.  Row s of the
+    ``(4, 4, 1)`` grid holds them at their destinations, so a source
+    mixes into the whole pool in one op; the diagonal is a placeholder
+    whose result is thrown away.
     """
-    entropy = [seeds & _M32, seeds >> _U32, None, None]
-    pool = []
-    k = 0
-    for i in range(_POOL_SIZE):
-        word = entropy[i]
-        if word is None:
-            word = np.zeros(seeds.shape, dtype=np.uint64)
-        pool.append(_hashmix(word, _MIX_SCHEDULE, k))
-        k += 1
-    for i_src in range(_POOL_SIZE):
-        for i_dst in range(_POOL_SIZE):
-            if i_src != i_dst:
-                pool[i_dst] = _mix(pool[i_dst], _hashmix(pool[i_src], _MIX_SCHEDULE, k))
-                k += 1
-    return pool
+    grid = np.zeros((_POOL_SIZE, _POOL_SIZE, 1), dtype=np.uint32)
+    grid[~np.eye(_POOL_SIZE, dtype=bool)] = consts
+    return grid
 
 
-def _mulhi64(a: np.ndarray, b_lo32: np.uint64, b_hi32: np.uint64) -> np.ndarray:
-    """High 64 bits of a 64x64 product with a constant multiplier."""
-    a0 = a & _M32
-    a1 = a >> _U32
-    p00 = a0 * b_lo32
-    mid = a1 * b_lo32 + (p00 >> _U32)
-    mid2 = a0 * b_hi32 + (mid & _M32)
-    return a1 * b_hi32 + (mid >> _U32) + (mid2 >> _U32)
+_SRC_XOR = _by_source(_MIX_XOR[_POOL_SIZE:])
+_SRC_MUL = _by_source(_MIX_MUL[_POOL_SIZE:])
 
 
-_MULT_LO_LO = np.uint64(int(_MULT_LO) & 0xFFFFFFFF)
-_MULT_LO_HI = np.uint64(int(_MULT_LO) >> 32)
+def _hashmix(value: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    value = value ^ xor
+    value *= mul
+    value ^= value >> _XSHIFT
+    return value
 
 
-def _pcg_states(seeds: np.ndarray) -> tuple:
-    """PCG64 post-seeding (state, inc) hi/lo limbs for every seed.
+def _seed_words(seeds: np.ndarray) -> np.ndarray:
+    """``SeedSequence(seed).generate_state(8, np.uint32)`` per seed.
 
-    Mirrors ``pcg64_srandom_r``: ``inc = (initseq << 1) | 1;
-    state = ((inc + initstate) * MULT + inc) mod 2**128`` where
-    ``initstate``/``initseq`` come from ``generate_state(4, uint64)``
-    with word pairs viewed little-endian.
+    Returns a ``(8, len(seeds))`` uint32 array.  A 64-bit integer seed
+    assembles to its uint32 words ``[lo, hi]``; a seed below 2**32
+    assembles to ``[lo]`` only, but missing words enter the mix as
+    zeros either way, so the zero-padded pool is right for all of them.
     """
-    pool = _seed_pools(seeds)
-    words = [_hashmix(pool[i % _POOL_SIZE], _GEN_SCHEDULE, i) for i in range(8)]
-    val = [words[2 * j] | (words[2 * j + 1] << _U32) for j in range(4)]
-    st_hi, st_lo = val[0], val[1]
-    iq_hi, iq_lo = val[2], val[3]
-    inc_hi = (iq_hi << _U1) | (iq_lo >> _U63)
-    inc_lo = (iq_lo << _U1) | _U1
-    # t = inc + initstate (mod 2**128)
-    t_lo = inc_lo + st_lo
-    t_hi = inc_hi + st_hi + (t_lo < inc_lo).astype(np.uint64)
-    # state = t * MULT + inc (mod 2**128)
-    lo = t_lo * _MULT_LO
-    hi = _mulhi64(t_lo, _MULT_LO_LO, _MULT_LO_HI) + t_lo * _MULT_HI + t_hi * _MULT_LO
-    s_lo = lo + inc_lo
-    s_hi = hi + inc_hi + (s_lo < lo).astype(np.uint64)
-    return s_hi, s_lo, inc_hi, inc_lo
-
-
-_STEP_CACHE: dict = {}
-
-
-def _step_constants(n_bits: int) -> tuple:
-    """``(A**j, sum A**i for i<j)`` limb arrays for j = 1..n_bits.
-
-    The LCG has the closed form ``state_j = A**j * state_0 + c_j * inc
-    (mod 2**128)`` with ``c_j = A*c_{j-1} + 1`` -- so all per-step
-    multipliers are data-independent and cacheable per block width,
-    letting a whole (seeds x bits) block evaluate as one broadcast
-    expression instead of a sequential per-bit loop.
-    """
-    cached = _STEP_CACHE.get(n_bits)
-    if cached is not None:
-        return cached
-    mask = (1 << 128) - 1
-    m64 = (1 << 64) - 1
-    a_hi = np.empty(n_bits, dtype=np.uint64)
-    a_lo = np.empty(n_bits, dtype=np.uint64)
-    c_hi = np.empty(n_bits, dtype=np.uint64)
-    c_lo = np.empty(n_bits, dtype=np.uint64)
-    a, c = _PCG_MULT, 1
-    for k in range(n_bits):
-        a_hi[k] = a >> 64
-        a_lo[k] = a & m64
-        c_hi[k] = c >> 64
-        c_lo[k] = c & m64
-        a = (a * _PCG_MULT) & mask
-        c = (c * _PCG_MULT + 1) & mask
-    cached = (a_hi, a_lo, c_hi, c_lo)
-    _STEP_CACHE[n_bits] = cached
-    return cached
-
-
-def _mul128(x_hi, x_lo, y_hi, y_lo) -> tuple:
-    """Broadcast 128x128 -> low-128 product over hi/lo uint64 limbs."""
-    lo = x_lo * y_lo
-    x0 = x_lo & _M32
-    x1 = x_lo >> _U32
-    y0 = y_lo & _M32
-    y1 = y_lo >> _U32
-    p00 = x0 * y0
-    mid = x1 * y0 + (p00 >> _U32)
-    mid2 = x0 * y1 + (mid & _M32)
-    hi = (
-        x1 * y1 + (mid >> _U32) + (mid2 >> _U32)
-        + x_lo * y_hi + x_hi * y_lo
-    )
-    return hi, lo
-
-
-_SEED_CHUNK = 256
-"""Seeds per block evaluation: keeps the (chunk x bit-block) uint64
-temporaries inside the cache hierarchy instead of streaming
-multi-megabyte arrays through DRAM."""
-
-_BIT_BLOCK = 64
-"""Columns evaluated per closed-form/advance step (see below)."""
-
-
-def _mul128_const(x_hi, x_lo, b_hi, b_lo, b0, b1) -> tuple:
-    """Like :func:`_mul128` with a scalar constant, limbs pre-split."""
-    lo = x_lo * b_lo
-    x0 = x_lo & _M32
-    x1 = x_lo >> _U32
-    p00 = x0 * b0
-    mid = x1 * b0 + (p00 >> _U32)
-    mid2 = x0 * b1 + (mid & _M32)
-    hi = x1 * b1 + (mid >> _U32) + (mid2 >> _U32) + x_lo * b_hi + x_hi * b_lo
-    return hi, lo
-
-
-def _split_const(value: int) -> tuple:
-    m64 = (1 << 64) - 1
-    lo = value & m64
-    return (
-        np.uint64(value >> 64),
-        np.uint64(lo),
-        np.uint64(lo & 0xFFFFFFFF),
-        np.uint64(lo >> 32),
-    )
-
-
-def _advance_constants(steps: int) -> tuple:
-    """``(A**steps, sum A**i for i < steps)`` as pre-split scalars."""
-    mask = (1 << 128) - 1
-    a, c = 1, 0
-    for _ in range(steps):
-        a = (a * _PCG_MULT) & mask
-        c = (c * _PCG_MULT + 1) & mask
-    return _split_const(a), _split_const(c)
-
-
-_ADV_A, _ADV_C = _advance_constants(_BIT_BLOCK)
-
-
-def _emit_bits(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    # XSL-RR output: rotr64(hi ^ lo, state >> 122).  ``random()`` is
-    # ``(u >> 11) * 2**-53`` so ``< 0.5`` only reads bit 63 of u,
-    # which sits at bit (63 + rot) mod 64 of hi ^ lo.
-    xored = hi ^ lo
-    position = (_U63 + (hi >> _U58)) & _U63
-    return (((xored >> position) & _U1) ^ _U1).astype(np.uint8)
-
-
-def _uniform_bit_chunk(s_hi, s_lo, inc_hi, inc_lo, n_bits: int) -> np.ndarray:
-    # The first _BIT_BLOCK columns come from the closed form
-    # ``state_j = A**j * state_0 + c_j * inc`` (two full products per
-    # column); every later block reuses the previous block's states
-    # through ``state_{j+K} = A**K * state_j + c_K * inc`` -- one
-    # constant product plus one add, roughly half the element work.
-    head = min(n_bits, _BIT_BLOCK)
-    a_hi, a_lo, c_hi, c_lo = _step_constants(head)
-    t1_hi, t1_lo = _mul128(s_hi[:, None], s_lo[:, None], a_hi, a_lo)
-    t2_hi, t2_lo = _mul128(inc_hi[:, None], inc_lo[:, None], c_hi, c_lo)
-    st_lo = t1_lo + t2_lo
-    st_hi = t1_hi + t2_hi + (st_lo < t1_lo).astype(np.uint64)
-    out = np.empty((s_hi.shape[0], n_bits), dtype=np.uint8)
-    out[:, :head] = _emit_bits(st_hi, st_lo)
-    if n_bits > head:
-        add_hi, add_lo = _mul128_const(inc_hi, inc_lo, *_ADV_C)
-        add_hi = add_hi[:, None]
-        add_lo = add_lo[:, None]
-        for j in range(head, n_bits, head):
-            width = min(head, n_bits - j)
-            if width < st_hi.shape[1]:
-                st_hi = st_hi[:, :width]
-                st_lo = st_lo[:, :width]
-            m_hi, m_lo = _mul128_const(st_hi, st_lo, *_ADV_A)
-            st_lo = m_lo + add_lo
-            st_hi = m_hi + add_hi + (st_lo < m_lo).astype(np.uint64)
-            out[:, j:j + width] = _emit_bits(st_hi, st_lo)
-    return out
+    pool = np.zeros((_POOL_SIZE, seeds.shape[0]), dtype=np.uint32)
+    pool[0] = seeds & np.uint64(0xFFFFFFFF)
+    pool[1] = seeds >> np.uint64(32)
+    pool = _hashmix(pool, _MIX_XOR[:_POOL_SIZE], _MIX_MUL[:_POOL_SIZE])
+    for src in range(_POOL_SIZE):
+        hashed = _hashmix(pool[src], _SRC_XOR[src], _SRC_MUL[src])
+        hashed *= _MIX_R
+        mixed = pool * _MIX_L
+        mixed -= hashed
+        mixed ^= mixed >> _XSHIFT
+        mixed[src] = pool[src]
+        pool = mixed
+    # generate_state cycles through the pool: word i hashes pool[i % 4].
+    return _hashmix(np.concatenate((pool, pool)), _GEN_XOR, _GEN_MUL)
 
 
 def _uniform_bit_block_fast(seeds: np.ndarray, n_bits: int) -> np.ndarray:
-    s_hi, s_lo, inc_hi, inc_lo = _pcg_states(seeds)
-    n = seeds.shape[0]
-    if n <= _SEED_CHUNK:
-        return _uniform_bit_chunk(s_hi, s_lo, inc_hi, inc_lo, n_bits)
-    out = np.empty((n, n_bits), dtype=np.uint8)
-    for i in range(0, n, _SEED_CHUNK):
-        j = i + _SEED_CHUNK
-        out[i:j] = _uniform_bit_chunk(
-            s_hi[i:j], s_lo[i:j], inc_hi[i:j], inc_lo[i:j], n_bits
-        )
+    # Word pairs read little-endian give generate_state(4, uint64):
+    # (initstate hi, initstate lo, initseq hi, initseq lo) per seed.
+    words = np.ascontiguousarray(_seed_words(seeds).T, dtype="<u4")
+    out = np.empty((seeds.shape[0], n_bits), dtype=np.uint8)
+    bitgen = np.random.PCG64(0)
+    pcg = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    for i, (st_hi, st_lo, seq_hi, seq_lo) in enumerate(words.view("<u8").tolist()):
+        # pcg64_srandom_r: two LCG steps from state 0.
+        inc = ((((seq_hi << 64) | seq_lo) << 1) | 1) & _M128
+        pcg["state"] = ((inc + ((st_hi << 64) | st_lo)) * _PCG_MULT + inc) & _M128
+        pcg["inc"] = inc
+        bitgen.state = state
+        np.less(bitgen.random_raw(n_bits), _TOP_BIT, out=out[i])
     return out
 
 
