@@ -80,7 +80,7 @@ def execute_multi_row_copy(
         bits = device_bank.read_row(global_row)
         correct = (bits == source_bits).astype(np.uint8)
         matches[global_row] = float(np.mean(correct))
-        correctness.append(tuple(int(c) for c in correct))
+        correctness.append(tuple(correct.tolist()))
     return MultiRowCopyResult(
         group=group,
         semantic=event.semantic if event is not None else "unknown",

@@ -11,6 +11,7 @@ that many rows, and enumerate the opened set.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import FrozenSet, List, Sequence, Tuple
 
@@ -104,7 +105,24 @@ def sample_groups(
     would extend past the physical row count (possible in 640-row
     subarrays) are rejected and resampled, because the chip cannot
     open nonexistent rows.
+
+    A pure function of its arguments, so draws are memoized; each call
+    returns a fresh list.
     """
+    return list(
+        _sample_groups(subarray, subarray_rows, group_size, count, *identity)
+    )
+
+
+# typed: ``stable_seed`` keys 1, 1.0 and True apart, so the memo must too.
+@functools.lru_cache(maxsize=256, typed=True)
+def _sample_groups(
+    subarray: int,
+    subarray_rows: int,
+    group_size: int,
+    count: int,
+    *identity: rng.Token,
+) -> Tuple[RowGroup, ...]:
     if group_size not in VALID_GROUP_SIZES:
         raise ConfigurationError(
             f"group size {group_size} not achievable; valid: {VALID_GROUP_SIZES}"
@@ -144,4 +162,4 @@ def sample_groups(
             continue
         seen.add(key)
         groups.append(group)
-    return groups
+    return tuple(groups)

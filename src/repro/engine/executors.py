@@ -230,22 +230,26 @@ def run_tasks_fused(
     """Fused execution of one bench's tasks.
 
     Probes each task's APA semantic (:func:`_probe_semantic`), evaluates
-    every probe-passing task in a single :meth:`TrialKernel.run_slice` call
-    (block RNG + packed bit-plane reduction), and falls back to the
-    per-trial serial reference for any task whose probe resolved a
-    different semantic.  ``delta`` receives probe/fuse/fallback stage
-    timings and APA program counts.
+    the tasks whose semantic the kernel fuses
+    (:attr:`TrialKernel.fused_semantics`) in one
+    :meth:`TrialKernel.run_slice` call per semantic (block RNG + packed
+    bit-plane reduction), and falls back to the per-trial serial
+    reference for any other task.  The probed semantic is handed to
+    ``run_slice``, so the bank's decision table stays the only place a
+    timing regime is decided.  ``delta`` receives probe/fuse/fallback
+    stage timings and APA program counts.
     """
     outcomes: List[TaskOutcome] = []
-    sliceable: List[TrialTask] = []
+    sliceable: Dict[str, List[TrialTask]] = {}
+    fused = kernel.fused_semantics
     for task in tasks:
         probe_started = time.perf_counter()
         kernel.setup(bench, task, point)
         semantic = _probe_semantic(kernel, bench, task, point)
         delta.apa_programs += 1
         delta.add_stage("probe", time.perf_counter() - probe_started)
-        if kernel.batched_semantic in (None, semantic):
-            sliceable.append(task)
+        if fused is None or semantic in fused:
+            sliceable.setdefault(semantic, []).append(task)
         else:
             fallback_started = time.perf_counter()
             outcomes.append(
@@ -253,15 +257,15 @@ def run_tasks_fused(
             )
             delta.apa_programs += task.trials
             delta.add_stage("fallback", time.perf_counter() - fallback_started)
-    if sliceable:
+    for semantic, regime_tasks in sliceable.items():
         fuse_started = time.perf_counter()
-        planes_list = kernel.run_slice(bench, sliceable, point)
-        if len(planes_list) != len(sliceable):
+        planes_list = kernel.run_slice(bench, regime_tasks, point, semantic)
+        if len(planes_list) != len(regime_tasks):
             raise ExperimentError(
                 f"kernel {kernel.op_name!r} slice returned "
-                f"{len(planes_list)} plane stacks for {len(sliceable)} tasks"
+                f"{len(planes_list)} plane stacks for {len(regime_tasks)} tasks"
             )
-        for task, planes in zip(sliceable, planes_list):
+        for task, planes in zip(regime_tasks, planes_list):
             outcomes.append(
                 _outcome_from_planes(
                     kernel, point, checkpoints, bench, task, planes

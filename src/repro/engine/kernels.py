@@ -10,19 +10,26 @@ trial:
   directly from the :class:`~repro.dram.behavior.ReliabilityModel` in
   vectorized numpy, skipping the per-trial program round-trips.
 
-Bit-identity between the two is guaranteed by construction: every
+- :meth:`TrialKernel.run_slice` computes many tasks' trials at once
+  as packed bit-planes, gathering every keyed draw of the slice into
+  block RNG calls (the fused executors' path).
+
+Bit-identity between the paths is guaranteed by construction: every
 stochastic draw is identity-keyed (thresholds, group offsets, sense-amp
 bias, pattern bits) or keyed by the shared measurement context
 (:func:`measurement_context` -> ``ReliabilityModel.context_noise``),
-so both paths consult the same random bits.  The batched path is
-gated on the APA probe resolving to the kernel's expected semantic
-(``batched_semantic``); any other regime falls back to the per-trial
-reference path, which is always correct.
+so all paths consult the same random bits.  The vectorized paths are
+gated on the APA semantic the executor's probe reads off the bank's
+decision table: ``run_batch`` models ``batched_semantic`` alone, while
+``run_slice`` models every semantic in ``fused_semantics`` and is told
+which one the probe resolved, so no kernel re-derives the timing
+regime.  Any other regime falls back to the per-trial reference path,
+which is always correct.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -64,15 +71,70 @@ def measurement_context(
     return (kernel.signature, point_token(point), task.group_token, trial)
 
 
+def _resolve_majority(
+    bench: TestBench,
+    task: TrialTask,
+    point: "OperatingPoint",
+    levels: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Charge-share the task's opened rows, as a majority APA does.
+
+    ``levels`` is a ``(trials, rows, columns)`` stack of the charge
+    levels the group's rows hold when the APA opens them.  Returns the
+    sense amplifiers' regenerated majority and the mask of columns
+    stable enough to latch it, both ``(trials, columns)`` -- the math of
+    ``Bank._apply_majority``, per trial.
+    """
+    reliability = bench.module.reliability
+    device_bank = bench.module.bank(task.bank)
+    imbalance = (levels.astype(np.int64) - 1).sum(axis=1)
+    ideal = device_bank.subarray(task.subarray).sense_amps.resolve(
+        np.sign(imbalance)
+    )
+    # pattern_regularity is a per-trial scalar; trials sharing a value
+    # share one 2-D majority_column_z call.
+    scales = np.array([pattern_regularity(trial) for trial in levels])
+    z_columns = np.empty(imbalance.shape, dtype=np.float64)
+    for scale in np.unique(scales):
+        where = np.nonzero(scales == scale)[0]
+        z_columns[where] = reliability.majority_column_z(
+            imbalance[where],
+            n_rows=task.group.size,
+            t1_ns=point.t1_ns,
+            t2_ns=point.t2_ns,
+            pattern_scale=float(scale),
+            temp_c=device_bank.temperature_c,
+            vpp=device_bank.vpp,
+        )
+    stable = reliability.stable_mask_vector(
+        z_columns, task.bank, task.subarray, task.group.rows,
+        OperationClass.MAJORITY,
+    )
+    return ideal, stable
+
+
 class TrialKernel:
     """Base protocol for plan kernels (see module docstring)."""
 
     op_name: str = "trial"
     signature: str = "trial"
     batched_semantic: Optional[str] = None
-    """APA semantic the vectorized path models; ``None`` skips the
-    probe gate (the kernel is regime-independent), and its probe then
-    replays one real APA for :meth:`finalize` to audit."""
+    """APA semantic :meth:`run_batch` models; ``None`` skips the probe
+    gate (the kernel is regime-independent), and its probe then replays
+    one real APA for :meth:`finalize` to audit."""
+
+    @property
+    def fused_semantics(self) -> Optional[FrozenSet[str]]:
+        """APA semantics :meth:`run_slice` models (the fused gate).
+
+        Defaults to ``batched_semantic`` alone; ``None`` means
+        regime-independent, as for ``batched_semantic``.  A kernel that
+        models more regimes overrides this and branches on the
+        ``semantic`` argument of :meth:`run_slice`.
+        """
+        if self.batched_semantic is None:
+            return None
+        return frozenset({self.batched_semantic})
 
     @property
     def cache_token(self) -> str:
@@ -101,15 +163,22 @@ class TrialKernel:
         raise NotImplementedError
 
     def run_slice(
-        self, bench: TestBench, tasks: Sequence[TrialTask], point: OperatingPoint
+        self,
+        bench: TestBench,
+        tasks: Sequence[TrialTask],
+        point: OperatingPoint,
+        semantic: str,
     ) -> List[np.ndarray]:
         """All trials of many tasks sharing one bench, packed.
 
-        Returns one ``(trials, words)`` uint64 plane stack per task
-        (see :mod:`repro.engine.bitplane`), bit-identical to packing
-        :meth:`run_batch`.  The default packs per-task batches; fused
-        kernels override it to gather every keyed draw of the slice
-        into single block RNG calls.
+        ``semantic`` is what the executor's probe resolved for every
+        task of the slice (one of :attr:`fused_semantics`, or anything
+        for a regime-independent kernel).  Returns one
+        ``(trials, words)`` uint64 plane stack per task (see
+        :mod:`repro.engine.bitplane`), bit-identical to the per-trial
+        reference.  The default packs per-task batches; fused kernels
+        override it to gather every keyed draw of the slice into single
+        block RNG calls.
         """
         return [
             bitplane.pack_matrix(
@@ -183,7 +252,7 @@ class ActivationKernel(TrialKernel):
                 )
         return matrix
 
-    def run_slice(self, bench, tasks, point):
+    def run_slice(self, bench, tasks, point, semantic):
         module = bench.module
         reliability = module.reliability
         columns = module.config.columns_per_row
@@ -338,7 +407,7 @@ class MajXKernel(TrialKernel):
             matrix[local] = result == expected_majority(operands)
         return matrix
 
-    def run_slice(self, bench, tasks, point):
+    def run_slice(self, bench, tasks, point, semantic):
         module = bench.module
         reliability = module.reliability
         columns = module.config.columns_per_row
@@ -373,13 +442,12 @@ class MajXKernel(TrialKernel):
         operand_offset = frac_offset = maj_offset = 0
         for task, plan in zip(tasks, plans):
             device_bank = module.bank(task.bank)
-            sub = device_bank.subarray(task.subarray)
             group = task.group
             rows_sorted = sorted(group.rows)
-            temp_c = device_bank.temperature_c
-            vpp = device_bank.vpp
             trials = task.trials
-            frac_z = reliability.frac_z(temp_c, vpp)
+            frac_z = reliability.frac_z(
+                device_bank.temperature_c, device_bank.vpp
+            )
             neutral_stable = {
                 local_row: reliability.stable_mask(
                     frac_z, task.bank, task.subarray, frozenset({local_row}),
@@ -412,29 +480,7 @@ class MajXKernel(TrialKernel):
                             task_frac[:, neutral_index[local_row], :]
                         ),
                     ).astype(np.uint8)
-            imbalance = (levels.astype(np.int64) - 1).sum(axis=1)
-            ideal = sub.sense_amps.resolve(np.sign(imbalance))
-            # pattern_regularity is a per-trial scalar; trials sharing
-            # a value share one 2-D majority_column_z call.
-            scales = np.array(
-                [pattern_regularity(levels[t]) for t in range(trials)]
-            )
-            z_columns = np.empty((trials, columns), dtype=np.float64)
-            for scale in np.unique(scales):
-                where = np.nonzero(scales == scale)[0]
-                z_columns[where] = reliability.majority_column_z(
-                    imbalance[where],
-                    n_rows=group.size,
-                    t1_ns=point.t1_ns,
-                    t2_ns=point.t2_ns,
-                    pattern_scale=float(scale),
-                    temp_c=temp_c,
-                    vpp=vpp,
-                )
-            stable = reliability.stable_mask_vector(
-                z_columns, task.bank, task.subarray, group.rows,
-                OperationClass.MAJORITY,
-            )
+            ideal, stable = _resolve_majority(bench, task, point, levels)
             task_maj = maj_noise[maj_offset:maj_offset + trials]
             result = np.where(stable, ideal, task_maj).astype(np.uint8)
             expected = (
@@ -453,6 +499,7 @@ class MultiRowCopyKernel(TrialKernel):
     op_name = "rowcopy"
     signature = "mrc"
     batched_semantic = "copy"
+    fused_semantics = frozenset({"copy", "majority"})
 
     def run_trial(self, bench, task, point, trial):
         module = bench.module
@@ -519,10 +566,15 @@ class MultiRowCopyKernel(TrialKernel):
                 )
         return matrix
 
-    def run_slice(self, bench, tasks, point):
+    def run_slice(self, bench, tasks, point, semantic):
         module = bench.module
         reliability = module.reliability
         columns = module.config.columns_per_row
+        # A driven first ACT copies the source ("copy"); one too short
+        # to drive the sense amplifiers leaves the APA to charge-share
+        # the opened rows ("majority").  Each keys its per-row coin
+        # flips under its own bank tag.
+        tag = "maj" if semantic == "majority" else "mrc"
         source_ids = []
         noise_entries = []
         destination_lists = []
@@ -539,7 +591,7 @@ class MultiRowCopyKernel(TrialKernel):
                 context = measurement_context(self, point, task, trial)
                 for local_row in destinations:
                     noise_entries.append(
-                        (task.bank, task.subarray, f"mrc-{local_row}", context)
+                        (task.bank, task.subarray, f"{tag}-{local_row}", context)
                     )
         sources = point.pattern.row_bits_block(columns, source_ids)
         noise = reliability.context_noise_block(noise_entries, columns)
@@ -548,32 +600,52 @@ class MultiRowCopyKernel(TrialKernel):
         for task, destinations in zip(tasks, destination_lists):
             device_bank = module.bank(task.bank)
             group = task.group
-            temp_c = device_bank.temperature_c
-            vpp = device_bank.vpp
             trials = task.trials
             task_sources = sources[source_offset:source_offset + trials]
-            z_values = np.array([
-                reliability.multi_row_copy_z(
-                    n_destinations=max(1, group.size - 1),
-                    t1_ns=point.t1_ns,
-                    t2_ns=point.t2_ns,
-                    source_ones_fraction=float(np.mean(task_sources[trial])),
-                    temp_c=temp_c,
-                    vpp=vpp,
-                )
-                for trial in range(trials)
-            ])
-            stable = reliability.stable_mask_block(
-                z_values, task.bank, task.subarray, [group.rows] * trials,
-                OperationClass.MULTI_ROW_COPY, columns,
-            )
             count = trials * len(destinations)
             task_noise = noise[noise_offset:noise_offset + count].reshape(
                 trials, len(destinations), columns
             )
-            matrix = np.logical_or(
-                task_noise == task_sources[:, None, :], stable[:, None, :]
-            )
+            if semantic == "majority":
+                # The source row among its inverse in every destination,
+                # in row order as the bank charge-shares them: stable
+                # columns latch the majority, the rest flip a coin per
+                # destination row.
+                rows = np.repeat(
+                    point.pattern.inverse_bits(task_sources)[:, None, :],
+                    group.size, axis=1,
+                )
+                rows[:, sorted(group.rows).index(group.row_first)] = task_sources
+                ideal, stable = _resolve_majority(
+                    bench, task, point, bits_to_levels(rows)
+                )
+                matrix = (
+                    np.where(stable[:, None, :], ideal[:, None, :], task_noise)
+                    == task_sources[:, None, :]
+                )
+            else:
+                temp_c = device_bank.temperature_c
+                vpp = device_bank.vpp
+                z_values = np.array([
+                    reliability.multi_row_copy_z(
+                        n_destinations=max(1, group.size - 1),
+                        t1_ns=point.t1_ns,
+                        t2_ns=point.t2_ns,
+                        source_ones_fraction=float(
+                            np.mean(task_sources[trial])
+                        ),
+                        temp_c=temp_c,
+                        vpp=vpp,
+                    )
+                    for trial in range(trials)
+                ])
+                stable = reliability.stable_mask_block(
+                    z_values, task.bank, task.subarray, [group.rows] * trials,
+                    OperationClass.MULTI_ROW_COPY, columns,
+                )
+                matrix = np.logical_or(
+                    task_noise == task_sources[:, None, :], stable[:, None, :]
+                )
             planes.append(
                 bitplane.pack_matrix(matrix.reshape(trials, task.cells))
             )

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.rowgroups import (
     RowGroup,
     VALID_GROUP_SIZES,
+    _sample_groups,
     group_from_pair,
     pair_for_field_mask,
     sample_groups,
@@ -78,6 +79,33 @@ class TestSampleGroups:
         for group in groups:
             assert group.size == 16
             assert all(r < 640 for r in group.rows)
+
+    def test_memo_matches_an_uncached_draw(self):
+        cached = sample_groups(1, 1024, 16, 4, "memo", 3)
+        again = sample_groups(1, 1024, 16, 4, "memo", 3)
+        uncached = _sample_groups.__wrapped__(1, 1024, 16, 4, "memo", 3)
+        assert cached == again == list(uncached)
+        assert _sample_groups.cache_info().hits >= 1
+
+    def test_memo_keys_typed_tokens_apart(self):
+        # stable_seed encodes 1, 1.0 and True differently, so each
+        # token type draws its own groups -- the memo must not alias
+        # them just because they compare equal.
+        draws = [sample_groups(0, 512, 8, 6, "typed", token)
+                 for token in (1, 1.0, True)]
+        for token, draw in zip((1, 1.0, True), draws):
+            assert draw == list(
+                _sample_groups.__wrapped__(0, 512, 8, 6, "typed", token)
+            )
+        assert draws[0] != draws[1]
+        assert draws[0] != draws[2]
+        assert draws[1] != draws[2]
+
+    def test_mutating_a_returned_list_leaves_the_memo_intact(self):
+        first = sample_groups(0, 512, 4, 3, "mutate")
+        expected = list(first)
+        first.clear()
+        assert sample_groups(0, 512, 4, 3, "mutate") == expected
 
     def test_invalid_size_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -10,6 +10,8 @@ worker kills and off-regime fallbacks.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bender.testbench import TestBench
 from repro.characterization.activation import (
@@ -25,7 +27,8 @@ from repro.characterization.experiment import (
 from repro.characterization.rowcopy import build_copy_plan
 from repro.chaos import ChaosConfig, ChaosHarness
 from repro.config import SimulationConfig
-from repro.core.rowgroups import sample_groups
+from repro.core.patterns import COPY_TESTED_PATTERNS, MAJX_TESTED_PATTERNS
+from repro.core.rowgroups import VALID_GROUP_SIZES, sample_groups
 from repro.dram.bank import Bank
 from repro.dram.vendor import TESTED_MODULES
 from repro.engine import (
@@ -34,6 +37,7 @@ from repro.engine import (
     SerialExecutor,
     make_executor,
     run_plan,
+    slice_plan,
 )
 from repro.errors import PersistentBenchError
 
@@ -99,9 +103,10 @@ class TestFusedBitIdentity:
         assert candidate == reference
 
     def test_off_regime_plan_falls_back_bit_identically(self, name):
-        # Copy plan at majority timings: the probe resolves a different
-        # semantic, so every task must take the serial fallback.
-        point = OperatingPoint(t1_ns=1.5, t2_ns=3.0)
+        # Copy plan in the consecutive (RowClone) window: the probe
+        # resolves a semantic the kernel does not fuse, so every task
+        # must take the serial fallback.
+        point = OperatingPoint(t1_ns=36.0, t2_ns=6.0)
         reference = SerialExecutor().run(
             build_copy_plan(make_scope(), 3, point)
         )
@@ -109,6 +114,64 @@ class TestFusedBitIdentity:
         candidate = executor.run(build_copy_plan(make_scope(), 3, point))
         assert_outcomes_identical(reference, candidate)
         assert "fallback" in executor.metrics.stages
+
+    def test_copy_plan_at_majority_timings_fuses(self, name):
+        # t1 = 1.5 ns never drives the sense amplifiers, so the APA
+        # charge-shares the opened rows; the kernel fuses that regime
+        # on the probe's semantic instead of replaying every trial.
+        point = OperatingPoint(t1_ns=1.5, t2_ns=3.0)
+        reference = SerialExecutor().run(
+            build_copy_plan(make_scope(), 3, point)
+        )
+        executor = self.make(name)
+        plan = build_copy_plan(make_scope(), 3, point)
+        candidate = executor.run(plan)
+        assert_outcomes_identical(reference, candidate)
+        assert "fallback" not in executor.metrics.stages
+        assert executor.metrics.apa_programs == len(plan.tasks)
+
+
+class TestFusedMajorityCopyProperty:
+    """Multi-RowCopy in its charge-sharing regime, fused vs serial."""
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(
+        group_size=st.sampled_from(VALID_GROUP_SIZES),
+        t1_ns=st.sampled_from((1.5, 3.0)),
+        t2_ns=st.sampled_from((1.5, 3.0)),
+        pattern=st.sampled_from(
+            tuple(dict.fromkeys(COPY_TESTED_PATTERNS + MAJX_TESTED_PATTERNS))
+        ),
+        offset=st.integers(0, 6),
+        trials=st.integers(1, 3),
+    )
+    def test_matches_serial(
+        self, group_size, t1_ns, t2_ns, pattern, offset, trials
+    ):
+        # Group size 2 is a one-to-one tie that resolves to the sense
+        # amplifiers' bias; larger groups out-vote the source.
+        point = OperatingPoint(t1_ns=t1_ns, t2_ns=t2_ns, pattern=pattern)
+
+        def plan():
+            scope = CharacterizationScope.build(
+                config=SimulationConfig(seed=7, columns_per_row=64),
+                specs=TESTED_MODULES[:2],
+                modules_per_spec=1,
+                groups_per_size=1,
+                trials=1,
+            )
+            return slice_plan(
+                build_copy_plan(scope, group_size - 1, point), offset, trials
+            )
+
+        reference = SerialExecutor().run(plan())
+        executor = FusedExecutor()
+        candidate = executor.run(plan())
+        assert_outcomes_identical(reference, candidate)
+        assert [o.trial_rates for o in candidate.outcomes] == [
+            o.trial_rates for o in reference.outcomes
+        ]
+        assert "fallback" not in executor.metrics.stages
 
 
 class TestFusedInstrumentation:
