@@ -4,7 +4,8 @@
 Times the representative figure sweep on every executor, verifies the
 determinism contract, records the parallel worker-scaling curve, and
 writes ``BENCH_engine.json`` at the repository root (the CI artifact).
-Equivalent to ``simra-dram bench``.
+Equivalent to ``simra-dram bench``, plus a ``provenance`` stamp: git
+sha, usable CPUs, Python and numpy versions, and the run's scale.
 
 With ``--floors benchmarks/perf_floors.json`` the run additionally
 acts as a perf-regression gate: it fails if any executor's speedup
@@ -21,6 +22,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
+import subprocess
 import sys
 from pathlib import Path
 
@@ -141,6 +145,53 @@ def check_scaling_floors(report, scaling, tolerance: float, cpus: int) -> int:
     return violations
 
 
+def _git(*args: str):
+    try:
+        done = subprocess.run(
+            ["git", *args], cwd=REPO_ROOT, capture_output=True, text=True,
+            timeout=20,
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
+def provenance(args) -> dict:
+    """The code and machine a report was measured on."""
+    import numpy
+
+    usable = available_cpu_count()
+    status = _git("status", "--porcelain", "--untracked-files=no")
+    stamp = {
+        "git_sha": _git("rev-parse", "HEAD") or "unknown",
+        "git_dirty": None if status is None else bool(status),
+        "available_cpu_count": usable,
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "platform": platform.platform(),
+        "scale": {
+            "columns": args.columns,
+            "groups_per_size": args.groups,
+            "trials": args.trials,
+            "seed": args.seed,
+            "jobs": args.jobs,
+            "campaign_trials": args.campaign_trials if args.campaign else None,
+            "fleet_workers": args.fleet_workers if args.fleet else None,
+            "planner_max_trials": (
+                args.planner_max_trials if args.planner else None
+            ),
+        },
+        "notes": [],
+    }
+    if usable < 2:
+        stamp["notes"].append(
+            f"time-sliced: {usable} usable CPU, so parallel and fleet "
+            "numbers measure time-slicing, not scaling"
+        )
+    return stamp
+
+
 def _jobs_value(text: str):
     if text.strip().lower() == "auto":
         return available_cpu_count()
@@ -244,6 +295,7 @@ def main(argv=None) -> int:
         # wall-time speedup: trial counts are exactly reproducible, so
         # no CPU gating or timing tolerance is needed.
         report.speedup["planner"] = report.planner["trial_reduction"]
+    report.provenance = provenance(args)
     path = write_benchmark_json(report, Path(args.output))
     for line in report.summary_lines():
         print(line)

@@ -73,25 +73,24 @@ class DataPattern:
     ) -> np.ndarray:
         """:meth:`row_bits` for many identity tuples -> (n, columns).
 
-        Random patterns vectorize through the seed-prefix + bit-block
-        pipeline; fixed byte pairs keep the per-row generator (the
-        choice draw comes from ``Generator.integers``, which has no
-        single-bit shortcut) -- they are already cheap because each
-        row is one byte lookup.
+        Both kinds hash their seeds through a cached prefix: random
+        patterns draw a bit block per row, fixed byte pairs one coin
+        per row (:func:`repro.rngblock.coin_block`) that picks a row of
+        the pair's two-row bit table.
         """
-        if not self.is_random:
-            out = np.empty((len(identities), columns), dtype=np.uint8)
-            for i, identity in enumerate(identities):
-                out[i] = self.row_bits(columns, *identity)
-            return out
-        prefix = rng.SeedPrefix("pattern-random")
+        salt = ("pattern-random",) if self.is_random else ("pattern-pair", self.kind)
+        prefix = rng.SeedPrefix(*salt)
         encoded = rng.TokenEncoder()
         seeds = np.empty(len(identities), dtype=np.uint64)
         for i, identity in enumerate(identities):
             seeds[i] = prefix.seed_bytes(
                 b"".join(encoded(token) for token in identity)
             )
-        return rngblock.uniform_bit_block(seeds, columns)
+        if self.is_random:
+            return rngblock.uniform_bit_block(seeds, columns)
+        assert self.byte_pair is not None
+        table = np.stack([byte_to_bits(byte, columns) for byte in self.byte_pair])
+        return table[rngblock.coin_block(seeds)]
 
     def operand_bits(
         self, columns: int, operand: int, *identity: rng.Token

@@ -77,6 +77,10 @@ _FIXED_BYTE_WEIGHTS = {
 _OTHER_BYTE_WEIGHT = 0.88
 
 
+_BYTE_WEIGHTS = np.full(256, _OTHER_BYTE_WEIGHT, dtype=np.float64)
+_BYTE_WEIGHTS[list(_FIXED_BYTE_WEIGHTS)] = list(_FIXED_BYTE_WEIGHTS.values())
+
+
 def pattern_regularity(levels: np.ndarray) -> float:
     """How 'regular' a set of rows' charge levels is, in [0, 1].
 
@@ -86,22 +90,41 @@ def pattern_regularity(levels: np.ndarray) -> float:
     (rows, columns) charge-level matrix.
     """
     levels = np.asarray(levels)
-    columns = levels.shape[1] if levels.ndim == 2 else 0
+    if levels.ndim != 2:
+        return 0.0
+    return float(pattern_regularity_block(levels[None])[0])
+
+
+def pattern_regularity_block(levels: np.ndarray) -> np.ndarray:
+    """:func:`pattern_regularity` of every matrix of a stack at once.
+
+    ``levels`` is a ``(trials, rows, columns)`` stack; returns a
+    ``(trials,)`` float64 array.  A trial scores 0 unless every
+    non-neutral row is single-byte periodic, else the mean of those
+    rows' byte weights in row order.
+    """
+    levels = np.asarray(levels)
+    trials, rows, columns = levels.shape
+    scores = np.zeros(trials, dtype=np.float64)
     if columns % 8 != 0 or columns == 0:
-        return 0.0
-    weights = []
-    for row_levels in levels:
-        if np.any(row_levels == LEVEL_HALF):
-            continue
-        bits = (row_levels >= 2).astype(np.uint8)
-        grouped = bits.reshape(-1, 8)
-        if not np.all(grouped == grouped[0]):
-            return 0.0
-        byte = int(np.packbits(grouped[0])[0])
-        weights.append(_FIXED_BYTE_WEIGHTS.get(byte, _OTHER_BYTE_WEIGHT))
-    if not weights:
-        return 0.0
-    return float(np.mean(weights))
+        return scores
+    included = ~(levels == LEVEL_HALF).any(axis=2)
+    grouped = (levels >= 2).reshape(trials, rows, columns // 8, 8)
+    periodic = (grouped == grouped[:, :, :1]).all(axis=(2, 3))
+    scored = np.flatnonzero(
+        (periodic | ~included).all(axis=1) & included.any(axis=1)
+    )
+    if scored.size == 0:
+        return scores
+    weights = _BYTE_WEIGHTS[np.packbits(grouped[scored, :, 0], axis=-1)[..., 0]]
+    # Excluded rows key as -1; trials with equal keys take one np.mean
+    # over the same included weights in the same row order.
+    keys = np.where(included[scored], weights, -1.0)
+    unique, inverse = np.unique(keys, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    for j, key in enumerate(unique):
+        scores[scored[inverse == j]] = np.mean(key[key >= 0])
+    return scores
 
 
 class BankState(enum.Enum):

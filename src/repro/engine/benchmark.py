@@ -90,6 +90,9 @@ class BenchmarkReport:
     planner: Optional[Dict[str, object]] = None
     """Adaptive-planner benchmark (see :func:`run_planner_benchmark`),
     when requested."""
+    provenance: Optional[Dict[str, object]] = None
+    """Code and machine identity of the run (git sha, usable CPUs,
+    Python and numpy versions, scale), when the caller stamps it."""
 
     def as_dict(self) -> Dict[str, object]:
         document: Dict[str, object] = {
@@ -108,6 +111,8 @@ class BenchmarkReport:
             document["fleet"] = self.fleet
         if self.planner is not None:
             document["planner"] = self.planner
+        if self.provenance is not None:
+            document["provenance"] = self.provenance
         return document
 
     def summary_lines(self) -> List[str]:

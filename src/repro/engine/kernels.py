@@ -12,7 +12,11 @@ trial:
 
 - :meth:`TrialKernel.run_slice` computes many tasks' trials at once
   as packed bit-planes, gathering every keyed draw of the slice into
-  block RNG calls (the fused executors' path).
+  block RNG calls (the fused executors' path).  It resolves each
+  contest's stable mask first and draws a ``context_noise`` row only
+  for contests with an unstable column (:func:`_noise_where`): most
+  contests are stable in every column, and their coin flips would be
+  read nowhere.
 
 Bit-identity between the paths is guaranteed by construction: every
 stochastic draw is identity-keyed (thresholds, group offsets, sense-amp
@@ -40,8 +44,8 @@ from ..core.majority import execute_majx, expected_majority, plan_majx
 from ..core.multirowcopy import execute_multi_row_copy
 from ..core.operations import simultaneous_activation_test
 from ..core.patterns import DataPattern
-from ..dram.bank import pattern_regularity
-from ..dram.behavior import OperationClass
+from ..dram.bank import pattern_regularity, pattern_regularity_block
+from ..dram.behavior import OperationClass, ReliabilityModel
 from ..dram.cell import LEVEL_HALF, bits_to_levels
 from . import bitplane
 from .plan import TrialTask
@@ -93,7 +97,7 @@ def _resolve_majority(
     )
     # pattern_regularity is a per-trial scalar; trials sharing a value
     # share one 2-D majority_column_z call.
-    scales = np.array([pattern_regularity(trial) for trial in levels])
+    scales = pattern_regularity_block(levels)
     z_columns = np.empty(imbalance.shape, dtype=np.float64)
     for scale in np.unique(scales):
         where = np.nonzero(scales == scale)[0]
@@ -111,6 +115,29 @@ def _resolve_majority(
         OperationClass.MAJORITY,
     )
     return ideal, stable
+
+
+def _noise_where(
+    reliability: ReliabilityModel,
+    entries: Sequence[Tuple[int, int, str, Tuple[rng.Token, ...]]],
+    needed: Sequence[bool],
+    columns: int,
+) -> np.ndarray:
+    """``context_noise_block`` rows for the flagged entries only.
+
+    Row ``i`` of the ``(len(entries), columns)`` result is entry
+    ``i``'s noise where ``needed[i]``, else zero.  Callers flag a
+    contest whose stable mask has an unstable column; every use of a
+    noise row is ``where(stable, ..., noise)`` or ``stable | (noise ==
+    ...)``, so an unflagged row is read nowhere.
+    """
+    noise = np.zeros((len(entries), columns), dtype=np.uint8)
+    flagged = np.flatnonzero(needed)
+    if flagged.size:
+        noise[flagged] = reliability.context_noise_block(
+            [entries[i] for i in flagged], columns
+        )
+    return noise
 
 
 class TrialKernel:
@@ -258,25 +285,12 @@ class ActivationKernel(TrialKernel):
         columns = module.config.columns_per_row
         # Gather every keyed draw of the slice: one pattern block for
         # the (task x trial) reference rows, one noise block for the
-        # (task x trial x row) WR contests.
+        # (task x trial x row) WR contests of tasks with an unstable
+        # column (the stable mask is trial-independent).
         reference_ids = []
         noise_entries = []
-        for task in tasks:
-            rows_sorted = sorted(task.group.rows)
-            for trial in range(
-                task.trial_offset, task.trial_offset + task.trials
-            ):
-                reference_ids.append(("act-wr", task.group.row_first, trial))
-                context = measurement_context(self, point, task, trial)
-                for local_row in rows_sorted:
-                    noise_entries.append(
-                        (task.bank, task.subarray, f"wr-{local_row}", context)
-                    )
-        references = point.pattern.row_bits_block(columns, reference_ids)
-        noise = reliability.context_noise_block(noise_entries, columns)
-        planes: List[np.ndarray] = []
-        reference_offset = 0
-        noise_offset = 0
+        needed = []
+        stables = []
         for task in tasks:
             device_bank = module.bank(task.bank)
             group = task.group
@@ -291,6 +305,25 @@ class ActivationKernel(TrialKernel):
                 z, task.bank, task.subarray, group.rows,
                 OperationClass.ACTIVATION, columns,
             )
+            stables.append(stable)
+            rows_sorted = sorted(group.rows)
+            for trial in range(
+                task.trial_offset, task.trial_offset + task.trials
+            ):
+                reference_ids.append(("act-wr", group.row_first, trial))
+                context = measurement_context(self, point, task, trial)
+                for local_row in rows_sorted:
+                    noise_entries.append(
+                        (task.bank, task.subarray, f"wr-{local_row}", context)
+                    )
+            needed.extend([not stable.all()] * (task.trials * group.size))
+        references = point.pattern.row_bits_block(columns, reference_ids)
+        noise = _noise_where(reliability, noise_entries, needed, columns)
+        planes: List[np.ndarray] = []
+        reference_offset = 0
+        noise_offset = 0
+        for task, stable in zip(tasks, stables):
+            group = task.group
             wr_bits = point.pattern.inverse_bits(
                 references[reference_offset:reference_offset + task.trials]
             )
@@ -417,9 +450,29 @@ class MajXKernel(TrialKernel):
         ]
         operand_ids = []
         frac_entries = []
+        frac_needed = []
         maj_entries = []
+        neutral_stables = []
         for task, plan in zip(tasks, plans):
+            device_bank = module.bank(task.bank)
             first_row = sorted(task.group.rows)[0]
+            # Neutral-row stability is identity-keyed, so a Frac row
+            # needs its coin flips only if some column can miss VDD/2.
+            frac_z = reliability.frac_z(
+                device_bank.temperature_c, device_bank.vpp
+            )
+            neutral_stable = {
+                local_row: reliability.stable_mask(
+                    frac_z, task.bank, task.subarray, frozenset({local_row}),
+                    OperationClass.FRAC, columns,
+                )
+                for local_row in plan.neutral_rows
+            }
+            neutral_stables.append(neutral_stable)
+            unstable = [
+                not neutral_stable[local_row].all()
+                for local_row in plan.neutral_rows
+            ]
             for trial in range(
                 task.trial_offset, task.trial_offset + task.trials
             ):
@@ -432,29 +485,23 @@ class MajXKernel(TrialKernel):
                     frac_entries.append(
                         (task.bank, task.subarray, f"frac-{local_row}", context)
                     )
+                frac_needed.extend(unstable)
                 maj_entries.append(
                     (task.bank, task.subarray, f"maj-{first_row}", context)
                 )
         operands = point.pattern.row_bits_block(columns, operand_ids)
-        frac_noise = reliability.context_noise_block(frac_entries, columns)
-        maj_noise = reliability.context_noise_block(maj_entries, columns)
-        planes: List[np.ndarray] = []
-        operand_offset = frac_offset = maj_offset = 0
-        for task, plan in zip(tasks, plans):
-            device_bank = module.bank(task.bank)
+        frac_noise = _noise_where(
+            reliability, frac_entries, frac_needed, columns
+        )
+        # The majority contest's stability depends on the Frac-resolved
+        # levels, so resolve every task before drawing its noise.
+        resolved = []
+        maj_needed = []
+        operand_offset = frac_offset = 0
+        for task, plan, neutral_stable in zip(tasks, plans, neutral_stables):
             group = task.group
             rows_sorted = sorted(group.rows)
             trials = task.trials
-            frac_z = reliability.frac_z(
-                device_bank.temperature_c, device_bank.vpp
-            )
-            neutral_stable = {
-                local_row: reliability.stable_mask(
-                    frac_z, task.bank, task.subarray, frozenset({local_row}),
-                    OperationClass.FRAC, columns,
-                )
-                for local_row in plan.neutral_rows
-            }
             ops = operands[
                 operand_offset:operand_offset + trials * self.x
             ].reshape(trials, self.x, columns)
@@ -481,15 +528,21 @@ class MajXKernel(TrialKernel):
                         ),
                     ).astype(np.uint8)
             ideal, stable = _resolve_majority(bench, task, point, levels)
-            task_maj = maj_noise[maj_offset:maj_offset + trials]
+            resolved.append((ops, ideal, stable))
+            maj_needed.extend(~stable.all(axis=1))
+            operand_offset += trials * self.x
+            frac_offset += trials * n_neutral
+        maj_noise = _noise_where(reliability, maj_entries, maj_needed, columns)
+        planes: List[np.ndarray] = []
+        maj_offset = 0
+        for task, (ops, ideal, stable) in zip(tasks, resolved):
+            task_maj = maj_noise[maj_offset:maj_offset + task.trials]
             result = np.where(stable, ideal, task_maj).astype(np.uint8)
             expected = (
                 ops.astype(np.int64).sum(axis=1) * 2 > self.x
             ).astype(np.uint8)
             planes.append(bitplane.pack_matrix(result == expected))
-            operand_offset += trials * self.x
-            frac_offset += trials * n_neutral
-            maj_offset += trials
+            maj_offset += task.trials
         return planes
 
 
@@ -594,36 +647,30 @@ class MultiRowCopyKernel(TrialKernel):
                         (task.bank, task.subarray, f"{tag}-{local_row}", context)
                     )
         sources = point.pattern.row_bits_block(columns, source_ids)
-        noise = reliability.context_noise_block(noise_entries, columns)
-        planes: List[np.ndarray] = []
-        source_offset = noise_offset = 0
+        # Either regime's stable mask depends on the sources alone, so a
+        # (trial, destination) contest draws noise only when its trial
+        # has an unstable column.  Stable columns latch ``latched``.
+        resolved = []
+        needed = []
+        source_offset = 0
         for task, destinations in zip(tasks, destination_lists):
-            device_bank = module.bank(task.bank)
             group = task.group
             trials = task.trials
             task_sources = sources[source_offset:source_offset + trials]
-            count = trials * len(destinations)
-            task_noise = noise[noise_offset:noise_offset + count].reshape(
-                trials, len(destinations), columns
-            )
             if semantic == "majority":
                 # The source row among its inverse in every destination,
                 # in row order as the bank charge-shares them: stable
-                # columns latch the majority, the rest flip a coin per
-                # destination row.
+                # columns latch the majority.
                 rows = np.repeat(
                     point.pattern.inverse_bits(task_sources)[:, None, :],
                     group.size, axis=1,
                 )
                 rows[:, sorted(group.rows).index(group.row_first)] = task_sources
-                ideal, stable = _resolve_majority(
+                latched, stable = _resolve_majority(
                     bench, task, point, bits_to_levels(rows)
                 )
-                matrix = (
-                    np.where(stable[:, None, :], ideal[:, None, :], task_noise)
-                    == task_sources[:, None, :]
-                )
             else:
+                device_bank = module.bank(task.bank)
                 temp_c = device_bank.temperature_c
                 vpp = device_bank.vpp
                 z_values = np.array([
@@ -643,13 +690,28 @@ class MultiRowCopyKernel(TrialKernel):
                     z_values, task.bank, task.subarray, [group.rows] * trials,
                     OperationClass.MULTI_ROW_COPY, columns,
                 )
-                matrix = np.logical_or(
-                    task_noise == task_sources[:, None, :], stable[:, None, :]
-                )
-            planes.append(
-                bitplane.pack_matrix(matrix.reshape(trials, task.cells))
-            )
+                latched = task_sources
+            resolved.append((task_sources, latched, stable))
+            needed.extend(np.repeat(~stable.all(axis=1), len(destinations)))
             source_offset += trials
+        noise = _noise_where(reliability, noise_entries, needed, columns)
+        planes: List[np.ndarray] = []
+        noise_offset = 0
+        for task, destinations, (task_sources, latched, stable) in zip(
+            tasks, destination_lists, resolved
+        ):
+            count = task.trials * len(destinations)
+            task_noise = noise[noise_offset:noise_offset + count].reshape(
+                task.trials, len(destinations), columns
+            )
+            # Unstable columns flip a coin per destination row.
+            matrix = (
+                np.where(stable[:, None, :], latched[:, None, :], task_noise)
+                == task_sources[:, None, :]
+            )
+            planes.append(
+                bitplane.pack_matrix(matrix.reshape(task.trials, task.cells))
+            )
             noise_offset += count
         return planes
 

@@ -17,6 +17,10 @@ and vectorizes only the seeding:
   ``(raw >> 11) * 2**-53``, which is below 0.5 exactly when the raw
   word's top bit is clear.
 
+:func:`coin_block` reuses the same per-seed states for the fixed-pair
+byte choice, ``default_rng(seed).integers(0, 2)``, which reads one bit
+of the first raw word.
+
 Bit-identity with ``default_rng`` is the contract, not an aspiration:
 the hash constants below are frozen by numpy's stream-compatibility
 guarantee, and a startup self-check compares this path against
@@ -27,7 +31,7 @@ reference path -- slower, never wrong.
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -121,11 +125,16 @@ def _seed_words(seeds: np.ndarray) -> np.ndarray:
     return _hashmix(np.concatenate((pool, pool)), _GEN_XOR, _GEN_MUL)
 
 
-def _uniform_bit_block_fast(seeds: np.ndarray, n_bits: int) -> np.ndarray:
+def _seeded(seeds: np.ndarray) -> Iterator[Tuple[int, np.random.PCG64]]:
+    """Yield ``(i, bitgen)`` with ``bitgen`` at ``default_rng(seeds[i])``'s start.
+
+    One ``np.random.PCG64`` per call is set to each seed's state in
+    turn, so a consumer must finish drawing row ``i`` before asking for
+    the next one.
+    """
     # Word pairs read little-endian give generate_state(4, uint64):
     # (initstate hi, initstate lo, initseq hi, initseq lo) per seed.
     words = np.ascontiguousarray(_seed_words(seeds).T, dtype="<u4")
-    out = np.empty((seeds.shape[0], n_bits), dtype=np.uint8)
     bitgen = np.random.PCG64(0)
     pcg = {"state": 0, "inc": 0}
     state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
@@ -135,6 +144,12 @@ def _uniform_bit_block_fast(seeds: np.ndarray, n_bits: int) -> np.ndarray:
         pcg["state"] = ((inc + ((st_hi << 64) | st_lo)) * _PCG_MULT + inc) & _M128
         pcg["inc"] = inc
         bitgen.state = state
+        yield i, bitgen
+
+
+def _uniform_bit_block_fast(seeds: np.ndarray, n_bits: int) -> np.ndarray:
+    out = np.empty((seeds.shape[0], n_bits), dtype=np.uint8)
+    for i, bitgen in _seeded(seeds):
         np.less(bitgen.random_raw(n_bits), _TOP_BIT, out=out[i])
     return out
 
@@ -146,6 +161,22 @@ def _uniform_bit_block_reference(seeds: np.ndarray, n_bits: int) -> np.ndarray:
     return out
 
 
+def _coin_block_fast(seeds: np.ndarray) -> np.ndarray:
+    # integers(0, 2) is Lemire's method on the first 32-bit draw, the
+    # low half of the first raw word: (low32 * 2) >> 32 is its bit 31.
+    out = np.empty(seeds.shape[0], dtype=np.int64)
+    for i, bitgen in _seeded(seeds):
+        out[i] = (bitgen.random_raw() >> 31) & 1
+    return out
+
+
+def _coin_block_reference(seeds: np.ndarray) -> np.ndarray:
+    return np.array(
+        [np.random.default_rng(int(seed)).integers(0, 2) for seed in seeds],
+        dtype=np.int64,
+    )
+
+
 def _self_check() -> bool:
     probes = np.array(
         [0, 1, 12345, 2**32 - 1, 2**32, 2**31, 2**63 + 12345, 2**64 - 1],
@@ -153,9 +184,13 @@ def _self_check() -> bool:
     )
     try:
         fast = _uniform_bit_block_fast(probes, 67)
+        coins = _coin_block_fast(probes)
     except Exception:  # pragma: no cover - exotic numpy only
         return False
-    return bool(np.array_equal(fast, _uniform_bit_block_reference(probes, 67)))
+    return bool(
+        np.array_equal(fast, _uniform_bit_block_reference(probes, 67))
+        and np.array_equal(coins, _coin_block_reference(probes))
+    )
 
 
 _FAST_PATH_OK = _self_check()
@@ -185,3 +220,19 @@ def uniform_bit_block(
     if not _FAST_PATH_OK:
         return _uniform_bit_block_reference(seeds, n_bits)
     return _uniform_bit_block_fast(seeds, n_bits)
+
+
+def coin_block(seeds: Union[Sequence[int], np.ndarray]) -> np.ndarray:
+    """One fair coin per keyed seed, all at once.
+
+    Entry ``i`` equals ``np.random.default_rng(seeds[i]).integers(0, 2)``
+    -- i.e. the draw :meth:`repro.core.patterns.DataPattern.row_bits`
+    makes to pick a fixed pair's byte.  Returns a ``(len(seeds),)``
+    int64 array of 0/1.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    if seeds.ndim != 1:
+        raise ValueError(f"seeds must be one-dimensional, got {seeds.shape}")
+    if not _FAST_PATH_OK:
+        return _coin_block_reference(seeds)
+    return _coin_block_fast(seeds)

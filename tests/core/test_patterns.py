@@ -91,3 +91,50 @@ class TestPatterns:
         bits = PATTERN_6699.row_bits(16, "q")
         byte = int(np.packbits(bits[:8])[0])
         assert byte in (0x66, 0x99)
+
+
+FIXED_PAIRS = tuple(
+    pattern
+    for pattern in dict.fromkeys(MAJX_TESTED_PATTERNS + COPY_TESTED_PATTERNS)
+    if not pattern.is_random
+)
+
+BLOCK_IDENTITIES = [
+    ("operand", op, "module#0", bank, trial)
+    for op in range(3)
+    for bank in (0, 1)
+    for trial in range(6)
+] + [("mrc-src", "module#1", 0, 2**40), ("act-wr", 7, -1), (), ("x",)]
+"""Operand-, source- and reference-shaped keys plus odd lengths."""
+
+
+class TestRowBitsBlock:
+    """The block draw equals the per-row draw it gathers, dtype included."""
+
+    @pytest.mark.parametrize(
+        "pattern", FIXED_PAIRS + (PATTERN_RANDOM,), ids=lambda p: p.kind
+    )
+    @pytest.mark.parametrize("columns", [8, 64, 100])
+    def test_matches_stacked_row_bits(self, pattern, columns):
+        block = pattern.row_bits_block(columns, BLOCK_IDENTITIES)
+        stacked = np.stack(
+            [pattern.row_bits(columns, *identity) for identity in BLOCK_IDENTITIES]
+        )
+        assert block.dtype == stacked.dtype == np.uint8
+        assert np.array_equal(block, stacked)
+
+    def test_fixed_pairs_cover_fig7_and_fig11(self):
+        kinds = {pattern.kind for pattern in FIXED_PAIRS}
+        assert kinds == {"00ff", "aa55", "cc33", "6699", "all0", "all1"}
+
+    def test_both_bytes_of_a_pair_appear(self):
+        block = PATTERN_AA55.row_bits_block(8, BLOCK_IDENTITIES)
+        assert {int(np.packbits(row)[0]) for row in block} == {0xAA, 0x55}
+
+    @pytest.mark.parametrize(
+        "pattern", FIXED_PAIRS + (PATTERN_RANDOM,), ids=lambda p: p.kind
+    )
+    def test_empty_identities(self, pattern):
+        block = pattern.row_bits_block(64, [])
+        assert block.shape == (0, 64)
+        assert block.dtype == np.uint8

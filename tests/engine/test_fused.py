@@ -24,12 +24,18 @@ from repro.characterization.experiment import (
     CharacterizationScope,
     OperatingPoint,
 )
+from repro.characterization.majority import MAJX_POINT, build_majx_plan
 from repro.characterization.rowcopy import build_copy_plan
 from repro.chaos import ChaosConfig, ChaosHarness
 from repro.config import SimulationConfig
-from repro.core.patterns import COPY_TESTED_PATTERNS, MAJX_TESTED_PATTERNS
+from repro.core.patterns import (
+    COPY_TESTED_PATTERNS,
+    MAJX_TESTED_PATTERNS,
+    PATTERN_AA55,
+)
 from repro.core.rowgroups import VALID_GROUP_SIZES, sample_groups
 from repro.dram.bank import Bank
+from repro.dram.behavior import ReliabilityModel
 from repro.dram.vendor import TESTED_MODULES
 from repro.engine import (
     FusedExecutor,
@@ -39,6 +45,7 @@ from repro.engine import (
     run_plan,
     slice_plan,
 )
+from repro.engine import kernels
 from repro.errors import PersistentBenchError
 
 ACT_POINT = OperatingPoint(t1_ns=1.5, t2_ns=3.0)
@@ -46,9 +53,16 @@ COPY_POINT = OperatingPoint(t1_ns=36.0, t2_ns=3.0)
 KILL_SERIAL = TESTED_MODULES[1].module_identifier + "#0"
 
 
-def make_scope(seed: int = 51, columns: int = 64, trials: int = 4):
+def make_scope(
+    seed: int = 51,
+    columns: int = 64,
+    trials: int = 4,
+    functional_only: bool = False,
+):
     return CharacterizationScope.build(
-        config=SimulationConfig(seed=seed, columns_per_row=columns),
+        config=SimulationConfig(
+            seed=seed, columns_per_row=columns, functional_only=functional_only
+        ),
         specs=TESTED_MODULES[:2],
         modules_per_spec=1,
         groups_per_size=2,
@@ -172,6 +186,81 @@ class TestFusedMajorityCopyProperty:
             o.trial_rates for o in reference.outcomes
         ]
         assert "fallback" not in executor.metrics.stages
+
+
+def _noise_plans(functional_only: bool = False):
+    """One plan per fused kernel and Multi-RowCopy regime, at points
+    where some contests have an unstable column and others do not."""
+
+    def scope(seed=51, columns=64):
+        return make_scope(
+            seed=seed, columns=columns, functional_only=functional_only
+        )
+
+    # Fig 7 drives MAJX through the fixed pairs of MAJX_TESTED_PATTERNS.
+    majx_point = OperatingPoint(
+        t1_ns=MAJX_POINT.t1_ns, t2_ns=MAJX_POINT.t2_ns, pattern=PATTERN_AA55
+    )
+    return {
+        "activation": lambda: build_activation_plan(
+            scope(seed=2024, columns=256), 8, ACT_POINT
+        ),
+        "majx-fixed-pair": lambda: build_majx_plan(scope(), 3, 8, majx_point),
+        "copy": lambda: build_copy_plan(
+            scope(), 3, OperatingPoint(t1_ns=9.0, t2_ns=3.0)
+        ),
+        "copy-majority": lambda: build_copy_plan(
+            scope(), 7, OperatingPoint(t1_ns=3.0, t2_ns=3.0)
+        ),
+    }
+
+
+class TestNoiseOnDemand:
+    """The fused kernels draw a contest's noise only where some column
+    is unstable; a skipped row is read nowhere, so outcomes stay equal
+    to the serial reference."""
+
+    def count_draws(self, monkeypatch):
+        counts = {"entries": 0, "drawn": 0}
+        noise_where = kernels._noise_where
+        block = ReliabilityModel.context_noise_block
+
+        def counting_noise_where(reliability, entries, needed, columns):
+            counts["entries"] += len(entries)
+            return noise_where(reliability, entries, needed, columns)
+
+        def counting_block(self, entries, columns):
+            counts["drawn"] += len(entries)
+            return block(self, entries, columns)
+
+        monkeypatch.setattr(kernels, "_noise_where", counting_noise_where)
+        monkeypatch.setattr(
+            ReliabilityModel, "context_noise_block", counting_block
+        )
+        return counts
+
+    @pytest.mark.parametrize("kind", sorted(_noise_plans()))
+    def test_draws_only_unstable_rows_bit_identically(self, kind, monkeypatch):
+        build = _noise_plans()[kind]
+        reference = SerialExecutor().run(build())
+        counts = self.count_draws(monkeypatch)
+        executor = FusedExecutor()
+        assert_outcomes_identical(reference, executor.run(build()))
+        assert "fallback" not in executor.metrics.stages
+        assert 0 < counts["drawn"] < counts["entries"], counts
+        composed = ProcessPoolExecutor(jobs=2, strategy="fused")
+        assert_outcomes_identical(reference, composed.run(build()))
+
+    @pytest.mark.parametrize("kind", sorted(_noise_plans()))
+    def test_functional_only_draws_no_noise(self, kind, monkeypatch):
+        build = _noise_plans(functional_only=True)[kind]
+        reference = SerialExecutor().run(build())
+        counts = self.count_draws(monkeypatch)
+        assert_outcomes_identical(reference, FusedExecutor().run(build()))
+        assert counts["entries"] > 0
+        assert counts["drawn"] == 0
+        composed = ProcessPoolExecutor(jobs=2, strategy="fused")
+        assert_outcomes_identical(reference, composed.run(build()))
 
 
 class TestFusedInstrumentation:

@@ -20,6 +20,7 @@ import repro.rngblock as rngblock
 from repro.rngblock import (
     _seed_words,
     _uniform_bit_block_reference,
+    coin_block,
     fast_path_enabled,
     uniform_bit_block,
 )
@@ -88,6 +89,44 @@ class TestBitIdentity:
         for i in (0, 7, 19):
             alone = uniform_bit_block(seeds[i : i + 1], 97)
             assert np.array_equal(whole[i], alone[0])
+
+
+def default_rng_coins(seeds) -> np.ndarray:
+    return np.array(
+        [np.random.default_rng(int(seed)).integers(0, 2) for seed in seeds],
+        dtype=np.int64,
+    )
+
+
+class TestCoinBlock:
+    """``coin_block`` is the fixed-pair byte choice, one per seed."""
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(seeds=seed_blocks)
+    @example(seeds=[0, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_property_matches_default_rng_integers(self, seeds):
+        coins = coin_block(seeds)
+        assert coins.shape == (len(seeds),)
+        assert coins.dtype == np.int64
+        assert np.array_equal(coins, default_rng_coins(seeds))
+
+    def test_forced_fallback_is_identical(self, monkeypatch):
+        seeds = probe_seeds(65, salt=7)
+        fast = coin_block(seeds)
+        monkeypatch.setattr(rngblock, "_FAST_PATH_OK", False)
+        fallback = coin_block(seeds)
+        assert fallback.dtype == fast.dtype
+        assert np.array_equal(fallback, fast)
+        assert np.array_equal(fallback, default_rng_coins(seeds))
+
+    def test_both_faces_appear(self):
+        coins = coin_block(probe_seeds(64, salt=3))
+        assert set(coins.tolist()) == {0, 1}
+
+    def test_empty_and_validation(self):
+        assert coin_block(np.empty(0, dtype=np.uint64)).shape == (0,)
+        with pytest.raises(ValueError, match="one-dimensional"):
+            coin_block(np.zeros((2, 2), dtype=np.uint64))
 
 
 class TestSeeding:
