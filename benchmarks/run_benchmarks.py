@@ -5,7 +5,8 @@ Times the representative figure sweep on every executor, verifies the
 determinism contract, records the parallel worker-scaling curve, and
 writes ``BENCH_engine.json`` at the repository root (the CI artifact).
 Equivalent to ``simra-dram bench``, plus a ``provenance`` stamp: git
-sha, usable CPUs, Python and numpy versions, and the run's scale.
+sha, a content hash of the measured ``src/`` and ``benchmarks/`` files,
+usable CPUs, Python and numpy versions, and the run's scale.
 
 With ``--floors benchmarks/perf_floors.json`` the run additionally
 acts as a perf-regression gate: it fails if any executor's speedup
@@ -21,6 +22,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -145,15 +147,34 @@ def check_scaling_floors(report, scaling, tolerance: float, cpus: int) -> int:
     return violations
 
 
-def _git(*args: str):
+def _git(*args: str, cwd: Path = REPO_ROOT):
     try:
         done = subprocess.run(
-            ["git", *args], cwd=REPO_ROOT, capture_output=True, text=True,
+            ["git", *args], cwd=cwd, capture_output=True, text=True,
             timeout=20,
         )
     except (OSError, subprocess.TimeoutExpired):
         return None
     return done.stdout.strip() if done.returncode == 0 else None
+
+
+def tree_hash(root: Path = REPO_ROOT, paths=("src", "benchmarks")):
+    """``sha256:`` of the git-tracked files under ``paths``, as on disk.
+
+    Reads the working tree, not the index or HEAD, so a report measured
+    before its commit still names the code it measured.  Untracked
+    files (run outputs, caches) do not count.  ``None`` without git.
+    """
+    listed = _git("ls-files", "-z", "--", *paths, cwd=root)
+    if listed is None:
+        return None
+    digest = hashlib.sha256()
+    for name in sorted(filter(None, listed.split("\0"))):
+        path = root / name
+        content = path.read_bytes() if path.is_file() else b"<deleted>"
+        digest.update(name.encode() + b"\0")
+        digest.update(hashlib.sha256(content).digest())
+    return "sha256:" + digest.hexdigest()
 
 
 def provenance(args) -> dict:
@@ -165,6 +186,7 @@ def provenance(args) -> dict:
     stamp = {
         "git_sha": _git("rev-parse", "HEAD") or "unknown",
         "git_dirty": None if status is None else bool(status),
+        "tree_sha256": tree_hash(),
         "available_cpu_count": usable,
         "nproc": os.cpu_count(),
         "python": platform.python_version(),

@@ -33,50 +33,37 @@ Quickstart::
     print(result.semantic, result.success_fraction)
 """
 
-from .config import DEFAULT_CONFIG, SimulationConfig
-from .errors import (
-    AddressError,
-    ConfigurationError,
-    ExperimentError,
-    InfrastructureError,
-    ProgramTransferError,
-    ProtocolError,
-    ReadbackCorruptionError,
-    ResultCorruptionError,
-    SimraError,
-    ThermalExcursionError,
-    TimingViolationError,
-    TransientInfrastructureError,
-    UnsupportedOperationError,
-    VppBrownoutError,
-)
-from .bender.testbench import TestBench
-from .dram.module import Module, build_module, build_tested_fleet
-from .dram.vendor import TESTED_MODULES
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "DEFAULT_CONFIG",
-    "SimulationConfig",
-    "SimraError",
-    "ConfigurationError",
-    "AddressError",
-    "TimingViolationError",
-    "ProtocolError",
-    "UnsupportedOperationError",
-    "InfrastructureError",
-    "TransientInfrastructureError",
-    "ProgramTransferError",
-    "ReadbackCorruptionError",
-    "ThermalExcursionError",
-    "VppBrownoutError",
-    "ExperimentError",
-    "ResultCorruptionError",
-    "TestBench",
-    "Module",
-    "build_module",
-    "build_tested_fleet",
-    "TESTED_MODULES",
-    "__version__",
-]
+# Public name -> defining submodule.  ``config`` and ``errors`` are
+# cheap and bound at import; the simulator loads on first access.
+_EXPORTS = {
+    "DEFAULT_CONFIG": ".config",
+    "SimulationConfig": ".config",
+    "SimraError": ".errors",
+    "ConfigurationError": ".errors",
+    "AddressError": ".errors",
+    "TimingViolationError": ".errors",
+    "ProtocolError": ".errors",
+    "UnsupportedOperationError": ".errors",
+    "InfrastructureError": ".errors",
+    "TransientInfrastructureError": ".errors",
+    "ProgramTransferError": ".errors",
+    "ReadbackCorruptionError": ".errors",
+    "ThermalExcursionError": ".errors",
+    "VppBrownoutError": ".errors",
+    "ExperimentError": ".errors",
+    "ResultCorruptionError": ".errors",
+    "TestBench": ".bender.testbench",
+    "Module": ".dram.module",
+    "build_module": ".dram.module",
+    "build_tested_fleet": ".dram.module",
+    "TESTED_MODULES": ".dram.vendor",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+__getattr__, __dir__ = lazy_exports(
+    __name__, _EXPORTS, eager=(".config", ".errors")
+)

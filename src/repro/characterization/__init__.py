@@ -6,125 +6,65 @@ activation size, run repeated trials of each operation, and report the
 distribution of per-group success rates across everything tested.
 """
 
-from .stats import (
-    BootstrapCI,
-    DistributionSummary,
-    StreamingBootstrap,
-    bootstrap_mean_ci,
-    bootstrap_mean_ci_each,
-    summarize,
-    summarize_each,
-)
-from .experiment import CharacterizationScope, OperatingPoint
-from .activation import (
-    activation_success_distribution,
-    figure3_timing_grid,
-    figure4a_temperature,
-    figure4b_voltage,
-)
-from .majority import (
-    majx_success_distribution,
-    majx_sizes_for,
-    figure6_maj3_grid,
-    figure7_patterns,
-    figure8_temperature,
-    figure9_voltage,
-)
-from .rowcopy import (
-    multi_row_copy_distribution,
-    figure10_timing_grid,
-    figure11_patterns,
-    figure12a_temperature,
-    figure12b_voltage,
-)
-from .report import (
-    format_ci_table,
-    format_distribution_table,
-    format_series_table,
-)
-from .disturbance import DisturbanceReport, disturbance_check
-from .fleet import baseline_yield, best_group_yields, per_manufacturer_scopes
-from .variability import (
-    fleet_bootstrap_ci,
-    manufacturer_gap,
-    module_spread,
-    per_module_majx,
-)
-from .convergence import (
-    majx_convergence_cis,
-    majx_convergence_curve,
-    overestimate_at,
-)
-from .reader import ResultReader
-from .store import CampaignManifest, ResultStore
-from .repair import RepairFinding, RepairReport, repair_store
-from .campaign import (
-    Campaign,
-    CampaignResult,
-    ExperimentFailure,
-    RetryPolicy,
-)
-from .timing_search import (
-    TimingSearchResult,
-    best_activation_timing,
-    best_copy_timing,
-    best_majx_timing,
-    search_timings,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BootstrapCI",
-    "DistributionSummary",
-    "StreamingBootstrap",
-    "bootstrap_mean_ci",
-    "bootstrap_mean_ci_each",
-    "summarize",
-    "summarize_each",
-    "CharacterizationScope",
-    "OperatingPoint",
-    "activation_success_distribution",
-    "figure3_timing_grid",
-    "figure4a_temperature",
-    "figure4b_voltage",
-    "majx_success_distribution",
-    "majx_sizes_for",
-    "figure6_maj3_grid",
-    "figure7_patterns",
-    "figure8_temperature",
-    "figure9_voltage",
-    "multi_row_copy_distribution",
-    "figure10_timing_grid",
-    "figure11_patterns",
-    "figure12a_temperature",
-    "figure12b_voltage",
-    "format_ci_table",
-    "format_distribution_table",
-    "format_series_table",
-    "DisturbanceReport",
-    "disturbance_check",
-    "baseline_yield",
-    "best_group_yields",
-    "per_manufacturer_scopes",
-    "fleet_bootstrap_ci",
-    "manufacturer_gap",
-    "module_spread",
-    "per_module_majx",
-    "majx_convergence_cis",
-    "majx_convergence_curve",
-    "overestimate_at",
-    "ResultReader",
-    "ResultStore",
-    "CampaignManifest",
-    "RepairFinding",
-    "RepairReport",
-    "repair_store",
-    "Campaign",
-    "CampaignResult",
-    "ExperimentFailure",
-    "RetryPolicy",
-    "TimingSearchResult",
-    "best_activation_timing",
-    "best_copy_timing",
-    "best_majx_timing",
-    "search_timings",
-]
+# Public name -> defining submodule, imported on first access.
+_EXPORTS = {
+    "BootstrapCI": ".stats",
+    "DistributionSummary": ".stats",
+    "StreamingBootstrap": ".stats",
+    "bootstrap_mean_ci": ".stats",
+    "bootstrap_mean_ci_each": ".stats",
+    "summarize": ".stats",
+    "summarize_each": ".stats",
+    "CharacterizationScope": ".experiment",
+    "OperatingPoint": ".experiment",
+    "activation_success_distribution": ".activation",
+    "figure3_timing_grid": ".activation",
+    "figure4a_temperature": ".activation",
+    "figure4b_voltage": ".activation",
+    "majx_success_distribution": ".majority",
+    "majx_sizes_for": ".majority",
+    "figure6_maj3_grid": ".majority",
+    "figure7_patterns": ".majority",
+    "figure8_temperature": ".majority",
+    "figure9_voltage": ".majority",
+    "multi_row_copy_distribution": ".rowcopy",
+    "figure10_timing_grid": ".rowcopy",
+    "figure11_patterns": ".rowcopy",
+    "figure12a_temperature": ".rowcopy",
+    "figure12b_voltage": ".rowcopy",
+    "format_ci_table": ".report",
+    "format_distribution_table": ".report",
+    "format_series_table": ".report",
+    "DisturbanceReport": ".disturbance",
+    "disturbance_check": ".disturbance",
+    "baseline_yield": ".fleet",
+    "best_group_yields": ".fleet",
+    "per_manufacturer_scopes": ".fleet",
+    "fleet_bootstrap_ci": ".variability",
+    "manufacturer_gap": ".variability",
+    "module_spread": ".variability",
+    "per_module_majx": ".variability",
+    "majx_convergence_cis": ".convergence",
+    "majx_convergence_curve": ".convergence",
+    "overestimate_at": ".convergence",
+    "ResultReader": ".reader",
+    "ResultStore": ".store",
+    "CampaignManifest": ".store",
+    "RepairFinding": ".repair",
+    "RepairReport": ".repair",
+    "repair_store": ".repair",
+    "Campaign": ".campaign",
+    "CampaignResult": ".campaign",
+    "ExperimentFailure": ".campaign",
+    "RetryPolicy": ".campaign",
+    "TimingSearchResult": ".timing_search",
+    "best_activation_timing": ".timing_search",
+    "best_copy_timing": ".timing_search",
+    "best_majx_timing": ".timing_search",
+    "search_timings": ".timing_search",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -48,16 +48,14 @@ import contextlib
 import signal
 import sys
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
-from .characterization.experiment import CharacterizationScope, OperatingPoint
-from .characterization.report import (
-    format_distribution_table,
-    format_scalar_table,
-    format_series_table,
-)
 from .config import SimulationConfig
-from .dram.vendor import TESTED_MODULES, catalog_summary
+
+# Handlers import what they run, so `serve`, `stats`, `cache` and
+# every `--help` never load the simulator.
+if TYPE_CHECKING:
+    from .characterization.experiment import CharacterizationScope
 
 EXIT_OK = 0
 EXIT_FAILURES = 1
@@ -169,6 +167,9 @@ def _print_stats(args: argparse.Namespace, executor) -> None:
 
 
 def _scope_from(args: argparse.Namespace) -> CharacterizationScope:
+    from .characterization.experiment import CharacterizationScope
+    from .dram.vendor import TESTED_MODULES
+
     config = SimulationConfig(seed=args.seed, columns_per_row=args.columns)
     return CharacterizationScope.build(
         config=config,
@@ -180,6 +181,8 @@ def _scope_from(args: argparse.Namespace) -> CharacterizationScope:
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
+    from .dram.vendor import catalog_summary
+
     rows = catalog_summary()
     print(f"{'Mfr':<4} {'#Mod':>5} {'#Chips':>7} {'Die':>4} {'Density':>8} "
           f"{'Org':>5} {'Subarray':>9}")
@@ -194,6 +197,8 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 def _cmd_activation(args: argparse.Namespace) -> int:
     from .characterization.activation import activation_success_distribution
+    from .characterization.experiment import OperatingPoint
+    from .characterization.report import format_distribution_table
 
     scope = _scope_from(args)
     executor = _executor_from(args)
@@ -214,6 +219,7 @@ def _cmd_activation(args: argparse.Namespace) -> int:
 
 def _cmd_majority(args: argparse.Namespace) -> int:
     from .characterization.majority import MAJX_POINT, majx_success_distribution
+    from .characterization.report import format_distribution_table
 
     scope = _scope_from(args)
     executor = _executor_from(args)
@@ -232,6 +238,7 @@ def _cmd_majority(args: argparse.Namespace) -> int:
 
 
 def _cmd_rowcopy(args: argparse.Namespace) -> int:
+    from .characterization.report import format_distribution_table
     from .characterization.rowcopy import COPY_POINT, multi_row_copy_distribution
 
     scope = _scope_from(args)
@@ -249,6 +256,7 @@ def _cmd_rowcopy(args: argparse.Namespace) -> int:
 
 
 def _cmd_power(args: argparse.Namespace) -> int:
+    from .characterization.report import format_scalar_table
     from .dram.power import PowerModel
 
     model = PowerModel()
@@ -261,6 +269,7 @@ def _cmd_power(args: argparse.Namespace) -> int:
 
 
 def _cmd_spice(args: argparse.Namespace) -> int:
+    from .characterization.report import format_series_table
     from .spice.majority_sim import (
         PROCESS_VARIATIONS,
         figure15a_deviation,
@@ -291,6 +300,7 @@ def _cmd_spice(args: argparse.Namespace) -> int:
 
 def _cmd_coldboot(args: argparse.Namespace) -> int:
     from .casestudies.coldboot import figure17_speedups
+    from .characterization.report import format_scalar_table
 
     print(format_scalar_table(
         "Destruction speedup over RowClone-based (Fig 17)",
@@ -301,6 +311,7 @@ def _cmd_coldboot(args: argparse.Namespace) -> int:
 
 def _cmd_speedups(args: argparse.Namespace) -> int:
     from .casestudies.perfmodel import figure16_speedups
+    from .characterization.report import format_series_table
 
     for mfr, per_bench in figure16_speedups().items():
         table = {
@@ -324,6 +335,7 @@ def _cmd_trng(args: argparse.Namespace) -> int:
         monobit_fraction,
         serial_correlation,
     )
+    from .dram.vendor import TESTED_MODULES
 
     config = SimulationConfig(seed=args.seed, columns_per_row=args.columns)
     bench = TestBench.for_spec(TESTED_MODULES[0], config=config)
@@ -576,6 +588,7 @@ def _cmd_besttiming(args: argparse.Namespace) -> int:
 def _cmd_selftest(args: argparse.Namespace) -> int:
     from .bender.selftest import run_self_test
     from .bender.testbench import TestBench
+    from .dram.vendor import TESTED_MODULES
 
     config = SimulationConfig(seed=args.seed, columns_per_row=args.columns)
     failures = 0

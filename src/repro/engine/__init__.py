@@ -9,129 +9,68 @@ model.  The engine's hard contract is determinism: for a given plan
 and simulation seed, every executor produces bit-identical results.
 """
 
-from .cache import TrialCache
-from .columnar import (
-    OutcomeColumns,
-    TaskColumns,
-    columns_from_arrays,
-    columns_to_arrays,
-    pack_outcomes,
-    pack_tasks,
-    unpack_outcomes,
-    unpack_tasks,
-)
-from .executors import (
-    BatchedExecutor,
-    ExecutorBase,
-    FusedExecutor,
-    ProcessPoolExecutor,
-    SerialExecutor,
-    available_cpu_count,
-    make_executor,
-    run_plan,
-    run_task_serial,
-    run_tasks_fused,
-)
-from .fleet import (
-    FleetDispatcher,
-    FleetItem,
-    FleetOutcome,
-    LocalFleet,
-    fleet_scope,
-    recv_columns,
-    recv_frame,
-    run_fleet_campaign,
-    run_worker,
-    send_columns,
-    send_frame,
-)
-from .kernels import (
-    ActivationKernel,
-    DisturbanceKernel,
-    MajXKernel,
-    MultiRowCopyKernel,
-    TrialKernel,
-    measurement_context,
-    point_token,
-)
-from .metrics import EngineMetrics, render_stats_dict
-from .scheduler import CampaignScheduler, ExperimentProgram, PlanStep
-from .plan import (
-    PlanResult,
-    TaskOutcome,
-    TrialPlan,
-    TrialTask,
-    checkpoint_means,
-    checkpoint_rates_by_count,
-    merge_outcomes,
-    rates_by_serial,
-    slice_plan,
-    tasks_for_scope,
-)
-from .planner import (
-    AdaptiveConfig,
-    AdaptiveOutcome,
-    AdaptivePlanner,
-    CellReport,
-    allocate_round,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ActivationKernel",
-    "AdaptiveConfig",
-    "AdaptiveOutcome",
-    "AdaptivePlanner",
-    "BatchedExecutor",
-    "CellReport",
-    "CampaignScheduler",
-    "DisturbanceKernel",
-    "EngineMetrics",
-    "ExecutorBase",
-    "ExperimentProgram",
-    "FleetDispatcher",
-    "FleetItem",
-    "FleetOutcome",
-    "FusedExecutor",
-    "LocalFleet",
-    "MajXKernel",
-    "MultiRowCopyKernel",
-    "OutcomeColumns",
-    "PlanResult",
-    "PlanStep",
-    "ProcessPoolExecutor",
-    "SerialExecutor",
-    "TaskColumns",
-    "TaskOutcome",
-    "TrialCache",
-    "TrialKernel",
-    "TrialPlan",
-    "TrialTask",
-    "allocate_round",
-    "available_cpu_count",
-    "checkpoint_means",
-    "checkpoint_rates_by_count",
-    "merge_outcomes",
-    "slice_plan",
-    "columns_from_arrays",
-    "columns_to_arrays",
-    "fleet_scope",
-    "make_executor",
-    "measurement_context",
-    "pack_outcomes",
-    "pack_tasks",
-    "point_token",
-    "rates_by_serial",
-    "recv_columns",
-    "recv_frame",
-    "render_stats_dict",
-    "run_fleet_campaign",
-    "run_plan",
-    "run_task_serial",
-    "run_tasks_fused",
-    "run_worker",
-    "send_columns",
-    "send_frame",
-    "tasks_for_scope",
-    "unpack_outcomes",
-    "unpack_tasks",
-]
+# Public name -> defining submodule, imported on first access.
+_EXPORTS = {
+    "ActivationKernel": ".kernels",
+    "AdaptiveConfig": ".planner",
+    "AdaptiveOutcome": ".planner",
+    "AdaptivePlanner": ".planner",
+    "BatchedExecutor": ".executors",
+    "CellReport": ".planner",
+    "CampaignScheduler": ".scheduler",
+    "DisturbanceKernel": ".kernels",
+    "EngineMetrics": ".metrics",
+    "ExecutorBase": ".executors",
+    "ExperimentProgram": ".scheduler",
+    "FleetDispatcher": ".fleet",
+    "FleetItem": ".fleet",
+    "FleetOutcome": ".fleet",
+    "FusedExecutor": ".executors",
+    "LocalFleet": ".fleet",
+    "MajXKernel": ".kernels",
+    "MultiRowCopyKernel": ".kernels",
+    "OutcomeColumns": ".columnar",
+    "PlanResult": ".plan",
+    "PlanStep": ".scheduler",
+    "ProcessPoolExecutor": ".executors",
+    "SerialExecutor": ".executors",
+    "TaskColumns": ".columnar",
+    "TaskOutcome": ".plan",
+    "TrialCache": ".cache",
+    "TrialKernel": ".kernels",
+    "TrialPlan": ".plan",
+    "TrialTask": ".plan",
+    "allocate_round": ".planner",
+    "available_cpu_count": ".executors",
+    "checkpoint_means": ".plan",
+    "checkpoint_rates_by_count": ".plan",
+    "merge_outcomes": ".plan",
+    "slice_plan": ".plan",
+    "columns_from_arrays": ".columnar",
+    "columns_to_arrays": ".columnar",
+    "fleet_scope": ".fleet",
+    "make_executor": ".executors",
+    "measurement_context": ".kernels",
+    "pack_outcomes": ".columnar",
+    "pack_tasks": ".columnar",
+    "point_token": ".kernels",
+    "rates_by_serial": ".plan",
+    "recv_columns": ".fleet",
+    "recv_frame": ".fleet",
+    "render_stats_dict": ".metrics",
+    "run_fleet_campaign": ".fleet",
+    "run_plan": ".executors",
+    "run_task_serial": ".executors",
+    "run_tasks_fused": ".executors",
+    "run_worker": ".fleet",
+    "send_columns": ".fleet",
+    "send_frame": ".fleet",
+    "tasks_for_scope": ".plan",
+    "unpack_outcomes": ".columnar",
+    "unpack_tasks": ".columnar",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

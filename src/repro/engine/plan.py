@@ -15,12 +15,14 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tupl
 
 import numpy as np
 
-from ..bender.testbench import TestBench
-from ..core.rowgroups import RowGroup
 from .metrics import EngineMetrics
 
-if TYPE_CHECKING:  # characterization imports the engine; avoid the cycle
+# Annotation-only: characterization imports the engine (a cycle), and
+# cache readers must not load the simulator.
+if TYPE_CHECKING:
+    from ..bender.testbench import TestBench
     from ..characterization.experiment import CharacterizationScope, OperatingPoint
+    from ..core.rowgroups import RowGroup
 
 
 @dataclass(frozen=True)

@@ -20,18 +20,20 @@ tracker, tripped modules leave the scope, and every stored result is
 annotated with the fleet it was actually measured on.
 """
 
-from .audit import AuditFinding, AuditReport, audit_store, scope_from_manifest
-from .breaker import BreakerPolicy, BreakerState, CircuitBreaker
-from .tracker import HealthTracker, ModuleHealth
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AuditFinding",
-    "AuditReport",
-    "audit_store",
-    "scope_from_manifest",
-    "BreakerPolicy",
-    "BreakerState",
-    "CircuitBreaker",
-    "HealthTracker",
-    "ModuleHealth",
-]
+# Public name -> defining submodule, imported on first access.
+_EXPORTS = {
+    "AuditFinding": ".audit",
+    "AuditReport": ".audit",
+    "audit_store": ".audit",
+    "scope_from_manifest": ".audit",
+    "BreakerPolicy": ".breaker",
+    "BreakerState": ".breaker",
+    "CircuitBreaker": ".breaker",
+    "HealthTracker": ".tracker",
+    "ModuleHealth": ".tracker",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
