@@ -17,7 +17,7 @@ from repro.bender.testbench import TestBench
 from repro.characterization.experiment import OperatingPoint
 from repro.core.rowgroups import sample_groups
 from repro.dram.vendor import TESTED_MODULES
-from repro.engine import BatchedExecutor, MajXKernel, TrialPlan, TrialTask
+from repro.engine import FusedExecutor, MajXKernel, TrialPlan, TrialTask
 
 
 def _measure(bench, groups, replicas, trials, columns):
@@ -41,7 +41,7 @@ def _measure(bench, groups, replicas, trials, columns):
         tasks=tasks,
         benches=[bench],
     )
-    result = BatchedExecutor().run(plan)
+    result = FusedExecutor().run(plan)
     return float(np.mean(result.rates()))
 
 

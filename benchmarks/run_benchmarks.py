@@ -2,7 +2,7 @@
 """Engine benchmark entry point.
 
 Times the representative figure sweep on every executor, verifies the
-determinism contract, records the parallel worker-scaling curve, and
+determinism contract, records the fused-parallel worker-scaling curve, and
 writes ``BENCH_engine.json`` at the repository root (the CI artifact).
 Equivalent to ``simra-dram bench``, plus a ``provenance`` stamp: git
 sha, a content hash of the measured ``src/`` and ``benchmarks/`` files,
@@ -45,7 +45,7 @@ from repro.engine.executors import available_cpu_count  # noqa: E402
 
 # Floors that only hold when the machine can actually run the workers
 # in parallel: a 1-CPU container measures time-slicing, not scaling.
-CPU_GATED_FLOORS = {"parallel": 2, "fleet": 2}
+CPU_GATED_FLOORS = {"fleet": 2}
 
 
 def check_floors(report, floors_path: Path) -> int:
@@ -55,7 +55,7 @@ def check_floors(report, floors_path: Path) -> int:
     ratio (executor vs serial), which is far more stable across
     machines than absolute wall-times; the tolerance absorbs the
     remaining run-to-run noise.  Worker-scaling floors (the
-    ``worker_scaling`` section) gate on the parallel executor's
+    ``worker_scaling`` section) gate on the fused-parallel executor's
     scaling curve; they and other parallelism floors are skipped --
     with a printed note -- on machines without enough usable CPUs to
     make the measurement meaningful.
@@ -92,21 +92,21 @@ def check_floors(report, floors_path: Path) -> int:
 
 
 def check_scaling_floors(report, scaling, tolerance: float, cpus: int) -> int:
-    """Gate the parallel worker-scaling curve (``parallel@N`` keys)."""
+    """Gate the worker-scaling curve (``fused-parallel@N`` keys)."""
     if not scaling:
         return 0
     curve = report.worker_scaling
 
     def wall(count: int):
-        return curve.get(f"parallel@{count}")
+        return curve.get(f"fused-parallel@{count}")
 
     violations = 0
     ratio_floor = scaling.get("min_ratio_4_over_1")
     if ratio_floor is not None:
         if cpus < 4:
             print(
-                "floor check: parallel@4-over-@1 ratio needs >= 4 usable "
-                f"CPUs (have {cpus}), skipping"
+                "floor check: fused-parallel@4-over-@1 ratio needs >= 4 "
+                f"usable CPUs (have {cpus}), skipping"
             )
         elif wall(4) is None or wall(1) is None:
             print("floor check: scaling curve not benchmarked, skipping")
@@ -115,7 +115,7 @@ def check_scaling_floors(report, scaling, tolerance: float, cpus: int) -> int:
             threshold = float(ratio_floor) * tolerance
             verdict = "ok" if measured >= threshold else "REGRESSION"
             print(
-                f"floor check: parallel@4 vs parallel@1 {measured:.2f}x "
+                f"floor check: fused-parallel@4 vs @1 {measured:.2f}x "
                 f"vs floor {float(ratio_floor):.2f}x (threshold "
                 f"{threshold:.2f}x): {verdict}"
             )
@@ -340,7 +340,7 @@ def main(argv=None) -> int:
         return 0
     faster = any(
         report.speedup.get(name, 0.0) > 1.0
-        for name in ("parallel", "batched", "fused", "fused-parallel")
+        for name in ("fused", "fused-parallel")
         if name in report.wall_s
     )
     return 0 if faster or len(report.wall_s) < 2 else 1

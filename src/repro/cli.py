@@ -28,8 +28,8 @@ writing Python::
 
 Every command accepts ``--columns/--groups/--trials/--seed`` scale
 knobs where relevant; measurement commands additionally take
-``--executor {serial,parallel,batched,fused,fused-parallel}`` +
-``--jobs N`` to pick the trial-engine execution strategy,
+``--executor {serial,fused,fused-parallel}`` + ``--jobs N`` to pick
+the trial-engine execution strategy,
 ``--cache``/``--cache-dir`` to reuse bit-identical trial outcomes
 across runs, and ``--stats`` to print the engine's per-layer
 counters afterwards.
@@ -63,6 +63,14 @@ EXIT_USAGE = 2
 EXIT_INTERRUPTED = 3
 """A campaign stopped by SIGTERM/SIGINT: resumable, not failed."""
 
+EXECUTORS = ("serial", "fused", "fused-parallel")
+"""``make_executor`` names the CLI accepts (kept here, not imported from
+the engine, so parsing loads no simulator module)."""
+
+_REMOVED_EXECUTORS = {"batched": "fused", "parallel": "fused-parallel"}
+"""Executor names that no longer exist -> their bit-identical
+replacement."""
+
 
 @contextlib.contextmanager
 def _graceful_signals() -> Iterator[None]:
@@ -90,6 +98,17 @@ def _graceful_signals() -> Iterator[None]:
     finally:
         if installed:
             signal.signal(signal.SIGTERM, previous)
+
+
+def _executor_name(text: str) -> str:
+    """``--executor`` parser: name the replacement of a removed executor."""
+    replacement = _REMOVED_EXECUTORS.get(text)
+    if replacement is not None:
+        raise argparse.ArgumentTypeError(
+            f"executor {text!r} was removed; use {replacement!r}, which "
+            "produces bit-identical results"
+        )
+    return text
 
 
 def _jobs_value(text: str) -> Optional[int]:
@@ -120,13 +139,11 @@ def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
                         help="trials per group (default 6)")
     parser.add_argument("--seed", type=int, default=2024,
                         help="simulation seed (default 2024)")
-    parser.add_argument("--executor",
-                        choices=("serial", "parallel", "batched", "fused",
-                                 "fused-parallel"),
-                        default="serial",
+    parser.add_argument("--executor", type=_executor_name,
+                        choices=EXECUTORS, default="serial",
                         help="trial-engine execution strategy (default serial)")
     parser.add_argument("--jobs", type=_jobs_value, default=None,
-                        help="worker processes for --executor parallel "
+                        help="worker processes for --executor fused-parallel "
                              "(an integer, or 'auto' for the usable "
                              "cgroup-aware CPU count)")
     parser.add_argument("--cache", action=argparse.BooleanOptionalAction,
@@ -994,13 +1011,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument("--connect", required=True, metavar="HOST:PORT",
                      help="dispatcher address to dial into")
-    sub.add_argument("--executor",
-                     choices=("serial", "parallel", "batched", "fused",
-                              "fused-parallel"),
-                     default="serial",
+    sub.add_argument("--executor", type=_executor_name,
+                     choices=EXECUTORS, default="serial",
                      help="per-figure execution strategy (default serial)")
     sub.add_argument("--jobs", type=_jobs_value, default=None,
-                     help="worker processes for parallel executors "
+                     help="worker processes for --executor fused-parallel "
                           "(an integer, or 'auto' for the usable "
                           "cgroup-aware CPU count)")
     sub.set_defaults(handler=_cmd_worker)
@@ -1125,15 +1140,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--trials", type=int, default=32)
     sub.add_argument("--seed", type=int, default=2024)
     sub.add_argument("--jobs", type=int, default=None,
-                     help="worker processes for the parallel executors")
+                     help="worker processes for the fused-parallel executor")
     sub.add_argument(
-        "--executors", nargs="+",
-        default=["serial", "parallel", "batched", "fused", "fused-parallel"],
-        choices=("serial", "parallel", "batched", "fused", "fused-parallel"),
+        "--executors", nargs="+", type=_executor_name,
+        default=list(EXECUTORS), choices=EXECUTORS,
     )
     sub.add_argument("--scaling-jobs", type=int, nargs="*", default=[1, 2, 4],
-                     help="worker counts for the parallel worker-scaling "
-                          "curve (empty to skip)")
+                     help="worker counts for the fused-parallel "
+                          "worker-scaling curve (empty to skip)")
     sub.add_argument("--campaign", action="store_true",
                      help="also time a multi-figure campaign sequentially "
                           "vs pipelined through the persistent worker pool")

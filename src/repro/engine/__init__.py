@@ -3,10 +3,11 @@
 One pipeline layer under every characterization: modules build
 declarative :class:`TrialPlan` objects (which sites, which row groups,
 how many trials, which :class:`~repro.engine.kernels.TrialKernel`) and
-executors run them -- serially through the full bender path, sharded
-across worker processes, or vectorized straight into the behavior
-model.  The engine's hard contract is determinism: for a given plan
-and simulation seed, every executor produces bit-identical results.
+executors run them -- serially through the full bender path (the
+reference), or fused into packed bit-plane math straight from the
+behavior model, in process or sharded across worker processes.  The
+engine's hard contract is determinism: for a given plan and simulation
+seed, every executor produces bit-identical results.
 """
 
 from .._lazy import lazy_exports
@@ -17,7 +18,6 @@ _EXPORTS = {
     "AdaptiveConfig": ".planner",
     "AdaptiveOutcome": ".planner",
     "AdaptivePlanner": ".planner",
-    "BatchedExecutor": ".executors",
     "CellReport": ".planner",
     "CampaignScheduler": ".scheduler",
     "DisturbanceKernel": ".kernels",

@@ -47,16 +47,9 @@ runner with a small quota measures a pool it can actually schedule
 instead of oversubscribing."""
 
 
-DEFAULT_EXECUTORS = (
-    "serial",
-    "parallel",
-    "batched",
-    "fused",
-    "fused-parallel",
-)
-_PARALLEL_EXECUTORS = ("parallel", "fused-parallel")
+DEFAULT_EXECUTORS = ("serial", "fused", "fused-parallel")
 DEFAULT_BENCH_JOBS = max(1, min(2, available_cpu_count()))
-"""Workers for the parallel executors when the caller passes no jobs.
+"""Workers for the fused-parallel executor when the caller passes no jobs.
 
 Capped at the usable CPU count (``available_cpu_count`` consults
 ``os.process_cpu_count`` / the scheduler affinity mask, not the bare
@@ -77,8 +70,8 @@ class BenchmarkReport:
     """Serial wall-time divided by this executor's wall-time."""
     metrics: Dict[str, Dict[str, object]] = field(default_factory=dict)
     worker_scaling: Dict[str, float] = field(default_factory=dict)
-    """Wall-times of the parallel executor at 1/2/4... workers
-    (keys like ``parallel@2``)."""
+    """Wall-times of the fused-parallel executor at 1/2/4... workers
+    (keys like ``fused-parallel@2``)."""
     identical: bool = True
     """Whether every executor produced bit-identical success rates."""
     campaign: Optional[Dict[str, object]] = None
@@ -125,12 +118,12 @@ class BenchmarkReport:
         for name, wall in self.wall_s.items():
             speedup = self.speedup.get(name, 1.0)
             lines.append(
-                f"  {name:<15} {wall:8.3f} s   ({speedup:5.2f}x vs serial)"
+                f"  {name:<16} {wall:8.3f} s   ({speedup:5.2f}x vs serial)"
             )
         for name, wall in self.worker_scaling.items():
             speedup = baseline / wall if baseline and wall > 0 else 1.0
             lines.append(
-                f"  {name:<15} {wall:8.3f} s   ({speedup:5.2f}x vs serial)"
+                f"  {name:<16} {wall:8.3f} s   ({speedup:5.2f}x vs serial)"
             )
         lines.append(
             "  results bit-identical across executors: "
@@ -274,9 +267,10 @@ def run_engine_benchmark(
     """Time the representative sweep on each executor and compare.
 
     Besides the headline per-executor wall-times, the report carries a
-    worker-scaling curve: the parallel executor re-timed at each count
-    in ``scaling_jobs`` (``parallel@N`` keys), so a stored benchmark
-    shows how sharding amortizes rather than a single opaque number.
+    worker-scaling curve: the fused-parallel executor re-timed at each
+    count in ``scaling_jobs`` (``fused-parallel@N`` keys), so a stored
+    benchmark shows how sharding amortizes rather than a single opaque
+    number.
     """
     report = BenchmarkReport(
         scale={
@@ -317,16 +311,16 @@ def run_engine_benchmark(
 
     for name in executors:
         run_jobs = jobs
-        if run_jobs is None and name in _PARALLEL_EXECUTORS:
+        if run_jobs is None and name == "fused-parallel":
             run_jobs = DEFAULT_BENCH_JOBS
         wall, rates, executor = timed_run(name, run_jobs)
         report.wall_s[name] = wall
         report.metrics[name] = executor.metrics.as_dict()
         check_rates(rates)
-    if "parallel" in executors:
+    if "fused-parallel" in executors:
         for count in scaling_jobs:
-            wall, rates, _ = timed_run("parallel", count)
-            report.worker_scaling[f"parallel@{count}"] = wall
+            wall, rates, _ = timed_run("fused-parallel", count)
+            report.worker_scaling[f"fused-parallel@{count}"] = wall
             check_rates(rates)
     baseline = report.wall_s.get("serial")
     for name, wall in report.wall_s.items():

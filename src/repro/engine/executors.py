@@ -1,14 +1,14 @@
 """Pluggable executors for :class:`~repro.engine.plan.TrialPlan`.
 
-Three strategies, one contract: for a given plan and simulation seed,
+Two strategies, one contract: for a given plan and simulation seed,
 every executor produces bit-identical task outcomes (and therefore
 bit-identical :class:`~repro.characterization.stats.DistributionSummary`
-results).  The serial executor is the reference; the process-pool
-executor shards tasks across benches and rebuilds each bench from its
-catalog spec in the worker; the batched executor pushes whole trial
-batches down into the behavior model as vectorized numpy, gated by a
-per-task APA semantic probe so the vectorized math only runs in the
-regime it reproduces.
+results).  The serial executor is the reference: every trial runs
+through the full bench.  The fused executor evaluates whole plans as
+packed bit-plane math, gated by a per-task APA semantic probe so the
+fused math only runs in the regimes it reproduces; the process-pool
+executor runs the same fused evaluation sharded across worker
+processes, rebuilding each bench from its catalog spec in the worker.
 
 The process-pool executor additionally owns a *persistent* worker
 pool: the pool spins up lazily on first use, survives across plans
@@ -157,16 +157,16 @@ def _probe_semantic(
     A regime-gated kernel only needs the bank's decision, which
     :meth:`TestBench.resolve` reads off the bank's decision table
     without replaying cells.  A kernel with no regime gate
-    (``batched_semantic is None``) gets one real APA instead: its
-    vectorized path models no physics, and its ``finalize`` audits
-    the bench state that this real APA leaves behind.
+    (``fused_semantics is None``) gets one real APA instead: its
+    fused path models no physics, and its ``finalize`` audits the
+    bench state that this real APA leaves behind.
     """
     subarray_rows = bench.module.profile.subarray_rows
     rf_global, rs_global = task.group.global_pair(subarray_rows)
     program = apa_program(
         task.bank, rf_global, rs_global, point.t1_ns, point.t2_ns
     )
-    if kernel.batched_semantic is not None:
+    if kernel.fused_semantics is not None:
         return bench.resolve(program)
     bench.run(program)
     event = bench.module.bank(task.bank).last_event
@@ -555,8 +555,8 @@ def _run_slice(
     task specs as one :class:`~repro.engine.columnar.TaskColumns`
     message, so a dispatch amortizes its round-trip, bench
     rebuild/fingerprint check, and chaos-harness install over many
-    tasks instead of paying them per bench shard.  Tasks run serially
-    (the reference path) or fused, per the payload's ``strategy``.
+    tasks instead of paying them per bench shard.  Each bench's tasks
+    run fused (:func:`run_tasks_fused`).
 
     Results come back *columnar* too: masks go into the parent's
     shared-memory window (when one is attached) and everything else is
@@ -607,27 +607,18 @@ def _run_slice(
             if payload["apply_environment"]:
                 bench.set_temperature(point.temperature_c)
                 bench.set_vpp(point.vpp)
-            if payload.get("strategy") == "fused":
-                scratch = EngineMetrics(executor="slice")
-                outcomes.extend(
-                    run_tasks_fused(
-                        payload["kernel"], point, payload["checkpoints"],
-                        bench, by_slot[slot], scratch,
-                    )
+            scratch = EngineMetrics(executor="slice")
+            outcomes.extend(
+                run_tasks_fused(
+                    payload["kernel"], point, payload["checkpoints"],
+                    bench, by_slot[slot], scratch,
                 )
-                stats["apa_programs"] += scratch.apa_programs
-                for stage, seconds in scratch.stages.items():
-                    stats["stages"][stage] = (
-                        stats["stages"].get(stage, 0.0) + seconds
-                    )
-            else:
-                for task in by_slot[slot]:
-                    outcomes.append(
-                        run_task_serial(
-                            payload["kernel"], point, payload["checkpoints"],
-                            bench, task,
-                        )
-                    )
+            )
+            stats["apa_programs"] += scratch.apa_programs
+            for stage, seconds in scratch.stages.items():
+                stats["stages"][stage] = (
+                    stats["stages"].get(stage, 0.0) + seconds
+                )
             stats["tasks_run"] += len(by_slot[slot])
         except TransientInfrastructureError as exc:
             error = exc
@@ -680,7 +671,7 @@ class _PendingPlan:
 
 
 class ProcessPoolExecutor(ExecutorBase):
-    """Shards a plan's tasks across benches and runs shards in processes.
+    """Shards a plan's tasks across benches and runs them fused in processes.
 
     Workers rebuild each bench from its catalog spec (``module.spec``),
     which is what makes the shards picklable; benches built by hand
@@ -707,14 +698,14 @@ class ProcessPoolExecutor(ExecutorBase):
     pool -- safe because every trial's noise is keyed by measurement
     context, never execution history, so re-running a shard lands on
     identical bits -- and after ``max_pool_restarts`` rebuilds the
-    survivors run serially in-process.  With ``shard_deadline_s`` set,
-    a straggler detector speculatively re-issues any shard that is
-    overdue (once per shard); the first copy to finish wins, and
-    duplicates are discarded, which the same determinism makes
-    harmless.
+    survivors run in-process, one slice at a time.  With
+    ``shard_deadline_s`` set, a straggler detector speculatively
+    re-issues any shard that is overdue (once per shard); the first
+    copy to finish wins, and duplicates are discarded, which the same
+    determinism makes harmless.
     """
 
-    name = "parallel"
+    name = "fused-parallel"
     supports_pipelining = True
 
     def __init__(
@@ -723,16 +714,9 @@ class ProcessPoolExecutor(ExecutorBase):
         chaos: Optional[ChaosConfig] = None,
         shard_deadline_s: Optional[float] = None,
         max_pool_restarts: int = 2,
-        strategy: str = "serial",
         cache: Optional[TrialCache] = None,
         dispatch_target_s: float = 0.05,
     ) -> None:
-        if strategy not in ("serial", "fused"):
-            raise ExperimentError(
-                f"unknown shard strategy {strategy!r}; choose serial or fused"
-            )
-        if strategy == "fused":
-            self.name = "fused-parallel"
         super().__init__(cache=cache)
         if shard_deadline_s is not None and shard_deadline_s < 0:
             raise ExperimentError("shard_deadline_s must be non-negative")
@@ -744,7 +728,6 @@ class ProcessPoolExecutor(ExecutorBase):
         self.chaos = chaos
         self.shard_deadline_s = shard_deadline_s
         self.max_pool_restarts = max_pool_restarts
-        self.strategy = strategy
         self.dispatch_target_s = dispatch_target_s
         """Minimum estimated compute per dispatch; slices are sized so
         each round-trip amortizes over at least this much work."""
@@ -939,7 +922,7 @@ class ProcessPoolExecutor(ExecutorBase):
             module = bench.module
             if module.spec is None:
                 raise ExperimentError(
-                    "parallel executor requires catalog-built benches; "
+                    "fused-parallel executor requires catalog-built benches; "
                     f"module {module.serial!r} has no spec to rebuild from"
                 )
             serial = module.serial
@@ -1048,7 +1031,6 @@ class ProcessPoolExecutor(ExecutorBase):
                 "point": pending.plan.point,
                 "checkpoints": tuple(pending.plan.checkpoints),
                 "apply_environment": pending.plan.apply_environment,
-                "strategy": self.strategy,
                 "kill_worker": kill,
                 "mask_shm": None,
             }
@@ -1106,7 +1088,7 @@ class ProcessPoolExecutor(ExecutorBase):
         restarts = 0
         while pending_jobs:
             if restarts > self.max_pool_restarts:
-                # Out of pool rebuilds: finish the survivors serially
+                # Out of pool rebuilds: finish the survivors one by one
                 # in-process (the kill flag must not reach this path,
                 # or os._exit would take down the campaign itself).
                 for index in sorted(pending_jobs):
@@ -1267,8 +1249,6 @@ class ProcessPoolExecutor(ExecutorBase):
                     delta.tasks += 1
                     delta.trials += task.trials
                     delta.cells += task.cells
-                    if self.strategy == "serial":
-                        delta.apa_programs += task.trials
                 delta.execute_s += time.perf_counter() - pending.execute_started
                 if cache is not None:
                     for outcome in fresh:
@@ -1399,109 +1379,22 @@ class ProcessPoolExecutor(ExecutorBase):
         return columns, stats["busy_s"]
 
 
-class BatchedExecutor(ExecutorBase):
-    """Vectorizes whole tasks down into the behavior model.
-
-    Per task it probes ONE APA program through the bench (resolved
-    from the bank's decision table; also the point where chaos faults
-    can fire) and checks the bank resolves it with the semantic the
-    kernel's batched math models.  On a match the whole
-    (trials x cells) matrix comes from one
-    :meth:`~repro.engine.kernels.TrialKernel.run_batch` call; on a
-    mismatch (wrong timing regime, blocked vendor) the task falls back
-    to the per-trial reference path.  Both paths key their noise off
-    the same measurement context, so results are bit-identical either
-    way.
-    """
-
-    name = "batched"
-
-    def _run(self, plan: TrialPlan) -> PlanResult:
-        started = time.perf_counter()
-        delta = EngineMetrics(executor=self.name, workers=1)
-        self._apply_environment(plan, delta)
-        execute_started = time.perf_counter()
-        outcomes: List[TaskOutcome] = []
-        for task in plan.tasks:
-            bench = plan.benches[task.bench_index]
-            kernel = plan.kernel
-            probe_started = time.perf_counter()
-            kernel.setup(bench, task, plan.point)
-            semantic = _probe_semantic(kernel, bench, task, plan.point)
-            delta.apa_programs += 1
-            delta.add_stage("probe", time.perf_counter() - probe_started)
-            if kernel.batched_semantic in (None, semantic):
-                batch_started = time.perf_counter()
-                outcomes.append(self._run_batched(kernel, plan, bench, task))
-                delta.add_stage("batch", time.perf_counter() - batch_started)
-            else:
-                fallback_started = time.perf_counter()
-                outcomes.append(
-                    run_task_serial(
-                        kernel, plan.point, plan.checkpoints, bench, task
-                    )
-                )
-                delta.apa_programs += task.trials
-                delta.add_stage(
-                    "fallback", time.perf_counter() - fallback_started
-                )
-            delta.tasks += 1
-            delta.trials += task.trials
-            delta.cells += task.cells
-        delta.execute_s += time.perf_counter() - execute_started
-        delta.busy_s = delta.execute_s
-        return self._finish(plan, delta, outcomes, started)
-
-    def _run_batched(
-        self,
-        kernel: TrialKernel,
-        plan: TrialPlan,
-        bench: TestBench,
-        task: TrialTask,
-    ) -> TaskOutcome:
-        matrix = np.asarray(
-            kernel.run_batch(bench, task, plan.point), dtype=bool
-        )
-        if matrix.shape != (task.trials, task.cells):
-            raise ExperimentError(
-                f"kernel {kernel.op_name!r} batch returned shape "
-                f"{matrix.shape}, expected ({task.trials}, {task.cells})"
-            )
-        running = np.logical_and.accumulate(matrix, axis=0)
-        snapshots = tuple(
-            (count, float(np.mean(running[count - 1])))
-            for count in plan.checkpoints
-            if 1 <= count <= task.trials
-        )
-        mask = running[-1].copy()
-        audit = kernel.finalize(bench, task, plan.point)
-        if audit is not None:
-            mask &= np.asarray(audit, dtype=bool)
-        return TaskOutcome(
-            index=task.index,
-            rate=float(np.mean(mask)),
-            trials=task.trials,
-            cells=task.cells,
-            mask=mask,
-            checkpoint_rates=snapshots,
-            trial_rates=tuple(float(r) for r in matrix.mean(axis=1)),
-        )
-
-
 class FusedExecutor(ExecutorBase):
     """Evaluates whole plans as fused array programs over bit-planes.
 
-    Extends the batched executor's idea from one task to a whole plan:
-    per bench, every probe-passing task's (site x row-group x trial)
-    keyed draws are gathered into a handful of block RNG calls
+    Per task it probes ONE APA program through the bench (resolved
+    from the bank's decision table; also the point where chaos faults
+    can fire).  Per bench, every task whose probed semantic the kernel
+    fuses has its (site x row-group x trial) keyed draws gathered into
+    a handful of block RNG calls
     (``ReliabilityModel.context_noise_block``,
-    ``DataPattern.row_bits_block``) and the trials-to-mask reduction
+    ``DataPattern.row_bits_block``), and the trials-to-mask reduction
     runs over packed uint64 bit-planes (:mod:`repro.engine.bitplane`).
-    The per-task APA semantic probe gate and the per-trial serial
-    fallback are retained unchanged, so the executor is bit-identical
-    to :class:`SerialExecutor` by the same argument as
-    :class:`BatchedExecutor` -- it just makes orders of magnitude
-    fewer RNG and bench round trips.
+    Any other task (wrong timing regime, blocked vendor) falls back to
+    the per-trial reference path.  Both paths key their noise off the
+    same measurement context, so the executor is bit-identical to
+    :class:`SerialExecutor` -- it just makes orders of magnitude fewer
+    RNG and bench round trips.
     """
 
     name = "fused"
@@ -1543,25 +1436,21 @@ def make_executor(
     """Build an executor from a CLI-style name."""
     if name in (None, "serial"):
         return SerialExecutor(cache=cache)
-    if name in ("parallel", "fused-parallel"):
+    if name == "fused":
+        return FusedExecutor(cache=cache)
+    if name == "fused-parallel":
         return ProcessPoolExecutor(
             jobs=jobs,
             chaos=chaos,
             shard_deadline_s=shard_deadline_s,
             max_pool_restarts=max_pool_restarts,
-            strategy="fused" if name == "fused-parallel" else "serial",
             cache=cache,
             dispatch_target_s=(
                 0.05 if dispatch_target_s is None else dispatch_target_s
             ),
         )
-    if name == "batched":
-        return BatchedExecutor(cache=cache)
-    if name == "fused":
-        return FusedExecutor(cache=cache)
     raise ExperimentError(
-        f"unknown executor {name!r}; choose serial, parallel, batched, "
-        "fused, or fused-parallel"
+        f"unknown executor {name!r}; choose serial, fused, or fused-parallel"
     )
 
 

@@ -6,26 +6,22 @@ trial:
 - :meth:`TrialKernel.run_trial` drives the full bender/testbench path
   (program scheduling, bank state machine, host readback) for one
   trial -- the reference semantics;
-- :meth:`TrialKernel.run_batch` computes a whole task's trial matrix
-  directly from the :class:`~repro.dram.behavior.ReliabilityModel` in
-  vectorized numpy, skipping the per-trial program round-trips.
-
 - :meth:`TrialKernel.run_slice` computes many tasks' trials at once
-  as packed bit-planes, gathering every keyed draw of the slice into
-  block RNG calls (the fused executors' path).  It resolves each
-  contest's stable mask first and draws a ``context_noise`` row only
-  for contests with an unstable column (:func:`_noise_where`): most
-  contests are stable in every column, and their coin flips would be
-  read nowhere.
+  as packed bit-planes straight from the
+  :class:`~repro.dram.behavior.ReliabilityModel`, gathering every keyed
+  draw of the slice into block RNG calls (the fused executors' path).
+  It resolves each contest's stable mask first and draws a
+  ``context_noise`` row only for contests with an unstable column
+  (:func:`_noise_where`): most contests are stable in every column,
+  and their coin flips would be read nowhere.
 
 Bit-identity between the paths is guaranteed by construction: every
 stochastic draw is identity-keyed (thresholds, group offsets, sense-amp
 bias, pattern bits) or keyed by the shared measurement context
 (:func:`measurement_context` -> ``ReliabilityModel.context_noise``),
-so all paths consult the same random bits.  The vectorized paths are
-gated on the APA semantic the executor's probe reads off the bank's
-decision table: ``run_batch`` models ``batched_semantic`` alone, while
-``run_slice`` models every semantic in ``fused_semantics`` and is told
+so both paths consult the same random bits.  ``run_slice`` is gated on
+the APA semantic the executor's probe reads off the bank's decision
+table: it models every semantic in ``fused_semantics`` and is told
 which one the probe resolved, so no kernel re-derives the timing
 regime.  Any other regime falls back to the per-trial reference path,
 which is always correct.
@@ -40,11 +36,11 @@ import numpy as np
 from .. import rng
 from ..bender.program import apa_program
 from ..bender.testbench import TestBench
-from ..core.majority import execute_majx, expected_majority, plan_majx
+from ..core.majority import execute_majx, plan_majx
 from ..core.multirowcopy import execute_multi_row_copy
 from ..core.operations import simultaneous_activation_test
 from ..core.patterns import DataPattern
-from ..dram.bank import pattern_regularity, pattern_regularity_block
+from ..dram.bank import pattern_regularity_block
 from ..dram.behavior import OperationClass, ReliabilityModel
 from ..dram.cell import LEVEL_HALF, bits_to_levels
 from . import bitplane
@@ -145,23 +141,12 @@ class TrialKernel:
 
     op_name: str = "trial"
     signature: str = "trial"
-    batched_semantic: Optional[str] = None
-    """APA semantic :meth:`run_batch` models; ``None`` skips the probe
-    gate (the kernel is regime-independent), and its probe then replays
-    one real APA for :meth:`finalize` to audit."""
-
-    @property
-    def fused_semantics(self) -> Optional[FrozenSet[str]]:
-        """APA semantics :meth:`run_slice` models (the fused gate).
-
-        Defaults to ``batched_semantic`` alone; ``None`` means
-        regime-independent, as for ``batched_semantic``.  A kernel that
-        models more regimes overrides this and branches on the
-        ``semantic`` argument of :meth:`run_slice`.
-        """
-        if self.batched_semantic is None:
-            return None
-        return frozenset({self.batched_semantic})
+    fused_semantics: Optional[FrozenSet[str]] = None
+    """APA semantics :meth:`run_slice` models (the fused gate); a kernel
+    modelling several branches on the ``semantic`` argument of
+    :meth:`run_slice`.  ``None`` skips the gate (the kernel is
+    regime-independent), and its probe then replays one real APA for
+    :meth:`finalize` to audit."""
 
     @property
     def cache_token(self) -> str:
@@ -183,12 +168,6 @@ class TrialKernel:
         """One trial through the full bench; returns a (cells,) bool vector."""
         raise NotImplementedError
 
-    def run_batch(
-        self, bench: TestBench, task: TrialTask, point: OperatingPoint
-    ) -> np.ndarray:
-        """All trials at once; returns a (trials, cells) bool matrix."""
-        raise NotImplementedError
-
     def run_slice(
         self,
         bench: TestBench,
@@ -203,16 +182,9 @@ class TrialKernel:
         for a regime-independent kernel).  Returns one
         ``(trials, words)`` uint64 plane stack per task (see
         :mod:`repro.engine.bitplane`), bit-identical to the per-trial
-        reference.  The default packs per-task batches; fused kernels
-        override it to gather every keyed draw of the slice into single
-        block RNG calls.
+        reference.
         """
-        return [
-            bitplane.pack_matrix(
-                np.asarray(self.run_batch(bench, task, point), dtype=bool)
-            )
-            for task in tasks
-        ]
+        raise NotImplementedError
 
     def finalize(
         self, bench: TestBench, task: TrialTask, point: OperatingPoint
@@ -226,7 +198,7 @@ class ActivationKernel(TrialKernel):
 
     op_name = "activation"
     signature = "activation"
-    batched_semantic = "majority"
+    fused_semantics = frozenset({"majority"})
 
     def run_trial(self, bench, task, point, trial):
         result = simultaneous_activation_test(
@@ -239,45 +211,6 @@ class ActivationKernel(TrialKernel):
             trial=trial,
         )
         return result.flattened()
-
-    def run_batch(self, bench, task, point):
-        module = bench.module
-        reliability = module.reliability
-        device_bank = module.bank(task.bank)
-        columns = module.config.columns_per_row
-        group = task.group
-        rows_sorted = sorted(group.rows)
-        # The WR overdrive decides correctness: stable columns latch the
-        # WR data in every opened row, unstable ones flip a coin per row.
-        z = reliability.activation_z(
-            group.size,
-            point.t1_ns,
-            point.t2_ns,
-            device_bank.temperature_c,
-            device_bank.vpp,
-        )
-        stable = reliability.stable_mask(
-            z, task.bank, task.subarray, group.rows,
-            OperationClass.ACTIVATION, columns,
-        )
-        matrix = np.empty((task.trials, task.cells), dtype=bool)
-        for local, trial in enumerate(
-            range(task.trial_offset, task.trial_offset + task.trials)
-        ):
-            context = measurement_context(self, point, task, trial)
-            reference = point.pattern.row_bits(
-                columns, "act-wr", group.row_first, trial
-            )
-            wr_bits = point.pattern.inverse_bits(reference)
-            for position, local_row in enumerate(rows_sorted):
-                noise = reliability.context_noise(
-                    context, task.bank, task.subarray, columns,
-                    f"wr-{local_row}",
-                )
-                matrix[local, position * columns:(position + 1) * columns] = (
-                    stable | (noise == wr_bits)
-                )
-        return matrix
 
     def run_slice(self, bench, tasks, point, semantic):
         module = bench.module
@@ -346,7 +279,7 @@ class MajXKernel(TrialKernel):
     """Section 3.3 recipe: operands + neutral rows -> APA -> RD."""
 
     op_name = "majority"
-    batched_semantic = "majority"
+    fused_semantics = frozenset({"majority"})
 
     def __init__(self, x: int, replicas: Optional[int] = None):
         self.x = x
@@ -365,80 +298,6 @@ class MajXKernel(TrialKernel):
             t1_ns=point.t1_ns, t2_ns=point.t2_ns,
         )
         return result.correct
-
-    def run_batch(self, bench, task, point):
-        module = bench.module
-        reliability = module.reliability
-        device_bank = module.bank(task.bank)
-        sub = device_bank.subarray(task.subarray)
-        columns = module.config.columns_per_row
-        group = task.group
-        plan = plan_majx(self.x, group, replicas=self.replicas)
-        rows_sorted = sorted(group.rows)
-        temp_c = device_bank.temperature_c
-        vpp = device_bank.vpp
-        # Neutral-row stability is trial-independent (identity-keyed).
-        frac_z = reliability.frac_z(temp_c, vpp)
-        neutral_stable = {
-            local_row: reliability.stable_mask(
-                frac_z, task.bank, task.subarray, frozenset({local_row}),
-                OperationClass.FRAC, columns,
-            )
-            for local_row in plan.neutral_rows
-        }
-        first_row = rows_sorted[0]
-        matrix = np.empty((task.trials, columns), dtype=bool)
-        for local, trial in enumerate(
-            range(task.trial_offset, task.trial_offset + task.trials)
-        ):
-            context = measurement_context(self, point, task, trial)
-            operands = [
-                point.pattern.operand_bits(
-                    columns, op, task.serial, task.bank, trial
-                )
-                for op in range(self.x)
-            ]
-            # Reconstruct the charge levels the opened rows would hold:
-            # operand rows carry their bits, neutral rows sit at VDD/2
-            # where the Frac landed and at coin-flip rails elsewhere.
-            level_rows = np.empty((group.size, columns), dtype=np.uint8)
-            for position, local_row in enumerate(rows_sorted):
-                operand_index = plan.operand_of_row.get(local_row)
-                if operand_index is not None:
-                    level_rows[position] = bits_to_levels(
-                        operands[operand_index]
-                    )
-                else:
-                    noise = reliability.context_noise(
-                        context, task.bank, task.subarray, columns,
-                        f"frac-{local_row}",
-                    )
-                    level_rows[position] = np.where(
-                        neutral_stable[local_row],
-                        LEVEL_HALF,
-                        bits_to_levels(noise),
-                    ).astype(np.uint8)
-            imbalance = (level_rows.astype(np.int64) - 1).sum(axis=0)
-            ideal = sub.sense_amps.resolve(np.sign(imbalance))
-            z_columns = reliability.majority_column_z(
-                imbalance,
-                n_rows=group.size,
-                t1_ns=point.t1_ns,
-                t2_ns=point.t2_ns,
-                pattern_scale=pattern_regularity(level_rows),
-                temp_c=temp_c,
-                vpp=vpp,
-            )
-            stable = reliability.stable_mask_vector(
-                z_columns, task.bank, task.subarray, group.rows,
-                OperationClass.MAJORITY,
-            )
-            noise = reliability.context_noise(
-                context, task.bank, task.subarray, columns, f"maj-{first_row}"
-            )
-            result = np.where(stable, ideal, noise).astype(np.uint8)
-            matrix[local] = result == expected_majority(operands)
-        return matrix
 
     def run_slice(self, bench, tasks, point, semantic):
         module = bench.module
@@ -551,7 +410,6 @@ class MultiRowCopyKernel(TrialKernel):
 
     op_name = "rowcopy"
     signature = "mrc"
-    batched_semantic = "copy"
     fused_semantics = frozenset({"copy", "majority"})
 
     def run_trial(self, bench, task, point, trial):
@@ -576,48 +434,6 @@ class MultiRowCopyKernel(TrialKernel):
         return np.concatenate(
             [np.asarray(row, dtype=bool) for row in result.correctness]
         )
-
-    def run_batch(self, bench, task, point):
-        module = bench.module
-        reliability = module.reliability
-        device_bank = module.bank(task.bank)
-        columns = module.config.columns_per_row
-        group = task.group
-        destinations = [
-            local_row for local_row in sorted(group.rows)
-            if local_row != group.row_first
-        ]
-        temp_c = device_bank.temperature_c
-        vpp = device_bank.vpp
-        matrix = np.empty((task.trials, task.cells), dtype=bool)
-        for local, trial in enumerate(
-            range(task.trial_offset, task.trial_offset + task.trials)
-        ):
-            context = measurement_context(self, point, task, trial)
-            source_bits = point.pattern.row_bits(
-                columns, "mrc-src", task.serial, task.bank, trial
-            )
-            z = reliability.multi_row_copy_z(
-                n_destinations=max(1, group.size - 1),
-                t1_ns=point.t1_ns,
-                t2_ns=point.t2_ns,
-                source_ones_fraction=float(np.mean(source_bits)),
-                temp_c=temp_c,
-                vpp=vpp,
-            )
-            stable = reliability.stable_mask(
-                z, task.bank, task.subarray, group.rows,
-                OperationClass.MULTI_ROW_COPY, columns,
-            )
-            for position, local_row in enumerate(destinations):
-                noise = reliability.context_noise(
-                    context, task.bank, task.subarray, columns,
-                    f"mrc-{local_row}",
-                )
-                matrix[local, position * columns:(position + 1) * columns] = (
-                    stable | (noise == source_bits)
-                )
-        return matrix
 
     def run_slice(self, bench, tasks, point, semantic):
         module = bench.module
@@ -719,19 +535,18 @@ class MultiRowCopyKernel(TrialKernel):
 class DisturbanceKernel(TrialKernel):
     """Limitation-3 audit: hammer a group, watch the bystanders.
 
-    The vectorized path leans on a structural property of the behavior
+    The fused path leans on a structural property of the behavior
     model -- APA resolution only ever writes simultaneously *asserted*
     rows, so bystanders cannot flip -- and proves it per task with a
     real read-back audit in :meth:`finalize` (the audit is ANDed into
     the accumulated mask by every executor).  With no regime gate, the
-    vectorized executors' probe replays a real APA on the group between
+    fused executors' probe replays a real APA on the group between
     :meth:`setup` and :meth:`finalize`, so the audit checks a hammered
     bank.
     """
 
     op_name = "disturbance"
     signature = "disturbance"
-    batched_semantic = None
 
     def __init__(self, pattern: DataPattern, bystanders: Tuple[int, ...]):
         self.pattern = pattern
@@ -777,8 +592,14 @@ class DisturbanceKernel(TrialKernel):
         correct[probe_index * columns:(probe_index + 1) * columns] = segment
         return correct
 
-    def run_batch(self, bench, task, point):
-        return np.ones((task.trials, task.cells), dtype=bool)
+    def run_slice(self, bench, tasks, point, semantic):
+        # Every trial passes; finalize() carries the whole verdict.
+        return [
+            bitplane.pack_matrix(
+                np.ones((task.trials, task.cells), dtype=bool)
+            )
+            for task in tasks
+        ]
 
     def finalize(self, bench, task, point):
         device_bank = bench.module.bank(task.bank)

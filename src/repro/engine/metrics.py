@@ -90,7 +90,7 @@ class EngineMetrics:
     cache_bytes_written: int = 0
     """Bytes of cache entries persisted."""
     stages: Dict[str, float] = field(default_factory=dict)
-    """Optional extra per-stage wall-times (e.g. ``probe``/``batch``)."""
+    """Optional extra per-stage wall-times (e.g. ``probe``/``fuse``)."""
 
     @property
     def executor_busy_fraction(self) -> float:
@@ -101,19 +101,13 @@ class EngineMetrics:
         sequential campaign leaves the pool idle in -- which is why a
         pipelined campaign can report a tiny busy fraction (0.016 on
         the CI shape) next to a high :attr:`pipeline_occupancy`
-        (0.96): the two denominators measure different windows.  This
-        was historically named ``occupancy``; that alias is kept for
-        stored payloads and old callers.
+        (0.96): the two denominators measure different windows.
+        Payloads stored before this name carry it as ``occupancy``.
         """
         capacity = self.wall_s * max(1, self.workers)
         if capacity <= 0.0:
             return 0.0
         return min(1.0, self.busy_s / capacity)
-
-    @property
-    def occupancy(self) -> float:
-        """Legacy alias of :attr:`executor_busy_fraction`."""
-        return self.executor_busy_fraction
 
     @property
     def pipeline_occupancy(self) -> float:
@@ -204,9 +198,6 @@ class EngineMetrics:
             "wall_s": self.wall_s,
             "busy_s": self.busy_s,
             "executor_busy_fraction": self.executor_busy_fraction,
-            # Legacy name of executor_busy_fraction; kept so stored
-            # payloads and downstream dashboards keep parsing.
-            "occupancy": self.occupancy,
             "chaos_faults_injected": self.chaos_faults_injected,
             "breaker_trips": self.breaker_trips,
             "modules_quarantined": self.modules_quarantined,
@@ -257,8 +248,7 @@ class EngineMetrics:
         for name, seconds in sorted(self.stages.items()):
             lines.append(f"    {name:<15} : {seconds:.3f} s")
         lines.append(
-            "  executor busy fraction (occupancy): "
-            f"{self.executor_busy_fraction:.1%}"
+            f"  executor busy fraction: {self.executor_busy_fraction:.1%}"
         )
         if self.chaos_faults_injected:
             lines.append(
@@ -344,7 +334,8 @@ def render_stats_dict(payload: Dict[str, object]) -> str:
             "pipeline_occupancy",
         ):
             # Computed properties: derived from the counters below, so
-            # stored copies (old or new name) are never assigned.
+            # stored copies are never assigned (``occupancy`` is the
+            # old name of executor_busy_fraction).
             continue
         elif hasattr(metrics, key):
             setattr(metrics, key, value)

@@ -23,7 +23,6 @@ from repro.characterization.experiment import (
 from repro.config import SimulationConfig
 from repro.dram.vendor import TESTED_MODULES
 from repro.engine import (
-    BatchedExecutor,
     FusedExecutor,
     SerialExecutor,
     TrialCache,
@@ -103,7 +102,7 @@ class TestReadThrough:
         keys = plan_keys(cache, make_plan())
         os.unlink(cache._path(keys[0]))
         warm_cache = TrialCache(tmp_path)
-        candidate = BatchedExecutor(cache=warm_cache).run(make_plan())
+        candidate = FusedExecutor(cache=warm_cache).run(make_plan())
         assert_outcomes_identical(reference, candidate)
         assert warm_cache.hits == len(keys) - 1
         assert warm_cache.misses == 1
@@ -190,7 +189,7 @@ class TestOriginGating:
     def test_require_origin_rejects_other_executors_entries(self, tmp_path):
         plan = make_plan()
         SerialExecutor(cache=TrialCache(tmp_path)).run(plan)
-        gated = TrialCache(tmp_path, require_origin="batched")
+        gated = TrialCache(tmp_path, require_origin="fused")
         key = plan_keys(gated, make_plan())[0]
         assert gated.load(key, plan.tasks[0]) is None
         accepting = TrialCache(tmp_path, require_origin="serial")

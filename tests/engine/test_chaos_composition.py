@@ -17,7 +17,7 @@ from repro.chaos import ChaosConfig
 from repro.config import SimulationConfig
 from repro.dram.vendor import TESTED_MODULES
 from repro.engine import (
-    BatchedExecutor,
+    FusedExecutor,
     ProcessPoolExecutor,
     SerialExecutor,
     make_executor,
@@ -41,7 +41,7 @@ def no_sleep(_delay: float) -> None:
 
 class TestChaosWithExecutors:
     @pytest.mark.parametrize(
-        "executor_factory", [SerialExecutor, BatchedExecutor]
+        "executor_factory", [SerialExecutor, FusedExecutor]
     )
     def test_burst_chaos_converges_to_clean_run(self, executor_factory):
         """Every fault kind fires once mid-campaign; the retrying
@@ -115,7 +115,7 @@ class TestChaosWithExecutors:
             retry=RetryPolicy(max_attempts=6, base_delay_s=0.0),
             chaos=ChaosConfig.burst(seed=5),
             sleep=no_sleep,
-            executor=BatchedExecutor(),
+            executor=FusedExecutor(),
         ).run(["fig4a"])
         assert scope.benches[0].bender is original
 
@@ -139,7 +139,7 @@ class TestCampaignEngineStats:
         result = Campaign(make_scope()).run(["fig4a"])
         assert result.engine_stats is None
 
-    @pytest.mark.parametrize("name", ["serial", "parallel", "batched"])
+    @pytest.mark.parametrize("name", ["serial", "fused", "fused-parallel"])
     def test_campaign_data_identical_across_executors(self, name):
         reference = Campaign(make_scope()).run(["fig4a"])
         candidate = Campaign(
@@ -158,7 +158,7 @@ class TestCampaignEngineStats:
 
         monkeypatch.setitem(EXPERIMENTS, "figcount", counted)
         store = ResultStore(tmp_path / "resume")
-        executor = BatchedExecutor()
+        executor = FusedExecutor()
         Campaign(make_scope(), store=store, executor=executor).run(
             ["figcount"]
         )

@@ -1,8 +1,8 @@
 """Executor contract tests.
 
 The engine's hard guarantee: for a given plan and simulation seed,
-the serial reference, the process-pool executor, and the batched
-executor all produce bit-identical results -- the same
+the serial reference, the fused executor, and the fused process-pool
+executor at any worker count all produce bit-identical results -- the same
 :class:`~repro.characterization.stats.DistributionSummary`, the same
 convergence checkpoints, the same disturbance audit.
 """
@@ -22,17 +22,13 @@ from repro.characterization.experiment import (
     OperatingPoint,
 )
 from repro.characterization.majority import majx_success_distribution
-from repro.characterization.rowcopy import (
-    build_copy_plan,
-    multi_row_copy_distribution,
-)
+from repro.characterization.rowcopy import multi_row_copy_distribution
 from repro.characterization.variability import per_module_majx
 from repro.config import SimulationConfig
 from repro.core.rowgroups import sample_groups
 from repro.dram.module import Module
 from repro.dram.vendor import PROFILE_SAMSUNG, TESTED_MODULES
 from repro.engine import (
-    BatchedExecutor,
     FusedExecutor,
     ProcessPoolExecutor,
     SerialExecutor,
@@ -51,12 +47,11 @@ COPY_POINT = OperatingPoint(t1_ns=36.0, t2_ns=3.0)
 
 EXECUTOR_FACTORIES = {
     "serial": SerialExecutor,
-    "parallel": lambda: ProcessPoolExecutor(jobs=2),
-    "batched": BatchedExecutor,
     "fused": FusedExecutor,
-    "fused-parallel": lambda: ProcessPoolExecutor(jobs=2, strategy="fused"),
+    "fused-parallel": lambda: ProcessPoolExecutor(jobs=2),
+    "fused-parallel@1": lambda: ProcessPoolExecutor(jobs=1),
 }
-NON_SERIAL = ["parallel", "batched", "fused", "fused-parallel"]
+NON_SERIAL = ["fused", "fused-parallel", "fused-parallel@1"]
 
 
 def make_scope(seed: int = 51, columns: int = 64, trials: int = 4):
@@ -120,13 +115,13 @@ class TestBitIdentity:
             make_scope(), 3, 8, ACT_POINT, executor=SerialExecutor()
         )
         candidate = per_module_majx(
-            make_scope(), 3, 8, ACT_POINT, executor=BatchedExecutor()
+            make_scope(), 3, 8, ACT_POINT, executor=FusedExecutor()
         )
         assert candidate == reference
 
     def test_disturbance_audit_matches_serial(self, quick_config):
         reports = []
-        for executor in (SerialExecutor(), BatchedExecutor()):
+        for executor in (SerialExecutor(), FusedExecutor()):
             bench = TestBench.for_spec(TESTED_MODULES[0], config=quick_config)
             group = sample_groups(0, 512, 8, 1, "engine-disturb")[0]
             reports.append(
@@ -140,36 +135,11 @@ class TestBitIdentity:
             scope = make_scope()
             plans.append(build_activation_plan(scope, 8, ACT_POINT))
         serial = SerialExecutor().run(plans[0])
-        batched = BatchedExecutor().run(plans[1])
-        for ours, theirs in zip(serial.outcomes, batched.outcomes):
+        fused = FusedExecutor().run(plans[1])
+        for ours, theirs in zip(serial.outcomes, fused.outcomes):
             assert ours.index == theirs.index
             assert np.array_equal(ours.mask, theirs.mask)
             assert ours.checkpoint_rates == theirs.checkpoint_rates
-
-
-class TestBatchedFallback:
-    """Off-regime plans fall back to the reference path, bit-identically."""
-
-    def test_copy_plan_at_majority_timings_falls_back(self):
-        # t1 = 1.5 ns resolves as a charge-sharing majority, not a
-        # copy, so the batched copy math must not run.
-        point = OperatingPoint(t1_ns=1.5, t2_ns=3.0)
-        serial = SerialExecutor()
-        batched = BatchedExecutor()
-        reference = run_plan(build_copy_plan(make_scope(), 3, point), serial)
-        candidate = run_plan(build_copy_plan(make_scope(), 3, point), batched)
-        assert candidate.rates() == reference.rates()
-        assert "fallback" in batched.metrics.stages
-        # Fallback pays the per-trial program cost on top of the probe.
-        assert batched.metrics.apa_programs > serial.metrics.apa_programs
-
-    def test_on_regime_plan_uses_one_probe_per_task(self):
-        batched = BatchedExecutor()
-        plan = build_copy_plan(make_scope(), 3, COPY_POINT)
-        run_plan(plan, batched)
-        assert batched.metrics.apa_programs == len(plan.tasks)
-        assert "batch" in batched.metrics.stages
-        assert "fallback" not in batched.metrics.stages
 
 
 class TestInstrumentation:
@@ -181,7 +151,7 @@ class TestInstrumentation:
         assert executor.metrics.tasks == len(plan.tasks)
         assert executor.metrics.trials == plan.total_trials
         assert executor.metrics.apa_programs == plan.total_trials
-        assert executor.metrics.occupancy > 0.0
+        assert executor.metrics.executor_busy_fraction > 0.0
 
     def test_parallel_reports_worker_pool(self):
         executor = ProcessPoolExecutor(jobs=2)
@@ -202,7 +172,7 @@ KILL_SERIAL = TESTED_MODULES[1].module_identifier + "#0"
 
 
 class TestWorkerSupervision:
-    """Worker death, stragglers, and the serial fallback -- all of it
+    """Worker death, stragglers, and the in-process fallback -- all of it
     must preserve the bit-identity contract, because measurement noise
     is context-keyed, never execution-history-keyed."""
 
@@ -267,7 +237,8 @@ class TestWorkerSupervision:
 
     def test_make_executor_passes_supervision_knobs(self):
         executor = make_executor(
-            "parallel", jobs=2, shard_deadline_s=4.5, max_pool_restarts=5
+            "fused-parallel", jobs=2, shard_deadline_s=4.5,
+            max_pool_restarts=5,
         )
         assert executor.shard_deadline_s == 4.5
         assert executor.max_pool_restarts == 5
@@ -285,10 +256,11 @@ class TestErrors:
     def test_make_executor_names(self):
         assert make_executor(None).name == "serial"
         assert make_executor("serial").name == "serial"
-        assert make_executor("parallel", jobs=3).jobs == 3
-        assert make_executor("batched").name == "batched"
-        with pytest.raises(ExperimentError, match="unknown executor"):
-            make_executor("gpu")
+        assert make_executor("fused").name == "fused"
+        assert make_executor("fused-parallel", jobs=3).jobs == 3
+        for removed in ("gpu", "batched", "parallel"):
+            with pytest.raises(ExperimentError, match="unknown executor"):
+                make_executor(removed)
 
     def test_kernel_shape_mismatch_rejected(self, quick_config):
         bench = TestBench.for_spec(TESTED_MODULES[0], config=quick_config)
@@ -417,7 +389,9 @@ class TestSliceDispatch:
             ProcessPoolExecutor(jobs=2, dispatch_target_s=-0.5)
 
     def test_make_executor_passes_dispatch_target(self):
-        executor = make_executor("parallel", jobs=2, dispatch_target_s=0.25)
+        executor = make_executor(
+            "fused-parallel", jobs=2, dispatch_target_s=0.25
+        )
         assert executor.dispatch_target_s == 0.25
 
     def test_bench_fingerprint_reuse_across_dispatches(self):

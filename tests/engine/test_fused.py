@@ -14,10 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bender.testbench import TestBench
-from repro.characterization.activation import (
-    activation_success_distribution,
-    build_activation_plan,
-)
+from repro.characterization.activation import build_activation_plan
 from repro.characterization.convergence import majx_convergence_curve
 from repro.characterization.disturbance import disturbance_check
 from repro.characterization.experiment import (
@@ -25,7 +22,10 @@ from repro.characterization.experiment import (
     OperatingPoint,
 )
 from repro.characterization.majority import MAJX_POINT, build_majx_plan
-from repro.characterization.rowcopy import build_copy_plan
+from repro.characterization.rowcopy import (
+    build_copy_plan,
+    multi_row_copy_distribution,
+)
 from repro.chaos import ChaosConfig, ChaosHarness
 from repro.config import SimulationConfig
 from repro.core.patterns import (
@@ -86,7 +86,7 @@ class TestFusedBitIdentity:
     def make(self, name):
         if name == "fused":
             return FusedExecutor()
-        return ProcessPoolExecutor(jobs=2, strategy="fused")
+        return ProcessPoolExecutor(jobs=2)
 
     def test_activation_masks_match_serial(self, name):
         reference = SerialExecutor().run(
@@ -248,7 +248,7 @@ class TestNoiseOnDemand:
         assert_outcomes_identical(reference, executor.run(build()))
         assert "fallback" not in executor.metrics.stages
         assert 0 < counts["drawn"] < counts["entries"], counts
-        composed = ProcessPoolExecutor(jobs=2, strategy="fused")
+        composed = ProcessPoolExecutor(jobs=2)
         assert_outcomes_identical(reference, composed.run(build()))
 
     @pytest.mark.parametrize("kind", sorted(_noise_plans()))
@@ -259,7 +259,7 @@ class TestNoiseOnDemand:
         assert_outcomes_identical(reference, FusedExecutor().run(build()))
         assert counts["entries"] > 0
         assert counts["drawn"] == 0
-        composed = ProcessPoolExecutor(jobs=2, strategy="fused")
+        composed = ProcessPoolExecutor(jobs=2)
         assert_outcomes_identical(reference, composed.run(build()))
 
 
@@ -293,51 +293,41 @@ class TestFusedInstrumentation:
     def test_make_executor_builds_fused_variants(self):
         assert make_executor("fused").name == "fused"
         composed = make_executor("fused-parallel", jobs=2)
-        assert composed.strategy == "fused"
+        assert composed.name == "fused-parallel"
         assert composed.jobs == 2
 
 
 class TestFusedParallelSupervision:
-    """PR 3 supervision must survive the batched x parallel composition."""
+    """Pool supervision on the Multi-RowCopy kernel, whose slices fuse
+    two regimes (test_executors.py covers activation plans)."""
+
+    @staticmethod
+    def distribution(executor):
+        return multi_row_copy_distribution(
+            make_scope(), 3, COPY_POINT, executor=executor
+        )
 
     def test_worker_crash_recovers_bit_identically(self):
-        reference = activation_success_distribution(
-            make_scope(), 8, ACT_POINT, executor=SerialExecutor()
-        )
+        reference = self.distribution(SerialExecutor())
         chaos = ChaosConfig(seed=3, worker_kill_serials=(KILL_SERIAL,))
-        executor = ProcessPoolExecutor(jobs=2, strategy="fused", chaos=chaos)
-        candidate = activation_success_distribution(
-            make_scope(), 8, ACT_POINT, executor=executor
-        )
-        assert candidate == reference
+        executor = ProcessPoolExecutor(jobs=2, chaos=chaos)
+        assert self.distribution(executor) == reference
         assert executor.metrics.pool_restarts >= 1
         assert executor.metrics.tasks_resharded >= 1
 
     def test_straggler_reissue_stays_bit_identical(self):
-        reference = activation_success_distribution(
-            make_scope(), 8, ACT_POINT, executor=SerialExecutor()
-        )
-        executor = ProcessPoolExecutor(
-            jobs=2, strategy="fused", shard_deadline_s=0.0
-        )
-        candidate = activation_success_distribution(
-            make_scope(), 8, ACT_POINT, executor=executor
-        )
-        assert candidate == reference
+        reference = self.distribution(SerialExecutor())
+        executor = ProcessPoolExecutor(jobs=2, shard_deadline_s=0.0)
+        assert self.distribution(executor) == reference
         assert executor.metrics.stragglers_reissued >= 1
 
     def test_serial_fallback_when_restart_budget_exhausted(self):
-        reference = activation_success_distribution(
-            make_scope(), 8, ACT_POINT, executor=SerialExecutor()
-        )
+        reference = self.distribution(SerialExecutor())
         chaos = ChaosConfig(seed=3, worker_kill_serials=(KILL_SERIAL,))
         executor = ProcessPoolExecutor(
-            jobs=2, strategy="fused", chaos=chaos, max_pool_restarts=0
+            jobs=2, chaos=chaos, max_pool_restarts=0
         )
-        candidate = activation_success_distribution(
-            make_scope(), 8, ACT_POINT, executor=executor
-        )
-        assert candidate == reference
+        assert self.distribution(executor) == reference
         assert executor.metrics.pool_restarts == 1
 
 
@@ -360,7 +350,11 @@ class TestFusedDisturbanceAudit:
 
         monkeypatch.setattr(Bank, "_apply_majority", leaky_majority)
         group = sample_groups(0, victim + 1, 4, 1, "leak")[0]
-        for executor in (SerialExecutor(), FusedExecutor()):
+        # The pool is created after the patch, so its forked workers
+        # run the leaky bank too.
+        for executor in (
+            SerialExecutor(), FusedExecutor(), ProcessPoolExecutor(jobs=2)
+        ):
             bench = TestBench.for_spec(TESTED_MODULES[0], config=config)
             report = disturbance_check(
                 bench, 0, group, trials=4, executor=executor

@@ -27,35 +27,35 @@ class TestMerge:
     def test_stages_accumulate(self):
         total = EngineMetrics()
         total.add_stage("probe", 0.25)
-        total.merge(EngineMetrics(stages={"probe": 0.75, "batch": 1.0}))
-        assert total.stages == {"probe": 1.0, "batch": 1.0}
+        total.merge(EngineMetrics(stages={"probe": 0.75, "fuse": 1.0}))
+        assert total.stages == {"probe": 1.0, "fuse": 1.0}
 
 
 class TestOccupancy:
     def test_zero_wall_time_is_zero(self):
-        assert EngineMetrics().occupancy == 0.0
+        assert EngineMetrics().executor_busy_fraction == 0.0
 
     def test_serial_fully_busy(self):
         metrics = EngineMetrics(workers=1, wall_s=2.0, busy_s=2.0)
-        assert metrics.occupancy == 1.0
+        assert metrics.executor_busy_fraction == 1.0
 
     def test_parallel_partial_occupancy(self):
         metrics = EngineMetrics(workers=4, wall_s=1.0, busy_s=2.0)
-        assert metrics.occupancy == 0.5
+        assert metrics.executor_busy_fraction == 0.5
 
     def test_capped_at_one(self):
         metrics = EngineMetrics(workers=1, wall_s=1.0, busy_s=5.0)
-        assert metrics.occupancy == 1.0
+        assert metrics.executor_busy_fraction == 1.0
 
 
 class TestReporting:
     def test_as_dict_round_trips_through_render_stats_dict(self):
         metrics = EngineMetrics(
-            executor="batched", plans=2, tasks=6, trials=48,
+            executor="fused", plans=2, tasks=6, trials=48,
             apa_programs=6, cells=1536, wall_s=0.5, busy_s=0.5,
         )
         metrics.add_stage("probe", 0.1)
-        metrics.add_stage("batch", 0.3)
+        metrics.add_stage("fuse", 0.3)
         assert render_stats_dict(metrics.as_dict()) == metrics.render()
 
     def test_render_mentions_every_headline_counter(self):
@@ -63,20 +63,24 @@ class TestReporting:
                                 trials=8, apa_programs=8, cells=64)
         report = metrics.render()
         for fragment in ("serial", "plans", "trials", "APA programs",
-                         "occupancy"):
+                         "busy fraction"):
             assert fragment in report
 
     def test_as_dict_is_json_plain(self):
         import json
 
-        metrics = EngineMetrics(executor="parallel", workers=3)
+        metrics = EngineMetrics(executor="fused-parallel", workers=3)
         metrics.add_stage("probe", 0.5)
         payload = metrics.as_dict()
         assert payload["stage_probe_s"] == 0.5
+        # Only stored payloads carry the old name of the busy fraction.
+        assert "occupancy" not in payload
         json.dumps(payload)  # must not raise
 
     def test_worker_chaos_counts_surface_in_render(self):
-        metrics = EngineMetrics(executor="parallel", chaos_faults_injected=3)
+        metrics = EngineMetrics(
+            executor="fused-parallel", chaos_faults_injected=3
+        )
         assert "chaos" in metrics.render()
         assert EngineMetrics().render().count("chaos") == 0
 

@@ -24,8 +24,8 @@ from repro.dram.vendor import TESTED_MODULES
 from repro.engine import (
     AdaptiveConfig,
     AdaptivePlanner,
-    BatchedExecutor,
     FusedExecutor,
+    ProcessPoolExecutor,
     SerialExecutor,
     TrialPlan,
     merge_outcomes,
@@ -62,7 +62,7 @@ class TestRoundSlicing:
     """slice_plan + merge_outcomes == one-shot, on every executor."""
 
     @pytest.mark.parametrize(
-        "factory", [SerialExecutor, BatchedExecutor, FusedExecutor]
+        "factory", [SerialExecutor, FusedExecutor, ProcessPoolExecutor]
     )
     def test_slices_merge_to_one_shot(self, factory):
         plan = build_activation_plan(make_scope(trials=6), 8, ACT_POINT)

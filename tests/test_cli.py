@@ -182,7 +182,7 @@ class TestAdaptiveCampaignCommand:
 class TestEngineCommands:
     SCALE = ["--columns", "64", "--groups", "1", "--trials", "2"]
 
-    @pytest.mark.parametrize("executor", ["serial", "batched"])
+    @pytest.mark.parametrize("executor", ["serial", "fused"])
     def test_activation_with_executor(self, capsys, executor):
         assert main([
             "activation", "--rows", "8", *self.SCALE,
@@ -201,13 +201,50 @@ class TestEngineCommands:
         assert main([
             "campaign", "--experiments", "fig4a", *self.SCALE,
             "--results-dir", results_dir,
-            "--executor", "batched",
+            "--executor", "fused",
         ]) == 0
         capsys.readouterr()
         assert main(["stats", "--results-dir", results_dir]) == 0
         out = capsys.readouterr().out
-        assert "engine stats (batched executor)" in out
+        assert "engine stats (fused executor)" in out
         assert "APA programs" in out
+
+    def test_stats_renders_a_stored_legacy_occupancy_key(
+        self, capsys, tmp_path
+    ):
+        from repro.characterization.store import ResultStore
+        from repro.engine import EngineMetrics
+
+        # Stats payloads stored before the rename carry ``occupancy``
+        # next to the counters it derives from.
+        payload = EngineMetrics(
+            executor="parallel", plans=1, tasks=2, trials=8,
+            apa_programs=8, cells=64, workers=2, wall_s=1.0, busy_s=1.0,
+        ).as_dict()
+        payload["occupancy"] = 0.5
+        results_dir = tmp_path / "results"
+        ResultStore(results_dir).save("engine-stats", payload)
+        assert main(["stats", "--results-dir", str(results_dir)]) == 0
+        out = capsys.readouterr().out
+        assert "engine stats (parallel executor)" in out
+        assert "executor busy fraction: 50.0%" in out
+
+    @pytest.mark.parametrize("command", ["campaign", "worker"])
+    @pytest.mark.parametrize(
+        "removed, replacement",
+        [("batched", "fused"), ("parallel", "fused-parallel")],
+    )
+    def test_removed_executor_names_the_replacement(
+        self, capsys, command, removed, replacement
+    ):
+        extra = ["--connect", "localhost:1"] if command == "worker" else []
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, *extra, "--executor", removed])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"executor {removed!r} was removed" in err
+        assert f"use {replacement!r}" in err
+        assert "bit-identical" in err
 
     def test_stats_without_campaign_hints(self, capsys, tmp_path):
         assert main(
@@ -264,7 +301,7 @@ class TestEngineCommands:
         output = tmp_path / "BENCH_engine.json"
         assert main([
             "bench", "--columns", "64", "--groups", "1", "--trials", "2",
-            "--executors", "serial", "batched",
+            "--executors", "serial", "fused",
             "--output", str(output),
         ]) == 0
         out = capsys.readouterr().out
@@ -413,12 +450,12 @@ class TestPipelineFlag:
 
     def test_declined_reason_reaches_stats(self, capsys, tmp_path):
         results_dir = str(tmp_path / "results")
-        # The batched executor cannot pipeline, so the campaign records
+        # The fused executor cannot pipeline, so the campaign records
         # why the pipelined scheduler stood down.
         assert main([
             "campaign", "--experiments", "fig4a", *self.SCALE,
             "--results-dir", results_dir,
-            "--executor", "batched", "--pipeline",
+            "--executor", "fused", "--pipeline",
         ]) == 0
         capsys.readouterr()
         assert main(["stats", "--results-dir", results_dir]) == 0

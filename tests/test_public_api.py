@@ -61,7 +61,7 @@ FROZEN_ALL = {
     ],
     "repro.engine": [
         "ActivationKernel", "AdaptiveConfig", "AdaptiveOutcome",
-        "AdaptivePlanner", "BatchedExecutor", "CellReport",
+        "AdaptivePlanner", "CellReport",
         "CampaignScheduler", "DisturbanceKernel", "EngineMetrics",
         "ExecutorBase", "ExperimentProgram", "FleetDispatcher",
         "FleetItem", "FleetOutcome", "FusedExecutor", "LocalFleet",
