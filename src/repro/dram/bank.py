@@ -38,7 +38,7 @@ import enum
 from collections import Counter, deque
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Deque, Dict, FrozenSet, Iterator, Optional, Tuple
+from typing import Deque, Dict, FrozenSet, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -176,7 +176,7 @@ class Bank:
         self._row_buffer: Optional[np.ndarray] = None
         self._episode_written = False
         self._op_counter = 0
-        self._noise_context: Optional[Tuple[rng.Token, ...]] = None
+        self._noise_context: Optional[bytes] = None
         self._last_event: Optional[ActivationEvent] = None
         self.temperature_c = 50.0
         self.vpp = 2.5
@@ -248,9 +248,10 @@ class Bank:
         the context identity (plus bank/subarray/row tags), never on
         how many operations ran before -- the contract that lets the
         trial-execution engine replay the same measurement on any
-        executor and get identical bits.
+        executor and get identical bits.  The tokens are encoded here,
+        once, for every row the trial draws.
         """
-        self._noise_context = tokens
+        self._noise_context = rng.encode_tokens(tokens)
 
     def clear_noise_context(self) -> None:
         """Return to operation-ordinal noise keying."""
@@ -268,12 +269,39 @@ class Bank:
     def _noise(self, subarray_index: int, columns: int, tag: str) -> np.ndarray:
         """Per-trial coin flips under the active noise-keying mode."""
         if self._noise_context is not None:
-            return self._reliability.context_noise(
+            return self._reliability.encoded_context_noise(
                 self._noise_context, self._index, subarray_index, columns, tag
             )
         return self._reliability.trial_noise(
             self._op_counter, self._index, subarray_index, columns, tag
         )
+
+    def _contest_rows(
+        self,
+        subarray_index: int,
+        local_rows: Sequence[int],
+        stable: np.ndarray,
+        ideal: np.ndarray,
+        tag: str,
+    ) -> np.ndarray:
+        """The bits each of ``local_rows`` latches after a contest.
+
+        Stable columns latch ``ideal``; unstable ones take the row's
+        coin flip (noise site ``f"{tag}{row}"``).  A row's noise is
+        drawn only when ``stable`` has an unstable column, since
+        ``where(stable, ideal, noise)`` reads none of it otherwise.  In
+        ordinal keying the draw's key is the operation counter, which
+        counts operations, not draws, so skipping changes no other
+        draw.  Returns ``ideal`` itself (one row for all) when every
+        column is stable, else a ``(len(local_rows), columns)`` stack.
+        """
+        if stable.all():
+            return ideal
+        noise = np.stack([
+            self._noise(subarray_index, ideal.shape[-1], f"{tag}{row}")
+            for row in local_rows
+        ])
+        return np.where(stable, ideal, noise)
 
     def active_rows(self) -> Dict[int, FrozenSet[int]]:
         """Currently asserted wordlines per subarray."""
@@ -488,12 +516,11 @@ class Bank:
             z_columns, self._index, subarray_index, rows, OperationClass.MAJORITY
         )
         self._op_counter += 1
-        for local_row in row_array:
-            noise = self._noise(subarray_index, sub.columns, f"maj-{local_row}")
-            result = np.where(stable, ideal, noise).astype(np.uint8)
-            sub.restore_row(int(local_row), result)
-            if local_row == row_array[0]:
-                self._row_buffer = result.copy()
+        results = self._contest_rows(
+            subarray_index, row_array, stable, ideal, "maj-"
+        )
+        sub.restore_rows(row_array, results)
+        self._row_buffer = np.atleast_2d(results)[0].copy()
         self._episode_written = True
         self._record_event(ActivationEvent(
             semantic="majority", t1_ns=t1, t2_ns=t2, subarray=subarray_index, rows=rows
@@ -525,10 +552,11 @@ class Bank:
             sub.columns,
         )
         self._op_counter += 1
-        for local_row in sorted(rows):
-            noise = self._noise(subarray_index, sub.columns, f"mrc-{local_row}")
-            result = np.where(stable, source, noise).astype(np.uint8)
-            sub.restore_row(int(local_row), result)
+        local_rows = sorted(rows)
+        sub.restore_rows(
+            local_rows,
+            self._contest_rows(subarray_index, local_rows, stable, source, "mrc-"),
+        )
         self._episode_written = True
         self._record_event(ActivationEvent(
             semantic="copy", t1_ns=t1, t2_ns=t2, subarray=subarray_index, rows=rows
@@ -562,10 +590,9 @@ class Bank:
                 sub.columns,
             )
             self._op_counter += 1
-            noise = self._noise(
-                second.subarray, sub.columns, f"clone-{second.local_row}"
-            )
-            result = np.where(stable, source, noise).astype(np.uint8)
+            result = self._contest_rows(
+                second.subarray, [second.local_row], stable, source, "clone-"
+            ).reshape(-1)
             sub.restore_row(second.local_row, result)
             self._row_buffer = result
             self._episode_written = True
@@ -644,10 +671,11 @@ class Bank:
                     OperationClass.ACTIVATION,
                     sub.columns,
                 )
-            for local_row in sorted(rows):
-                noise = self._noise(subarray_index, sub.columns, f"wr-{local_row}")
-                result = np.where(stable, data, noise).astype(np.uint8)
-                sub.restore_row(int(local_row), result)
+            local_rows = sorted(rows)
+            sub.restore_rows(
+                local_rows,
+                self._contest_rows(subarray_index, local_rows, stable, data, "wr-"),
+            )
         self._row_buffer = data.copy()
         self._episode_written = True
 
@@ -737,10 +765,14 @@ class Bank:
             sub.columns,
         )
         self._op_counter += 1
-        noise = self._noise(addr.subarray, sub.columns, f"frac-{addr.local_row}")
-        levels = np.where(
-            stable, LEVEL_HALF, bits_to_levels(noise)
-        ).astype(np.uint8)
+        if stable.all():
+            # No unstable column reads a coin flip: draw none.
+            levels = np.full(sub.columns, LEVEL_HALF, dtype=np.uint8)
+        else:
+            noise = self._noise(
+                addr.subarray, sub.columns, f"frac-{addr.local_row}"
+            )
+            levels = np.where(stable, np.uint8(LEVEL_HALF), bits_to_levels(noise))
         sub.cells.write_levels(addr.local_row, levels)
         self.stats["frac"] += 1
 

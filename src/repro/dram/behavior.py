@@ -233,6 +233,14 @@ class ReliabilityModel:
         self._group_offset_cache: Dict[
             Tuple[int, int, FrozenSet[int], OperationClass], float
         ] = {}
+        # Context-noise seeds hash (seed, "ctx-noise", serial), then a
+        # (bank, subarray, tag) head, then the context tokens.  The
+        # prefix is fixed per model and heads repeat per noise site, so
+        # both are hashed/encoded once (see :meth:`_context_seed`).
+        self._context_prefix = rng.SeedPrefix(
+            config.seed, "ctx-noise", module_serial
+        )
+        self._context_heads: Dict[Tuple[int, int, str], bytes] = {}
 
     @property
     def personality(self) -> float:
@@ -526,16 +534,40 @@ class ReliabilityModel:
         bits regardless of what ran before -- the property that makes
         serial, sharded, and vectorized executors bit-identical.
         """
-        return rng.uniform_bits(
-            columns,
-            self._config.seed,
-            "ctx-noise",
-            self._serial,
-            bank,
-            subarray,
-            tag,
-            *context,
+        return self.encoded_context_noise(
+            rng.encode_tokens(context), bank, subarray, columns, tag
         )
+
+    def encoded_context_noise(
+        self,
+        encoded_context: bytes,
+        bank: int,
+        subarray: int,
+        columns: int,
+        tag: str,
+    ) -> np.ndarray:
+        """:meth:`context_noise` of an already ``rng.encode_tokens``-encoded
+        context.
+
+        A bank encodes its noise context once per trial and draws every
+        row of that trial through here.
+        """
+        return rng.seeded_bits(
+            columns, self._context_seed(bank, subarray, tag, encoded_context)
+        )
+
+    def _context_seed(
+        self, bank: int, subarray: int, tag: str, encoded_context: bytes
+    ) -> int:
+        """``stable_seed(seed, "ctx-noise", serial, bank, subarray, tag,
+        *context)`` from the cached prefix, a memoized head and the
+        encoded context -- the same bytes in the same order."""
+        head_key = (bank, subarray, tag)
+        head = self._context_heads.get(head_key)
+        if head is None:
+            head = rng.encode_tokens(head_key)
+            self._context_heads[head_key] = head
+        return self._context_prefix.seed_bytes(head + encoded_context)
 
     # -- fused block entry points ---------------------------------------------
 
@@ -576,28 +608,19 @@ class ReliabilityModel:
         tuples; row ``i`` of the returned ``(len(entries), columns)``
         uint8 array is bit-identical to
         ``context_noise(context, bank, subarray, columns, tag)``.
-        Seeds reuse the hashed ``(seed, "ctx-noise", serial)`` prefix
-        and a per-token encoding cache, because entries within a plan
-        differ only in their fast-moving suffix tokens.
+        Seeds come from the same :meth:`_context_seed` as the per-row
+        path; only the draw is vectorized.
         """
-        prefix = rng.SeedPrefix(self._config.seed, "ctx-noise", self._serial)
         encoded = rng.TokenEncoder()
-        # Entries enumerate a (site, row, trial) cross product, so the
-        # joined head (bank/subarray/tag) and tail (context) byte
-        # strings each repeat many times; memoizing the joins leaves
-        # only one concat and one hash per entry.
-        heads: Dict[Tuple[int, int, str], bytes] = {}
+        # Entries enumerate a (site, row, trial) cross product, so each
+        # context repeats many times; memoizing its encoding leaves one
+        # concat and one hash per entry.
         tails: Dict[Tuple[rng.Token, ...], bytes] = {}
         seeds = np.empty(len(entries), dtype=np.uint64)
         for i, (bank, subarray, tag, context) in enumerate(entries):
-            head_key = (bank, subarray, tag)
-            head = heads.get(head_key)
-            if head is None:
-                head = encoded(bank) + encoded(subarray) + encoded(tag)
-                heads[head_key] = head
             tail = tails.get(context)
             if tail is None:
                 tail = b"".join(encoded(token) for token in context)
                 tails[context] = tail
-            seeds[i] = prefix.seed_bytes(head + tail)
+            seeds[i] = self._context_seed(bank, subarray, tag, tail)
         return rngblock.uniform_bit_block(seeds, columns)

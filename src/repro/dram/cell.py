@@ -29,7 +29,7 @@ def bits_to_levels(bits: np.ndarray) -> np.ndarray:
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.size and bits.max(initial=0) > 1:
         raise ConfigurationError("bit arrays must contain only 0/1")
-    return (bits * 2).astype(np.uint8)
+    return bits * np.uint8(2)
 
 
 def levels_to_bits(levels: np.ndarray, half_reads_as: int = 1) -> np.ndarray:

@@ -28,7 +28,9 @@ row 7 = 0b111 latches (A=1, B=3), so the product set is
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
+from operator import or_
 from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from ..errors import AddressError, ConfigurationError
@@ -204,14 +206,14 @@ class LocalWordlineDecoder:
         """
         if self.is_idle():
             return frozenset()
-        rows: Set[int] = set()
-        for combination in product(*(sorted(s) for s in self._latched)):
-            row = 0
-            for field, value in zip(self._fields, combination):
-                row |= field.insert(value)
-            if row < self._subarray_rows:
-                rows.add(row)
-        return frozenset(rows)
+        # Place each latched value at its field's bits once, not once
+        # per combination.
+        placed = [
+            [field.insert(value) for value in latched]
+            for field, latched in zip(self._fields, self._latched)
+        ]
+        rows = (reduce(or_, combination) for combination in product(*placed))
+        return frozenset(row for row in rows if row < self._subarray_rows)
 
 
 class GlobalWordlineDecoder:

@@ -8,6 +8,8 @@ bitlines, which is why subarray boundaries matter (section 3.1,
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from ..config import SimulationConfig
@@ -77,6 +79,19 @@ class Subarray:
     def restore_row(self, local_row: int, bits: np.ndarray) -> None:
         """Write back full-rail logic values into a row (charge restore)."""
         self._cells.write_bits(local_row, bits)
+
+    def restore_rows(self, local_rows: Sequence[int], bits: np.ndarray) -> None:
+        """:meth:`restore_row` into several rows.
+
+        ``bits`` is one ``(columns,)`` row restored into every row, or a
+        ``(len(local_rows), columns)`` stack.  The levels are converted
+        once; each row is still written through
+        ``CellArray.write_levels``, where fault injection hooks in.
+        """
+        levels = bits_to_levels(bits)
+        per_row = np.broadcast_to(levels, (len(local_rows), levels.shape[-1]))
+        for local_row, row_levels in zip(local_rows, per_row):
+            self._cells.write_levels(int(local_row), row_levels)
 
     def charge_share(self, local_rows: np.ndarray) -> np.ndarray:
         """Per-column signed charge imbalance of simultaneously opened rows.

@@ -15,6 +15,12 @@ trial:
   (:func:`_noise_where`): most contests are stable in every column,
   and their coin flips would be read nowhere.
 
+Both paths skip the same rows: the bank's noise sites draw a row only
+when its stable mask has an unstable column, too.  The reference
+still makes each draw itself, one ``default_rng(seed)`` per row, and
+never through :mod:`repro.rngblock`, so the audit's recompute stays
+independent of the block RNG it cross-checks.
+
 Bit-identity between the paths is guaranteed by construction: every
 stochastic draw is identity-keyed (thresholds, group offsets, sense-amp
 bias, pattern bits) or keyed by the shared measurement context

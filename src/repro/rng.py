@@ -119,4 +119,13 @@ def standard_normal(shape: Union[int, Iterable[int]], *tokens: Token) -> np.ndar
 
 def uniform_bits(n_bits: int, *tokens: Token) -> np.ndarray:
     """Deterministic uniform random bits (uint8 array of 0/1)."""
-    return (generator(*tokens).random(n_bits) < 0.5).astype(np.uint8)
+    return seeded_bits(n_bits, stable_seed(*tokens))
+
+
+def seeded_bits(n_bits: int, seed: int) -> np.ndarray:
+    """Uniform bits drawn from an already derived seed.
+
+    The one definition of a keyed coin-flip row:
+    ``default_rng(seed).random(n_bits) < 0.5`` as uint8 0/1.
+    """
+    return (np.random.default_rng(seed).random(n_bits) < 0.5).astype(np.uint8)

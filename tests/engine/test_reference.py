@@ -1,0 +1,244 @@
+"""The serial reference path: its own draws, one seed derivation, no
+wasted coin flips.
+
+The audit checks every fused artifact against ``SerialExecutor``.  That
+cross-check only means something while the reference draws its coin
+flips without :mod:`repro.rngblock`, the fused path's block RNG.  These
+tests pin that independence, the seed derivation both paths share, and
+the draws the reference skips because no column reads them.
+"""
+
+import functools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro import rng, rngblock
+from repro.bender.testbench import TestBench
+from repro.characterization.activation import build_activation_plan
+from repro.characterization.disturbance import disturbance_check
+from repro.characterization.experiment import (
+    CharacterizationScope,
+    OperatingPoint,
+)
+from repro.characterization.majority import MAJX_POINT, build_majx_plan
+from repro.characterization.rowcopy import build_copy_plan
+from repro.config import SimulationConfig
+from repro.core.patterns import PATTERN_AA55
+from repro.core.rowgroups import sample_groups
+from repro.dram.behavior import ReliabilityModel
+from repro.dram.cell import LEVEL_HALF, LEVEL_ONE
+from repro.dram.commands import act, pre, wr
+from repro.dram.vendor import TESTED_MODULES
+from repro.engine import FusedExecutor, SerialExecutor
+
+
+def make_scope(groups: int = 1, trials: int = 2):
+    return CharacterizationScope.build(
+        config=SimulationConfig(seed=51, columns_per_row=64),
+        specs=TESTED_MODULES[:1],
+        modules_per_spec=1,
+        groups_per_size=groups,
+        trials=trials,
+    )
+
+
+def assert_outcomes_identical(reference, candidate):
+    assert len(reference.outcomes) == len(candidate.outcomes)
+    for ours, theirs in zip(reference.outcomes, candidate.outcomes):
+        assert ours.rate == theirs.rate
+        assert np.array_equal(ours.mask, theirs.mask)
+
+
+MAJX_PAIR_POINT = OperatingPoint(
+    t1_ns=MAJX_POINT.t1_ns, t2_ns=MAJX_POINT.t2_ns, pattern=PATTERN_AA55
+)
+
+PLANS = {
+    "activation": lambda: build_activation_plan(
+        make_scope(), 8, OperatingPoint(t1_ns=1.5, t2_ns=3.0)
+    ),
+    # Random data reaches the fused path through uniform_bit_block,
+    # fixed byte pairs through coin_block.
+    "majx-random": lambda: build_majx_plan(make_scope(), 3, 8, MAJX_POINT),
+    "majx-fixed-pair": lambda: build_majx_plan(
+        make_scope(), 3, 8, MAJX_PAIR_POINT
+    ),
+    "copy": lambda: build_copy_plan(
+        make_scope(), 3, OperatingPoint(t1_ns=9.0, t2_ns=3.0)
+    ),
+    "copy-majority": lambda: build_copy_plan(
+        make_scope(), 7, OperatingPoint(t1_ns=3.0, t2_ns=3.0)
+    ),
+}
+
+
+def forbid_block_rng(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("drew from repro.rngblock")
+
+    monkeypatch.setattr(rngblock, "uniform_bit_block", forbidden)
+    monkeypatch.setattr(rngblock, "coin_block", forbidden)
+
+
+class TestReferenceIndependence:
+    """``behavior.py`` and ``patterns.py`` import ``rngblock`` at module
+    level, so no import lint can prove the reference avoids it; running
+    the reference with the block RNG raising does."""
+
+    @pytest.mark.parametrize("kind", sorted(PLANS))
+    def test_serial_plan_never_draws_from_the_block_rng(
+        self, kind, monkeypatch
+    ):
+        expected = FusedExecutor().run(PLANS[kind]())
+        forbid_block_rng(monkeypatch)
+        # The patch bites the fast path ...
+        with pytest.raises(AssertionError, match="rngblock"):
+            FusedExecutor().run(PLANS[kind]())
+        # ... and the reference runs to completion on its own draws.
+        assert_outcomes_identical(expected, SerialExecutor().run(PLANS[kind]()))
+
+    def test_serial_disturbance_check_never_draws_from_the_block_rng(
+        self, monkeypatch
+    ):
+        config = SimulationConfig(seed=51, columns_per_row=64)
+        subarray_rows = TESTED_MODULES[0].profile.subarray_rows
+        group = sample_groups(0, subarray_rows, 4, 1, "reference")[0]
+
+        def check(executor):
+            bench = TestBench.for_spec(TESTED_MODULES[0], config=config)
+            return disturbance_check(
+                bench, 0, group, trials=2, executor=executor
+            )
+
+        expected = check(FusedExecutor())
+        forbid_block_rng(monkeypatch)
+        assert check(SerialExecutor()) == expected
+
+
+TOKENS = st.one_of(
+    st.integers(min_value=-(2**80), max_value=2**80),
+    st.booleans(),
+    st.floats(),
+    st.text(max_size=6),
+    st.binary(max_size=6),
+)
+
+COLUMNS = 64
+
+
+@functools.lru_cache(maxsize=None)
+def shared_bench() -> TestBench:
+    config = SimulationConfig(seed=7, columns_per_row=COLUMNS)
+    return TestBench.for_spec(TESTED_MODULES[0], config=config)
+
+
+class TestSeedDerivation:
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(
+        prefix=st.lists(TOKENS, max_size=4),
+        suffix=st.lists(TOKENS, max_size=4),
+    )
+    def test_cached_prefix_matches_the_one_shot_seed(self, prefix, suffix):
+        expected = rng.stable_seed(*prefix, *suffix)
+        cached = rng.SeedPrefix(*prefix)
+        assert cached.seed(*suffix) == expected
+        assert cached.seed_bytes(rng.encode_tokens(suffix)) == expected
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(
+        context=st.lists(TOKENS, max_size=5).map(tuple),
+        subarray=st.integers(min_value=0, max_value=3),
+        tag=st.sampled_from(["wr-3", "maj-0", "mrc-17", "frac-9", "clone-2"]),
+    )
+    def test_bank_encoded_context_row_matches_context_noise(
+        self, context, subarray, tag
+    ):
+        module = shared_bench().module
+        bank = module.bank(0)
+        with bank.noise_context(*context):
+            row = bank._noise(subarray, COLUMNS, tag)
+        expected = module.reliability.context_noise(
+            context, 0, subarray, COLUMNS, tag
+        )
+        assert np.array_equal(row, expected)
+        # The one-shot definition the cached derivation replaces.
+        one_shot = rng.uniform_bits(
+            COLUMNS, module.config.seed, "ctx-noise", module.serial,
+            0, subarray, tag, *context,
+        )
+        assert np.array_equal(row, one_shot)
+        # The fused block derives its seed the same way.
+        block = module.reliability.context_noise_block(
+            [(0, subarray, tag, context)], COLUMNS
+        )
+        assert np.array_equal(block[0], expected)
+
+
+def run_apa(bank, first, second, t1, t2, start=0.0):
+    bank.process(act(start, bank.index, first))
+    bank.process(pre(start + t1, bank.index))
+    bank.process(act(start + t1 + t2, bank.index, second))
+
+
+def close(bank, at=100.0):
+    bank.process(pre(at, bank.index))
+    bank.settle(at + 100.0)
+
+
+class TestReferenceDraws:
+    """The bank draws a row's noise only where some column is unstable."""
+
+    @pytest.fixture()
+    def draws(self, monkeypatch):
+        counts = {"rows": 0}
+        for name in ("encoded_context_noise", "trial_noise"):
+            original = getattr(ReliabilityModel, name)
+
+            def counting(self, *args, _original=original, **kwargs):
+                counts["rows"] += 1
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(ReliabilityModel, name, counting)
+        return counts
+
+    @pytest.mark.parametrize("keyed", [True, False], ids=["context", "ordinal"])
+    def test_fully_stable_contests_draw_nothing(self, bench_ideal, draws, keyed):
+        # Functional-only: every column of every contest is stable, so
+        # each site restores its ideal outcome and reads no coin flip.
+        bank = bench_ideal.module.bank(0)
+        ones = np.ones(bank.columns, dtype=np.uint8)
+        zeros = np.zeros(bank.columns, dtype=np.uint8)
+        pattern = (np.arange(bank.columns) % 3 == 0).astype(np.uint8)
+        if keyed:
+            bank.set_noise_context("stable", 0)
+
+        def levels(*rows):
+            return [bank.peek_row(row) // LEVEL_ONE for row in rows]
+
+        for row, bits in [(0, ones), (1, ones), (6, ones), (7, zeros)]:
+            bank.write_row(row, bits)
+        run_apa(bank, 0, 7, t1=1.5, t2=3.0)  # maj-: MAJ of four rows
+        assert all(np.array_equal(got, ones) for got in levels(0, 1, 6, 7))
+        bank.process(wr(20.0, 0, zeros))  # wr-: into every opened row
+        close(bank)
+        assert all(np.array_equal(got, zeros) for got in levels(0, 1, 6, 7))
+        bank.write_row(0, pattern)
+        run_apa(bank, 0, 7, t1=36.0, t2=3.0, start=300.0)  # mrc-
+        close(bank, at=400.0)
+        assert all(np.array_equal(got, pattern) for got in levels(0, 1, 6, 7))
+        run_apa(bank, 0, 9, t1=36.0, t2=6.0, start=600.0)  # clone-
+        close(bank, at=700.0)
+        assert np.array_equal(levels(9)[0], pattern)
+        bank.apply_frac(12)  # frac-
+        assert np.all(bank.peek_row(12) == LEVEL_HALF)
+        assert draws["rows"] == 0
+
+    def test_mixed_plan_draws_only_unstable_contests(self, draws):
+        plan = build_copy_plan(
+            make_scope(groups=2, trials=4), 3, OperatingPoint(t1_ns=9.0, t2_ns=3.0)
+        )
+        contests = sum(task.trials * task.group.size for task in plan.tasks)
+        SerialExecutor().run(plan)
+        assert 0 < draws["rows"] < contests, (draws, contests)

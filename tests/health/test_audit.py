@@ -4,11 +4,13 @@ import json
 
 import pytest
 
+from repro import rngblock
 from repro.characterization.campaign import EXPERIMENTS, Campaign
 from repro.characterization.experiment import CharacterizationScope
 from repro.characterization.store import CampaignManifest, ResultStore
 from repro.config import SimulationConfig
 from repro.dram.vendor import TESTED_MODULES
+from repro.engine import FusedExecutor, kernels
 from repro.errors import ExperimentError
 from repro.health import audit_store, scope_from_manifest
 
@@ -211,3 +213,60 @@ class TestAdaptiveRecompute:
         ]
         assert skipped
         assert "unusable adaptive knobs" in skipped[0].detail
+
+
+class TestAuditSensitivity:
+    """The serial recompute must catch a defect on the fused path.
+
+    Each mutation stays in place through the audit too, so a reference
+    that silently shared the fast path would reproduce the same wrong
+    bits, pass, and fail nothing else.  fig10 runs Multi-RowCopy in
+    both APA regimes, the copy (t1 >= 6 ns) and the charge-sharing
+    majority.
+    """
+
+    def audit_fused_fig10(self, store):
+        with FusedExecutor() as executor:
+            result = Campaign(
+                make_scope(), store=store, executor=executor, sleep=no_sleep
+            ).run(["fig10"])
+        assert result.succeeded
+        report = audit_store(store, sample=1)
+        assert report.figures_recomputed == 1
+        return [f.status for f in report.findings if f.kind == "recompute"]
+
+    def test_unmutated_fused_store_matches(self, store):
+        assert self.audit_fused_fig10(store) == ["match"]
+
+    def test_block_rng_bit_flip_is_caught(self, store, monkeypatch):
+        original = rngblock.uniform_bit_block
+        flips = []
+
+        def flipped(seeds, n_bits):
+            bits = original(seeds, n_bits)
+            if bits.size:
+                bits[0, 0] ^= 1
+                flips.append(len(seeds))
+            return bits
+
+        monkeypatch.setattr(rngblock, "uniform_bit_block", flipped)
+        assert self.audit_fused_fig10(store) == ["mismatch"]
+        assert flips
+
+    def test_source_row_dropped_from_the_charge_share_is_caught(
+        self, store, monkeypatch
+    ):
+        original = kernels._resolve_majority
+        dropped = []
+
+        def without_source(bench, task, point, levels):
+            # fig10 charge-shares in Multi-RowCopy's majority regime
+            # only; leave the source row out of the opened rows.
+            rows = sorted(task.group.rows)
+            keep = [i for i, row in enumerate(rows) if row != task.group.row_first]
+            dropped.append(task.index)
+            return original(bench, task, point, levels[:, keep])
+
+        monkeypatch.setattr(kernels, "_resolve_majority", without_source)
+        assert self.audit_fused_fig10(store) == ["mismatch"]
+        assert dropped
