@@ -88,9 +88,13 @@ class DataPattern:
             )
         if self.is_random:
             return rngblock.uniform_bit_block(seeds, columns)
+        return self.pair_table(columns)[rngblock.coin_block(seeds)]
+
+    def pair_table(self, columns: int) -> np.ndarray:
+        """A fixed pair's two candidate rows, ``(2, columns)``: row ``k``
+        is byte ``k`` of the pair, the row a coin of ``k`` picks."""
         assert self.byte_pair is not None
-        table = np.stack([byte_to_bits(byte, columns) for byte in self.byte_pair])
-        return table[rngblock.coin_block(seeds)]
+        return np.stack([byte_to_bits(byte, columns) for byte in self.byte_pair])
 
     def operand_bits(
         self, columns: int, operand: int, *identity: rng.Token

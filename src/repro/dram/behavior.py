@@ -614,13 +614,17 @@ class ReliabilityModel:
         encoded = rng.TokenEncoder()
         # Entries enumerate a (site, row, trial) cross product, so each
         # context repeats many times; memoizing its encoding leaves one
-        # concat and one hash per entry.
-        tails: Dict[Tuple[rng.Token, ...], bytes] = {}
+        # concat and one hash per entry.  The memo is keyed exactly
+        # (rng.exact_key): (1,), (True,) and (1.0,) are equal tuples
+        # with three encodings.
+        tails: Dict[tuple, bytes] = {}
         seeds = np.empty(len(entries), dtype=np.uint64)
         for i, (bank, subarray, tag, context) in enumerate(entries):
-            tail = tails.get(context)
+            key = rng.exact_key(context)
+            tail = tails.get(key) if key is not None else None
             if tail is None:
                 tail = b"".join(encoded(token) for token in context)
-                tails[context] = tail
+                if key is not None:
+                    tails[key] = tail
             seeds[i] = self._context_seed(bank, subarray, tag, tail)
         return rngblock.uniform_bit_block(seeds, columns)

@@ -1387,8 +1387,9 @@ class FusedExecutor(ExecutorBase):
     can fire).  Per bench, every task whose probed semantic the kernel
     fuses has its (site x row-group x trial) keyed draws gathered into
     a handful of block RNG calls
-    (``ReliabilityModel.context_noise_block``,
-    ``DataPattern.row_bits_block``), and the trials-to-mask reduction
+    (``ReliabilityModel.context_noise_block``, and
+    ``DataPattern.row_bits_block`` for the pattern rows the bench
+    host's memo has not drawn yet), and the trials-to-mask reduction
     runs over packed uint64 bit-planes (:mod:`repro.engine.bitplane`).
     Any other task (wrong timing regime, blocked vendor) falls back to
     the per-trial reference path.  Both paths key their noise off the

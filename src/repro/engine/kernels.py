@@ -21,6 +21,18 @@ still makes each draw itself, one ``default_rng(seed)`` per row, and
 never through :mod:`repro.rngblock`, so the audit's recompute stays
 independent of the block RNG it cross-checks.
 
+The fused kernels read their test data -- activation's ``act-wr``
+reference rows, MAJX's ``operand`` rows, Multi-RowCopy's ``mrc-src``
+sources -- through the bench host's pattern memo
+(:meth:`~repro.bender.host.TestHost.pattern_rows`).  A pattern row
+depends on the pattern, the column count and its identity tokens,
+never on the operating point, so a sweep draws each distinct row once
+per bench.  The memo lives on the bench's host, not in a module: it
+goes away with its scope, and a pool worker's cached bench keeps it
+across shards.  The reference calls ``DataPattern.row_bits`` on every
+trial and never reads the memo, so the audit's recompute shares no
+state with the path it checks.
+
 Bit-identity between the paths is guaranteed by construction: every
 stochastic draw is identity-keyed (thresholds, group offsets, sense-amp
 bias, pattern bits) or keyed by the shared measurement context
@@ -256,7 +268,7 @@ class ActivationKernel(TrialKernel):
                         (task.bank, task.subarray, f"wr-{local_row}", context)
                     )
             needed.extend([not stable.all()] * (task.trials * group.size))
-        references = point.pattern.row_bits_block(columns, reference_ids)
+        references = bench.host.pattern_rows(point.pattern, columns, reference_ids)
         noise = _noise_where(reliability, noise_entries, needed, columns)
         planes: List[np.ndarray] = []
         reference_offset = 0
@@ -354,7 +366,7 @@ class MajXKernel(TrialKernel):
                 maj_entries.append(
                     (task.bank, task.subarray, f"maj-{first_row}", context)
                 )
-        operands = point.pattern.row_bits_block(columns, operand_ids)
+        operands = bench.host.pattern_rows(point.pattern, columns, operand_ids)
         frac_noise = _noise_where(
             reliability, frac_entries, frac_needed, columns
         )
@@ -468,7 +480,7 @@ class MultiRowCopyKernel(TrialKernel):
                     noise_entries.append(
                         (task.bank, task.subarray, f"{tag}-{local_row}", context)
                     )
-        sources = point.pattern.row_bits_block(columns, source_ids)
+        sources = bench.host.pattern_rows(point.pattern, columns, source_ids)
         # Either regime's stable mask depends on the sources alone, so a
         # (trial, destination) contest draws noise only when its trial
         # has an unstable column.  Stable columns latch ``latched``.

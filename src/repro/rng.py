@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from typing import Iterable, Union
+from typing import Iterable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -60,6 +60,28 @@ def stable_seed(*tokens: Token) -> int:
     return int.from_bytes(digest.digest(), "little")
 
 
+_PLAIN_TYPES = frozenset({int, str, bytes})
+_KEYED_TYPES = _PLAIN_TYPES | {bool}
+
+
+def exact_key(tokens: Tuple[Token, ...]) -> Optional[tuple]:
+    """A dict key for a token tuple, equal only where encodings are.
+
+    Tuples compare by value, so ``(1,)``, ``(True,)`` and ``(1.0,)`` are
+    one dict key although each encodes (and seeds) differently; so are
+    ``(0.0,)`` and ``(-0.0,)``.  A tuple of int, str and bytes tokens
+    is its own key: equal such tuples encode equally.  A tuple holding
+    a bool is paired with its token types, and no tuple of plain
+    tokens equals that pair.  A float token (or any other type)
+    returns None, and the caller must not memoize that tuple.
+    """
+    if _PLAIN_TYPES.issuperset(map(type, tokens)):
+        return tokens
+    if _KEYED_TYPES.issuperset(map(type, tokens)):
+        return (tuple(map(type, tokens)), tokens)
+    return None
+
+
 class TokenEncoder:
     """Memoizing :func:`encode_token` for bulk seed derivation.
 
@@ -67,12 +89,16 @@ class TokenEncoder:
     differ only in a fast-moving suffix; caching each distinct token's
     encoding (keyed by type *and* value, so ``1``/``1.0``/``True``
     stay distinct) keeps per-seed cost well under a microsecond.
+    Floats are encoded afresh every time: ``0.0 == -0.0``, so a
+    value-keyed entry would hand one the other's bytes.
     """
 
     def __init__(self) -> None:
         self._cache: dict = {}
 
     def __call__(self, token: Token) -> bytes:
+        if isinstance(token, float):
+            return encode_token(token)
         key = (token.__class__, token)
         cached = self._cache.get(key)
         if cached is None:

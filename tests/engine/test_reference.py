@@ -9,10 +9,11 @@ the draws the reference skips because no column reads them.
 """
 
 import functools
+import operator
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import rng, rngblock
 from repro.bender.testbench import TestBench
@@ -174,6 +175,45 @@ class TestSeedDerivation:
             [(0, subarray, tag, context)], COLUMNS
         )
         assert np.array_equal(block[0], expected)
+
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(contexts=st.lists(
+        st.lists(TOKENS, max_size=3).map(tuple), min_size=1, max_size=3
+    ))
+    @example(contexts=[(1,)])
+    @example(contexts=[(0.0, "x")])
+    def test_one_block_mixing_equal_contexts_matches_context_noise(
+        self, contexts
+    ):
+        # (1,), (True,) and (1.0,) are equal tuples, and so are (0.0,)
+        # and (-0.0,), but each encodes, and so seeds, differently.
+        mixed = [twin for context in contexts for twin in equal_twins(context)]
+        reliability = shared_bench().module.reliability
+        block = reliability.context_noise_block(
+            [(0, 1, "maj-0", context) for context in mixed], COLUMNS
+        )
+        for row, context in zip(block, mixed):
+            expected = reliability.context_noise(context, 0, 1, COLUMNS, "maj-0")
+            assert np.array_equal(row, expected), context
+
+
+def equal_twins(context):
+    """``context`` and each copy of it with one token swapped for an
+    equal token that encodes differently (``1``/``True``/``1.0``,
+    ``0.0``/``-0.0``)."""
+    twins = [context]
+    for i, token in enumerate(context):
+        if isinstance(token, (str, bytes)):
+            continue
+        for cast in (bool, int, float, operator.neg):
+            try:
+                twin = cast(token)
+            except (OverflowError, ValueError):
+                continue
+            if twin == token and rng.encode_token(twin) != rng.encode_token(token):
+                twins.append(context[:i] + (twin,) + context[i + 1:])
+    return twins
 
 
 def run_apa(bank, first, second, t1, t2, start=0.0):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro import rng
 
@@ -29,6 +29,30 @@ class TestStableSeed:
     def test_no_concatenation_collisions(self, tokens):
         # Appending a token always changes the seed.
         assert rng.stable_seed(*tokens) != rng.stable_seed(*tokens, 0)
+
+
+EXACT_TOKENS = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.booleans(),
+    st.text(max_size=2),
+    st.binary(max_size=2),
+)
+
+
+class TestExactKey:
+    def test_equal_tuples_of_distinct_encodings_get_distinct_keys(self):
+        assert rng.exact_key((1,)) != rng.exact_key((True,))
+        assert rng.exact_key((1.0,)) is None
+        assert rng.exact_key((-0.0,)) is None
+
+    @settings(derandomize=True, max_examples=200)
+    @given(
+        st.lists(EXACT_TOKENS, max_size=3).map(tuple),
+        st.lists(EXACT_TOKENS, max_size=3).map(tuple),
+    )
+    def test_equal_keys_mean_equal_encodings(self, first, second):
+        if rng.exact_key(first) == rng.exact_key(second):
+            assert rng.encode_tokens(first) == rng.encode_tokens(second)
 
 
 class TestGenerators:
