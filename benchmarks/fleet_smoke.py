@@ -38,7 +38,7 @@ from repro.characterization.experiment import (  # noqa: E402
 from repro.characterization.store import ResultStore  # noqa: E402
 from repro.config import SimulationConfig  # noqa: E402
 from repro.dram.vendor import TESTED_MODULES  # noqa: E402
-from repro.engine.fleet import LocalFleet, run_fleet_campaign  # noqa: E402
+from repro.engine.fleet import LocalFleet  # noqa: E402
 from repro.health import audit_store  # noqa: E402
 
 
@@ -92,18 +92,17 @@ def main(argv=None) -> int:
             f"t+{args.kill_after:.1f}s"
         )
         with LocalFleet(workers=2) as fleet:
-            dispatcher = fleet.dispatcher()
+            campaign = Campaign(
+                build_scope(),
+                store=ResultStore(fleet_dir),
+                dispatcher=fleet.dispatcher(),
+            )
             killer = threading.Timer(
                 args.kill_after, lambda: fleet.kill_worker(0)
             )
             killer.start()
             try:
-                result = run_fleet_campaign(
-                    build_scope(),
-                    list(args.figures),
-                    dispatcher,
-                    store=ResultStore(fleet_dir),
-                )
+                result = campaign.run(list(args.figures))
             finally:
                 killer.cancel()
 
@@ -122,6 +121,11 @@ def main(argv=None) -> int:
             f"orphaned figure re-issued ({stats['fleet_reissued']})",
         )
 
+        failures += check(
+            ResultStore(fleet_dir).load_manifest().fingerprint
+            == ResultStore(ref_dir).load_manifest().fingerprint,
+            "manifest fingerprint equal to the single-host one",
+        )
         for name in args.figures:
             same = (fleet_dir / f"{name}.json").read_bytes() == (
                 ref_dir / f"{name}.json"

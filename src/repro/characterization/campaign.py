@@ -41,12 +41,45 @@ the executor is failure-isolated:
   committed with a ``planner`` data-quality annotation recording
   per-cell ``trials_planned``/``trials_run``/``stop_reason``, and the
   adaptive knobs ride in the manifest fingerprint so resume refuses to
-  mix budgets and the audit can rebuild the exact planner.
+  mix budgets and the audit can rebuild the exact planner;
+- with a :class:`~repro.engine.fleet.FleetDispatcher` attached, whole
+  figures run on fleet workers and commit here, byte-equal to a
+  single-host run.
+
+One loop drives every run.  :meth:`Campaign.run` prepares the manifest
+and the resume skips once, then hands the figures still to run to
+exactly one *source*:
+
+========== ===========================================================
+source     settles each figure through
+========== ===========================================================
+sequential ``_run_one`` (retries, time budget), scoped per figure by
+           health supervision
+pipelined  :meth:`CampaignScheduler.run` ``on_program`` (a pipelining
+           executor and at least two figures)
+adaptive   :meth:`AdaptivePlanner.run_program`, with a ``planner``
+           quality annotation
+fleet      :meth:`FleetDispatcher.run` ``on_result``
+========== ===========================================================
+
+Each source streams settled ``(name, outcome[, quality])`` in figure
+order into one *sink*.  The sink commits data (journal intent, atomic
+artifact write, manifest update, journal done) or records the failure
+in the manifest -- a commit that raises becomes a resumable
+``store-error``.  An outcome that leaks a
+:class:`~repro.errors.TransientInfrastructureError`, and a figure no
+program backs (a monkeypatched :data:`EXPERIMENTS` entry), go to the
+sequential source after the chosen one finishes.
+
+The constructor refuses, with :class:`~repro.errors.ConfigurationError`,
+the combinations no source runs: fleet with chaos, health supervision
+or adaptive planning, and adaptive planning with health supervision.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -134,6 +167,33 @@ _CANONICAL_EXPERIMENTS: Dict[str, Callable] = dict(EXPERIMENTS)
 """Snapshot used to detect monkeypatched experiments: a replaced
 figure callable has no matching program, so the campaign falls back to
 calling it directly instead of pipelining."""
+
+
+def _has_program(name: str) -> bool:
+    """Whether a declarative program backs figure ``name``."""
+    return name in EXPERIMENT_PROGRAMS and (
+        EXPERIMENTS.get(name) is _CANONICAL_EXPERIMENTS.get(name)
+    )
+
+
+_REFUSED: Tuple[Tuple[str, str, str], ...] = (
+    ("dispatcher", "chaos",
+     "fleet workers run outside the campaign's chaos harness"),
+    ("dispatcher", "health",
+     "benches are probed and quarantined on this host between figures"),
+    ("dispatcher", "adaptive",
+     "the planner's rounds run on this host's executor"),
+    ("adaptive", "health",
+     "the planner does not re-scope its matrix between rounds"),
+)
+"""Constructor keyword pairs no source runs, with the reason."""
+
+_FEATURES: Dict[str, str] = {
+    "dispatcher": "fleet dispatch (--fleet)",
+    "chaos": "chaos injection (--chaos)",
+    "health": "health supervision (--supervise)",
+    "adaptive": "adaptive planning (--adaptive)",
+}
 
 
 @dataclass(frozen=True)
@@ -311,17 +371,25 @@ class Campaign:
         health: Optional[HealthTracker] = None,
         pipeline: Optional[bool] = None,
         adaptive: Optional[AdaptiveConfig] = None,
+        dispatcher: Optional["FleetDispatcher"] = None,  # noqa: F821
     ):
         if time_budget_s is not None and time_budget_s <= 0:
             raise ConfigurationError("time budget must be positive")
+        given = {
+            "dispatcher": dispatcher,
+            "chaos": chaos,
+            "health": health,
+            "adaptive": adaptive,
+        }
+        for first, second, why in _REFUSED:
+            if given[first] is not None and given[second] is not None:
+                raise ConfigurationError(
+                    f"{_FEATURES[first]} does not combine with "
+                    f"{_FEATURES[second]}: {why}"
+                )
         if adaptive is not None and executor is None:
             raise ConfigurationError(
                 "adaptive campaigns need an engine executor"
-            )
-        if adaptive is not None and health is not None:
-            raise ConfigurationError(
-                "adaptive campaigns do not compose with health "
-                "supervision; run one or the other"
             )
         self._scope = scope
         self._store = store
@@ -337,6 +405,10 @@ class Campaign:
         disables it, ``None`` (default) engages it automatically for
         multi-experiment runs on a pipelining executor."""
         self._adaptive = adaptive
+        self._dispatcher = dispatcher
+        self._engine = dispatcher if dispatcher is not None else executor
+        """Whose metrics become ``engine-stats`` and whose workers an
+        interrupt releases."""
 
     @property
     def scope(self) -> CharacterizationScope:
@@ -435,77 +507,7 @@ class Campaign:
             )
             try:
                 with swap:
-                    if self._adaptive is not None:
-                        pipelined = self._run_adaptive(
-                            experiments, result, manifest, store, config
-                        )
-                    else:
-                        pipelined = self._run_pipelined(
-                            experiments, result, manifest, store, config
-                        )
-                    for name in experiments:
-                        if (
-                            name in result.skipped
-                            or name in result.skipped_failed
-                        ):
-                            continue
-                        if pipelined.get(name, ("", None))[0] == "committed":
-                            continue  # persisted by the streaming commit
-                        scope, quality = self._scoped()
-                        if quality is not None:
-                            result.quality[name] = quality
-                        if scope is None:
-                            failure = ExperimentFailure(
-                                experiment=name,
-                                reason="no-healthy-modules",
-                                attempts=0,
-                                elapsed_s=0.0,
-                                error=_describe(
-                                    NoHealthyModulesError(
-                                        "every module in the scope is "
-                                        "quarantined"
-                                    )
-                                ),
-                                chain=(),
-                            )
-                            result.failures.append(failure)
-                            result.attempts[name] = 0
-                            self._record_failure(manifest, failure)
-                            continue
-                        outcome = self._consume(name, scope, pipelined)
-                        if isinstance(outcome, ExperimentFailure):
-                            if (
-                                outcome.reason == "retries-exhausted"
-                                and self._health is not None
-                            ):
-                                self._health.record_retry_exhaustion()
-                            result.failures.append(outcome)
-                            result.attempts[name] = outcome.attempts
-                            self._record_failure(manifest, outcome)
-                            continue
-                        data, attempts = outcome
-                        if store is not None and manifest is not None:
-                            try:
-                                self._commit_experiment(
-                                    name, data, manifest, store, config,
-                                    quality=quality,
-                                )
-                            except Exception as exc:  # noqa: BLE001
-                                failure = ExperimentFailure(
-                                    experiment=name,
-                                    reason="store-error",
-                                    attempts=attempts,
-                                    elapsed_s=0.0,
-                                    error=_describe(exc),
-                                    chain=_chain(exc),
-                                )
-                                result.failures.append(failure)
-                                result.attempts[name] = attempts
-                                self._record_failure(manifest, failure)
-                                continue
-                        result.data[name] = data
-                        result.attempts[name] = attempts
-                        result.completed.append(name)
+                    self._drive(experiments, result, manifest, store, config)
             except KeyboardInterrupt:
                 # Graceful interruption (SIGTERM/SIGINT translated by
                 # the CLI, or a raised KeyboardInterrupt): everything
@@ -513,9 +515,9 @@ class Campaign:
                 # in-flight work, close the pool, and report a
                 # resumable partial result instead of unwinding.
                 result.interrupted = True
-                if self._executor is not None:
+                if self._engine is not None:
                     with contextlib.suppress(Exception):
-                        self._executor.close()
+                        self._engine.close()
             finally:
                 if harness is not None:
                     result.chaos_faults_injected = (
@@ -540,15 +542,13 @@ class Campaign:
 
     def _finish_run(self, result: CampaignResult, config) -> None:
         """Engine-stats persistence and health summary for one run."""
-        if self._executor is not None:
+        if self._engine is not None:
             if self._health is not None:
-                self._executor.metrics.breaker_trips = (
-                    self._health.breaker_trips
-                )
-                self._executor.metrics.modules_quarantined = len(
+                self._engine.metrics.breaker_trips = self._health.breaker_trips
+                self._engine.metrics.modules_quarantined = len(
                     self._health.quarantined_serials()
                 )
-            result.engine_stats = self._executor.metrics.as_dict()
+            result.engine_stats = self._engine.metrics.as_dict()
             if self._store is not None:
                 self._store.save(
                     "engine-stats",
@@ -561,145 +561,184 @@ class Campaign:
         if self._store is not None:
             result.stored_at = self._store.directory
 
-    def _pipeline_candidates(
-        self, experiments: Sequence[str], result: CampaignResult
-    ) -> Tuple[List[str], str]:
-        """Experiments eligible for pipelined scheduling this run.
-
-        Pipelining changes *when* trials execute, never what they
-        compute: plan building is pure and worker-side chaos schedules
-        partition deterministically per (epoch, serial), so chaos
-        campaigns pipeline too and still commit bit-identical
-        artifacts.  It stands down only when per-experiment
-        orchestration genuinely interleaves with execution: health
-        supervision (probes and quarantine decisions happen between
-        experiments), monkeypatched experiment callables (no program
-        to build), or an executor without pipelining support.  Returns
-        the eligible names plus the declined reason (empty when
-        eligible).
-        """
-        if self._pipeline is False:
-            return [], "disabled"
-        executor = self._executor
-        if executor is None:
-            return [], "no-executor"
-        if not getattr(executor, "supports_pipelining", False):
-            return [], "executor-not-pipelining"
-        if self._health is not None:
-            return [], "health-supervised"
-        names = [
-            name
-            for name in experiments
-            if name not in result.skipped
-            and name not in result.skipped_failed
-            and name in EXPERIMENT_PROGRAMS
-            and EXPERIMENTS.get(name) is _CANONICAL_EXPERIMENTS.get(name)
-        ]
-        if not names or (len(names) < 2 and not self._pipeline):
-            return [], "fewer-than-2-eligible-experiments"
-        return names, ""
-
-    def _run_pipelined(
+    def _drive(
         self,
         experiments: Sequence[str],
         result: CampaignResult,
         manifest: Optional[CampaignManifest],
         store,
         config,
-    ) -> Dict[str, Tuple[str, object]]:
-        """Pre-run eligible experiments as one pipelined plan stream.
+    ) -> None:
+        """The campaign loop: one source settles figures into one sink.
 
-        With a store attached, every experiment is *committed
-        incrementally* -- journal intent, atomic artifact write,
-        manifest update -- the moment its last plan settles, strictly
-        in experiment order and while later experiments' plans are
-        still executing, so a crash loses at most the in-flight
-        program.  Its buffered status becomes ``"committed"`` and the
-        main loop skips it.  Without a store, results are only
-        buffered and the main loop consumes them as before.  Either
-        way everything persisted is bit-identical to a sequential run.
+        The sink commits each settled figure (or records its failure)
+        the moment it arrives, so a crash loses at most the figures
+        still in flight.  Whatever the chosen source leaves unsettled
+        -- figures no program backs, and outcomes that leaked a
+        transient fault -- then runs through the sequential source.
         """
-        names, reason = self._pipeline_candidates(experiments, result)
-        result.pipeline_declined_reason = reason or None
-        if self._executor is not None and reason:
+        pending = [
+            name
+            for name in experiments
+            if name not in result.skipped and name not in result.skipped_failed
+        ]
+        settled: set = set()
+
+        def sink(name: str, outcome, quality=None) -> None:
+            if isinstance(outcome, TransientInfrastructureError):
+                return  # escaped the executor's retries: re-run below
+            settled.add(name)
+            if quality is not None:
+                result.quality[name] = quality
+            if isinstance(outcome, Exception):
+                outcome = ExperimentFailure(
+                    experiment=name,
+                    reason="error",
+                    attempts=1,
+                    elapsed_s=0.0,
+                    error=_describe(outcome),
+                    chain=_chain(outcome),
+                )
+            if not isinstance(outcome, ExperimentFailure):
+                data, attempts = outcome
+                try:
+                    if manifest is not None:
+                        self._commit_experiment(
+                            name, data, manifest, store, config, quality
+                        )
+                except Exception as exc:  # noqa: BLE001
+                    # The data is fine but the disk is not: its own
+                    # reason, so resume (which skips only "error")
+                    # re-runs it once the store is repaired.
+                    outcome = ExperimentFailure(
+                        experiment=name,
+                        reason="store-error",
+                        attempts=attempts,
+                        elapsed_s=0.0,
+                        error=_describe(exc),
+                        chain=_chain(exc),
+                    )
+                else:
+                    result.data[name] = data
+                    result.attempts[name] = attempts
+                    result.completed.append(name)
+                    return
+            if (
+                outcome.reason == "retries-exhausted"
+                and self._health is not None
+            ):
+                self._health.record_retry_exhaustion()
+            result.failures.append(outcome)
+            result.attempts[name] = outcome.attempts
+            self._record_failure(manifest, outcome)
+
+        source = self._source(pending, result)
+        if source is not None:
+            source([name for name in pending if _has_program(name)], sink)
+        self._sequential_source(
+            [name for name in pending if name not in settled], sink
+        )
+
+    def _source(
+        self, pending: Sequence[str], result: CampaignResult
+    ) -> Optional[Callable]:
+        """The source for this run's program-backed figures.
+
+        ``None`` means the sequential source runs everything.  The
+        pipelined scheduler changes *when* trials execute, never what
+        they compute (plan building is pure and worker-side chaos
+        schedules partition per (epoch, serial)), so it stands down
+        only when it cannot help: pipelining disabled, an executor
+        that cannot pipeline, health supervision (probes and
+        quarantine decisions run between figures), or fewer than two
+        program-backed figures unless ``pipeline=True``.  The reason
+        lands in :attr:`CampaignResult.pipeline_declined_reason`.
+        """
+        if self._dispatcher is not None:
+            return self._fleet_source
+        if self._adaptive is not None:
+            return self._adaptive_source
+        backed = [name for name in pending if _has_program(name)]
+        if self._pipeline is False:
+            reason = "disabled"
+        elif self._executor is None:
+            reason = "no-executor"
+        elif not getattr(self._executor, "supports_pipelining", False):
+            reason = "executor-not-pipelining"
+        elif self._health is not None:
+            reason = "health-supervised"
+        elif not backed or (len(backed) < 2 and not self._pipeline):
+            reason = "fewer-than-2-eligible-experiments"
+        else:
+            return self._pipelined_source
+        result.pipeline_declined_reason = reason
+        if self._executor is not None:
             self._executor.metrics.pipeline_declined_reason = reason
-        if not names:
-            return {}
-        buffered: Dict[str, Tuple[str, object]] = {}
+        return None
+
+    def _sequential_source(
+        self, names: Sequence[str], emit: Callable
+    ) -> None:
+        """Each figure in turn under the retry policy and time budget,
+        on the scope health supervision leaves it."""
+        for name in names:
+            scope, quality = self._scoped()
+            if scope is None:
+                failure = ExperimentFailure(
+                    experiment=name,
+                    reason="no-healthy-modules",
+                    attempts=0,
+                    elapsed_s=0.0,
+                    error=_describe(
+                        NoHealthyModulesError(
+                            "every module in the scope is quarantined"
+                        )
+                    ),
+                    chain=(),
+                )
+                emit(name, failure, quality)
+                continue
+            figure = EXPERIMENTS[name]
+            if self._executor is not None:
+                # Only then: tests monkeypatch EXPERIMENTS with
+                # single-argument callables.
+                figure = functools.partial(figure, executor=self._executor)
+            emit(name, self._run_one(name, lambda: figure(scope)), quality)
+
+    def _pipelined_source(
+        self, names: Sequence[str], emit: Callable
+    ) -> None:
+        """Every figure's plans as one stream through the shared pool.
+
+        Each figure settles the moment its last plan does, strictly in
+        figure order, while later figures' plans are still executing.
+        """
         programs = []
         for name in names:
             try:
                 programs.append(EXPERIMENT_PROGRAMS[name](self._scope))
             except Exception as exc:  # noqa: BLE001 -- isolate the sweep
-                # Same fate as the figure function raising on its
-                # first plan build: a non-transient failure.
-                buffered[name] = ("error", exc)
+                emit(name, exc)
 
-        commit: Optional[Callable[[str, Tuple[str, object]], None]] = None
-        if store is not None and manifest is not None:
+        def settled(name: str, outcome: Tuple[str, object]) -> None:
+            status, value = outcome
+            emit(name, (value, 1) if status == "ok" else value)
 
-            def commit(name: str, outcome: Tuple[str, object]) -> None:
-                status, value = outcome
-                if status != "ok":
-                    buffered[name] = outcome
-                    return
-                try:
-                    self._commit_experiment(
-                        name, value, manifest, store, config
-                    )
-                except KeyboardInterrupt:
-                    raise
-                except Exception as exc:  # noqa: BLE001
-                    # The data is fine but the disk is not; the main
-                    # loop records a resumable store-error failure.
-                    buffered[name] = ("store-error", exc)
-                    return
-                result.data[name] = value
-                result.attempts[name] = 1
-                result.completed.append(name)
-                buffered[name] = ("committed", value)
+        CampaignScheduler(self._executor).run(programs, on_program=settled)
 
-        if programs:
-            outcomes = CampaignScheduler(self._executor).run(
-                programs, on_program=commit
-            )
-            for name, outcome in outcomes.items():
-                buffered.setdefault(name, outcome)
-        return buffered
+    def _adaptive_source(
+        self, names: Sequence[str], emit: Callable
+    ) -> None:
+        """Each figure's corner matrix in CI-targeted planner rounds.
 
-    def _run_adaptive(
-        self,
-        experiments: Sequence[str],
-        result: CampaignResult,
-        manifest: Optional[CampaignManifest],
-        store,
-        config,
-    ) -> Dict[str, Tuple[str, object]]:
-        """Run eligible experiments through the adaptive planner.
-
-        Mirrors :meth:`_run_pipelined`'s commit choreography -- each
-        figure is journaled, written atomically, and recorded in the
-        manifest the moment its matrix settles -- but the matrix runs
-        in CI-targeted rounds instead of at a fixed budget.  Every
-        completed round appends an ``adaptive-round`` journal record
-        (``simra-dram repair`` ignores unknown events, so these are
-        pure progress breadcrumbs for a killed run), and each committed
-        artifact carries a ``planner`` quality annotation with the
-        per-cell trial accounting.  Experiments without a canonical
-        program (monkeypatched figures) fall back to the fixed-budget
-        sequential path.
+        Every completed round appends an ``adaptive-round`` journal
+        record (``simra-dram repair`` ignores unknown events, so these
+        are progress breadcrumbs for a killed run), and each figure
+        settles with a ``planner`` quality annotation carrying the
+        per-cell trial accounting.  A transient fault re-plans the
+        figure from scratch under the retry policy, so the committed
+        artifact is still the planner's.
         """
-        names = [
-            name
-            for name in experiments
-            if name not in result.skipped
-            and name not in result.skipped_failed
-            and name in EXPERIMENT_PROGRAMS
-            and EXPERIMENTS.get(name) is _CANONICAL_EXPERIMENTS.get(name)
-        ]
-        if not names:
-            return {}
-        buffered: Dict[str, Tuple[str, object]] = {}
 
         def journal_round(
             program: str, round_index: int, allocation: Dict[int, int]
@@ -723,34 +762,57 @@ class Campaign:
             self._executor, on_round=journal_round
         )
         for name in names:
-            try:
-                program = EXPERIMENT_PROGRAMS[name](self._scope)
-                outcome = planner.run_program(program)
-            except KeyboardInterrupt:
-                raise
-            except Exception as exc:  # noqa: BLE001 -- isolate the sweep
-                buffered[name] = ("error", exc)
+            settled = self._run_one(
+                name,
+                lambda: planner.run_program(
+                    EXPERIMENT_PROGRAMS[name](self._scope)
+                ),
+            )
+            if isinstance(settled, ExperimentFailure):
+                emit(name, settled)
                 continue
-            quality = {"planner": outcome.planner_dict()}
-            result.quality[name] = quality
-            if store is not None and manifest is not None:
-                try:
-                    self._commit_experiment(
-                        name, outcome.value, manifest, store, config,
-                        quality=quality,
-                    )
-                except KeyboardInterrupt:
-                    raise
-                except Exception as exc:  # noqa: BLE001
-                    buffered[name] = ("store-error", exc)
-                    continue
-                result.data[name] = outcome.value
-                result.attempts[name] = 1
-                result.completed.append(name)
-                buffered[name] = ("committed", outcome.value)
-            else:
-                buffered[name] = ("ok", outcome.value)
-        return buffered
+            outcome, attempts = settled
+            emit(
+                name,
+                (outcome.value, attempts),
+                {"planner": outcome.planner_dict()},
+            )
+
+    def _fleet_source(self, names: Sequence[str], emit: Callable) -> None:
+        """Whole figures on fleet workers, settled in figure order.
+
+        Workers rebuild the scope from its recipe and reply with the
+        store's encoded form, so the committed bytes equal a
+        single-host run's.
+        """
+        from ..engine.fleet import FleetItem, scope_to_spec
+
+        spec = scope_to_spec(self._scope)
+
+        def settled(_index: int, outcome) -> None:
+            if outcome.status == "ok":
+                emit(outcome.figure, (outcome.data, 1))
+                return
+            error = outcome.error or "unknown error"
+            emit(
+                outcome.figure,
+                ExperimentFailure(
+                    experiment=outcome.figure,
+                    reason="error",
+                    attempts=1,
+                    elapsed_s=outcome.elapsed_s,
+                    error=error,
+                    chain=(error,),
+                ),
+            )
+
+        self._dispatcher.run(
+            [
+                FleetItem(index=index, figure=name, scope_spec=spec)
+                for index, name in enumerate(names)
+            ],
+            on_result=settled,
+        )
 
     def _commit_experiment(
         self, name: str, data, manifest: CampaignManifest, store, config,
@@ -780,46 +842,6 @@ class Campaign:
         self._store.journal_append(
             {"event": "commit-done", "experiment": name}
         )
-
-    def _consume(
-        self,
-        name: str,
-        scope: CharacterizationScope,
-        pipelined: Dict[str, Tuple[str, object]],
-    ) -> Union[Tuple[object, int], ExperimentFailure]:
-        """One experiment's outcome: buffered pipelined result or a run."""
-        if name in pipelined:
-            status, value = pipelined[name]
-            if status == "ok":
-                return value, 1
-            if status == "store-error":
-                # The experiment itself succeeded; the commit did not.
-                # Recorded with its own reason so resume's skip check
-                # (which only skips deterministic "error" failures)
-                # re-runs it once the store is repaired.
-                assert isinstance(value, Exception)
-                return ExperimentFailure(
-                    experiment=name,
-                    reason="store-error",
-                    attempts=1,
-                    elapsed_s=0.0,
-                    error=_describe(value),
-                    chain=_chain(value),
-                )
-            if isinstance(value, TransientInfrastructureError):
-                # A worker-side chaos fault leaked past the executor's
-                # retries: fall back to the sequential retry path.
-                return self._run_one(name, scope)
-            assert isinstance(value, Exception)
-            return ExperimentFailure(
-                experiment=name,
-                reason="error",
-                attempts=1,
-                elapsed_s=0.0,
-                error=_describe(value),
-                chain=_chain(value),
-            )
-        return self._run_one(name, scope)
 
     def _scoped(self):
         """The (possibly degraded) scope for the next experiment.
@@ -978,23 +1000,15 @@ class Campaign:
         return manifest
 
     def _run_one(
-        self, name: str, scope: CharacterizationScope
+        self, name: str, call: Callable[[], object]
     ) -> Union[Tuple[object, int], ExperimentFailure]:
-        """One experiment under the retry policy and time budget."""
+        """``call()`` under the retry policy and time budget."""
         started = self._clock()
         attempt = 0
         while True:
             attempt += 1
             try:
-                # Only pass the executor when one was configured: tests
-                # monkeypatch EXPERIMENTS with single-argument callables
-                # and the default call signature must keep working.
-                if self._executor is not None:
-                    return (
-                        EXPERIMENTS[name](scope, executor=self._executor),
-                        attempt,
-                    )
-                return EXPERIMENTS[name](scope), attempt
+                return call(), attempt
             except TransientInfrastructureError as exc:
                 elapsed = self._clock() - started
                 if attempt >= self._retry.max_attempts:
@@ -1041,11 +1055,6 @@ class Campaign:
             lines.extend(f"  {link}" for link in failure.chain)
             sections.append("\n".join(lines))
         return "\n\n".join(sections)
-
-
-# Kept as an alias: the canonical implementation moved next to the
-# store (whose checksums are computed over the storable form).
-_storable = storable
 
 
 def _render_experiment(name: str, data) -> str:

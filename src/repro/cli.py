@@ -383,78 +383,26 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_campaign_fleet(args: argparse.Namespace) -> int:
+def _cmd_campaign(args: argparse.Namespace) -> int:
+    from .characterization.campaign import Campaign, RetryPolicy
     from .characterization.store import ResultStore
-    from .engine.fleet import LocalFleet, fleet_scope, run_fleet_campaign
-    from .errors import ExperimentError
+    from .chaos import ChaosConfig
+    from .errors import ConfigurationError, ExperimentError
+    from .health import BreakerPolicy, HealthTracker
 
-    if args.resume or args.chaos or args.supervise:
-        print(
-            "error: --fleet does not combine with --resume/--chaos/"
-            "--supervise; run those through the single-host campaign",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    if args.fleet_chips:
-        config = SimulationConfig(seed=args.seed, columns_per_row=args.columns)
+    if args.fleet and args.fleet_chips:
+        from .engine.fleet import fleet_scope
+
         scope = fleet_scope(
             args.fleet_chips,
-            config=config,
+            config=SimulationConfig(
+                seed=args.seed, columns_per_row=args.columns
+            ),
             groups_per_size=args.groups,
             trials=args.trials,
         )
     else:
         scope = _scope_from(args)
-    store = ResultStore(Path(args.results_dir))
-    try:
-        with LocalFleet(
-            workers=args.fleet,
-            executor_name=args.executor,
-            jobs=args.jobs,
-        ) as fleet:
-            dispatcher = fleet.dispatcher()
-            result = run_fleet_campaign(
-                scope, args.experiments, dispatcher, store=store
-            )
-    except ExperimentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    print(
-        f"Fleet campaign over {len(scope.benches)} modules across "
-        f"{args.fleet} worker(s) -> {store.directory}/"
-    )
-    for name in result.completed:
-        print(f"  {name}: done")
-    for name, error in sorted(result.failures.items()):
-        print(f"  {name}: FAILED ({error})")
-    if getattr(args, "stats", False) and result.engine_stats:
-        from .engine import render_stats_dict
-
-        print()
-        print(render_stats_dict(result.engine_stats))
-    return EXIT_OK if result.succeeded else EXIT_FAILURES
-
-
-def _cmd_campaign(args: argparse.Namespace) -> int:
-    from .characterization.campaign import Campaign, RetryPolicy
-    from .characterization.store import ResultStore
-    from .chaos import ChaosConfig
-    from .errors import ExperimentError
-    from .health import BreakerPolicy, HealthTracker
-
-    if args.fleet:
-        if args.adaptive:
-            print("error: --adaptive does not compose with --fleet; "
-                  "run the adaptive campaign on a single host",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        return _cmd_campaign_fleet(args)
-    if args.adaptive and args.supervise:
-        print("error: --adaptive does not compose with --supervise",
-              file=sys.stderr)
-        return EXIT_USAGE
-
-    scope = _scope_from(args)
     store = ResultStore(Path(args.results_dir))
     chaos = None
     if args.chaos:
@@ -463,7 +411,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             rate=args.chaos_rate,
             max_faults_per_kind=args.chaos_max_faults,
         )
-    executor = _executor_from(args)
     health = None
     if args.supervise:
         health = HealthTracker(
@@ -483,31 +430,49 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         except ExperimentError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-    campaign = Campaign(
-        scope,
-        store=store,
-        retry=RetryPolicy(max_attempts=args.retries, base_delay_s=args.backoff_s),
-        time_budget_s=args.time_budget_s,
-        chaos=chaos,
-        executor=executor,
-        health=health,
-        pipeline=args.pipeline,
-        adaptive=adaptive,
-    )
     try:
-        with executor, _graceful_signals():
+        with contextlib.ExitStack() as stack:
+            # With --fleet, --executor/--jobs name what the workers run.
+            executor = dispatcher = None
+            if args.fleet:
+                from .engine.fleet import LocalFleet
+
+                fleet = stack.enter_context(LocalFleet(
+                    workers=args.fleet,
+                    executor_name=args.executor,
+                    jobs=args.jobs,
+                ))
+                dispatcher = fleet.dispatcher()
+            else:
+                executor = stack.enter_context(_executor_from(args))
+            campaign = Campaign(
+                scope,
+                store=store,
+                retry=RetryPolicy(
+                    max_attempts=args.retries, base_delay_s=args.backoff_s
+                ),
+                time_budget_s=args.time_budget_s,
+                chaos=chaos,
+                executor=executor,
+                health=health,
+                pipeline=args.pipeline,
+                adaptive=adaptive,
+                dispatcher=dispatcher,
+            )
+            stack.enter_context(_graceful_signals())
             result = campaign.run(
                 args.experiments,
                 resume=args.resume,
                 retry_failed=args.retry_failed,
             )
-    except ExperimentError as exc:
+    except (ConfigurationError, ExperimentError) as exc:
         # Includes StoreLockedError: another live campaign owns the
         # store; a second writer would interleave manifest updates.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     print(campaign.render(result))
-    print(f"\nCampaign over {len(scope.benches)} modules "
+    workers = f" across {args.fleet} fleet worker(s)" if args.fleet else ""
+    print(f"\nCampaign over {len(scope.benches)} modules{workers} "
           f"-> {result.stored_at}/")
     for line in result.summary_lines():
         print(line)
@@ -522,7 +487,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         )
         for serial in quarantined:
             print(f"  quarantined: {serial}")
-    _print_stats(args, executor)
+    _print_stats(args, dispatcher if dispatcher is not None else executor)
     if result.interrupted:
         return EXIT_INTERRUPTED
     return EXIT_OK if result.succeeded else EXIT_FAILURES

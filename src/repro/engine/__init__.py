@@ -60,7 +60,6 @@ _EXPORTS = {
     "recv_columns": ".fleet",
     "recv_frame": ".fleet",
     "render_stats_dict": ".metrics",
-    "run_fleet_campaign": ".fleet",
     "run_plan": ".executors",
     "run_task_serial": ".executors",
     "run_tasks_fused": ".executors",

@@ -432,8 +432,8 @@ def run_fleet_benchmark(
     :class:`~repro.characterization.campaign.Campaign` on a pipelined
     fused-parallel pool, committing to a store.  The challenger runs
     the same figures through :class:`~repro.engine.fleet.LocalFleet`
-    worker subprocesses via :func:`~repro.engine.fleet.run_fleet_campaign`,
-    committing to its own store.  Beyond wall-time, the comparison
+    worker subprocesses -- the same ``Campaign`` with a fleet
+    dispatcher attached -- committing to its own store.  Beyond wall-time, the comparison
     checks the fleet's two supervision invariants: every stored
     artifact byte-equal to the single-host store, and ``audit``
     passing on the fleet store with no fleet-specific handling.
@@ -443,7 +443,7 @@ def run_fleet_benchmark(
     from ..characterization.campaign import Campaign
     from ..characterization.store import ResultStore
     from ..health import audit_store
-    from .fleet import LocalFleet, run_fleet_campaign
+    from .fleet import LocalFleet
 
     run_jobs = DEFAULT_CAMPAIGN_JOBS if jobs is None else jobs
 
@@ -473,11 +473,13 @@ def run_fleet_benchmark(
 
         fleet_store = ResultStore(Path(tmp) / "fleet")
         with LocalFleet(workers=workers, executor_name="fused") as fleet:
-            dispatcher = fleet.dispatcher()
-            started = time.perf_counter()
-            result = run_fleet_campaign(
-                build_scope(), list(figures), dispatcher, store=fleet_store
+            fleet_campaign = Campaign(
+                build_scope(),
+                store=fleet_store,
+                dispatcher=fleet.dispatcher(),
             )
+            started = time.perf_counter()
+            result = fleet_campaign.run(list(figures))
             fleet_wall = time.perf_counter() - started
         if not result.succeeded:
             raise RuntimeError(f"fleet campaign failed: {result.failures}")

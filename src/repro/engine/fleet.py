@@ -51,7 +51,7 @@ import struct
 import subprocess
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -787,111 +787,3 @@ class LocalFleet:
     def __exit__(self, exc_type, exc, tb) -> bool:
         self.close()
         return False
-
-
-# -- fleet campaigns -------------------------------------------------------
-
-
-@dataclass
-class FleetCampaignResult:
-    """Outcome of one fleet-distributed campaign."""
-
-    completed: List[str] = field(default_factory=list)
-    failures: Dict[str, str] = field(default_factory=dict)
-    data: Dict[str, Any] = field(default_factory=dict)
-    outcomes: List[FleetOutcome] = field(default_factory=list)
-    engine_stats: Optional[Dict[str, Any]] = None
-
-    @property
-    def succeeded(self) -> bool:
-        return not self.failures
-
-
-def _fleet_fingerprint(scope) -> Dict[str, Any]:
-    """Mirror of ``Campaign._fingerprint``: config + scope knobs."""
-    config = scope.benches[0].module.config
-    fingerprint = dict(config.fingerprint())
-    fingerprint.update(
-        modules=len(scope.benches),
-        banks=list(scope.banks),
-        subarrays=list(scope.subarrays),
-        groups_per_size=scope.groups_per_size,
-        trials=scope.trials,
-    )
-    return fingerprint
-
-
-def run_fleet_campaign(
-    scope,
-    figures: Sequence[str],
-    dispatcher: FleetDispatcher,
-    store=None,
-) -> FleetCampaignResult:
-    """Run a campaign's figures distributed across a fleet.
-
-    Commits mirror :class:`~repro.characterization.campaign.Campaign`
-    exactly -- journal intent, atomic artifact write, manifest update,
-    journal done, strictly in figure order -- so the stored artifacts
-    are byte-equal to a serial run and ``simra-dram audit`` passes on
-    the result with no fleet-specific handling.
-    """
-    from ..characterization.campaign import EXPERIMENT_PROGRAMS
-    from ..characterization.reader import storable
-    from ..characterization.store import CampaignManifest
-
-    unknown = [name for name in figures if name not in EXPERIMENT_PROGRAMS]
-    if unknown:
-        raise ExperimentError(
-            f"unknown experiments {unknown}; "
-            f"known: {sorted(EXPERIMENT_PROGRAMS)}"
-        )
-    if not figures:
-        raise ExperimentError("fleet campaign needs at least one figure")
-    spec = scope_to_spec(scope)
-    items = [
-        FleetItem(index=index, figure=name, scope_spec=spec)
-        for index, name in enumerate(figures)
-    ]
-    result = FleetCampaignResult()
-    config = scope.benches[0].module.config
-    lock = store.locked() if store is not None else contextlib.nullcontext()
-    with lock:
-        manifest: Optional[CampaignManifest] = None
-        if store is not None:
-            store.clean_stale_tmp()
-            store.clear_journal()
-            manifest = CampaignManifest(
-                planned=list(figures),
-                completed=[],
-                fingerprint=_fleet_fingerprint(scope),
-                serials=[bench.module.serial for bench in scope.benches],
-            )
-            store.save_manifest(manifest)
-
-        def commit(index: int, outcome: FleetOutcome) -> None:
-            name = outcome.figure
-            if outcome.status != "ok":
-                result.failures[name] = outcome.error or "unknown error"
-                return
-            result.data[name] = outcome.data
-            if store is not None and manifest is not None:
-                store.journal_append(
-                    {"event": "commit-intent", "experiment": name}
-                )
-                store.save(
-                    name,
-                    storable(outcome.data),
-                    config=config,
-                    notes=f"campaign experiment {name}",
-                )
-                if name not in manifest.completed:
-                    manifest.completed.append(name)
-                store.save_manifest(manifest)
-                store.journal_append(
-                    {"event": "commit-done", "experiment": name}
-                )
-            result.completed.append(name)
-
-        result.outcomes = dispatcher.run(items, on_result=commit)
-    result.engine_stats = dispatcher.metrics.as_dict()
-    return result

@@ -26,7 +26,6 @@ from repro.engine.fleet import (
     fleet_scope,
     recv_columns,
     recv_frame,
-    run_fleet_campaign,
     scope_from_spec,
     scope_to_spec,
     send_columns,
@@ -175,12 +174,16 @@ class TestDispatcherLocalFallback:
             FleetDispatcher([], item_deadline_s=0.0)
 
 
+def fleet_campaign(dispatcher, store=None):
+    return Campaign(make_scope(), store=store, dispatcher=dispatcher)
+
+
 class TestFleetCampaign:
     def test_validates_figures(self):
         with pytest.raises(ExperimentError, match="unknown experiments"):
-            run_fleet_campaign(make_scope(), ["fig99"], FleetDispatcher([]))
+            fleet_campaign(FleetDispatcher([])).run(["fig99"])
         with pytest.raises(ExperimentError, match="at least one"):
-            run_fleet_campaign(make_scope(), [], FleetDispatcher([]))
+            fleet_campaign(FleetDispatcher([])).run([])
 
     def test_local_fallback_campaign_matches_serial_reference(self, tmp_path):
         figures = ["fig3", "fig6"]
@@ -189,9 +192,7 @@ class TestFleetCampaign:
         assert reference.succeeded
 
         fleet_store = ResultStore(tmp_path / "fleet")
-        result = run_fleet_campaign(
-            make_scope(), figures, FleetDispatcher([]), store=fleet_store
-        )
+        result = fleet_campaign(FleetDispatcher([]), fleet_store).run(figures)
         assert result.succeeded
         assert result.completed == figures
         for name in figures:
@@ -204,14 +205,37 @@ class TestFleetCampaign:
         ref_store = ResultStore(tmp_path / "ref")
         Campaign(make_scope(), store=ref_store).run(figures)
         fleet_store = ResultStore(tmp_path / "fleet")
-        run_fleet_campaign(
-            make_scope(), figures, FleetDispatcher([]), store=fleet_store
-        )
+        fleet_campaign(FleetDispatcher([]), fleet_store).run(figures)
         ref = ref_store.load_manifest()
         got = fleet_store.load_manifest()
         assert got.fingerprint == ref.fingerprint
         assert got.serials == ref.serials
         assert got.completed == ref.completed
+
+    def test_failed_figure_lands_in_manifest_failures(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.characterization import campaign as campaign_module
+
+        def broken(_scope):
+            raise ValueError("bad corner matrix")
+
+        # The dispatcher's in-process fallback builds the program from
+        # the same table, so the figure fails exactly as on a worker.
+        monkeypatch.setitem(campaign_module.EXPERIMENT_PROGRAMS, "fig6", broken)
+        store = ResultStore(tmp_path / "fleet")
+        result = fleet_campaign(FleetDispatcher([]), store).run(
+            ["fig3", "fig6"]
+        )
+        assert result.completed == ["fig3"]
+        [failure] = result.failures
+        assert failure.experiment == "fig6"
+        assert failure.reason == "error"
+        assert "bad corner matrix" in failure.error
+        manifest = store.load_manifest()
+        assert manifest.completed == ["fig3"]
+        assert manifest.failures["fig6"]["reason"] == "error"
+        assert "bad corner matrix" in manifest.failures["fig6"]["error"]
 
 
 @pytest.mark.slow
@@ -227,8 +251,8 @@ class TestLocalFleetLive:
 
         fleet_store = ResultStore(tmp_path / "fleet")
         with LocalFleet(workers=2) as fleet:
-            result = run_fleet_campaign(
-                make_scope(), figures, fleet.dispatcher(), store=fleet_store
+            result = fleet_campaign(fleet.dispatcher(), fleet_store).run(
+                figures
             )
         assert result.succeeded
         assert result.completed == figures  # deterministic commit order
@@ -237,6 +261,10 @@ class TestLocalFleetLive:
             assert (tmp_path / "fleet" / f"{name}.json").read_bytes() == (
                 tmp_path / "ref" / f"{name}.json"
             ).read_bytes()
+        assert (
+            fleet_store.load_manifest().fingerprint
+            == ref_store.load_manifest().fingerprint
+        )
         report = audit_store(fleet_store, sample=1, seed=0)
         assert report.passed
 
@@ -244,13 +272,11 @@ class TestLocalFleetLive:
         figures = ["fig3", "fig4a", "fig6", "fig7"]
         fleet_store = ResultStore(tmp_path / "fleet")
         with LocalFleet(workers=2) as fleet:
-            dispatcher = fleet.dispatcher()
+            campaign = fleet_campaign(fleet.dispatcher(), fleet_store)
             killer = threading.Timer(0.2, lambda: fleet.kill_worker(0))
             killer.start()
             try:
-                result = run_fleet_campaign(
-                    make_scope(), figures, dispatcher, store=fleet_store
-                )
+                result = campaign.run(figures)
             finally:
                 killer.cancel()
         assert result.succeeded

@@ -153,17 +153,21 @@ class TestAdaptiveCampaignCommand:
         assert "adaptive planner" in out
         assert "rounds" in out
 
-    def test_adaptive_refuses_fleet(self, capsys):
+    def test_adaptive_refuses_fleet(self, capsys, tmp_path):
         assert main([
             "campaign", "--fleet", "2", *self.ADAPTIVE, *self.SCALE,
+            "--results-dir", str(tmp_path / "r"),
         ]) == 2
-        assert "--fleet" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--fleet" in err and "--adaptive" in err
 
-    def test_adaptive_refuses_supervision(self, capsys):
+    def test_adaptive_refuses_supervision(self, capsys, tmp_path):
         assert main([
             "campaign", "--supervise", *self.ADAPTIVE, *self.SCALE,
+            "--results-dir", str(tmp_path / "r"),
         ]) == 2
-        assert "--supervise" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--supervise" in err and "--adaptive" in err
 
     def test_bad_knobs_are_usage_errors(self, capsys, tmp_path):
         assert main([
@@ -177,6 +181,65 @@ class TestAdaptiveCampaignCommand:
             "--results-dir", str(tmp_path / "r2"),
         ]) == 2
         assert "max_trials" in capsys.readouterr().err
+
+
+class TestFleetCampaignCommand:
+    SCALE = ["--columns", "64", "--groups", "1", "--trials", "2"]
+
+    @pytest.mark.parametrize("flag", ["--chaos", "--supervise"])
+    def test_fleet_refuses(self, capsys, tmp_path, flag):
+        results_dir = tmp_path / "r"
+        assert main([
+            "campaign", "--fleet", "2", flag, *self.SCALE,
+            "--results-dir", str(results_dir),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "--fleet" in err and flag in err
+        from repro.characterization.store import ResultStore
+
+        assert not ResultStore(results_dir).manifest_path.exists()
+
+    def test_fleet_campaign_resumes(self, capsys, tmp_path):
+        command = [
+            "campaign", "--fleet", "2", "--experiments", "fig3", "fig6",
+            *self.SCALE, "--results-dir", str(tmp_path / "results"),
+        ]
+        assert main(command) == 0
+        out = capsys.readouterr().out
+        assert "fig3: done" in out and "fig6: done" in out
+
+        assert main([*command, "--resume"]) == 0
+        out = capsys.readouterr().out
+        for name in ("fig3", "fig6"):
+            assert f"{name}: skipped (already completed, resumed)" in out
+        assert ": done" not in out
+
+    def test_stats_on_a_fleet_store(self, capsys, tmp_path):
+        from repro.characterization.campaign import Campaign
+        from repro.characterization.experiment import CharacterizationScope
+        from repro.characterization.store import ResultStore
+        from repro.config import SimulationConfig
+        from repro.dram.vendor import TESTED_MODULES
+        from repro.engine.fleet import FleetDispatcher
+
+        scope = CharacterizationScope.build(
+            config=SimulationConfig(columns_per_row=64),
+            specs=TESTED_MODULES[:1],
+            groups_per_size=1,
+            trials=2,
+        )
+        store = ResultStore(tmp_path / "results")
+        Campaign(scope, store=store, dispatcher=FleetDispatcher([])).run(
+            ["fig3"]
+        )
+        stored = store.load("engine-stats")
+        assert stored["fleet_items"] == 1
+        assert stored["fleet_worker_deaths"] == 0
+        assert main(["stats", "--results-dir", str(store.directory)]) == 0
+        out = capsys.readouterr().out
+        assert "engine stats (fleet executor)" in out
+        assert "fleet items" in out
+        assert "fleet worker deaths" in out
 
 
 class TestEngineCommands:

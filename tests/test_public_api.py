@@ -74,7 +74,7 @@ FROZEN_ALL = {
         "columns_from_arrays", "columns_to_arrays", "fleet_scope",
         "make_executor", "measurement_context", "pack_outcomes",
         "pack_tasks", "point_token", "rates_by_serial", "recv_columns",
-        "recv_frame", "render_stats_dict", "run_fleet_campaign",
+        "recv_frame", "render_stats_dict",
         "run_plan", "run_task_serial", "run_tasks_fused", "run_worker",
         "send_columns", "send_frame", "tasks_for_scope",
         "unpack_outcomes", "unpack_tasks"
