@@ -17,9 +17,8 @@ Layers, bottom-up:
 - :mod:`repro.characterization` -- the section 4-6 experiment
   harnesses (Figs 3-12).
 - :mod:`repro.spice` -- circuit-level Monte-Carlo analysis (Fig 15).
-- :mod:`repro.casestudies` -- majority-based computation and
-  cold-boot content destruction (Figs 16-17), plus a functional
-  in-DRAM bit-serial ALU.
+- :mod:`repro.casestudies` -- the majority-based microbenchmark
+  model and cold-boot content destruction (Figs 16-17).
 
 Quickstart::
 

@@ -20,8 +20,6 @@ from .host import TestHost
 from .thermal import TemperatureController
 from .power_supply import VppSupply
 from .testbench import TestBench
-from .isa import IsaProgram, IsaProgramBuilder, ProgramCore, apa_sweep_program
-from .measurement import PowerMeasurement, PowerMeter
 from .selftest import SelfTestReport, run_self_test
 
 __all__ = [
@@ -37,12 +35,6 @@ __all__ = [
     "TemperatureController",
     "VppSupply",
     "TestBench",
-    "IsaProgram",
-    "IsaProgramBuilder",
-    "ProgramCore",
-    "apa_sweep_program",
-    "PowerMeasurement",
-    "PowerMeter",
     "SelfTestReport",
     "run_self_test",
 ]

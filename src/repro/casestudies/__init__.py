@@ -1,21 +1,18 @@
 """Case studies (paper section 8).
 
-- :mod:`gates` / :mod:`bitserial` / :mod:`arith`: a *functional*
-  majority-based bit-serial computation engine running on the
-  simulated DRAM -- dual-rail logic built from MAJX operations, up to
-  32-bit adders, subtractors, multipliers, and dividers.
 - :mod:`perfmodel`: the analytic execution-time model behind Fig 16
   (seven microbenchmarks, MAJ5/7/9 vs the MAJ3 state of the art).
+- :mod:`gates` / :mod:`bitserial`: the section 8.1 dual-rail MAJX
+  gate constructions (incl. the MAJ5 full-adder identity) executed on
+  the simulated DRAM through RowClone, Multi-RowCopy and APA majority.
+  Imported as submodules; the package does not re-export them.
 - :mod:`coldboot`: content-destruction-based cold-boot-attack
   prevention and the Fig 17 speedup comparison (RowClone- vs Frac-
   vs Multi-RowCopy-based destruction).
-- :mod:`tmr`: majority-based error correction (triple/multi modular
-  redundancy voting, the section 8.1 sketch).
+- :mod:`parallelism`: multi-bank APA interleaving on the shared
+  command bus (Multi-RowCopy across banks).
 """
 
-from .gates import DualRailGates, GateCounts
-from .bitserial import BitSerialEngine, RowAllocator
-from .arith import BitSerialALU
 from .perfmodel import (
     MicrobenchmarkModel,
     MAJX_LATENCIES_NS,
@@ -27,18 +24,6 @@ from .coldboot import (
     DestructionPlan,
     figure17_speedups,
 )
-from .tmr import majority_vote_correct, tmr_fault_tolerance
-from .compiler import (
-    Expression,
-    ExpressionCompiler,
-    compile_and_run,
-    const,
-    evaluate_reference,
-    var,
-)
-from .database import BitmapIndex, ColumnSpec, scan_cost_model
-from .hdc import HdcClassifier, ItemMemory, hamming_similarity, noisy_samples
-from .scheduler import CompiledComputation, export_engine, export_trace, replay
 from .parallelism import (
     BankOperation,
     InterleavedSchedule,
@@ -47,11 +32,6 @@ from .parallelism import (
 )
 
 __all__ = [
-    "DualRailGates",
-    "GateCounts",
-    "BitSerialEngine",
-    "RowAllocator",
-    "BitSerialALU",
     "MicrobenchmarkModel",
     "MAJX_LATENCIES_NS",
     "MICROBENCHMARKS",
@@ -59,25 +39,6 @@ __all__ = [
     "ContentDestructionModel",
     "DestructionPlan",
     "figure17_speedups",
-    "majority_vote_correct",
-    "tmr_fault_tolerance",
-    "Expression",
-    "ExpressionCompiler",
-    "compile_and_run",
-    "const",
-    "evaluate_reference",
-    "var",
-    "BitmapIndex",
-    "ColumnSpec",
-    "scan_cost_model",
-    "HdcClassifier",
-    "ItemMemory",
-    "hamming_similarity",
-    "noisy_samples",
-    "CompiledComputation",
-    "export_engine",
-    "export_trace",
-    "replay",
     "BankOperation",
     "InterleavedSchedule",
     "parallel_multi_row_copy",

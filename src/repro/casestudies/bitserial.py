@@ -13,8 +13,7 @@ holds bit *i* of every element, with elements across columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -27,19 +26,6 @@ from ..errors import ExperimentError
 
 MAJ_T1_NS = 1.5
 MAJ_T2_NS = 3.0
-
-
-@dataclass(frozen=True)
-class TraceOp:
-    """One recorded engine operation (for ISA export and analysis).
-
-    ``kind`` is one of ``load`` (host write), ``rowclone``, ``frac``,
-    or ``maj``.  Row numbers are local to the engine's subarray.
-    """
-
-    kind: str
-    rows: Tuple[int, ...]
-    data: Optional[Tuple[int, ...]] = field(default=None, repr=False)
 
 
 class RowAllocator:
@@ -102,13 +88,10 @@ class BitSerialEngine:
         bench: TestBench,
         bank: int = 0,
         subarray: int = 0,
-        record_trace: bool = False,
     ):
         self._bench = bench
         self._bank_index = bank
         self._subarray = subarray
-        self._record_trace = record_trace
-        self.trace: List[TraceOp] = []
         self._profile = bench.module.profile
         self._columns = bench.module.config.columns_per_row
         self._base = subarray * self._profile.subarray_rows
@@ -164,14 +147,6 @@ class BitSerialEngine:
         self._bench.module.bank(self._bank_index).write_row(
             self._base + local_row, bits
         )
-        if self._record_trace:
-            self.trace.append(
-                TraceOp(
-                    kind="load",
-                    rows=(local_row,),
-                    data=tuple(int(b) for b in bits),
-                )
-            )
 
     def read(self, local_row: int) -> np.ndarray:
         """Host read of a row's bits."""
@@ -191,8 +166,6 @@ class BitSerialEngine:
             ROWCLONE_T2_NS,
         )
         self._bench.run(program)
-        if self._record_trace:
-            self.trace.append(TraceOp(kind="rowclone", rows=(src_local, dst_local)))
 
     def maj(self, inputs: Sequence[int], dest_local: int) -> None:
         """dest <- MAJ(inputs), all arguments local rows.
@@ -215,20 +188,8 @@ class BitSerialEngine:
                 self._bank_index,
                 [self._base + row for row in spare],
             )
-            if self._record_trace:
-                self.trace.append(TraceOp(kind="frac", rows=tuple(spare)))
         rf, rs = group.global_pair(self._profile.subarray_rows)
         self._bench.run(
             apa_program(self._bank_index, rf, rs, MAJ_T1_NS, MAJ_T2_NS)
         )
-        if self._record_trace:
-            self.trace.append(
-                TraceOp(
-                    kind="maj",
-                    rows=(
-                        rf - self._base,
-                        rs - self._base,
-                    ),
-                )
-            )
         self.rowclone(group_rows[0], dest_local)

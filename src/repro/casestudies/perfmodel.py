@@ -11,10 +11,10 @@ We mirror that: execution time of a benchmark is
 
     T = sum over gate widths w:  ops(w) * T_OP / yield(w)
 
-where ``ops(w)`` comes from the dual-rail majority-gate constructions
-of :mod:`repro.casestudies.gates` (MAJ5 full-adder identity, MAJ7
-carry/compressor identities, wider-input gates for operand
-reductions), ``T_OP`` is the measured per-operation command latency,
+where ``ops(w)`` counts the dual-rail majority gates of the section
+8.1 constructions (MAJ5 full-adder identity, MAJ7 carry/compressor
+identities, wider-input gates for operand reductions), ``T_OP`` is
+the measured per-operation command latency,
 and ``yield(w)`` is the success rate of the best row group for MAJ_w
 (throughput scales with the fraction of usable columns).
 

@@ -87,6 +87,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import rng
 from ..bender.program import ProgramBuilder
+from ..engine.metrics import EngineMetrics
 from ..engine.planner import AdaptiveConfig
 from ..engine.scheduler import CampaignScheduler
 from ..errors import (
@@ -194,6 +195,22 @@ _FEATURES: Dict[str, str] = {
     "health": "health supervision (--supervise)",
     "adaptive": "adaptive planning (--adaptive)",
 }
+
+
+def refuse_combinations(**given: object) -> None:
+    """Raise :class:`ConfigurationError` for a refused feature pair.
+
+    ``given`` maps the :class:`Campaign` keywords ``dispatcher``,
+    ``chaos``, ``health`` and ``adaptive`` to what the caller set;
+    ``None`` means the feature is off.  The CLI calls this before it
+    spawns fleet workers, the constructor again for library callers.
+    """
+    for first, second, why in _REFUSED:
+        if given.get(first) is not None and given.get(second) is not None:
+            raise ConfigurationError(
+                f"{_FEATURES[first]} does not combine with "
+                f"{_FEATURES[second]}: {why}"
+            )
 
 
 @dataclass(frozen=True)
@@ -375,18 +392,9 @@ class Campaign:
     ):
         if time_budget_s is not None and time_budget_s <= 0:
             raise ConfigurationError("time budget must be positive")
-        given = {
-            "dispatcher": dispatcher,
-            "chaos": chaos,
-            "health": health,
-            "adaptive": adaptive,
-        }
-        for first, second, why in _REFUSED:
-            if given[first] is not None and given[second] is not None:
-                raise ConfigurationError(
-                    f"{_FEATURES[first]} does not combine with "
-                    f"{_FEATURES[second]}: {why}"
-                )
+        refuse_combinations(
+            dispatcher=dispatcher, chaos=chaos, health=health, adaptive=adaptive
+        )
         if adaptive is not None and executor is None:
             raise ConfigurationError(
                 "adaptive campaigns need an engine executor"
@@ -537,11 +545,19 @@ class Campaign:
                 if manifest is not None:
                     with contextlib.suppress(Exception):
                         self._store.save_manifest(manifest)
-            self._finish_run(result, config)
+            self._finish_run(result, config, resume)
         return result
 
-    def _finish_run(self, result: CampaignResult, config) -> None:
-        """Engine-stats persistence and health summary for one run."""
+    def _finish_run(
+        self, result: CampaignResult, config, resume: bool
+    ) -> None:
+        """Engine-stats persistence and health summary for one run.
+
+        ``result.engine_stats`` is this run's engine record.  The
+        stored ``engine-stats`` covers the whole store: a resumed run
+        adds its counters to the record the earlier runs left, so a
+        no-op resume does not erase the work they did.
+        """
         if self._engine is not None:
             if self._health is not None:
                 self._engine.metrics.breaker_trips = self._health.breaker_trips
@@ -550,9 +566,18 @@ class Campaign:
                 )
             result.engine_stats = self._engine.metrics.as_dict()
             if self._store is not None:
+                stored = result.engine_stats
+                if resume and self._store.has("engine-stats"):
+                    # A damaged earlier record is replaced, not fatal.
+                    with contextlib.suppress(ResultCorruptionError):
+                        total = EngineMetrics.from_dict(stored)
+                        total.merge(EngineMetrics.from_dict(
+                            self._store.load("engine-stats")
+                        ))
+                        stored = total.as_dict()
                 self._store.save(
                     "engine-stats",
-                    result.engine_stats,
+                    stored,
                     config=config,
                     notes="trial-engine metrics for this campaign",
                 )

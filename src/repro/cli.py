@@ -384,7 +384,11 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    from .characterization.campaign import Campaign, RetryPolicy
+    from .characterization.campaign import (
+        Campaign,
+        RetryPolicy,
+        refuse_combinations,
+    )
     from .characterization.store import ResultStore
     from .chaos import ChaosConfig
     from .errors import ConfigurationError, ExperimentError
@@ -431,6 +435,13 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
     try:
+        # Refused pairs fail before any fleet worker is spawned.
+        refuse_combinations(
+            dispatcher=args.fleet or None,
+            chaos=chaos,
+            health=health,
+            adaptive=adaptive,
+        )
         with contextlib.ExitStack() as stack:
             # With --fleet, --executor/--jobs name what the workers run.
             executor = dispatcher = None

@@ -37,8 +37,7 @@ class SimulationConfig:
         enough trials that unstable cells almost surely fail once.
     functional_only:
         If True, the device behaves ideally (no unstable cells).  Used
-        by the functional bit-serial ALU tests where we verify logic,
-        not reliability.
+        by the functional tests that verify logic, not reliability.
     """
 
     seed: int = 2024

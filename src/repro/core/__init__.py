@@ -13,8 +13,7 @@ characterizes, built on the simulated device and test infrastructure:
 - :mod:`multirowcopy` / :mod:`rowclone` / :mod:`frac`: the individual
   copy and initialization primitives;
 - :mod:`subarray_map`: RowClone-based subarray boundary reverse
-  engineering (section 3.1);
-- :mod:`success`: the paper's success-rate metric.
+  engineering (section 3.1).
 """
 
 from .patterns import (
@@ -36,7 +35,6 @@ from .rowgroups import (
     group_from_pair,
     VALID_GROUP_SIZES,
 )
-from .success import SuccessRateAccumulator, SuccessSample
 from .majority import MajXPlan, MajXResult, plan_majx, execute_majx
 from .multirowcopy import MultiRowCopyResult, execute_multi_row_copy
 from .rowclone import RowCloneResult, execute_rowclone
@@ -75,8 +73,6 @@ __all__ = [
     "sample_groups",
     "group_from_pair",
     "VALID_GROUP_SIZES",
-    "SuccessRateAccumulator",
-    "SuccessSample",
     "MajXPlan",
     "MajXResult",
     "plan_majx",

@@ -42,9 +42,6 @@ from .chip import Chip
 from .module import Module, build_module, build_tested_fleet
 from .power import PowerModel, OperationPower
 from .retention import RetentionModel
-from .energy import EnergyAccountant, EnergyBudget, budget_from_power_model
-from .refresh import RefreshScheduler, HiddenRefreshResult, hidden_refresh
-from .faults import FaultInjector, StuckFault
 
 __all__ = [
     "BankAddress",
@@ -96,12 +93,4 @@ __all__ = [
     "PowerModel",
     "OperationPower",
     "RetentionModel",
-    "EnergyAccountant",
-    "EnergyBudget",
-    "budget_from_power_model",
-    "RefreshScheduler",
-    "HiddenRefreshResult",
-    "hidden_refresh",
-    "FaultInjector",
-    "StuckFault",
 ]

@@ -86,7 +86,7 @@ class Subarray:
         ``bits`` is one ``(columns,)`` row restored into every row, or a
         ``(len(local_rows), columns)`` stack.  The levels are converted
         once; each row is still written through
-        ``CellArray.write_levels``, where fault injection hooks in.
+        ``CellArray.write_levels``, which checks its row and levels.
         """
         levels = bits_to_levels(bits)
         per_row = np.broadcast_to(levels, (len(local_rows), levels.shape[-1]))

@@ -10,7 +10,7 @@ campaign results carry a machine-readable cost record.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict
 
 
 @dataclass
@@ -182,6 +182,26 @@ class EngineMetrics:
         for name, seconds in other.stages.items():
             self.add_stage(name, seconds)
 
+    @classmethod
+    def from_dict(cls, payload: Dict[str, object]) -> "EngineMetrics":
+        """Rebuild a record from a stored :meth:`as_dict` payload."""
+        metrics = cls()
+        for key, value in payload.items():
+            if key.startswith("stage_") and key.endswith("_s"):
+                metrics.add_stage(key[len("stage_"):-2], float(value))
+            elif key in (
+                "occupancy",
+                "executor_busy_fraction",
+                "pipeline_occupancy",
+            ):
+                # Computed properties: derived from the counters, so
+                # stored copies are never assigned (``occupancy`` is
+                # the old name of executor_busy_fraction).
+                continue
+            elif hasattr(metrics, key):
+                setattr(metrics, key, value)
+        return metrics
+
     def as_dict(self) -> Dict[str, object]:
         """Plain-JSON form (what campaign stores persist)."""
         payload: Dict[str, object] = {
@@ -323,22 +343,4 @@ class EngineMetrics:
 
 def render_stats_dict(payload: Dict[str, object]) -> str:
     """Render a stored :meth:`EngineMetrics.as_dict` payload."""
-    metrics = EngineMetrics()
-    stage_items: List = []
-    for key, value in payload.items():
-        if key.startswith("stage_") and key.endswith("_s"):
-            stage_items.append((key[len("stage_"):-2], float(value)))
-        elif key in (
-            "occupancy",
-            "executor_busy_fraction",
-            "pipeline_occupancy",
-        ):
-            # Computed properties: derived from the counters below, so
-            # stored copies are never assigned (``occupancy`` is the
-            # old name of executor_busy_fraction).
-            continue
-        elif hasattr(metrics, key):
-            setattr(metrics, key, value)
-    for name, seconds in stage_items:
-        metrics.add_stage(name, seconds)
-    return metrics.render()
+    return EngineMetrics.from_dict(payload).render()

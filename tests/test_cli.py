@@ -187,7 +187,13 @@ class TestFleetCampaignCommand:
     SCALE = ["--columns", "64", "--groups", "1", "--trials", "2"]
 
     @pytest.mark.parametrize("flag", ["--chaos", "--supervise"])
-    def test_fleet_refuses(self, capsys, tmp_path, flag):
+    def test_fleet_refuses(self, capsys, tmp_path, monkeypatch, flag):
+        import repro.engine.fleet
+
+        def spawn(*args, **kwargs):
+            raise AssertionError("a refused campaign spawned its fleet")
+
+        monkeypatch.setattr(repro.engine.fleet, "LocalFleet", spawn)
         results_dir = tmp_path / "r"
         assert main([
             "campaign", "--fleet", "2", flag, *self.SCALE,
@@ -241,6 +247,14 @@ class TestFleetCampaignCommand:
         assert "fleet items" in out
         assert "fleet worker deaths" in out
 
+        # A no-op resume adds nothing and erases nothing.
+        Campaign(scope, store=store, dispatcher=FleetDispatcher([])).run(
+            ["fig3"], resume=True
+        )
+        assert store.load("engine-stats")["fleet_items"] == 1
+        assert main(["stats", "--results-dir", str(store.directory)]) == 0
+        assert "fleet items" in capsys.readouterr().out
+
 
 class TestEngineCommands:
     SCALE = ["--columns", "64", "--groups", "1", "--trials", "2"]
@@ -260,17 +274,35 @@ class TestEngineCommands:
             build_parser().parse_args(["activation", "--executor", "gpu"])
 
     def test_campaign_stats_round_trip(self, capsys, tmp_path):
+        from repro.characterization.store import ResultStore
+
         results_dir = str(tmp_path / "results")
-        assert main([
+        command = [
             "campaign", "--experiments", "fig4a", *self.SCALE,
             "--results-dir", results_dir,
             "--executor", "fused",
-        ]) == 0
+        ]
+        assert main(command) == 0
         capsys.readouterr()
         assert main(["stats", "--results-dir", results_dir]) == 0
         out = capsys.readouterr().out
         assert "engine stats (fused executor)" in out
         assert "APA programs" in out
+
+        # A no-op resume keeps the first run's counters.
+        plans = ResultStore(results_dir).load("engine-stats")["plans"]
+        assert plans > 0
+        assert main([*command, "--resume"]) == 0
+        capsys.readouterr()
+        assert main(["stats", "--results-dir", results_dir]) == 0
+        out = capsys.readouterr().out
+        assert f"plans executed    : {plans}\n" in out
+
+        # A damaged earlier record is replaced by the resume's own.
+        ResultStore(results_dir).reader.path_for("engine-stats").write_text("{")
+        assert main([*command, "--resume"]) == 0
+        capsys.readouterr()
+        assert ResultStore(results_dir).load("engine-stats")["plans"] == 0
 
     def test_stats_renders_a_stored_legacy_occupancy_key(
         self, capsys, tmp_path

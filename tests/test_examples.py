@@ -30,11 +30,7 @@ EXPECTED_MARKERS = {
     "quickstart.py": "Multi-RowCopy",
     "decoder_walkthrough.py": "rows 0, 1, 6, 7",
     "characterize_module.py": "Multi-RowCopy needs a full tRAS",
-    "in_dram_arithmetic.py": "add",
     "cold_boot_defense.py": "End-to-end attack",
-    "tmr_error_correction.py": "MAJ9 vote",
-    "bitmap_index_scan.py": "verified: yes",
-    "hyperdimensional_classifier.py": "Accuracy vs query noise",
     "random_numbers.py": "monobit",
     "memory_controller.py": "Controller statistics",
     "sensing_waveforms.py": "time to latch",
