@@ -466,6 +466,12 @@ class Campaign:
 
         result = CampaignResult()
         config = self._scope.benches[0].module.config
+        # An engine can outlive one campaign run: this run's record is
+        # what its counters gain from here on.
+        engine_before = None
+        if self._engine is not None:
+            metrics = self._engine.metrics
+            engine_before = replace(metrics, stages=dict(metrics.stages))
 
         harness = None
         store = self._store
@@ -545,26 +551,39 @@ class Campaign:
                 if manifest is not None:
                     with contextlib.suppress(Exception):
                         self._store.save_manifest(manifest)
-            self._finish_run(result, config, resume)
+            self._finish_run(result, config, resume, engine_before)
         return result
 
     def _finish_run(
-        self, result: CampaignResult, config, resume: bool
+        self,
+        result: CampaignResult,
+        config,
+        resume: bool,
+        engine_before: Optional[EngineMetrics],
     ) -> None:
         """Engine-stats persistence and health summary for one run.
 
-        ``result.engine_stats`` is this run's engine record.  The
-        stored ``engine-stats`` covers the whole store: a resumed run
-        adds its counters to the record the earlier runs left, so a
-        no-op resume does not erase the work they did.
+        ``result.engine_stats`` is this run's engine record: what the
+        engine's counters gained since ``engine_before``.  The stored
+        ``engine-stats`` covers the whole store: a resumed run adds its
+        counters to the record the earlier runs left, so a no-op resume
+        does not erase the work they did.
         """
         if self._engine is not None:
+            metrics = self._engine.metrics
+            run = metrics.since(engine_before)
+            run.pipeline_declined_reason = (
+                result.pipeline_declined_reason or ""
+            )
             if self._health is not None:
-                self._engine.metrics.breaker_trips = self._health.breaker_trips
-                self._engine.metrics.modules_quarantined = len(
-                    self._health.quarantined_serials()
-                )
-            result.engine_stats = self._engine.metrics.as_dict()
+                # The tracker's totals, not engine counters: the run
+                # record and the engine's own report both carry them.
+                for record in (metrics, run):
+                    record.breaker_trips = self._health.breaker_trips
+                    record.modules_quarantined = len(
+                        self._health.quarantined_serials()
+                    )
+            result.engine_stats = run.as_dict()
             if self._store is not None:
                 stored = result.engine_stats
                 if resume and self._store.has("engine-stats"):

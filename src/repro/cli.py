@@ -956,9 +956,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--fleet", type=int, default=None, metavar="N",
                      help="distribute whole figures across N localhost "
                           "worker processes speaking the fleet socket "
-                          "protocol (breakers, straggler re-issue, and "
-                          "worker-death recovery included; artifacts stay "
-                          "byte-equal to a single-host run)")
+                          "protocol (worker-death recovery included; "
+                          "artifacts stay byte-equal to a single-host run)")
     sub.add_argument("--fleet-chips", type=int, default=None, metavar="N",
                      help="with --fleet: characterize N sampled "
                           "vendor-profile chips instead of the paper's "

@@ -527,9 +527,8 @@ def _bench_for_section(section: Dict[str, Any]) -> Tuple[TestBench, bool]:
 def _write_masks(outcomes: List[TaskOutcome], payload: Dict[str, Any]) -> None:
     """Write packed final masks into the shard's shared-memory window.
 
-    Each task owns a fixed packed-word slot, so duplicate shard
-    executions (stragglers, pool rebuilds) are harmless overwrites
-    with identical bits.
+    Each task owns a fixed packed-word slot, so a shard re-executed
+    after a pool rebuild overwrites it with identical bits.
     """
     layout: Dict[int, Tuple[int, int]] = payload["mask_layout"]
     shm = shared_memory.SharedMemory(name=payload["mask_shm"])
@@ -670,6 +669,15 @@ class _PendingPlan:
         self.error: Optional[Exception] = None
 
 
+MAX_POOL_RESTARTS = 2
+"""Pool rebuilds per batch before the survivors run in-process."""
+
+DISPATCH_TARGET_S = 0.05
+"""Minimum estimated compute per dispatch; slices are sized so each
+round-trip amortizes over at least this much work (0 disables the
+adaptation)."""
+
+
 class ProcessPoolExecutor(ExecutorBase):
     """Shards a plan's tasks across benches and runs them fused in processes.
 
@@ -697,12 +705,8 @@ class ProcessPoolExecutor(ExecutorBase):
     The dead worker's unfinished shards are re-issued onto a rebuilt
     pool -- safe because every trial's noise is keyed by measurement
     context, never execution history, so re-running a shard lands on
-    identical bits -- and after ``max_pool_restarts`` rebuilds the
-    survivors run in-process, one slice at a time.  With
-    ``shard_deadline_s`` set, a straggler detector speculatively
-    re-issues any shard that is overdue (once per shard); the first
-    copy to finish wins, and duplicates are discarded, which the same
-    determinism makes harmless.
+    identical bits -- and after :data:`MAX_POOL_RESTARTS` rebuilds the
+    survivors run in-process, one slice at a time.
     """
 
     name = "fused-parallel"
@@ -712,25 +716,11 @@ class ProcessPoolExecutor(ExecutorBase):
         self,
         jobs: Optional[int] = None,
         chaos: Optional[ChaosConfig] = None,
-        shard_deadline_s: Optional[float] = None,
-        max_pool_restarts: int = 2,
         cache: Optional[TrialCache] = None,
-        dispatch_target_s: float = 0.05,
     ) -> None:
         super().__init__(cache=cache)
-        if shard_deadline_s is not None and shard_deadline_s < 0:
-            raise ExperimentError("shard_deadline_s must be non-negative")
-        if max_pool_restarts < 0:
-            raise ExperimentError("max_pool_restarts must be non-negative")
-        if dispatch_target_s < 0:
-            raise ExperimentError("dispatch_target_s must be non-negative")
         self.jobs = jobs
         self.chaos = chaos
-        self.shard_deadline_s = shard_deadline_s
-        self.max_pool_restarts = max_pool_restarts
-        self.dispatch_target_s = dispatch_target_s
-        """Minimum estimated compute per dispatch; slices are sized so
-        each round-trip amortizes over at least this much work."""
         self._task_cost_ema: Optional[float] = None
         """Exponential moving average of observed per-task worker
         seconds, feeding the adaptive slice sizing."""
@@ -950,9 +940,8 @@ class ProcessPoolExecutor(ExecutorBase):
         if pending.sections:
             # Slices hand their masks back through one preallocated
             # shared-memory window instead of the pickle channel; each
-            # task owns a fixed packed-word slot, so duplicate slice
-            # executions (stragglers, pool rebuilds) are harmless
-            # overwrites with identical bits.
+            # task owns a fixed packed-word slot, so a slice re-executed
+            # after a pool rebuild overwrites it with identical bits.
             offset = 0
             for task in run_tasks:
                 words = bitplane.words_for(task.cells)
@@ -974,7 +963,7 @@ class ProcessPoolExecutor(ExecutorBase):
         per-task cost estimate exists (EMA over observed worker busy
         seconds, see :meth:`_harvest`), the slice count also adapts
         *downward* so every dispatch carries at least
-        ``dispatch_target_s`` of estimated compute: tiny plans collapse
+        :data:`DISPATCH_TARGET_S` of estimated compute: tiny plans collapse
         toward a single dispatch instead of fanning out work that costs
         less than its own round-trip.
 
@@ -994,10 +983,8 @@ class ProcessPoolExecutor(ExecutorBase):
         assert delta is not None
         total = len(flat)
         n_slices = max(1, min(self._pool_target(), total))
-        if self._task_cost_ema and self.dispatch_target_s > 0:
-            affordable = int(
-                total * self._task_cost_ema / self.dispatch_target_s
-            )
+        if self._task_cost_ema and DISPATCH_TARGET_S > 0:
+            affordable = int(total * self._task_cost_ema / DISPATCH_TARGET_S)
             n_slices = max(1, min(n_slices, affordable))
         base, extra = divmod(total, n_slices)
         payloads: List[Dict[str, Any]] = []
@@ -1053,11 +1040,11 @@ class ProcessPoolExecutor(ExecutorBase):
         """Run every pending plan's slices to completion, supervised.
 
         All slices share one job stream over the persistent pool.
-        Per-plan accounting (stragglers, resharded tasks, chaos
-        faults) lands in each owner's delta; whole-batch events (pool
-        rebuilds) are credited once -- to the single owner's delta
-        when one plan runs alone (the historical shape), or straight
-        to the cumulative metrics for a pipelined batch.
+        Per-plan accounting (resharded tasks, chaos faults) lands in
+        each owner's delta; whole-batch events (pool rebuilds) are
+        credited once -- to the single owner's delta when one plan runs
+        alone (the historical shape), or straight to the cumulative
+        metrics for a pipelined batch.
 
         ``on_complete`` fires the moment a plan has no outstanding
         slices left -- every slice harvested, or the plan abandoned on
@@ -1087,7 +1074,7 @@ class ProcessPoolExecutor(ExecutorBase):
         pending_jobs = dict(jobs)
         restarts = 0
         while pending_jobs:
-            if restarts > self.max_pool_restarts:
+            if restarts > MAX_POOL_RESTARTS:
                 # Out of pool rebuilds: finish the survivors one by one
                 # in-process (the kill flag must not reach this path,
                 # or os._exit would take down the campaign itself).
@@ -1113,44 +1100,15 @@ class ProcessPoolExecutor(ExecutorBase):
                         pool.submit(_run_slice, pending_jobs[index][1])
                     ] = index
                 active = set(future_job)
-                reissued: set = set()
                 while active:
-                    deadline = self.shard_deadline_s
-                    if deadline is not None and all(
-                        future_job[f] in reissued for f in active
-                    ):
-                        deadline = None  # every shard already duplicated
                     done, _ = concurrent.futures.wait(
-                        active,
-                        timeout=deadline,
-                        return_when=concurrent.futures.FIRST_COMPLETED,
+                        active, return_when=concurrent.futures.FIRST_COMPLETED
                     )
-                    if not done:
-                        # Deadline elapsed with nothing finishing:
-                        # speculatively re-issue overdue shards (once
-                        # each).  First copy back wins; re-execution is
-                        # bit-identical, so duplicates are discarded.
-                        for future in list(active):
-                            index = future_job[future]
-                            if index in reissued or index not in pending_jobs:
-                                continue
-                            owner, payload = pending_jobs[index]
-                            reissued.add(index)
-                            owner.delta.stragglers_reissued += 1
-                            duplicate = pool.submit(
-                                _run_slice,
-                                dict(payload, kill_worker=False),
-                            )
-                            future_job[duplicate] = index
-                            active.add(duplicate)
-                        continue
                     round_failed = False
                     for future in done:
                         active.discard(future)
                         index = future_job[future]
-                        if index not in pending_jobs:
-                            continue  # duplicate of a finished shard
-                        owner, _payload = pending_jobs[index]
+                        owner = pending_jobs[index][0]
                         try:
                             harvested = self._harvest(
                                 future.result(), owner.delta
@@ -1429,10 +1387,7 @@ def make_executor(
     name: Optional[str],
     jobs: Optional[int] = None,
     chaos: Optional[ChaosConfig] = None,
-    shard_deadline_s: Optional[float] = None,
-    max_pool_restarts: int = 2,
     cache: Optional[TrialCache] = None,
-    dispatch_target_s: Optional[float] = None,
 ) -> ExecutorBase:
     """Build an executor from a CLI-style name."""
     if name in (None, "serial"):
@@ -1440,16 +1395,7 @@ def make_executor(
     if name == "fused":
         return FusedExecutor(cache=cache)
     if name == "fused-parallel":
-        return ProcessPoolExecutor(
-            jobs=jobs,
-            chaos=chaos,
-            shard_deadline_s=shard_deadline_s,
-            max_pool_restarts=max_pool_restarts,
-            cache=cache,
-            dispatch_target_s=(
-                0.05 if dispatch_target_s is None else dispatch_target_s
-            ),
-        )
+        return ProcessPoolExecutor(jobs=jobs, chaos=chaos, cache=cache)
     raise ExperimentError(
         f"unknown executor {name!r}; choose serial, fused, or fused-parallel"
     )

@@ -17,15 +17,12 @@ segments: exactly the serialization of
 outcome columns travel the wire in the same form the process-pool
 executor ships them through pickle.
 
-Supervision semantics match the single-pool tier:
+Supervision matches the single-pool tier:
 
-- **breakers**: each worker is guarded by a
-  :class:`~repro.health.breaker.CircuitBreaker`; repeated failures
-  quarantine it and work routes to the survivors;
 - **worker-death recovery**: a dead connection's in-flight item is
-  re-issued to another worker (or run locally when none remain);
-- **straggler re-issue**: with a deadline set, an overdue item is
-  speculatively duplicated onto an idle worker, first result wins;
+  re-issued to another worker (or run locally when none remain) --
+  re-running an item lands on the same bits, so a death needs no
+  other remedy;
 - **deterministic commit order**: results are delivered strictly in
   item order regardless of which worker finished first;
 - **bit-identical artifacts**: workers rebuild the scope from its
@@ -57,13 +54,15 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import ExperimentError
-from ..health.breaker import BreakerPolicy, CircuitBreaker
 from .columnar import columns_from_arrays, columns_to_arrays
 from .metrics import EngineMetrics
 
 MAX_FRAME_BYTES = 1 << 30
 """Refuse frames above this size: a corrupt length prefix should fail
 loudly, not allocate the machine away."""
+
+SPAWN_TIMEOUT_S = 60.0
+"""How long :class:`LocalFleet` waits for its workers to dial in."""
 
 _LENGTH = struct.Struct(">Q")
 _HEADER_LENGTH = struct.Struct(">I")
@@ -385,22 +384,20 @@ class FleetOutcome:
     """Decoded figure data (``status == "ok"``)."""
     error: Optional[str] = None
     worker: str = ""
-    """Which worker's result won (``"local"`` for the fallback path)."""
+    """Which worker ran the item (``"local"`` for the fallback path)."""
     elapsed_s: float = 0.0
 
 
 class _WorkerHandle:
     """Dispatcher-side state for one fleet worker connection."""
 
-    def __init__(
-        self, name: str, sock: socket.socket, policy: Optional[BreakerPolicy]
-    ) -> None:
+    def __init__(self, name: str, sock: socket.socket) -> None:
         self.name = name
         self.sock = sock
-        self.breaker = CircuitBreaker(name, policy)
         self.alive = True
+        self.greeted = False
+        """Whether the worker's ``hello`` has been read."""
         self.item: Optional[int] = None
-        self.issued_at = 0.0
 
 
 class FleetDispatcher:
@@ -417,18 +414,11 @@ class FleetDispatcher:
     """
 
     def __init__(
-        self,
-        connections: Sequence[Tuple[str, socket.socket]],
-        breaker_policy: Optional[BreakerPolicy] = None,
-        item_deadline_s: Optional[float] = None,
+        self, connections: Sequence[Tuple[str, socket.socket]]
     ) -> None:
-        if item_deadline_s is not None and item_deadline_s <= 0:
-            raise ExperimentError("item_deadline_s must be positive")
         self.metrics = EngineMetrics(executor="fleet")
-        self.item_deadline_s = item_deadline_s
         self._workers = [
-            _WorkerHandle(name, sock, breaker_policy)
-            for name, sock in connections
+            _WorkerHandle(name, sock) for name, sock in connections
         ]
         self.metrics.workers = max(1, len(self._workers))
 
@@ -464,35 +454,18 @@ class FleetDispatcher:
                 "expected hello"
             )
 
-    def _mark_dead(
-        self,
-        worker: _WorkerHandle,
-        queue: List[int],
-        results: Dict[int, FleetOutcome],
-        running: Dict[int, int],
-    ) -> None:
-        """Bury one worker; re-queue its in-flight item if it is orphaned."""
+    def _mark_dead(self, worker: _WorkerHandle, queue: List[int]) -> None:
+        """Bury one worker and re-queue its in-flight item."""
         worker.alive = False
-        worker.breaker.record_failure()
         self.metrics.fleet_worker_deaths += 1
         with contextlib.suppress(OSError):
             worker.sock.close()
-        item = worker.item
-        worker.item = None
-        if item is None or item in results:
-            return
-        running[item] -= 1
-        if running[item] <= 0:
-            # No duplicate still carries this item: re-issue it.
+        item, worker.item = worker.item, None
+        if item is not None:
             queue.insert(0, item)
             self.metrics.fleet_reissued += 1
 
-    def _issue(
-        self,
-        worker: _WorkerHandle,
-        item: FleetItem,
-        running: Dict[int, int],
-    ) -> bool:
+    def _issue(self, worker: _WorkerHandle, item: FleetItem) -> bool:
         try:
             send_frame(
                 worker.sock,
@@ -506,12 +479,10 @@ class FleetDispatcher:
         except OSError:
             return False
         worker.item = item.index
-        worker.issued_at = time.perf_counter()
-        running[item.index] = running.get(item.index, 0) + 1
         return True
 
     def _run_local(self, item: FleetItem) -> FleetOutcome:
-        """Last-resort in-process execution (every worker gone/tripped)."""
+        """Last-resort in-process execution (every worker gone)."""
         from ..characterization.campaign import EXPERIMENT_PROGRAMS
 
         started = time.perf_counter()
@@ -552,19 +523,18 @@ class FleetDispatcher:
 
         started = time.perf_counter()
         for worker in self._workers:
-            if worker.alive and worker.item is None and worker.issued_at == 0:
+            if worker.alive and not worker.greeted:
+                worker.greeted = True
                 try:
                     self._handshake(worker)
                 except (EOFError, OSError, ExperimentError):
                     worker.alive = False
                     self.metrics.fleet_worker_deaths += 1
-                worker.issued_at = time.perf_counter()
         queue: List[int] = [item.index for item in items]
         by_index = {item.index: item for item in items}
         if len(by_index) != len(items):
             raise ExperimentError("fleet items must have unique indices")
         results: Dict[int, FleetOutcome] = {}
-        running: Dict[int, int] = {}
         emit_order = sorted(by_index)
 
         def deliver() -> None:
@@ -575,25 +545,21 @@ class FleetDispatcher:
 
         while len(results) < len(items):
             available = [
-                w
-                for w in self._workers
-                if w.alive and w.item is None and w.breaker.allows()
+                w for w in self._workers if w.alive and w.item is None
             ]
             # Fill idle workers from the queue, in item order.
             while queue and available:
                 index = queue.pop(0)
-                if index in results:
-                    continue
                 worker = available.pop(0)
-                if not self._issue(worker, by_index[index], running):
-                    self._mark_dead(worker, queue, results, running)
+                if not self._issue(worker, by_index[index]):
+                    self._mark_dead(worker, queue)
                     queue.insert(0, index)
             busy = [w for w in self._workers if w.alive and w.item is not None]
             if not busy:
                 # Nothing in flight and nothing issuable: the fleet is
-                # gone (dead or breaker-tripped).  Preserve the
-                # campaign by finishing the remainder in-process --
-                # bit-identical by the usual serial-keying argument.
+                # gone.  Preserve the campaign by finishing the
+                # remainder in-process -- bit-identical by the usual
+                # serial-keying argument.
                 for index in sorted(by_index):
                     if index not in results:
                         results[index] = self._run_local(by_index[index])
@@ -601,41 +567,7 @@ class FleetDispatcher:
                         self.metrics.busy_s += results[index].elapsed_s
                         deliver()
                 break
-            timeout = None
-            if self.item_deadline_s is not None:
-                overdue_at = (
-                    min(w.issued_at for w in busy) + self.item_deadline_s
-                )
-                timeout = max(0.05, overdue_at - time.perf_counter())
-            readable, _, _ = select.select(
-                [w.sock for w in busy], [], [], timeout
-            )
-            if not readable:
-                # Deadline passed with nothing finishing: duplicate the
-                # most-overdue item onto an idle worker (once per
-                # check); first result back wins, the loser's reply is
-                # discarded -- harmless, results are bit-identical.
-                idle = [
-                    w
-                    for w in self._workers
-                    if w.alive and w.item is None and w.breaker.allows()
-                ]
-                now = time.perf_counter()
-                for worker in sorted(busy, key=lambda w: w.issued_at):
-                    if not idle:
-                        break
-                    assert self.item_deadline_s is not None
-                    if now - worker.issued_at < self.item_deadline_s:
-                        break
-                    index = worker.item
-                    if index is None or running.get(index, 0) > 1:
-                        continue
-                    spare = idle.pop(0)
-                    if self._issue(spare, by_index[index], running):
-                        self.metrics.stragglers_reissued += 1
-                    else:
-                        self._mark_dead(spare, queue, results, running)
-                continue
+            readable, _, _ = select.select([w.sock for w in busy], [], [])
             ready = {id(sock) for sock in readable}
             for worker in list(busy):
                 if id(worker.sock) not in ready:
@@ -643,33 +575,22 @@ class FleetDispatcher:
                 try:
                     header, _ = recv_frame(worker.sock)
                 except (EOFError, OSError):
-                    self._mark_dead(worker, queue, results, running)
+                    self._mark_dead(worker, queue)
                     continue
                 if header.get("type") != "result":
                     continue
                 index = int(header["item"])
                 worker.item = None
-                running[index] = max(0, running.get(index, 0) - 1)
-                worker.breaker.record_success()
-                if index in results:
-                    continue  # a duplicate already won this item
                 elapsed = float(header.get("elapsed_s", 0.0))
-                if header.get("status") == "ok":
-                    results[index] = FleetOutcome(
-                        figure=header["figure"],
-                        status="ok",
-                        data=_decode(header["data"]),
-                        worker=worker.name,
-                        elapsed_s=elapsed,
-                    )
-                else:
-                    results[index] = FleetOutcome(
-                        figure=header["figure"],
-                        status="error",
-                        error=str(header.get("error")),
-                        worker=worker.name,
-                        elapsed_s=elapsed,
-                    )
+                ok = header.get("status") == "ok"
+                results[index] = FleetOutcome(
+                    figure=header["figure"],
+                    status="ok" if ok else "error",
+                    data=_decode(header["data"]) if ok else None,
+                    error=None if ok else str(header.get("error")),
+                    worker=worker.name,
+                    elapsed_s=elapsed,
+                )
                 self.metrics.fleet_items += 1
                 self.metrics.busy_s += elapsed
                 deliver()
@@ -695,14 +616,12 @@ class LocalFleet:
         workers: int = 2,
         executor_name: str = "serial",
         jobs: Optional[int] = None,
-        spawn_timeout_s: float = 60.0,
     ) -> None:
         if workers < 1:
             raise ExperimentError("fleet needs at least one worker")
         self.worker_count = workers
         self.executor_name = executor_name
         self.jobs = jobs
-        self.spawn_timeout_s = spawn_timeout_s
         self.connections: List[Tuple[str, socket.socket]] = []
         self.processes: List[subprocess.Popen] = []
         self._listener: Optional[socket.socket] = None
@@ -711,7 +630,7 @@ class LocalFleet:
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.bind(("127.0.0.1", 0))
         listener.listen(self.worker_count)
-        listener.settimeout(self.spawn_timeout_s)
+        listener.settimeout(SPAWN_TIMEOUT_S)
         self._listener = listener
         port = listener.getsockname()[1]
         src_root = os.path.dirname(
@@ -749,9 +668,9 @@ class LocalFleet:
             ) from exc
         return self
 
-    def dispatcher(self, **kwargs) -> FleetDispatcher:
+    def dispatcher(self) -> FleetDispatcher:
         """A dispatcher over this fleet's live connections."""
-        return FleetDispatcher(self.connections, **kwargs)
+        return FleetDispatcher(self.connections)
 
     def kill_worker(self, index: int) -> int:
         """SIGKILL one worker process (chaos for death-recovery tests)."""

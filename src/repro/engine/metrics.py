@@ -9,7 +9,7 @@ campaign results carry a machine-readable cost record.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict
 
 
@@ -41,8 +41,6 @@ class EngineMetrics:
     """Modules excluded from the scope by quarantine."""
     tasks_resharded: int = 0
     """Tasks re-issued after their worker died mid-shard."""
-    stragglers_reissued: int = 0
-    """Overdue shards speculatively re-issued by the straggler detector."""
     pool_restarts: int = 0
     """Times a broken worker pool was rebuilt."""
     pool_reuses: int = 0
@@ -58,7 +56,7 @@ class EngineMetrics:
     fleet_items: int = 0
     """Whole experiment programs dispatched to fleet workers."""
     fleet_reissued: int = 0
-    """Fleet items re-issued after a worker died or went overdue."""
+    """Fleet items re-issued after their worker died."""
     fleet_worker_deaths: int = 0
     """Fleet workers lost mid-campaign (socket death, SIGKILL)."""
     pipelined_plans: int = 0
@@ -140,112 +138,55 @@ class EngineMetrics:
         129 s-for-a-2 s-batch artifact).  The batch owner adds its
         single non-overlapping window instead.
         """
-        self.plans += other.plans
-        self.tasks += other.tasks
-        self.trials += other.trials
-        self.apa_programs += other.apa_programs
-        self.cells += other.cells
-        self.environment_s += other.environment_s
-        if not skip_windows:
-            self.execute_s += other.execute_s
-            self.wall_s += other.wall_s
-        self.reduce_s += other.reduce_s
-        self.busy_s += other.busy_s
-        self.chaos_faults_injected += other.chaos_faults_injected
-        self.breaker_trips += other.breaker_trips
-        self.modules_quarantined += other.modules_quarantined
-        self.tasks_resharded += other.tasks_resharded
-        self.stragglers_reissued += other.stragglers_reissued
-        self.pool_restarts += other.pool_restarts
-        self.pool_reuses += other.pool_reuses
-        self.worker_bench_reuses += other.worker_bench_reuses
-        self.bytes_shipped += other.bytes_shipped
-        self.dispatches += other.dispatches
-        self.bytes_shipped_down += other.bytes_shipped_down
-        self.fleet_items += other.fleet_items
-        self.fleet_reissued += other.fleet_reissued
-        self.fleet_worker_deaths += other.fleet_worker_deaths
-        self.pipelined_plans += other.pipelined_plans
-        self.pipeline_wall_s += other.pipeline_wall_s
-        self.pipeline_busy_s += other.pipeline_busy_s
+        for name in _COUNTERS:
+            if not (skip_windows and name in _WINDOWS):
+                setattr(self, name, getattr(self, name) + getattr(other, name))
+        self.workers = max(self.workers, other.workers)
         if not self.pipeline_declined_reason:
             self.pipeline_declined_reason = other.pipeline_declined_reason
-        self.audit_mismatches += other.audit_mismatches
-        self.rounds += other.rounds
-        self.cells_converged += other.cells_converged
-        self.trials_saved += other.trials_saved
-        self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
-        self.cache_bytes_read += other.cache_bytes_read
-        self.cache_bytes_written += other.cache_bytes_written
-        self.workers = max(self.workers, other.workers)
         for name, seconds in other.stages.items():
             self.add_stage(name, seconds)
 
+    def since(self, earlier: "EngineMetrics") -> "EngineMetrics":
+        """The counters gained since an ``earlier`` copy of this record.
+
+        Counters and stage times subtract; ``workers``, ``executor``
+        and ``pipeline_declined_reason`` are states, not counts, and
+        keep their current values.
+        """
+        delta = replace(self, stages={})
+        for name in _COUNTERS:
+            setattr(delta, name, getattr(self, name) - getattr(earlier, name))
+        for name, seconds in self.stages.items():
+            gained = seconds - earlier.stages.get(name, 0.0)
+            if gained:
+                delta.stages[name] = gained
+        return delta
+
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "EngineMetrics":
-        """Rebuild a record from a stored :meth:`as_dict` payload."""
+        """Rebuild a record from a stored :meth:`as_dict` payload.
+
+        Keys naming no field are ignored: the computed properties
+        (stored next to the counters they derive from, ``occupancy``
+        being the old name of executor_busy_fraction) and counters
+        older stores carry that the engine no longer keeps.
+        """
         metrics = cls()
         for key, value in payload.items():
             if key.startswith("stage_") and key.endswith("_s"):
                 metrics.add_stage(key[len("stage_"):-2], float(value))
-            elif key in (
-                "occupancy",
-                "executor_busy_fraction",
-                "pipeline_occupancy",
-            ):
-                # Computed properties: derived from the counters, so
-                # stored copies are never assigned (``occupancy`` is
-                # the old name of executor_busy_fraction).
-                continue
-            elif hasattr(metrics, key):
+            elif key in _SCALARS:
                 setattr(metrics, key, value)
         return metrics
 
     def as_dict(self) -> Dict[str, object]:
         """Plain-JSON form (what campaign stores persist)."""
         payload: Dict[str, object] = {
-            "executor": self.executor,
-            "plans": self.plans,
-            "tasks": self.tasks,
-            "trials": self.trials,
-            "apa_programs": self.apa_programs,
-            "cells": self.cells,
-            "workers": self.workers,
-            "environment_s": self.environment_s,
-            "execute_s": self.execute_s,
-            "reduce_s": self.reduce_s,
-            "wall_s": self.wall_s,
-            "busy_s": self.busy_s,
-            "executor_busy_fraction": self.executor_busy_fraction,
-            "chaos_faults_injected": self.chaos_faults_injected,
-            "breaker_trips": self.breaker_trips,
-            "modules_quarantined": self.modules_quarantined,
-            "tasks_resharded": self.tasks_resharded,
-            "stragglers_reissued": self.stragglers_reissued,
-            "pool_restarts": self.pool_restarts,
-            "pool_reuses": self.pool_reuses,
-            "worker_bench_reuses": self.worker_bench_reuses,
-            "bytes_shipped": self.bytes_shipped,
-            "dispatches": self.dispatches,
-            "bytes_shipped_down": self.bytes_shipped_down,
-            "fleet_items": self.fleet_items,
-            "fleet_reissued": self.fleet_reissued,
-            "fleet_worker_deaths": self.fleet_worker_deaths,
-            "pipelined_plans": self.pipelined_plans,
-            "pipeline_wall_s": self.pipeline_wall_s,
-            "pipeline_busy_s": self.pipeline_busy_s,
-            "pipeline_occupancy": self.pipeline_occupancy,
-            "pipeline_declined_reason": self.pipeline_declined_reason,
-            "audit_mismatches": self.audit_mismatches,
-            "rounds": self.rounds,
-            "cells_converged": self.cells_converged,
-            "trials_saved": self.trials_saved,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_bytes_read": self.cache_bytes_read,
-            "cache_bytes_written": self.cache_bytes_written,
+            name: getattr(self, name) for name in _SCALARS
         }
+        payload["executor_busy_fraction"] = self.executor_busy_fraction
+        payload["pipeline_occupancy"] = self.pipeline_occupancy
         for name, seconds in sorted(self.stages.items()):
             payload[f"stage_{name}_s"] = seconds
         return payload
@@ -278,7 +219,6 @@ class EngineMetrics:
             ("breaker trips", self.breaker_trips),
             ("modules quarantined", self.modules_quarantined),
             ("tasks re-sharded", self.tasks_resharded),
-            ("stragglers re-issued", self.stragglers_reissued),
             ("pool restarts", self.pool_restarts),
             ("audit mismatches", self.audit_mismatches),
             ("fleet items", self.fleet_items),
@@ -339,6 +279,17 @@ class EngineMetrics:
             lines.append(f"    bytes read        : {self.cache_bytes_read}")
             lines.append(f"    bytes written     : {self.cache_bytes_written}")
         return "\n".join(lines)
+
+
+_SCALARS = tuple(f.name for f in fields(EngineMetrics) if f.name != "stages")
+"""Every field but ``stages``, which stores as ``stage_*_s`` keys."""
+_COUNTERS = tuple(
+    f.name
+    for f in fields(EngineMetrics)
+    if isinstance(f.default, (int, float)) and f.name != "workers"
+)
+"""Fields that add under :meth:`EngineMetrics.merge`."""
+_WINDOWS = ("wall_s", "execute_s")
 
 
 def render_stats_dict(payload: Dict[str, object]) -> str:

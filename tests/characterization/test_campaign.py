@@ -64,3 +64,29 @@ class TestCampaign:
         result = campaign.run(["fig10"])
         report = campaign.render(result)
         assert "mean" in report  # distribution table header
+
+
+class TestEngineStatsPerRun:
+    def test_reused_executor_records_only_this_runs_counters(self, tmp_path):
+        from repro.engine import FusedExecutor
+
+        scope = CharacterizationScope.build(
+            config=SimulationConfig(seed=2024, columns_per_row=64),
+            specs=TESTED_MODULES,
+            modules_per_spec=1,
+            groups_per_size=1,
+            trials=2,
+        )
+        store = ResultStore(tmp_path / "campaign")
+        executor = FusedExecutor()
+        first = Campaign(scope, store=store, executor=executor).run(["fig4a"])
+        assert first.engine_stats["plans"] == 25
+        # The same engine serves a no-op resume: its lifetime counters
+        # still hold the first run's 25 plans, but this run ran none.
+        resumed = Campaign(scope, store=store, executor=executor).run(
+            ["fig4a"], resume=True
+        )
+        assert resumed.skipped == ["fig4a"]
+        assert resumed.engine_stats["plans"] == 0
+        assert executor.metrics.plans == 25
+        assert store.load("engine-stats")["plans"] == 25

@@ -39,6 +39,7 @@ from repro.engine import (
     run_plan,
     run_task_serial,
 )
+from repro.engine import executors
 from repro.chaos import ChaosConfig
 from repro.errors import ExperimentError
 
@@ -172,7 +173,7 @@ KILL_SERIAL = TESTED_MODULES[1].module_identifier + "#0"
 
 
 class TestWorkerSupervision:
-    """Worker death, stragglers, and the in-process fallback -- all of it
+    """Worker death, pool rebuilds, and the in-process fallback -- all of it
     must preserve the bit-identity contract, because measurement noise
     is context-keyed, never execution-history-keyed."""
 
@@ -201,47 +202,20 @@ class TestWorkerSupervision:
         )
         assert executor.metrics.pool_restarts == restarts_after_first
 
-    def test_straggler_deadline_reissues_and_stays_bit_identical(self):
-        reference = activation_success_distribution(
-            make_scope(), 8, ACT_POINT, executor=SerialExecutor()
-        )
-        # A zero deadline declares every in-flight shard a straggler;
-        # the duplicate issues are harmless because results are keyed
-        # by task index and noise by measurement context.
-        executor = ProcessPoolExecutor(jobs=2, shard_deadline_s=0.0)
-        candidate = activation_success_distribution(
-            make_scope(), 8, ACT_POINT, executor=executor
-        )
-        assert candidate == reference
-        assert executor.metrics.stragglers_reissued >= 1
-
-    def test_serial_fallback_when_restart_budget_exhausted(self):
+    def test_serial_fallback_when_restart_budget_exhausted(
+        self, monkeypatch
+    ):
         reference = activation_success_distribution(
             make_scope(), 8, ACT_POINT, executor=SerialExecutor()
         )
         chaos = ChaosConfig(seed=3, worker_kill_serials=(KILL_SERIAL,))
-        executor = ProcessPoolExecutor(
-            jobs=2, chaos=chaos, max_pool_restarts=0
-        )
+        monkeypatch.setattr(executors, "MAX_POOL_RESTARTS", 0)
+        executor = ProcessPoolExecutor(jobs=2, chaos=chaos)
         candidate = activation_success_distribution(
             make_scope(), 8, ACT_POINT, executor=executor
         )
         assert candidate == reference
         assert executor.metrics.pool_restarts == 1
-
-    def test_deadline_knob_validated(self):
-        with pytest.raises(ExperimentError):
-            ProcessPoolExecutor(jobs=2, shard_deadline_s=-1.0)
-        with pytest.raises(ExperimentError):
-            ProcessPoolExecutor(jobs=2, max_pool_restarts=-1)
-
-    def test_make_executor_passes_supervision_knobs(self):
-        executor = make_executor(
-            "fused-parallel", jobs=2, shard_deadline_s=4.5,
-            max_pool_restarts=5,
-        )
-        assert executor.shard_deadline_s == 4.5
-        assert executor.max_pool_restarts == 5
 
 
 class _WrongShapeKernel(TrialKernel):
@@ -365,34 +339,26 @@ class TestSliceDispatch:
         assert executor.metrics.dispatches < len(plan.tasks)
         assert executor.metrics.bytes_shipped_down > 0
 
-    def test_adaptive_sizing_collapses_tiny_plans(self):
+    def test_adaptive_sizing_collapses_tiny_plans(self, monkeypatch):
         # A huge dispatch floor + the observed per-task cost from run
         # one should shrink run two to a single slice.
-        executor = ProcessPoolExecutor(jobs=2, dispatch_target_s=3600.0)
+        monkeypatch.setattr(executors, "DISPATCH_TARGET_S", 3600.0)
+        executor = ProcessPoolExecutor(jobs=2)
         scope = make_scope()
         run_plan(build_activation_plan(scope, 8, ACT_POINT), executor)
         first = executor.metrics.dispatches
         run_plan(build_activation_plan(scope, 8, ACT_POINT), executor)
         assert executor.metrics.dispatches - first == 1
 
-    def test_zero_target_disables_adaptation(self):
-        executor = ProcessPoolExecutor(jobs=2, dispatch_target_s=0.0)
+    def test_zero_target_disables_adaptation(self, monkeypatch):
+        monkeypatch.setattr(executors, "DISPATCH_TARGET_S", 0.0)
+        executor = ProcessPoolExecutor(jobs=2)
         scope = make_scope()
         run_plan(build_activation_plan(scope, 8, ACT_POINT), executor)
         first = executor.metrics.dispatches
         run_plan(build_activation_plan(scope, 8, ACT_POINT), executor)
         # No cost model consulted: same slicing both times.
         assert executor.metrics.dispatches - first == first
-
-    def test_dispatch_target_validated(self):
-        with pytest.raises(ExperimentError):
-            ProcessPoolExecutor(jobs=2, dispatch_target_s=-0.5)
-
-    def test_make_executor_passes_dispatch_target(self):
-        executor = make_executor(
-            "fused-parallel", jobs=2, dispatch_target_s=0.25
-        )
-        assert executor.dispatch_target_s == 0.25
 
     def test_bench_fingerprint_reuse_across_dispatches(self):
         # A slice builds each touched bench once; the *next* dispatch

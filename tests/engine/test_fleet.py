@@ -30,6 +30,7 @@ from repro.engine.fleet import (
     scope_to_spec,
     send_columns,
     send_frame,
+    serve_connection,
 )
 from repro.errors import ExperimentError
 
@@ -169,9 +170,58 @@ class TestDispatcherLocalFallback:
         with pytest.raises(ExperimentError, match="unique"):
             FleetDispatcher([]).run(items)
 
-    def test_bad_deadline_rejected(self):
-        with pytest.raises(ExperimentError, match="positive"):
-            FleetDispatcher([], item_deadline_s=0.0)
+
+class TestDispatcherWorkerDeath:
+    """A worker that dies holding an item: the item runs again on a
+    survivor, and results still stream in item order."""
+
+    def test_orphaned_item_reruns_on_the_survivor(self):
+        spec = scope_to_spec(make_scope())
+        items = [
+            FleetItem(index=0, figure="fig3", scope_spec=spec),
+            FleetItem(index=1, figure="fig6", scope_spec=spec),
+        ]
+        doomed, doomed_peer = socket.socketpair()
+        survivor, survivor_peer = socket.socketpair()
+
+        def die_on_first_item():
+            send_frame(doomed_peer, {"type": "hello"})
+            header, _ = recv_frame(doomed_peer)
+            assert header["type"] == "run"
+            doomed_peer.close()
+
+        threads = [
+            threading.Thread(target=die_on_first_item, daemon=True),
+            threading.Thread(
+                target=serve_connection,
+                args=(survivor_peer,),
+                kwargs={"executor_name": "fused"},
+                daemon=True,
+            ),
+        ]
+        for thread in threads:
+            thread.start()
+        # Workers are filled in list order: the doomed one takes item 0.
+        dispatcher = FleetDispatcher(
+            [("doomed", doomed), ("survivor", survivor)]
+        )
+        streamed = []
+        try:
+            outcomes = dispatcher.run(
+                items, on_result=lambda index, _: streamed.append(index)
+            )
+            alive = dispatcher.workers
+        finally:
+            dispatcher.close()
+            for thread in threads:
+                thread.join(timeout=60)
+            survivor_peer.close()
+        assert dispatcher.metrics.fleet_worker_deaths == 1
+        assert dispatcher.metrics.fleet_reissued == 1
+        assert [o.status for o in outcomes] == ["ok", "ok"]
+        assert outcomes[0].worker == "survivor"
+        assert streamed == [0, 1]
+        assert alive == ["survivor"]
 
 
 def fleet_campaign(dispatcher, store=None):

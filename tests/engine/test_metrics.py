@@ -31,6 +31,32 @@ class TestMerge:
         assert total.stages == {"probe": 1.0, "fuse": 1.0}
 
 
+class TestSince:
+    def test_counters_and_stages_subtract(self):
+        earlier = EngineMetrics(executor="fused", plans=2, wall_s=1.0)
+        earlier.add_stage("probe", 0.5)
+        earlier.add_stage("fuse", 0.25)
+        later = EngineMetrics(executor="fused", plans=5, wall_s=3.0)
+        later.add_stage("probe", 1.5)
+        later.add_stage("fuse", 0.25)
+        gained = later.since(earlier)
+        assert gained.plans == 3
+        assert gained.wall_s == 2.0
+        assert gained.stages == {"probe": 1.0}
+        assert later.stages == {"probe": 1.5, "fuse": 0.25}
+
+    def test_states_keep_their_current_values(self):
+        earlier = EngineMetrics(executor="fused-parallel", workers=2)
+        later = EngineMetrics(
+            executor="fused-parallel", workers=2,
+            pipeline_declined_reason="disabled",
+        )
+        gained = later.since(earlier)
+        assert gained.workers == 2
+        assert gained.executor == "fused-parallel"
+        assert gained.pipeline_declined_reason == "disabled"
+
+
 class TestOccupancy:
     def test_zero_wall_time_is_zero(self):
         assert EngineMetrics().executor_busy_fraction == 0.0

@@ -324,6 +324,28 @@ class TestEngineCommands:
         assert "engine stats (parallel executor)" in out
         assert "executor busy fraction: 50.0%" in out
 
+    def test_stats_renders_a_stored_stragglers_reissued_key(
+        self, capsys, tmp_path
+    ):
+        from repro.characterization.store import ResultStore
+        from repro.engine import EngineMetrics
+
+        # Stats payloads stored while the pool and the fleet duplicated
+        # overdue work carry a counter the engine no longer keeps.
+        payload = EngineMetrics(
+            executor="fused-parallel", plans=1, tasks=2, trials=8,
+            apa_programs=8, cells=64, workers=2, wall_s=1.0, busy_s=1.0,
+        ).as_dict()
+        payload["stragglers_reissued"] = 3
+        results_dir = tmp_path / "results"
+        ResultStore(results_dir).save("engine-stats", payload)
+        assert main(["stats", "--results-dir", str(results_dir)]) == 0
+        out = capsys.readouterr().out
+        assert "engine stats (fused-parallel executor)" in out
+        assert "plans executed    : 1" in out
+        assert "executor busy fraction: 50.0%" in out
+        assert "straggler" not in out
+
     @pytest.mark.parametrize("command", ["campaign", "worker"])
     @pytest.mark.parametrize(
         "removed, replacement",
