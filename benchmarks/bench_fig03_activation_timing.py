@@ -8,14 +8,14 @@ activation succeeds at 99.99..99.85%; dropping t2 to 1.5 ns loses
 
 from _common import make_scope, emit, run_once
 
-from repro.characterization.activation import figure3_timing_grid
+from repro.characterization.activation import program_fig3
 from repro.characterization.report import format_distribution_table
 
 
 def bench_fig03_activation_timing_grid(benchmark):
     scope = make_scope(seed=3003)
 
-    grid = run_once(benchmark, lambda: figure3_timing_grid(scope))
+    grid = run_once(benchmark, lambda: program_fig3(scope).run())
 
     for (t1, t2), by_size in grid.items():
         rows = {f"{n}-row": summary for n, summary in by_size.items()}

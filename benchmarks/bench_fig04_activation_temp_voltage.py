@@ -11,8 +11,8 @@ from _common import make_scope, emit, run_once
 
 from repro.characterization.activation import (
     ACTIVATION_SIZES,
-    figure4a_temperature,
-    figure4b_voltage,
+    program_fig4a,
+    program_fig4b,
 )
 from repro.characterization.report import format_series_table
 
@@ -20,7 +20,7 @@ from repro.characterization.report import format_series_table
 def bench_fig04a_temperature(benchmark):
     scope = make_scope(seed=3004)
 
-    series = run_once(benchmark, lambda: figure4a_temperature(scope))
+    series = run_once(benchmark, lambda: program_fig4a(scope).run())
 
     table = {
         f"{temp:.0f}C": {n: series[temp][n] for n in ACTIVATION_SIZES}
@@ -41,7 +41,7 @@ def bench_fig04a_temperature(benchmark):
 def bench_fig04b_voltage(benchmark):
     scope = make_scope(seed=3014)
 
-    series = run_once(benchmark, lambda: figure4b_voltage(scope))
+    series = run_once(benchmark, lambda: program_fig4b(scope).run())
 
     table = {
         f"{vpp:.1f}V": {n: series[vpp][n] for n in ACTIVATION_SIZES}

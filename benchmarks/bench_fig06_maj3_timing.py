@@ -7,7 +7,7 @@ best timing, with t1 = 3 ns costing ~45.5% at 32 rows.
 
 from _common import make_scope, emit, run_once
 
-from repro.characterization.majority import figure6_maj3_grid
+from repro.characterization.majority import program_fig6
 from repro.characterization.report import format_distribution_table
 from repro.dram.vendor import TESTED_MODULES
 
@@ -17,7 +17,7 @@ def bench_fig06_maj3_timing_grid(benchmark):
     # Micron module, as in the paper's per-mfr breakdown.
     scope = make_scope(seed=3006, specs=TESTED_MODULES[:3])
 
-    grid = run_once(benchmark, lambda: figure6_maj3_grid(scope))
+    grid = run_once(benchmark, lambda: program_fig6(scope).run())
 
     for (t1, t2), by_size in grid.items():
         rows = {f"MAJ3@{n}-row": summary for n, summary in by_size.items()}

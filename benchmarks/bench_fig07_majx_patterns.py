@@ -7,7 +7,7 @@ patterns add up to ~32.6%; replication helps every X.
 
 from _common import make_scope, emit, run_once
 
-from repro.characterization.majority import figure7_patterns
+from repro.characterization.majority import program_fig7
 from repro.characterization.report import format_distribution_table
 from repro.dram.vendor import TESTED_MODULES
 
@@ -15,7 +15,7 @@ from repro.dram.vendor import TESTED_MODULES
 def bench_fig07_majx_patterns(benchmark):
     scope = make_scope(seed=3007, specs=TESTED_MODULES[:2])
 
-    result = run_once(benchmark, lambda: figure7_patterns(scope))
+    result = run_once(benchmark, lambda: program_fig7(scope).run())
 
     for x, per_pattern in result.items():
         rows = {}

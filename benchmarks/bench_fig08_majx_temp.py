@@ -7,7 +7,7 @@ replication damps the sensitivity.
 
 from _common import make_scope, emit, run_once
 
-from repro.characterization.majority import figure8_temperature
+from repro.characterization.majority import program_fig8
 from repro.characterization.report import format_series_table
 from repro.dram.vendor import TESTED_MODULES
 
@@ -15,7 +15,7 @@ from repro.dram.vendor import TESTED_MODULES
 def bench_fig08_majx_temperature(benchmark):
     scope = make_scope(seed=3008, specs=TESTED_MODULES[:2])
 
-    result = run_once(benchmark, lambda: figure8_temperature(scope))
+    result = run_once(benchmark, lambda: program_fig8(scope).run())
 
     table = {
         f"MAJ{x}@32-row": {temp: summary.mean for temp, summary in by_temp.items()}

@@ -8,7 +8,7 @@ import numpy as np
 
 from _common import make_scope, emit, run_once
 
-from repro.characterization.majority import figure9_voltage
+from repro.characterization.majority import program_fig9
 from repro.characterization.report import format_series_table
 from repro.dram.vendor import TESTED_MODULES
 
@@ -16,7 +16,7 @@ from repro.dram.vendor import TESTED_MODULES
 def bench_fig09_majx_voltage(benchmark):
     scope = make_scope(seed=3009, specs=TESTED_MODULES[:2])
 
-    result = run_once(benchmark, lambda: figure9_voltage(scope))
+    result = run_once(benchmark, lambda: program_fig9(scope).run())
 
     table = {
         f"MAJ{x}@32-row": {vpp: summary.mean for vpp, summary in by_vpp.items()}

@@ -7,14 +7,14 @@ collapses (~49.8% below the second-worst configuration).
 
 from _common import make_scope, emit, run_once
 
-from repro.characterization.rowcopy import figure10_timing_grid
+from repro.characterization.rowcopy import program_fig10
 from repro.characterization.report import format_distribution_table
 
 
 def bench_fig10_mrc_timing_grid(benchmark):
     scope = make_scope(seed=3010)
 
-    grid = run_once(benchmark, lambda: figure10_timing_grid(scope))
+    grid = run_once(benchmark, lambda: program_fig10(scope).run())
 
     for (t1, t2), by_dest in grid.items():
         rows = {f"->{m} rows": summary for m, summary in by_dest.items()}

@@ -6,14 +6,14 @@ all-0s/random; up to 15 destinations the patterns differ by <=0.11%.
 
 from _common import make_scope, emit, run_once
 
-from repro.characterization.rowcopy import COPY_DESTINATIONS, figure11_patterns
+from repro.characterization.rowcopy import COPY_DESTINATIONS, program_fig11
 from repro.characterization.report import format_series_table
 
 
 def bench_fig11_mrc_patterns(benchmark):
     scope = make_scope(seed=3011)
 
-    series = run_once(benchmark, lambda: figure11_patterns(scope))
+    series = run_once(benchmark, lambda: program_fig11(scope).run())
 
     emit(
         "Fig 11: Multi-RowCopy success by data pattern (%, avg)",

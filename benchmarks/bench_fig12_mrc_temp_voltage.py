@@ -11,8 +11,8 @@ from _common import make_scope, emit, run_once
 
 from repro.characterization.rowcopy import (
     COPY_DESTINATIONS,
-    figure12a_temperature,
-    figure12b_voltage,
+    program_fig12a,
+    program_fig12b,
 )
 from repro.characterization.report import format_series_table
 
@@ -20,7 +20,7 @@ from repro.characterization.report import format_series_table
 def bench_fig12a_temperature(benchmark):
     scope = make_scope(seed=3012)
 
-    series = run_once(benchmark, lambda: figure12a_temperature(scope))
+    series = run_once(benchmark, lambda: program_fig12a(scope).run())
 
     table = {
         f"{temp:.0f}C": values for temp, values in series.items()
@@ -42,7 +42,7 @@ def bench_fig12a_temperature(benchmark):
 def bench_fig12b_voltage(benchmark):
     scope = make_scope(seed=3022)
 
-    series = run_once(benchmark, lambda: figure12b_voltage(scope))
+    series = run_once(benchmark, lambda: program_fig12b(scope).run())
 
     table = {f"{vpp:.1f}V": values for vpp, values in series.items()}
     emit(

@@ -29,7 +29,7 @@ from repro.characterization.store import ResultStore
 from repro.config import SimulationConfig
 from repro.dram.vendor import TESTED_MODULES
 
-EXPERIMENTS = ("fig3", "fig4a", "fig6", "fig10", "fig11")
+FIGURES = ("fig3", "fig4a", "fig6", "fig10", "fig11")
 
 
 def main() -> None:
@@ -53,9 +53,9 @@ def main() -> None:
 
     print(f"Campaign over {len(scope.benches)} modules "
           f"({scope.groups_per_size} groups/size, {scope.trials} trials), "
-          f"experiments: {', '.join(EXPERIMENTS)}")
+          f"experiments: {', '.join(FIGURES)}")
     started = time.time()
-    result = campaign.run(EXPERIMENTS, resume=True)
+    result = campaign.run(FIGURES, resume=True)
     elapsed = time.time() - started
     if result.skipped:
         print(f"Resumed from checkpoint; skipped: {', '.join(result.skipped)}")

@@ -20,20 +20,9 @@ _EXPORTS = {
     "CharacterizationScope": ".experiment",
     "OperatingPoint": ".experiment",
     "activation_success_distribution": ".activation",
-    "figure3_timing_grid": ".activation",
-    "figure4a_temperature": ".activation",
-    "figure4b_voltage": ".activation",
     "majx_success_distribution": ".majority",
     "majx_sizes_for": ".majority",
-    "figure6_maj3_grid": ".majority",
-    "figure7_patterns": ".majority",
-    "figure8_temperature": ".majority",
-    "figure9_voltage": ".majority",
     "multi_row_copy_distribution": ".rowcopy",
-    "figure10_timing_grid": ".rowcopy",
-    "figure11_patterns": ".rowcopy",
-    "figure12a_temperature": ".rowcopy",
-    "figure12b_voltage": ".rowcopy",
     "format_ci_table": ".report",
     "format_distribution_table": ".report",
     "format_series_table": ".report",

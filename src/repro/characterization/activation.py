@@ -7,7 +7,7 @@ engine: this module only builds the :class:`~repro.engine.TrialPlan`.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 from ..engine import (
     ActivationKernel,
@@ -91,7 +91,10 @@ def program_fig3(
     t1_values: Sequence[float] = FIG3_T1_VALUES,
     t2_values: Sequence[float] = FIG3_T2_VALUES,
 ) -> ExperimentProgram:
-    """Fig 3 as a declarative program (see :mod:`repro.engine.scheduler`)."""
+    """Fig 3: success distributions over the (t1, t2) grid and sizes.
+
+    ``result[(t1, t2)][n_rows]``; see :mod:`repro.engine.scheduler`.
+    """
     steps = []
     slots = []
     for t1 in t1_values:
@@ -107,23 +110,15 @@ def program_fig3(
     )
 
 
-def figure3_timing_grid(
-    scope: CharacterizationScope,
-    sizes: Sequence[int] = ACTIVATION_SIZES,
-    t1_values: Sequence[float] = FIG3_T1_VALUES,
-    t2_values: Sequence[float] = FIG3_T2_VALUES,
-    executor: Optional[ExecutorBase] = None,
-) -> Dict[Tuple[float, float], Dict[int, DistributionSummary]]:
-    """Fig 3: success distributions over the (t1, t2) grid and sizes."""
-    return program_fig3(scope, sizes, t1_values, t2_values).run(executor)
-
-
 def program_fig4a(
     scope: CharacterizationScope,
     sizes: Sequence[int] = ACTIVATION_SIZES,
     temperatures: Sequence[float] = FIG4_TEMPERATURES,
 ) -> ExperimentProgram:
-    """Fig 4a as a declarative program."""
+    """Fig 4a: average success rate vs temperature (best timings).
+
+    ``result[temperature][n_rows]``.
+    """
     steps = []
     slots = []
     for temp in temperatures:
@@ -138,22 +133,15 @@ def program_fig4a(
     )
 
 
-def figure4a_temperature(
-    scope: CharacterizationScope,
-    sizes: Sequence[int] = ACTIVATION_SIZES,
-    temperatures: Sequence[float] = FIG4_TEMPERATURES,
-    executor: Optional[ExecutorBase] = None,
-) -> Dict[float, Dict[int, float]]:
-    """Fig 4a: average success rate vs temperature (best timings)."""
-    return program_fig4a(scope, sizes, temperatures).run(executor)
-
-
 def program_fig4b(
     scope: CharacterizationScope,
     sizes: Sequence[int] = ACTIVATION_SIZES,
     vpp_levels: Sequence[float] = FIG4_VPP_LEVELS,
 ) -> ExperimentProgram:
-    """Fig 4b as a declarative program."""
+    """Fig 4b: average success rate vs wordline voltage (best timings).
+
+    ``result[vpp][n_rows]``.
+    """
     steps = []
     slots = []
     for vpp in vpp_levels:
@@ -166,13 +154,3 @@ def program_fig4b(
     return ExperimentProgram(
         "fig4b", tuple(steps), lambda values: _nested(slots, values)
     )
-
-
-def figure4b_voltage(
-    scope: CharacterizationScope,
-    sizes: Sequence[int] = ACTIVATION_SIZES,
-    vpp_levels: Sequence[float] = FIG4_VPP_LEVELS,
-    executor: Optional[ExecutorBase] = None,
-) -> Dict[float, Dict[int, float]]:
-    """Fig 4b: average success rate vs wordline voltage (best timings)."""
-    return program_fig4b(scope, sizes, vpp_levels).run(executor)

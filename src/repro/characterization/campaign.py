@@ -67,9 +67,13 @@ order into one *sink*.  The sink commits data (journal intent, atomic
 artifact write, manifest update, journal done) or records the failure
 in the manifest -- a commit that raises becomes a resumable
 ``store-error``.  An outcome that leaks a
-:class:`~repro.errors.TransientInfrastructureError`, and a figure no
-program backs (a monkeypatched :data:`EXPERIMENTS` entry), go to the
+:class:`~repro.errors.TransientInfrastructureError` goes to the
 sequential source after the chosen one finishes.
+
+Every source builds each figure from one registry,
+:data:`EXPERIMENT_PROGRAMS`: a figure is a program, whichever source
+runs it.  Names must be known and may appear only once in a run,
+because outcomes are routed and committed by figure name.
 
 The constructor refuses, with :class:`~repro.errors.ConfigurationError`,
 the combinations no source runs: fleet with chaos, health supervision
@@ -79,7 +83,6 @@ or adaptive planning, and adaptive planning with health supervision.
 from __future__ import annotations
 
 import contextlib
-import functools
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -99,52 +102,12 @@ from ..errors import (
     TransientInfrastructureError,
 )
 from ..health.tracker import HealthTracker
-from .activation import (
-    figure3_timing_grid,
-    figure4a_temperature,
-    figure4b_voltage,
-    program_fig3,
-    program_fig4a,
-    program_fig4b,
-)
+from .activation import program_fig3, program_fig4a, program_fig4b
 from .experiment import CharacterizationScope
-from .majority import (
-    figure6_maj3_grid,
-    figure7_patterns,
-    figure8_temperature,
-    figure9_voltage,
-    program_fig6,
-    program_fig7,
-    program_fig8,
-    program_fig9,
-)
+from .majority import program_fig6, program_fig7, program_fig8, program_fig9
 from .report import format_distribution_table, format_series_table
-from .rowcopy import (
-    figure10_timing_grid,
-    figure11_patterns,
-    figure12a_temperature,
-    figure12b_voltage,
-    program_fig10,
-    program_fig11,
-    program_fig12a,
-    program_fig12b,
-)
+from .rowcopy import program_fig10, program_fig11, program_fig12a, program_fig12b
 from .store import CampaignManifest, ResultStore, storable
-
-EXPERIMENTS: Dict[str, Callable] = {
-    "fig3": figure3_timing_grid,
-    "fig4a": figure4a_temperature,
-    "fig4b": figure4b_voltage,
-    "fig6": figure6_maj3_grid,
-    "fig7": figure7_patterns,
-    "fig8": figure8_temperature,
-    "fig9": figure9_voltage,
-    "fig10": figure10_timing_grid,
-    "fig11": figure11_patterns,
-    "fig12a": figure12a_temperature,
-    "fig12b": figure12b_voltage,
-}
-"""Every section 4-6 experiment the campaign can run, by figure id."""
 
 EXPERIMENT_PROGRAMS: Dict[str, Callable] = {
     "fig3": program_fig3,
@@ -159,22 +122,10 @@ EXPERIMENT_PROGRAMS: Dict[str, Callable] = {
     "fig12a": program_fig12a,
     "fig12b": program_fig12b,
 }
-"""Declarative program builders (scope -> ExperimentProgram) backing
-the same figures; the pipelined scheduler runs these.  Every figure
-function delegates to its program, so both paths share one assembly
-and produce bit-identical data by construction."""
-
-_CANONICAL_EXPERIMENTS: Dict[str, Callable] = dict(EXPERIMENTS)
-"""Snapshot used to detect monkeypatched experiments: a replaced
-figure callable has no matching program, so the campaign falls back to
-calling it directly instead of pipelining."""
-
-
-def _has_program(name: str) -> bool:
-    """Whether a declarative program backs figure ``name``."""
-    return name in EXPERIMENT_PROGRAMS and (
-        EXPERIMENTS.get(name) is _CANONICAL_EXPERIMENTS.get(name)
-    )
+"""Every section 4-6 figure the campaign can run: figure id -> program
+builder (scope -> :class:`~repro.engine.scheduler.ExperimentProgram`).
+Each builder's program is named by its key; every source, the audit
+and the fleet workers build figures from this one table."""
 
 
 _REFUSED: Tuple[Tuple[str, str, str], ...] = (
@@ -454,11 +405,21 @@ class Campaign:
         *non-transient* cause are skipped (no retry budget wasted on a
         deterministic error) unless ``retry_failed=True``.
         """
-        unknown = [name for name in experiments if name not in EXPERIMENTS]
+        unknown = [
+            name for name in experiments if name not in EXPERIMENT_PROGRAMS
+        ]
         if unknown:
             raise ExperimentError(
-                f"unknown experiments {unknown}; known: {sorted(EXPERIMENTS)}"
+                f"unknown experiments {unknown}; "
+                f"known: {sorted(EXPERIMENT_PROGRAMS)}"
             )
+        repeated = sorted(
+            {name for name in experiments if experiments.count(name) > 1}
+        )
+        if repeated:
+            # Outcomes are routed and committed by figure name: a
+            # repeat would compute, journal and commit it twice.
+            raise ExperimentError(f"experiments named more than once: {repeated}")
         if not experiments:
             raise ExperimentError("campaign needs at least one experiment")
         if resume and self._store is None:
@@ -617,9 +578,8 @@ class Campaign:
 
         The sink commits each settled figure (or records its failure)
         the moment it arrives, so a crash loses at most the figures
-        still in flight.  Whatever the chosen source leaves unsettled
-        -- figures no program backs, and outcomes that leaked a
-        transient fault -- then runs through the sequential source.
+        still in flight.  An outcome that leaked a transient fault
+        stays unsettled and then runs through the sequential source.
         """
         pending = [
             name
@@ -678,7 +638,7 @@ class Campaign:
 
         source = self._source(pending, result)
         if source is not None:
-            source([name for name in pending if _has_program(name)], sink)
+            source(pending, sink)
         self._sequential_source(
             [name for name in pending if name not in settled], sink
         )
@@ -686,7 +646,7 @@ class Campaign:
     def _source(
         self, pending: Sequence[str], result: CampaignResult
     ) -> Optional[Callable]:
-        """The source for this run's program-backed figures.
+        """The source for this run's figures.
 
         ``None`` means the sequential source runs everything.  The
         pipelined scheduler changes *when* trials execute, never what
@@ -695,14 +655,13 @@ class Campaign:
         only when it cannot help: pipelining disabled, an executor
         that cannot pipeline, health supervision (probes and
         quarantine decisions run between figures), or fewer than two
-        program-backed figures unless ``pipeline=True``.  The reason
+        figures unless ``pipeline=True``.  The reason
         lands in :attr:`CampaignResult.pipeline_declined_reason`.
         """
         if self._dispatcher is not None:
             return self._fleet_source
         if self._adaptive is not None:
             return self._adaptive_source
-        backed = [name for name in pending if _has_program(name)]
         if self._pipeline is False:
             reason = "disabled"
         elif self._executor is None:
@@ -711,7 +670,7 @@ class Campaign:
             reason = "executor-not-pipelining"
         elif self._health is not None:
             reason = "health-supervised"
-        elif not backed or (len(backed) < 2 and not self._pipeline):
+        elif not pending or (len(pending) < 2 and not self._pipeline):
             reason = "fewer-than-2-eligible-experiments"
         else:
             return self._pipelined_source
@@ -742,12 +701,19 @@ class Campaign:
                 )
                 emit(name, failure, quality)
                 continue
-            figure = EXPERIMENTS[name]
-            if self._executor is not None:
-                # Only then: tests monkeypatch EXPERIMENTS with
-                # single-argument callables.
-                figure = functools.partial(figure, executor=self._executor)
-            emit(name, self._run_one(name, lambda: figure(scope)), quality)
+            # Built inside the retried call: a transient fault raised
+            # while building the program is retried like one raised
+            # while running it.
+            emit(
+                name,
+                self._run_one(
+                    name,
+                    lambda: EXPERIMENT_PROGRAMS[name](scope).run(
+                        self._executor
+                    ),
+                ),
+                quality,
+            )
 
     def _pipelined_source(
         self, names: Sequence[str], emit: Callable

@@ -110,7 +110,10 @@ def program_fig6(
     t1_values: Sequence[float] = FIG6_T1_VALUES,
     t2_values: Sequence[float] = FIG6_T2_VALUES,
 ) -> ExperimentProgram:
-    """Fig 6 as a declarative program (see :mod:`repro.engine.scheduler`)."""
+    """Fig 6: MAJ3 success over the (t1, t2) grid and activation sizes.
+
+    ``result[(t1, t2)][n_rows]``; see :mod:`repro.engine.scheduler`.
+    """
     steps = []
     slots = []
     for t1 in t1_values:
@@ -124,17 +127,6 @@ def program_fig6(
     return ExperimentProgram(
         "fig6", tuple(steps), lambda values: _nested(slots, values)
     )
-
-
-def figure6_maj3_grid(
-    scope: CharacterizationScope,
-    sizes: Sequence[int] = MAJ_SIZES,
-    t1_values: Sequence[float] = FIG6_T1_VALUES,
-    t2_values: Sequence[float] = FIG6_T2_VALUES,
-    executor: Optional[ExecutorBase] = None,
-) -> Dict[Tuple[float, float], Dict[int, DistributionSummary]]:
-    """Fig 6: MAJ3 success over the (t1, t2) grid and activation sizes."""
-    return program_fig6(scope, sizes, t1_values, t2_values).run(executor)
 
 
 def _nested3(slots, values) -> Dict:
@@ -151,7 +143,10 @@ def program_fig7(
     patterns: Sequence[DataPattern] = MAJX_TESTED_PATTERNS,
     sizes: Sequence[int] = MAJ_SIZES,
 ) -> ExperimentProgram:
-    """Fig 7 as a declarative program (``result[x][pattern][n]``)."""
+    """Fig 7: MAJX success by data pattern and activation size.
+
+    ``result[x][pattern_kind][n_rows]``.
+    """
     supported = {
         x
         for x in x_values
@@ -174,27 +169,16 @@ def program_fig7(
     )
 
 
-def figure7_patterns(
-    scope: CharacterizationScope,
-    x_values: Sequence[int] = MAJX_VALUES,
-    patterns: Sequence[DataPattern] = MAJX_TESTED_PATTERNS,
-    sizes: Sequence[int] = MAJ_SIZES,
-    executor: Optional[ExecutorBase] = None,
-) -> Dict[int, Dict[str, Dict[int, DistributionSummary]]]:
-    """Fig 7: MAJX success by data pattern and activation size.
-
-    Returns ``result[x][pattern_kind][n_rows]``.
-    """
-    return program_fig7(scope, x_values, patterns, sizes).run(executor)
-
-
 def program_fig8(
     scope: CharacterizationScope,
     x_values: Sequence[int] = MAJX_VALUES,
     temperatures: Sequence[float] = FIG8_TEMPERATURES,
     n_rows: int = 32,
 ) -> ExperimentProgram:
-    """Fig 8 as a declarative program."""
+    """Fig 8: MAJX success distribution vs chip temperature.
+
+    ``result[x][temperature]``.
+    """
     steps = []
     slots = []
     for x in x_values:
@@ -211,24 +195,16 @@ def program_fig8(
     )
 
 
-def figure8_temperature(
-    scope: CharacterizationScope,
-    x_values: Sequence[int] = MAJX_VALUES,
-    temperatures: Sequence[float] = FIG8_TEMPERATURES,
-    n_rows: int = 32,
-    executor: Optional[ExecutorBase] = None,
-) -> Dict[int, Dict[float, DistributionSummary]]:
-    """Fig 8: MAJX success distribution vs chip temperature."""
-    return program_fig8(scope, x_values, temperatures, n_rows).run(executor)
-
-
 def program_fig9(
     scope: CharacterizationScope,
     x_values: Sequence[int] = MAJX_VALUES,
     vpp_levels: Sequence[float] = FIG9_VPP_LEVELS,
     n_rows: int = 32,
 ) -> ExperimentProgram:
-    """Fig 9 as a declarative program."""
+    """Fig 9: MAJX success distribution vs wordline voltage.
+
+    ``result[x][vpp]``.
+    """
     steps = []
     slots = []
     for x in x_values:
@@ -243,14 +219,3 @@ def program_fig9(
     return ExperimentProgram(
         "fig9", tuple(steps), lambda values: _nested(slots, values)
     )
-
-
-def figure9_voltage(
-    scope: CharacterizationScope,
-    x_values: Sequence[int] = MAJX_VALUES,
-    vpp_levels: Sequence[float] = FIG9_VPP_LEVELS,
-    n_rows: int = 32,
-    executor: Optional[ExecutorBase] = None,
-) -> Dict[int, Dict[float, DistributionSummary]]:
-    """Fig 9: MAJX success distribution vs wordline voltage."""
-    return program_fig9(scope, x_values, vpp_levels, n_rows).run(executor)

@@ -8,7 +8,7 @@ itself runs on the trial engine: this module only builds the
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from ..core.patterns import COPY_TESTED_PATTERNS, DataPattern
 from ..engine import (
@@ -80,7 +80,10 @@ def program_fig10(
     t1_values: Sequence[float] = FIG10_T1_VALUES,
     t2_values: Sequence[float] = FIG10_T2_VALUES,
 ) -> ExperimentProgram:
-    """Fig 10 as a declarative program (see :mod:`repro.engine.scheduler`)."""
+    """Fig 10: Multi-RowCopy success over the (t1, t2) grid.
+
+    ``result[(t1, t2)][destinations]``; see :mod:`repro.engine.scheduler`.
+    """
     steps = []
     slots = []
     for t1 in t1_values:
@@ -96,23 +99,15 @@ def program_fig10(
     )
 
 
-def figure10_timing_grid(
-    scope: CharacterizationScope,
-    destinations: Sequence[int] = COPY_DESTINATIONS,
-    t1_values: Sequence[float] = FIG10_T1_VALUES,
-    t2_values: Sequence[float] = FIG10_T2_VALUES,
-    executor: Optional[ExecutorBase] = None,
-) -> Dict[Tuple[float, float], Dict[int, DistributionSummary]]:
-    """Fig 10: Multi-RowCopy success over the (t1, t2) grid."""
-    return program_fig10(scope, destinations, t1_values, t2_values).run(executor)
-
-
 def program_fig11(
     scope: CharacterizationScope,
     destinations: Sequence[int] = COPY_DESTINATIONS,
     patterns: Sequence[DataPattern] = COPY_TESTED_PATTERNS,
 ) -> ExperimentProgram:
-    """Fig 11 as a declarative program."""
+    """Fig 11: average Multi-RowCopy success by data pattern.
+
+    ``result[pattern_kind][destinations]``.
+    """
     steps = []
     slots = []
     for pattern in patterns:
@@ -125,22 +120,15 @@ def program_fig11(
     )
 
 
-def figure11_patterns(
-    scope: CharacterizationScope,
-    destinations: Sequence[int] = COPY_DESTINATIONS,
-    patterns: Sequence[DataPattern] = COPY_TESTED_PATTERNS,
-    executor: Optional[ExecutorBase] = None,
-) -> Dict[str, Dict[int, float]]:
-    """Fig 11: average Multi-RowCopy success by data pattern."""
-    return program_fig11(scope, destinations, patterns).run(executor)
-
-
 def program_fig12a(
     scope: CharacterizationScope,
     destinations: Sequence[int] = COPY_DESTINATIONS,
     temperatures: Sequence[float] = FIG12_TEMPERATURES,
 ) -> ExperimentProgram:
-    """Fig 12a as a declarative program."""
+    """Fig 12a: average Multi-RowCopy success vs temperature.
+
+    ``result[temperature][destinations]``.
+    """
     steps = []
     slots = []
     for temp in temperatures:
@@ -153,22 +141,15 @@ def program_fig12a(
     )
 
 
-def figure12a_temperature(
-    scope: CharacterizationScope,
-    destinations: Sequence[int] = COPY_DESTINATIONS,
-    temperatures: Sequence[float] = FIG12_TEMPERATURES,
-    executor: Optional[ExecutorBase] = None,
-) -> Dict[float, Dict[int, float]]:
-    """Fig 12a: average Multi-RowCopy success vs temperature."""
-    return program_fig12a(scope, destinations, temperatures).run(executor)
-
-
 def program_fig12b(
     scope: CharacterizationScope,
     destinations: Sequence[int] = COPY_DESTINATIONS,
     vpp_levels: Sequence[float] = FIG12_VPP_LEVELS,
 ) -> ExperimentProgram:
-    """Fig 12b as a declarative program."""
+    """Fig 12b: average Multi-RowCopy success vs wordline voltage.
+
+    ``result[vpp][destinations]``.
+    """
     steps = []
     slots = []
     for vpp in vpp_levels:
@@ -179,13 +160,3 @@ def program_fig12b(
     return ExperimentProgram(
         "fig12b", tuple(steps), lambda values: _nested(slots, values)
     )
-
-
-def figure12b_voltage(
-    scope: CharacterizationScope,
-    destinations: Sequence[int] = COPY_DESTINATIONS,
-    vpp_levels: Sequence[float] = FIG12_VPP_LEVELS,
-    executor: Optional[ExecutorBase] = None,
-) -> Dict[float, Dict[int, float]]:
-    """Fig 12b: average Multi-RowCopy success vs wordline voltage."""
-    return program_fig12b(scope, destinations, vpp_levels).run(executor)

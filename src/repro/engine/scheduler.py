@@ -10,8 +10,8 @@ ordered tuple of :class:`PlanStep` (plan + per-plan reduction) plus
 one assembly function -- so the same program can run two ways:
 
 - :meth:`ExperimentProgram.run` executes the steps strictly in order
-  on any executor: the sequential reference, and exactly what the
-  legacy ``figureN_*`` functions now delegate to;
+  on any executor: the sequential reference, and how a campaign's
+  sequential source, the audit and a fleet worker run a figure;
 - :class:`CampaignScheduler` flattens *many* programs into a single
   plan stream and hands it to a pipelining executor's ``run_many``,
   which keeps one shared persistent worker pool saturated across
@@ -57,7 +57,11 @@ class ExperimentProgram:
     step order."""
 
     def run(self, executor: Optional[ExecutorBase] = None) -> Any:
-        """Sequential reference execution (what the figure functions do)."""
+        """Run the steps in order on ``executor`` and assemble the figure.
+
+        The sequential reference: every executor gives the same bits
+        here, and :class:`CampaignScheduler` gives them too.
+        """
         values = [step.reduce(run_plan(step.plan, executor)) for step in self.steps]
         return self.assemble(values)
 

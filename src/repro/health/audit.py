@@ -16,7 +16,7 @@ audit closes that gap with two passes over a
    bit-for-bit against the stored payload.  A campaign whose
    fingerprint carries ``adaptive`` knobs is recomputed through the
    same :class:`~repro.engine.AdaptivePlanner` (rebuilt from those
-   knobs) instead of the fixed-budget figure function: the planner's
+   knobs) instead of at the program's fixed budget: the planner's
    round schedule, bootstrap, and allocation are all seeded pure
    functions of the observations, so its serial recompute lands on
    identical bits too.
@@ -205,7 +205,7 @@ def audit_store(
     """
     # The campaign layer imports repro.health; import it lazily here so
     # the health package never imports it at module load.
-    from ..characterization.campaign import EXPERIMENT_PROGRAMS, EXPERIMENTS
+    from ..characterization.campaign import EXPERIMENT_PROGRAMS
     from ..characterization.reader import canonical_data
     from ..engine import AdaptiveConfig, SerialExecutor
 
@@ -253,7 +253,7 @@ def audit_store(
         candidates = [
             name
             for name in manifest.completed
-            if name in EXPERIMENTS
+            if name in EXPERIMENT_PROGRAMS
             and reader.has(name)
             and reader.verify(name) == "ok"
         ]
@@ -304,22 +304,16 @@ def audit_store(
                     )
                 )
                 continue
-            if adaptive is not None and name in EXPERIMENT_PROGRAMS:
+            program = EXPERIMENT_PROGRAMS[name](figure_scope)
+            reference = SerialExecutor(cache=cache)
+            if adaptive is not None:
                 # Same planner, same knobs, reference executor: the
                 # round schedule replays deterministically, so the
                 # figure value must match the stored bits exactly.
-                planner = adaptive.planner(SerialExecutor(cache=cache))
-                fresh = canonical_data(
-                    planner.run_program(
-                        EXPERIMENT_PROGRAMS[name](figure_scope)
-                    ).value
-                )
+                value = adaptive.planner(reference).run_program(program).value
             else:
-                fresh = canonical_data(
-                    EXPERIMENTS[name](
-                        figure_scope, executor=SerialExecutor(cache=cache)
-                    )
-                )
+                value = program.run(reference)
+            fresh = canonical_data(value)
             stored = reader.load(name)
             report.figures_recomputed += 1
             if fresh == stored:

@@ -8,8 +8,8 @@ import pytest
 
 from repro.characterization.activation import (
     activation_success_distribution,
-    figure4a_temperature,
-    figure4b_voltage,
+    program_fig4a,
+    program_fig4b,
 )
 from repro.characterization.experiment import (
     CharacterizationScope,
@@ -57,15 +57,15 @@ class TestObservation2:
 
 class TestObservation3:
     def test_temperature_effect_small(self, scope):
-        series = figure4a_temperature(
+        series = program_fig4a(
             scope, sizes=(8,), temperatures=(50.0, 90.0)
-        )
+        ).run()
         drop = series[50.0][8] - series[90.0][8]
         assert abs(drop) < 0.02
 
 
 class TestObservation4:
     def test_voltage_effect_small_and_negative(self, scope):
-        series = figure4b_voltage(scope, sizes=(16,), vpp_levels=(2.5, 2.1))
+        series = program_fig4b(scope, sizes=(16,), vpp_levels=(2.5, 2.1)).run()
         drop = series[2.5][16] - series[2.1][16]
         assert 0.0 <= drop < 0.03

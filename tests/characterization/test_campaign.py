@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.characterization.campaign import Campaign, EXPERIMENTS
+from repro.characterization.campaign import Campaign, EXPERIMENT_PROGRAMS
 from repro.characterization.experiment import CharacterizationScope
 from repro.characterization.store import ResultStore
 from repro.config import SimulationConfig
 from repro.dram.vendor import TESTED_MODULES
+from repro.engine import make_executor
 from repro.errors import ExperimentError
 
 
@@ -24,10 +25,16 @@ def scope():
 
 class TestCampaign:
     def test_all_experiment_ids_registered(self):
-        assert set(EXPERIMENTS) == {
+        assert set(EXPERIMENT_PROGRAMS) == {
             "fig3", "fig4a", "fig4b", "fig6", "fig7", "fig8", "fig9",
             "fig10", "fig11", "fig12a", "fig12b",
         }
+
+    def test_every_program_is_named_by_its_key(self, scope):
+        # Sources, the commit sink and the fleet route outcomes by
+        # program name: a mismatch would commit under the wrong figure.
+        for name, build in EXPERIMENT_PROGRAMS.items():
+            assert build(scope).name == name
 
     def test_run_and_render(self, scope):
         campaign = Campaign(scope)
@@ -54,6 +61,14 @@ class TestCampaign:
     def test_unknown_experiment_rejected(self, scope):
         with pytest.raises(ExperimentError):
             Campaign(scope).run(["fig99"])
+
+    def test_repeated_experiment_rejected(self, scope, tmp_path):
+        store = ResultStore(tmp_path / "campaign")
+        with make_executor("fused") as engine:
+            campaign = Campaign(scope, store=store, executor=engine)
+            with pytest.raises(ExperimentError, match="fig4a"):
+                campaign.run(["fig4a", "fig11", "fig4a"])
+        assert store.load_manifest() is None  # refused before any work
 
     def test_empty_campaign_rejected(self, scope):
         with pytest.raises(ExperimentError):

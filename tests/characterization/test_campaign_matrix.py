@@ -8,19 +8,33 @@ wherever the constructor allows them.  Each allowed combination must
 commit artifacts byte-equal to its serial sequential counterpart (the
 adaptive serial run for adaptive campaigns) and pass ``audit``; each
 refused one must raise :class:`~repro.errors.ConfigurationError`.
+Under the matrix sits a property over every registered figure: on
+random tiny scopes, serial, fused and the pipelined pool give equal
+data.
 """
 
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.characterization.campaign import Campaign, RetryPolicy
+from repro.characterization.campaign import (
+    EXPERIMENT_PROGRAMS,
+    Campaign,
+    RetryPolicy,
+)
 from repro.characterization.experiment import CharacterizationScope
 from repro.characterization.store import ResultStore
 from repro.chaos import ChaosConfig
 from repro.config import SimulationConfig
 from repro.dram.vendor import TESTED_MODULES
-from repro.engine import AdaptiveConfig, SerialExecutor, make_executor
+from repro.engine import (
+    AdaptiveConfig,
+    CampaignScheduler,
+    FusedExecutor,
+    SerialExecutor,
+    make_executor,
+)
 from repro.engine.fleet import FleetDispatcher
 from repro.errors import ConfigurationError
 from repro.health import HealthTracker
@@ -168,3 +182,28 @@ def test_fleet_refuses_adaptive():
             adaptive=ADAPTIVE,
             dispatcher=FleetDispatcher([]),
         )
+
+
+@settings(max_examples=5, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    spec=st.sampled_from(TESTED_MODULES),
+    columns=st.sampled_from((64, 128)),
+    trials=st.integers(1, 2),
+)
+def test_every_figure_is_executor_independent(
+    pool, seed, spec, columns, trials
+):
+    scope = CharacterizationScope.build(
+        config=SimulationConfig(seed=seed, columns_per_row=columns),
+        specs=[spec],
+        modules_per_spec=1,
+        groups_per_size=1,
+        trials=trials,
+    )
+    programs = [build(scope) for build in EXPERIMENT_PROGRAMS.values()]
+    serial = {p.name: p.run(SerialExecutor()) for p in programs}
+    fused = {p.name: p.run(FusedExecutor()) for p in programs}
+    pipelined = CampaignScheduler(pool).run(programs)
+    assert fused == serial
+    assert pipelined == {name: ("ok", data) for name, data in serial.items()}

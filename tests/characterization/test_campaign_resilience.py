@@ -8,7 +8,6 @@ the data a fault-free run produces.
 import pytest
 
 from repro.characterization.campaign import (
-    EXPERIMENTS,
     Campaign,
     ExperimentFailure,
     RetryPolicy,
@@ -66,15 +65,15 @@ class TestRetryPolicy:
 
 
 class TestFailureIsolation:
-    def test_failing_experiment_does_not_abort_sweep(self, scope, monkeypatch):
+    def test_failing_experiment_does_not_abort_sweep(self, scope, fake_figure):
         def boom(_scope):
             try:
                 raise KeyError("root cause")
             except KeyError as exc:
                 raise ValueError("experiment blew up") from exc
 
-        monkeypatch.setitem(EXPERIMENTS, "figboom", boom)
-        monkeypatch.setitem(EXPERIMENTS, "figok", lambda _scope: {"a": 1.0})
+        fake_figure("figboom", boom)
+        fake_figure("figok", lambda _scope: {"a": 1.0})
         result = Campaign(scope, sleep=no_sleep).run(["figboom", "figok"])
         assert result.completed == ["figok"]
         assert not result.succeeded
@@ -85,7 +84,7 @@ class TestFailureIsolation:
         assert "ValueError: experiment blew up" in failure.error
         assert any("KeyError" in link for link in failure.chain)
 
-    def test_transient_fault_retries_then_succeeds(self, scope, monkeypatch):
+    def test_transient_fault_retries_then_succeeds(self, scope, fake_figure):
         calls = {"n": 0}
 
         def flaky(_scope):
@@ -94,7 +93,7 @@ class TestFailureIsolation:
                 raise ProgramTransferError("link glitch")
             return {"a": 1.0}
 
-        monkeypatch.setitem(EXPERIMENTS, "figflaky", flaky)
+        fake_figure("figflaky", flaky)
         sleeps = []
         campaign = Campaign(
             scope,
@@ -107,9 +106,8 @@ class TestFailureIsolation:
         assert result.attempts["figflaky"] == 3
         assert sleeps == [pytest.approx(0.1), pytest.approx(0.2)]
 
-    def test_retries_exhausted_recorded(self, scope, monkeypatch):
-        monkeypatch.setitem(
-            EXPERIMENTS,
+    def test_retries_exhausted_recorded(self, scope, fake_figure):
+        fake_figure(
             "fignever",
             lambda _scope: (_ for _ in ()).throw(ProgramTransferError("down")),
         )
@@ -121,9 +119,8 @@ class TestFailureIsolation:
         assert failure.reason == "retries-exhausted"
         assert failure.attempts == 3
 
-    def test_time_budget_stops_retries(self, scope, monkeypatch):
-        monkeypatch.setitem(
-            EXPERIMENTS,
+    def test_time_budget_stops_retries(self, scope, fake_figure):
+        fake_figure(
             "figslow",
             lambda _scope: (_ for _ in ()).throw(ProgramTransferError("down")),
         )
@@ -141,23 +138,22 @@ class TestFailureIsolation:
         assert failure.attempts == 1
         assert sleeps == []
 
-    def test_non_transient_simra_error_not_retried(self, scope, monkeypatch):
+    def test_non_transient_simra_error_not_retried(self, scope, fake_figure):
         calls = {"n": 0}
 
         def broken(_scope):
             calls["n"] += 1
             raise ExperimentError("misconfigured")
 
-        monkeypatch.setitem(EXPERIMENTS, "figbroken", broken)
+        fake_figure("figbroken", broken)
         result = Campaign(
             scope, retry=RetryPolicy(max_attempts=5), sleep=no_sleep
         ).run(["figbroken"])
         assert calls["n"] == 1
         assert result.failures[0].reason == "error"
 
-    def test_render_includes_failures(self, scope, monkeypatch):
-        monkeypatch.setitem(
-            EXPERIMENTS,
+    def test_render_includes_failures(self, scope, fake_figure):
+        fake_figure(
             "figboom",
             lambda _scope: (_ for _ in ()).throw(ValueError("nope")),
         )
@@ -216,7 +212,7 @@ class TestChaosConvergence:
 
 class TestResume:
     def test_killed_campaign_resumes_from_manifest(
-        self, scope, tmp_path, monkeypatch
+        self, scope, tmp_path, fake_figure
     ):
         calls = {"ok1": 0, "ok2": 0}
 
@@ -231,9 +227,9 @@ class TestResume:
         def killed(_scope):
             raise KeyboardInterrupt  # the operator's ^C mid-campaign
 
-        monkeypatch.setitem(EXPERIMENTS, "figok1", ok1)
-        monkeypatch.setitem(EXPERIMENTS, "figok2", ok2)
-        monkeypatch.setitem(EXPERIMENTS, "figkill", killed)
+        fake_figure("figok1", ok1)
+        fake_figure("figok2", ok2)
+        fake_figure("figkill", killed)
 
         store = ResultStore(tmp_path / "campaign")
         # Graceful interruption: the KeyboardInterrupt does not unwind;
@@ -248,7 +244,7 @@ class TestResume:
         manifest = store.load_manifest()
         assert manifest.completed == ["figok1"]
 
-        monkeypatch.setitem(EXPERIMENTS, "figkill", lambda _scope: {"c": 3.0})
+        fake_figure("figkill", lambda _scope: {"c": 3.0})
         result = Campaign(scope, store=store, sleep=no_sleep).run(
             ["figok1", "figkill", "figok2"], resume=True
         )
@@ -262,8 +258,8 @@ class TestResume:
         with pytest.raises(ExperimentError):
             Campaign(scope).run(["fig4a"], resume=True)
 
-    def test_resume_rejects_config_mismatch(self, tmp_path, monkeypatch):
-        monkeypatch.setitem(EXPERIMENTS, "figok", lambda _scope: {"a": 1.0})
+    def test_resume_rejects_config_mismatch(self, tmp_path, fake_figure):
+        fake_figure("figok", lambda _scope: {"a": 1.0})
         store = ResultStore(tmp_path / "campaign")
         Campaign(make_scope(seed=43), store=store).run(["figok"])
         with pytest.raises(ExperimentError):
@@ -272,18 +268,17 @@ class TestResume:
             )
 
     def test_fresh_run_overwrites_stale_manifest(
-        self, scope, tmp_path, monkeypatch
+        self, scope, tmp_path, fake_figure
     ):
-        monkeypatch.setitem(EXPERIMENTS, "figok", lambda _scope: {"a": 1.0})
+        fake_figure("figok", lambda _scope: {"a": 1.0})
         store = ResultStore(tmp_path / "campaign")
         Campaign(scope, store=store).run(["figok"])
         result = Campaign(scope, store=store).run(["figok"])  # no resume
         assert result.completed == ["figok"]  # re-ran despite manifest
         assert store.load_manifest().completed == ["figok"]
 
-    def test_failures_not_marked_complete(self, scope, tmp_path, monkeypatch):
-        monkeypatch.setitem(
-            EXPERIMENTS,
+    def test_failures_not_marked_complete(self, scope, tmp_path, fake_figure):
+        fake_figure(
             "figboom",
             lambda _scope: (_ for _ in ()).throw(ValueError("nope")),
         )

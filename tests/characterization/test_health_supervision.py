@@ -7,12 +7,13 @@ the same healthy subset, the quarantined module explicitly annotated
 in the stored results, and ``audit_store`` passing over the store.
 """
 
+import functools
 import json
 
 import pytest
 
-from repro.characterization.activation import figure4a_temperature
-from repro.characterization.campaign import EXPERIMENTS, Campaign
+from repro.characterization.activation import program_fig4a
+from repro.characterization.campaign import EXPERIMENT_PROGRAMS, Campaign
 from repro.characterization.experiment import CharacterizationScope
 from repro.characterization.store import ResultStore
 from repro.chaos import ChaosConfig
@@ -34,11 +35,10 @@ def make_scope(specs=None, seed: int = 53) -> CharacterizationScope:
     )
 
 
-def small_fig4a(scope, executor=None):
-    """Fig 4a on a reduced grid: real plan machinery, tiny wall-clock."""
-    return figure4a_temperature(
-        scope, sizes=(4,), temperatures=(50.0, 70.0), executor=executor
-    )
+# Fig 4a on a reduced grid: real plan machinery, tiny wall-clock.
+small_fig4a = functools.partial(
+    program_fig4a, sizes=(4,), temperatures=(50.0, 70.0)
+)
 
 
 def no_sleep(_delay: float) -> None:
@@ -53,7 +53,7 @@ class TestDegradedCampaignAcceptance:
     def test_quarantine_plus_worker_kill_matches_serial_healthy_subset(
         self, tmp_path, monkeypatch
     ):
-        monkeypatch.setitem(EXPERIMENTS, "fig4a", small_fig4a)
+        monkeypatch.setitem(EXPERIMENT_PROGRAMS, "fig4a", small_fig4a)
         store = ResultStore(tmp_path / "supervised")
         chaos = ChaosConfig(
             seed=5,
@@ -106,7 +106,7 @@ class TestDegradedCampaignAcceptance:
     def test_all_modules_quarantined_is_an_explicit_failure(
         self, tmp_path, monkeypatch
     ):
-        monkeypatch.setitem(EXPERIMENTS, "fig4a", small_fig4a)
+        monkeypatch.setitem(EXPERIMENT_PROGRAMS, "fig4a", small_fig4a)
         result = Campaign(
             make_scope(specs=TESTED_MODULES[:1]),
             chaos=ChaosConfig(seed=5, bench_failure_serials=(SERIALS[0],)),
@@ -119,7 +119,7 @@ class TestDegradedCampaignAcceptance:
         assert result.quality["fig4a"]["coverage"] == 0.0
 
     def test_unsupervised_campaign_reports_no_quality(self, monkeypatch):
-        monkeypatch.setitem(EXPERIMENTS, "fig4a", small_fig4a)
+        monkeypatch.setitem(EXPERIMENT_PROGRAMS, "fig4a", small_fig4a)
         result = Campaign(
             make_scope(specs=TESTED_MODULES[:1]), sleep=no_sleep
         ).run(["fig4a"])
@@ -129,14 +129,14 @@ class TestDegradedCampaignAcceptance:
 
 
 class TestResumeFailurePolicy:
-    def test_resume_skips_deterministic_failures(self, tmp_path, monkeypatch):
+    def test_resume_skips_deterministic_failures(self, tmp_path, fake_figure):
         calls = {"n": 0}
 
         def boom(_scope):
             calls["n"] += 1
             raise ValueError("deterministic bug")
 
-        monkeypatch.setitem(EXPERIMENTS, "figboom", boom)
+        fake_figure("figboom", boom)
         store = ResultStore(tmp_path / "results")
         scope = make_scope(specs=TESTED_MODULES[:1])
         Campaign(scope, store=store, sleep=no_sleep).run(["figboom"])
@@ -149,7 +149,7 @@ class TestResumeFailurePolicy:
         assert resumed.skipped_failed == ["figboom"]
         assert resumed.succeeded  # skip is not a fresh failure
 
-    def test_retry_failed_reruns_them(self, tmp_path, monkeypatch):
+    def test_retry_failed_reruns_them(self, tmp_path, fake_figure):
         calls = {"n": 0}
 
         def flaky_then_fine(_scope):
@@ -158,7 +158,7 @@ class TestResumeFailurePolicy:
                 raise ValueError("fixed since")
             return {"a": 1.0}
 
-        monkeypatch.setitem(EXPERIMENTS, "figfixed", flaky_then_fine)
+        fake_figure("figfixed", flaky_then_fine)
         store = ResultStore(tmp_path / "results")
         scope = make_scope(specs=TESTED_MODULES[:1])
         Campaign(scope, store=store, sleep=no_sleep).run(["figfixed"])
@@ -172,7 +172,7 @@ class TestResumeFailurePolicy:
         assert store.load_manifest().failures == {}
 
     def test_transient_failures_are_always_retried_on_resume(
-        self, tmp_path, monkeypatch
+        self, tmp_path, fake_figure
     ):
         from repro.characterization.campaign import RetryPolicy
         from repro.errors import ProgramTransferError
@@ -185,7 +185,7 @@ class TestResumeFailurePolicy:
                 raise ProgramTransferError("rig down")
             return {"a": 1.0}
 
-        monkeypatch.setitem(EXPERIMENTS, "figdown", down_then_up)
+        fake_figure("figdown", down_then_up)
         store = ResultStore(tmp_path / "results")
         scope = make_scope(specs=TESTED_MODULES[:1])
         retry = RetryPolicy(max_attempts=2, base_delay_s=0.0)
@@ -202,11 +202,9 @@ class TestResumeFailurePolicy:
 
 class TestResumeIntegrity:
     def test_damaged_artifact_is_rerun_not_trusted(
-        self, tmp_path, monkeypatch
+        self, tmp_path, fake_figure
     ):
-        monkeypatch.setitem(
-            EXPERIMENTS, "figdata", lambda _scope: {"rate": 0.75}
-        )
+        fake_figure("figdata", lambda _scope: {"rate": 0.75})
         store = ResultStore(tmp_path / "results")
         scope = make_scope(specs=TESTED_MODULES[:1])
         Campaign(scope, store=store, sleep=no_sleep).run(["figdata"])
@@ -227,11 +225,9 @@ class TestResumeIntegrity:
         assert tracker.checksum_mismatches == 1
 
     def test_chaos_corrupted_save_detected_on_resume(
-        self, tmp_path, monkeypatch
+        self, tmp_path, fake_figure
     ):
-        monkeypatch.setitem(
-            EXPERIMENTS, "figdata", lambda _scope: {"rate": 0.75}
-        )
+        fake_figure("figdata", lambda _scope: {"rate": 0.75})
         store = ResultStore(tmp_path / "results")
         scope = make_scope(specs=TESTED_MODULES[:1])
         chaotic = Campaign(

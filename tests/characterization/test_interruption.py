@@ -14,7 +14,7 @@ import signal
 
 import pytest
 
-from repro.characterization.campaign import EXPERIMENTS, Campaign
+from repro.characterization.campaign import Campaign
 from repro.characterization.experiment import CharacterizationScope
 from repro.characterization.store import ResultStore
 from repro.cli import EXIT_INTERRUPTED, _graceful_signals, main
@@ -53,7 +53,7 @@ class KillingStore(ResultStore):
 
 class TestSequentialInterruption:
     def test_interrupt_then_resume_loses_nothing(
-        self, tmp_path, monkeypatch
+        self, tmp_path, fake_figure
     ):
         calls = {"figa": 0, "figb": 0}
 
@@ -65,8 +65,8 @@ class TestSequentialInterruption:
             calls["figb"] += 1
             return {"b": 2.0}
 
-        monkeypatch.setitem(EXPERIMENTS, "figa", figa)
-        monkeypatch.setitem(EXPERIMENTS, "figb", figb)
+        fake_figure("figa", figa)
+        fake_figure("figb", figb)
 
         directory = tmp_path / "campaign"
         partial = Campaign(
@@ -167,12 +167,12 @@ class TestSignalHandling:
         assert signal.getsignal(signal.SIGTERM) is before
 
     def test_campaign_cli_exits_3_on_interrupt(
-        self, tmp_path, monkeypatch, capsys
+        self, tmp_path, fake_figure, capsys
     ):
-        def killed(_scope, executor=None):
+        def killed(_scope):
             raise KeyboardInterrupt
 
-        monkeypatch.setitem(EXPERIMENTS, "fig4a", killed)
+        fake_figure("fig4a", killed)
         code = main([
             "campaign", "--experiments", "fig4a",
             "--results-dir", str(tmp_path / "store"),

@@ -12,8 +12,12 @@ import json
 
 import pytest
 
-from repro.characterization.activation import figure4a_temperature
-from repro.characterization.campaign import EXPERIMENTS, Campaign, RetryPolicy
+from repro.characterization.activation import program_fig4a
+from repro.characterization.campaign import (
+    EXPERIMENT_PROGRAMS,
+    Campaign,
+    RetryPolicy,
+)
 from repro.characterization.experiment import CharacterizationScope
 from repro.characterization.store import ResultStore
 from repro.chaos import ChaosConfig
@@ -43,10 +47,10 @@ def no_sleep(_delay: float) -> None:
 @pytest.mark.parametrize("name", ["fused", "fused-parallel"])
 def test_persistent_failure_quarantines_the_module(name, monkeypatch):
     monkeypatch.setitem(
-        EXPERIMENTS,
+        EXPERIMENT_PROGRAMS,
         "fig4a",
-        lambda scope, executor=None: figure4a_temperature(
-            scope, sizes=(4,), temperatures=(50.0, 70.0), executor=executor
+        lambda scope: program_fig4a(
+            scope, sizes=(4,), temperatures=(50.0, 70.0)
         ),
     )
     chaos = ChaosConfig(seed=5, bench_failure_serials=(FAILING,))

@@ -5,7 +5,7 @@ import pytest
 from repro.characterization.experiment import CharacterizationScope
 from repro.characterization.rowcopy import (
     COPY_POINT,
-    figure11_patterns,
+    program_fig11,
     multi_row_copy_distribution,
 )
 from repro.config import SimulationConfig
@@ -43,7 +43,7 @@ class TestObservation15:
 
 class TestObservation16:
     def test_all_ones_to_31_rows_slightly_worse(self, scope):
-        series = figure11_patterns(scope, destinations=(31,))
+        series = program_fig11(scope, destinations=(31,)).run()
         assert series["all1"][31] < series["all0"][31]
         assert series["all1"][31] < series["random"][31]
 

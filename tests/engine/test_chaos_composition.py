@@ -10,7 +10,7 @@ wiring is covered here too.
 
 import pytest
 
-from repro.characterization.campaign import EXPERIMENTS, Campaign, RetryPolicy
+from repro.characterization.campaign import Campaign, RetryPolicy
 from repro.characterization.experiment import CharacterizationScope
 from repro.characterization.store import ResultStore
 from repro.chaos import ChaosConfig
@@ -86,19 +86,19 @@ class TestChaosWithExecutors:
         assert chaotic.chaos_faults_injected >= 1
 
     def test_campaign_hands_chaos_profile_to_parallel_executor(
-        self, monkeypatch
+        self, fake_figure
     ):
         """The worker-side injection path: the campaign temporarily
         points the executor's chaos profile at its own, and restores
         it afterwards."""
         observed = {}
+        executor = ProcessPoolExecutor(jobs=1)
 
-        def probe(_scope, executor=None):
+        def probe(_scope):
             observed["chaos"] = executor.chaos
             return {"a": 1.0}
 
-        monkeypatch.setitem(EXPERIMENTS, "figprobe", probe)
-        executor = ProcessPoolExecutor(jobs=1)
+        fake_figure("figprobe", probe)
         chaos = ChaosConfig.light(seed=11)
         result = Campaign(
             make_scope(), chaos=chaos, sleep=no_sleep, executor=executor
@@ -148,15 +148,15 @@ class TestCampaignEngineStats:
         assert candidate.data == reference.data
 
     def test_resume_skips_finished_figures_with_executor(
-        self, tmp_path, monkeypatch
+        self, tmp_path, fake_figure
     ):
         calls = {"n": 0}
 
-        def counted(_scope, executor=None):
+        def counted(_scope):
             calls["n"] += 1
             return {"a": 1.0}
 
-        monkeypatch.setitem(EXPERIMENTS, "figcount", counted)
+        fake_figure("figcount", counted)
         store = ResultStore(tmp_path / "resume")
         executor = FusedExecutor()
         Campaign(make_scope(), store=store, executor=executor).run(

@@ -7,14 +7,22 @@ and the assembled figure value of a run that exhausts its budget
 matches the fixed-budget reference exactly.
 """
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.characterization.activation import (
     build_activation_plan,
     program_fig4a,
 )
-from repro.characterization.majority import program_fig9
+from repro.characterization.majority import (
+    MAJX_POINT,
+    build_majx_plan,
+    program_fig9,
+)
+from repro.characterization.rowcopy import COPY_POINT, build_copy_plan
 from repro.characterization.experiment import (
     CharacterizationScope,
     OperatingPoint,
@@ -58,20 +66,49 @@ def _assert_outcomes_equal(got, want):
         assert np.array_equal(a.mask, b.mask)
 
 
+SLICE_TRIALS = 6
+
+
+@pytest.fixture(scope="module")
+def kernel_plans():
+    """One plan per kernel, each with its one-shot serial outcomes."""
+    scope = make_scope(trials=SLICE_TRIALS)
+    plans = (
+        build_activation_plan(scope, 8, ACT_POINT),
+        build_majx_plan(scope, 3, 8, MAJX_POINT),
+        build_copy_plan(scope, 7, COPY_POINT),
+    )
+    return [(plan, SerialExecutor().run(plan).outcomes) for plan in plans]
+
+
+@pytest.fixture(
+    scope="module", params=[SerialExecutor, FusedExecutor, ProcessPoolExecutor]
+)
+def executor(request):
+    """One executor per class, shared by every example, so the process
+    pool starts once per module."""
+    built = request.param()
+    yield built
+    built.close()
+
+
 class TestRoundSlicing:
     """slice_plan + merge_outcomes == one-shot, on every executor."""
 
-    @pytest.mark.parametrize(
-        "factory", [SerialExecutor, FusedExecutor, ProcessPoolExecutor]
-    )
-    def test_slices_merge_to_one_shot(self, factory):
-        plan = build_activation_plan(make_scope(trials=6), 8, ACT_POINT)
-        reference = factory().run(plan).outcomes
-        executor = factory()
-        first = executor.run(slice_plan(plan, 0, 2)).outcomes
-        second = executor.run(slice_plan(plan, 2, 4)).outcomes
-        merged = [merge_outcomes(a, b) for a, b in zip(first, second)]
-        _assert_outcomes_equal(merged, reference)
+    @settings(max_examples=8, deadline=None)
+    @given(cuts=st.sets(st.integers(1, SLICE_TRIALS - 1)))
+    def test_slices_merge_to_one_shot(self, cuts, kernel_plans, executor):
+        bounds = [0, *sorted(cuts), SLICE_TRIALS]
+        for plan, reference in kernel_plans:
+            windows = [
+                executor.run(slice_plan(plan, start, stop - start)).outcomes
+                for start, stop in zip(bounds, bounds[1:])
+            ]
+            merged = [
+                functools.reduce(merge_outcomes, parts)
+                for parts in zip(*windows)
+            ]
+            _assert_outcomes_equal(merged, reference)
 
     def test_extension_past_built_budget(self):
         # A plan built for 4 trials, sliced out to 12, must be

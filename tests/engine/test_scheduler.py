@@ -2,12 +2,9 @@
 
 import pytest
 
-from repro.characterization.activation import (
-    figure4a_temperature,
-    program_fig4a,
-)
+from repro.characterization.activation import program_fig4a
 from repro.characterization.experiment import CharacterizationScope
-from repro.characterization.rowcopy import figure11_patterns, program_fig11
+from repro.characterization.rowcopy import program_fig11
 from repro.config import SimulationConfig
 from repro.dram.vendor import TESTED_MODULES
 from repro.engine import (
@@ -33,9 +30,6 @@ def scope():
 
 
 class TestExperimentProgram:
-    def test_program_run_matches_figure_function(self, scope):
-        assert program_fig4a(scope).run(None) == figure4a_temperature(scope)
-
     def test_program_is_declarative(self, scope):
         program = program_fig4a(scope)
         assert program.name == "fig4a"
@@ -50,8 +44,8 @@ class TestCampaignScheduler:
 
     def test_pipelined_matches_sequential_reference(self, scope):
         reference = {
-            "fig4a": figure4a_temperature(scope),
-            "fig11": figure11_patterns(scope),
+            "fig4a": program_fig4a(scope).run(),
+            "fig11": program_fig11(scope).run(),
         }
         with make_executor("fused-parallel", jobs=2) as executor:
             outcome = CampaignScheduler(executor).run(
@@ -84,7 +78,7 @@ class TestCampaignScheduler:
         assert isinstance(error, ZeroDivisionError)
         status, value = outcome["fig4a"]
         assert status == "ok"
-        assert value == figure4a_temperature(scope)
+        assert value == program_fig4a(scope).run()
 
     def test_empty_program_list(self):
         with make_executor("fused-parallel", jobs=2) as executor:

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro import rngblock
-from repro.characterization.campaign import EXPERIMENTS, Campaign
+from repro.characterization.campaign import Campaign
 from repro.characterization.experiment import CharacterizationScope
 from repro.characterization.store import CampaignManifest, ResultStore
 from repro.config import SimulationConfig
@@ -26,8 +26,8 @@ def make_scope(seed: int = 47) -> CharacterizationScope:
     )
 
 
-def fake_figure(scope, executor=None):
-    """Deterministic, scope-keyed stand-in for a real figure function."""
+def scope_keyed(scope):
+    """Deterministic, scope-keyed stand-in for a real figure's data."""
     return {
         "serials": [bench.module.serial for bench in scope.benches],
         "trials": scope.trials,
@@ -45,8 +45,8 @@ def store(tmp_path):
 
 
 @pytest.fixture()
-def stored_campaign(store, monkeypatch):
-    monkeypatch.setitem(EXPERIMENTS, "figfake", fake_figure)
+def stored_campaign(store, fake_figure):
+    fake_figure("figfake", scope_keyed)
     result = Campaign(make_scope(), store=store, sleep=no_sleep).run(["figfake"])
     assert result.succeeded
     return store

@@ -115,6 +115,14 @@ class TestCampaignCommand:
             capsys.readouterr().out
         )
 
+    def test_repeated_experiment_is_a_usage_error(self, capsys, tmp_path):
+        assert main([
+            "campaign", "--experiments", "fig3", "fig3",
+            *self.CAMPAIGN_SCALE,
+            "--results-dir", str(tmp_path / "results"),
+        ]) == 2
+        assert "more than once: ['fig3']" in capsys.readouterr().err
+
 
 class TestAdaptiveCampaignCommand:
     SCALE = ["--columns", "64", "--groups", "1", "--trials", "2"]

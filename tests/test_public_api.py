@@ -35,13 +35,9 @@ FROZEN_ALL = {
         "BootstrapCI", "DistributionSummary", "StreamingBootstrap",
         "bootstrap_mean_ci", "bootstrap_mean_ci_each", "summarize",
         "summarize_each", "CharacterizationScope", "OperatingPoint",
-        "activation_success_distribution", "figure3_timing_grid",
-        "figure4a_temperature", "figure4b_voltage",
+        "activation_success_distribution",
         "majx_success_distribution", "majx_sizes_for",
-        "figure6_maj3_grid", "figure7_patterns", "figure8_temperature",
-        "figure9_voltage", "multi_row_copy_distribution",
-        "figure10_timing_grid", "figure11_patterns",
-        "figure12a_temperature", "figure12b_voltage", "format_ci_table",
+        "multi_row_copy_distribution", "format_ci_table",
         "format_distribution_table", "format_series_table",
         "DisturbanceReport", "disturbance_check", "baseline_yield",
         "best_group_yields", "per_manufacturer_scopes",
