@@ -3,12 +3,13 @@
 
 Runs a two-figure campaign through the real socket backend -- two
 ``simra-dram worker`` subprocesses dialed into a
-:class:`~repro.engine.fleet.FleetDispatcher` -- and SIGKILLs one
-worker while its figure is in flight.  The dispatcher must notice the
-death, re-issue the orphaned figure, and finish the campaign; the
-stored artifacts must be byte-equal to a single-host serial
-reference; and ``audit`` (checksum + serial recompute) must pass on
-the fleet store with no fleet-specific handling.
+:class:`~repro.engine.fleet.LocalFleet`, the fused-parallel executor
+over dial-in workers -- and SIGKILLs one worker while the campaign
+runs.  The executor must notice the death, re-queue the orphaned
+slice, and finish the campaign; the stored artifacts must be
+byte-equal to a single-host serial reference; and ``audit`` (checksum
++ serial recompute) must pass on the fleet store with no
+fleet-specific handling.
 
 This is the fleet tier's whole contract in one script: distribution
 changes where the work runs, never what gets stored -- even across a
@@ -17,7 +18,7 @@ worker death.
 Usage::
 
     PYTHONPATH=src python benchmarks/fleet_smoke.py
-    PYTHONPATH=src python benchmarks/fleet_smoke.py --kill-after 1.0
+    PYTHONPATH=src python benchmarks/fleet_smoke.py --kill-after 0.1
 """
 
 from __future__ import annotations
@@ -58,10 +59,11 @@ def main(argv=None) -> int:
     parser.add_argument("--trials", type=int, default=6)
     parser.add_argument("--seed", type=int, default=2024)
     parser.add_argument(
-        "--kill-after", type=float, default=0.5,
+        "--kill-after", type=float, default=0.05,
         help="seconds into the fleet run at which worker 0 is "
-        "SIGKILLed; must land while its figure is in flight "
-        "(default 0.5)",
+        "SIGKILLed; must land before the campaign's last slice to it "
+        "(default 0.05: the whole campaign takes a few tenths of a "
+        "second)",
     )
     args = parser.parse_args(argv)
 
@@ -93,9 +95,7 @@ def main(argv=None) -> int:
         )
         with LocalFleet(workers=2) as fleet:
             campaign = Campaign(
-                build_scope(),
-                store=ResultStore(fleet_dir),
-                dispatcher=fleet.dispatcher(),
+                build_scope(), store=ResultStore(fleet_dir), executor=fleet
             )
             killer = threading.Timer(
                 args.kill_after, lambda: fleet.kill_worker(0)
@@ -113,12 +113,12 @@ def main(argv=None) -> int:
             "figures committed in deterministic order",
         )
         failures += check(
-            stats["fleet_worker_deaths"] >= 1,
-            f"worker death detected ({stats['fleet_worker_deaths']})",
+            stats["worker_deaths"] >= 1,
+            f"worker death detected ({stats['worker_deaths']})",
         )
         failures += check(
-            stats["fleet_reissued"] >= 1,
-            f"orphaned figure re-issued ({stats['fleet_reissued']})",
+            stats["tasks_resharded"] >= 1,
+            f"orphaned slice re-issued ({stats['tasks_resharded']} tasks)",
         )
 
         failures += check(

@@ -41,10 +41,13 @@ the executor is failure-isolated:
   committed with a ``planner`` data-quality annotation recording
   per-cell ``trials_planned``/``trials_run``/``stop_reason``, and the
   adaptive knobs ride in the manifest fingerprint so resume refuses to
-  mix budgets and the audit can rebuild the exact planner;
-- with a :class:`~repro.engine.fleet.FleetDispatcher` attached, whole
-  figures run on fleet workers and commit here, byte-equal to a
-  single-host run.
+  mix budgets and the audit can rebuild the exact planner.
+
+Where the trials run is the executor's business: a fleet of dial-in
+workers (:class:`~repro.engine.fleet.LocalFleet`) is the
+``fused-parallel`` executor with remote workers, so it combines with
+every source below, chaos and health supervision included, and
+commits bytes equal to a single-host run.
 
 One loop drives every run.  :meth:`Campaign.run` prepares the manifest
 and the resume skips once, then hands the figures still to run to
@@ -59,7 +62,6 @@ pipelined  :meth:`CampaignScheduler.run` ``on_program`` (a pipelining
            executor and at least two figures)
 adaptive   :meth:`AdaptivePlanner.run_program`, with a ``planner``
            quality annotation
-fleet      :meth:`FleetDispatcher.run` ``on_result``
 ========== ===========================================================
 
 Each source streams settled ``(name, outcome[, quality])`` in figure
@@ -73,11 +75,12 @@ sequential source after the chosen one finishes.
 Every source builds each figure from one registry,
 :data:`EXPERIMENT_PROGRAMS`: a figure is a program, whichever source
 runs it.  Names must be known and may appear only once in a run,
-because outcomes are routed and committed by figure name.
+because outcomes are routed and committed by figure name
+(:func:`check_experiments`).
 
 The constructor refuses, with :class:`~repro.errors.ConfigurationError`,
-the combinations no source runs: fleet with chaos, health supervision
-or adaptive planning, and adaptive planning with health supervision.
+the one combination no source runs: adaptive planning with health
+supervision.
 """
 
 from __future__ import annotations
@@ -124,24 +127,17 @@ EXPERIMENT_PROGRAMS: Dict[str, Callable] = {
 }
 """Every section 4-6 figure the campaign can run: figure id -> program
 builder (scope -> :class:`~repro.engine.scheduler.ExperimentProgram`).
-Each builder's program is named by its key; every source, the audit
-and the fleet workers build figures from this one table."""
+Each builder's program is named by its key; every source and the
+audit build figures from this one table."""
 
 
 _REFUSED: Tuple[Tuple[str, str, str], ...] = (
-    ("dispatcher", "chaos",
-     "fleet workers run outside the campaign's chaos harness"),
-    ("dispatcher", "health",
-     "benches are probed and quarantined on this host between figures"),
-    ("dispatcher", "adaptive",
-     "the planner's rounds run on this host's executor"),
     ("adaptive", "health",
      "the planner does not re-scope its matrix between rounds"),
 )
 """Constructor keyword pairs no source runs, with the reason."""
 
 _FEATURES: Dict[str, str] = {
-    "dispatcher": "fleet dispatch (--fleet)",
     "chaos": "chaos injection (--chaos)",
     "health": "health supervision (--supervise)",
     "adaptive": "adaptive planning (--adaptive)",
@@ -151,10 +147,10 @@ _FEATURES: Dict[str, str] = {
 def refuse_combinations(**given: object) -> None:
     """Raise :class:`ConfigurationError` for a refused feature pair.
 
-    ``given`` maps the :class:`Campaign` keywords ``dispatcher``,
-    ``chaos``, ``health`` and ``adaptive`` to what the caller set;
-    ``None`` means the feature is off.  The CLI calls this before it
-    spawns fleet workers, the constructor again for library callers.
+    ``given`` maps the :class:`Campaign` keywords ``chaos``,
+    ``health`` and ``adaptive`` to what the caller set; ``None`` means
+    the feature is off.  The CLI calls this before it starts any
+    worker, the constructor again for library callers.
     """
     for first, second, why in _REFUSED:
         if given.get(first) is not None and given.get(second) is not None:
@@ -162,6 +158,30 @@ def refuse_combinations(**given: object) -> None:
                 f"{_FEATURES[first]} does not combine with "
                 f"{_FEATURES[second]}: {why}"
             )
+
+
+def check_experiments(experiments: Sequence[str]) -> None:
+    """Raise :class:`~repro.errors.ExperimentError` unless ``experiments``
+    names at least one figure, each known and each once.
+
+    :meth:`Campaign.run` checks its list here; the CLI calls it before
+    it creates the result store or starts any worker.
+    """
+    unknown = [name for name in experiments if name not in EXPERIMENT_PROGRAMS]
+    if unknown:
+        raise ExperimentError(
+            f"unknown experiments {unknown}; "
+            f"known: {sorted(EXPERIMENT_PROGRAMS)}"
+        )
+    repeated = sorted(
+        {name for name in experiments if experiments.count(name) > 1}
+    )
+    if repeated:
+        # Outcomes are routed and committed by figure name: a repeat
+        # would compute, journal and commit it twice.
+        raise ExperimentError(f"experiments named more than once: {repeated}")
+    if not experiments:
+        raise ExperimentError("campaign needs at least one experiment")
 
 
 @dataclass(frozen=True)
@@ -339,13 +359,10 @@ class Campaign:
         health: Optional[HealthTracker] = None,
         pipeline: Optional[bool] = None,
         adaptive: Optional[AdaptiveConfig] = None,
-        dispatcher: Optional["FleetDispatcher"] = None,  # noqa: F821
     ):
         if time_budget_s is not None and time_budget_s <= 0:
             raise ConfigurationError("time budget must be positive")
-        refuse_combinations(
-            dispatcher=dispatcher, chaos=chaos, health=health, adaptive=adaptive
-        )
+        refuse_combinations(chaos=chaos, health=health, adaptive=adaptive)
         if adaptive is not None and executor is None:
             raise ConfigurationError(
                 "adaptive campaigns need an engine executor"
@@ -364,10 +381,6 @@ class Campaign:
         disables it, ``None`` (default) engages it automatically for
         multi-experiment runs on a pipelining executor."""
         self._adaptive = adaptive
-        self._dispatcher = dispatcher
-        self._engine = dispatcher if dispatcher is not None else executor
-        """Whose metrics become ``engine-stats`` and whose workers an
-        interrupt releases."""
 
     @property
     def scope(self) -> CharacterizationScope:
@@ -405,23 +418,7 @@ class Campaign:
         *non-transient* cause are skipped (no retry budget wasted on a
         deterministic error) unless ``retry_failed=True``.
         """
-        unknown = [
-            name for name in experiments if name not in EXPERIMENT_PROGRAMS
-        ]
-        if unknown:
-            raise ExperimentError(
-                f"unknown experiments {unknown}; "
-                f"known: {sorted(EXPERIMENT_PROGRAMS)}"
-            )
-        repeated = sorted(
-            {name for name in experiments if experiments.count(name) > 1}
-        )
-        if repeated:
-            # Outcomes are routed and committed by figure name: a
-            # repeat would compute, journal and commit it twice.
-            raise ExperimentError(f"experiments named more than once: {repeated}")
-        if not experiments:
-            raise ExperimentError("campaign needs at least one experiment")
+        check_experiments(experiments)
         if resume and self._store is None:
             raise ExperimentError("resume requires a result store")
 
@@ -430,8 +427,8 @@ class Campaign:
         # An engine can outlive one campaign run: this run's record is
         # what its counters gain from here on.
         engine_before = None
-        if self._engine is not None:
-            metrics = self._engine.metrics
+        if self._executor is not None:
+            metrics = self._executor.metrics
             engine_before = replace(metrics, stages=dict(metrics.stages))
 
         harness = None
@@ -490,9 +487,9 @@ class Campaign:
                 # in-flight work, close the pool, and report a
                 # resumable partial result instead of unwinding.
                 result.interrupted = True
-                if self._engine is not None:
+                if self._executor is not None:
                     with contextlib.suppress(Exception):
-                        self._engine.close()
+                        self._executor.close()
             finally:
                 if harness is not None:
                     result.chaos_faults_injected = (
@@ -530,8 +527,8 @@ class Campaign:
         counters to the record the earlier runs left, so a no-op resume
         does not erase the work they did.
         """
-        if self._engine is not None:
-            metrics = self._engine.metrics
+        if self._executor is not None:
+            metrics = self._executor.metrics
             run = metrics.since(engine_before)
             run.pipeline_declined_reason = (
                 result.pipeline_declined_reason or ""
@@ -658,8 +655,6 @@ class Campaign:
         figures unless ``pipeline=True``.  The reason
         lands in :attr:`CampaignResult.pipeline_declined_reason`.
         """
-        if self._dispatcher is not None:
-            return self._fleet_source
         if self._adaptive is not None:
             return self._adaptive_source
         if self._pipeline is False:
@@ -787,42 +782,6 @@ class Campaign:
                 (outcome.value, attempts),
                 {"planner": outcome.planner_dict()},
             )
-
-    def _fleet_source(self, names: Sequence[str], emit: Callable) -> None:
-        """Whole figures on fleet workers, settled in figure order.
-
-        Workers rebuild the scope from its recipe and reply with the
-        store's encoded form, so the committed bytes equal a
-        single-host run's.
-        """
-        from ..engine.fleet import FleetItem, scope_to_spec
-
-        spec = scope_to_spec(self._scope)
-
-        def settled(_index: int, outcome) -> None:
-            if outcome.status == "ok":
-                emit(outcome.figure, (outcome.data, 1))
-                return
-            error = outcome.error or "unknown error"
-            emit(
-                outcome.figure,
-                ExperimentFailure(
-                    experiment=outcome.figure,
-                    reason="error",
-                    attempts=1,
-                    elapsed_s=outcome.elapsed_s,
-                    error=error,
-                    chain=(error,),
-                ),
-            )
-
-        self._dispatcher.run(
-            [
-                FleetItem(index=index, figure=name, scope_spec=spec)
-                for index, name in enumerate(names)
-            ],
-            on_result=settled,
-        )
 
     def _commit_experiment(
         self, name: str, data, manifest: CampaignManifest, store, config,

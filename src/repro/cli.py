@@ -14,7 +14,7 @@ writing Python::
     simra-dram trng --bits 4096         # extension: random numbers
     simra-dram decoder --rf 0 --rs 7    # decoder algebra lookup
     simra-dram campaign --resume        # checkpointed figure sweep
-    simra-dram campaign --fleet 4       # figures across 4 worker processes
+    simra-dram campaign --fleet 4       # slices across 4 dial-in workers
     simra-dram worker --connect H:P     # fleet worker serving a dispatcher
     simra-dram audit --results-dir d    # integrity + recompute audit
     simra-dram repair --results-dir d   # quarantine damage, patch manifest
@@ -32,7 +32,10 @@ knobs where relevant; measurement commands additionally take
 the trial-engine execution strategy,
 ``--cache``/``--cache-dir`` to reuse bit-identical trial outcomes
 across runs, and ``--stats`` to print the engine's per-layer
-counters afterwards.
+counters afterwards.  ``campaign --fleet N`` runs the
+``fused-parallel`` executor on N ``worker`` processes that dial in
+over its socket protocol instead of N forked ones, and combines with
+``--chaos``, ``--supervise`` and ``--adaptive`` like any executor.
 
 Exit codes: 0 success; 1 experiment failures, audit FAIL, or damage
 found by a dry-run repair; 2 usage/configuration error (including a
@@ -376,7 +379,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     from .errors import ExperimentError
 
     try:
-        run_worker(args.connect, executor_name=args.executor, jobs=args.jobs)
+        run_worker(args.connect)
     except (ExperimentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -387,6 +390,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     from .characterization.campaign import (
         Campaign,
         RetryPolicy,
+        check_experiments,
         refuse_combinations,
     )
     from .characterization.store import ResultStore
@@ -394,6 +398,13 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     from .errors import ConfigurationError, ExperimentError
     from .health import BreakerPolicy, HealthTracker
 
+    try:
+        # A refused campaign leaves no results directory behind and
+        # starts no worker.
+        check_experiments(args.experiments)
+    except ExperimentError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if args.fleet and args.fleet_chips:
         from .engine.fleet import fleet_scope
 
@@ -407,7 +418,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         )
     else:
         scope = _scope_from(args)
-    store = ResultStore(Path(args.results_dir))
     chaos = None
     if args.chaos:
         chaos = ChaosConfig.light(
@@ -435,25 +445,17 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
     try:
-        # Refused pairs fail before any fleet worker is spawned.
-        refuse_combinations(
-            dispatcher=args.fleet or None,
-            chaos=chaos,
-            health=health,
-            adaptive=adaptive,
-        )
+        # Refused pairs fail before any worker starts.
+        refuse_combinations(chaos=chaos, health=health, adaptive=adaptive)
+        store = ResultStore(Path(args.results_dir))
         with contextlib.ExitStack() as stack:
-            # With --fleet, --executor/--jobs name what the workers run.
-            executor = dispatcher = None
             if args.fleet:
+                # The fused-parallel executor over dial-in workers;
+                # --executor and --jobs do not apply.
                 from .engine.fleet import LocalFleet
 
-                fleet = stack.enter_context(LocalFleet(
-                    workers=args.fleet,
-                    executor_name=args.executor,
-                    jobs=args.jobs,
-                ))
-                dispatcher = fleet.dispatcher()
+                executor = stack.enter_context(LocalFleet(workers=args.fleet))
+                executor.cache = _cache_from(args)
             else:
                 executor = stack.enter_context(_executor_from(args))
             campaign = Campaign(
@@ -468,7 +470,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                 health=health,
                 pipeline=args.pipeline,
                 adaptive=adaptive,
-                dispatcher=dispatcher,
             )
             stack.enter_context(_graceful_signals())
             result = campaign.run(
@@ -498,7 +499,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         )
         for serial in quarantined:
             print(f"  quarantined: {serial}")
-    _print_stats(args, dispatcher if dispatcher is not None else executor)
+    _print_stats(args, executor)
     if result.interrupted:
         return EXIT_INTERRUPTED
     return EXIT_OK if result.succeeded else EXIT_FAILURES
@@ -954,10 +955,12 @@ def build_parser() -> argparse.ArgumentParser:
                           "default engages it automatically for "
                           "multi-figure runs on a pipelining executor")
     sub.add_argument("--fleet", type=int, default=None, metavar="N",
-                     help="distribute whole figures across N localhost "
-                          "worker processes speaking the fleet socket "
-                          "protocol (worker-death recovery included; "
-                          "artifacts stay byte-equal to a single-host run)")
+                     help="run the fused-parallel executor on N localhost "
+                          "worker processes that dial in over the fleet "
+                          "socket protocol (replaces --executor/--jobs; "
+                          "combines with --chaos, --supervise and "
+                          "--adaptive; artifacts stay byte-equal to a "
+                          "single-host run)")
     sub.add_argument("--fleet-chips", type=int, default=None, metavar="N",
                      help="with --fleet: characterize N sampled "
                           "vendor-profile chips instead of the paper's "
@@ -981,18 +984,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subparsers.add_parser(
         "worker",
-        help="serve campaign figures to a fleet dispatcher over the "
+        help="run plan slices for a fused-parallel dispatcher over the "
              "length-prefixed columnar socket protocol",
     )
     sub.add_argument("--connect", required=True, metavar="HOST:PORT",
                      help="dispatcher address to dial into")
-    sub.add_argument("--executor", type=_executor_name,
-                     choices=EXECUTORS, default="serial",
-                     help="per-figure execution strategy (default serial)")
-    sub.add_argument("--jobs", type=_jobs_value, default=None,
-                     help="worker processes for --executor fused-parallel "
-                          "(an integer, or 'auto' for the usable "
-                          "cgroup-aware CPU count)")
     sub.set_defaults(handler=_cmd_worker)
 
     sub = subparsers.add_parser(

@@ -24,9 +24,6 @@ _EXPORTS = {
     "EngineMetrics": ".metrics",
     "ExecutorBase": ".executors",
     "ExperimentProgram": ".scheduler",
-    "FleetDispatcher": ".fleet",
-    "FleetItem": ".fleet",
-    "FleetOutcome": ".fleet",
     "FusedExecutor": ".executors",
     "LocalFleet": ".fleet",
     "MajXKernel": ".kernels",

@@ -432,8 +432,8 @@ def run_fleet_benchmark(
     :class:`~repro.characterization.campaign.Campaign` on a pipelined
     fused-parallel pool, committing to a store.  The challenger runs
     the same figures through :class:`~repro.engine.fleet.LocalFleet`
-    worker subprocesses -- the same ``Campaign`` with a fleet
-    dispatcher attached -- committing to its own store.  Beyond wall-time, the comparison
+    -- the same executor over dial-in worker subprocesses --
+    committing to its own store.  Beyond wall-time, the comparison
     checks the fleet's two supervision invariants: every stored
     artifact byte-equal to the single-host store, and ``audit``
     passing on the fleet store with no fleet-specific handling.
@@ -472,11 +472,9 @@ def run_fleet_benchmark(
             )
 
         fleet_store = ResultStore(Path(tmp) / "fleet")
-        with LocalFleet(workers=workers, executor_name="fused") as fleet:
+        with LocalFleet(workers=workers) as fleet:
             fleet_campaign = Campaign(
-                build_scope(),
-                store=fleet_store,
-                dispatcher=fleet.dispatcher(),
+                build_scope(), store=fleet_store, executor=fleet
             )
             started = time.perf_counter()
             result = fleet_campaign.run(list(figures))

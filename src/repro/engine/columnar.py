@@ -12,9 +12,9 @@ Since the slice-dispatch rework the *downlink* is columnar too:
 into flat arrays, so a dispatch ships one columnar message per worker
 instead of a pickled object graph per task.  Both directions share
 the same array-list serialization (:func:`columns_to_arrays` /
-:func:`columns_from_arrays`), which is also what the fleet tier's
-length-prefixed socket protocol (:mod:`repro.engine.fleet`) puts on
-the wire.
+:func:`columns_from_arrays`), which is what the fused-parallel
+executor's length-prefixed socket protocol (:mod:`repro.engine.fleet`)
+puts on the wire.
 
 For the *uplink*, this module packs a whole shard's outcomes into a
 handful of NumPy arrays:

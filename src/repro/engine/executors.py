@@ -7,29 +7,29 @@ results).  The serial executor is the reference: every trial runs
 through the full bench.  The fused executor evaluates whole plans as
 packed bit-plane math, gated by a per-task APA semantic probe so the
 fused math only runs in the regimes it reproduces; the process-pool
-executor runs the same fused evaluation sharded across worker
+executor runs the same fused evaluation sliced across worker
 processes, rebuilding each bench from its catalog spec in the worker.
 
-The process-pool executor additionally owns a *persistent* worker
-pool: the pool spins up lazily on first use, survives across plans
-(and across experiments, when driven by
+The process-pool executor additionally owns *persistent* workers:
+they start lazily on first use, survive across plans (and across
+experiments, when driven by
 :class:`~repro.engine.scheduler.CampaignScheduler` through
-:meth:`ExecutorBase.run_many`), and is torn down by ``close()`` / the
-context-manager exit.  Workers cache their rebuilt benches between
-shards and hand results back as columnar arrays
-(:mod:`repro.engine.columnar`) with masks in shared memory, so
-neither pool spawns nor pickled Python objects dominate campaign
-wall-clock.
+:meth:`ExecutorBase.run_many`), and are shut down by ``close()`` / the
+context-manager exit.  Slices travel to them, and outcomes back, as
+columnar frames over one socket protocol (:mod:`repro.engine.fleet`),
+whether the workers are forked locally or dial in from elsewhere.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
+import collections
 import contextlib
 import os
+import select
+import signal
+import socket
 import time
-from dataclasses import replace
-from multiprocessing import shared_memory
+from dataclasses import dataclass, field, replace
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -48,19 +48,12 @@ import numpy as np
 from .. import rng
 from ..bender.program import apa_program
 from ..bender.testbench import TestBench
-from ..chaos import ChaosConfig, ChaosHarness, FaultKind
-from ..errors import ExperimentError, TransientInfrastructureError
+from ..chaos import ChaosConfig, FaultKind
+from ..errors import ExperimentError
 from . import bitplane
 from .cache import TrialCache
-from .columnar import (
-    OutcomeColumns,
-    TaskColumns,
-    pack_outcomes,
-    pack_tasks,
-    unpack_outcomes,
-    unpack_tasks,
-)
-from .kernels import TrialKernel, measurement_context, point_token
+from .columnar import OutcomeColumns, TaskColumns, pack_tasks, unpack_outcomes
+from .kernels import TrialKernel, point_token
 from .metrics import EngineMetrics
 from .plan import PlanResult, TaskOutcome, TrialPlan, TrialTask
 
@@ -283,6 +276,19 @@ _CACHE_COUNTER_FIELDS = (
 )
 
 
+@dataclass
+class _CacheSplit:
+    """One plan split by the trial cache into served and missing tasks."""
+
+    plan: TrialPlan
+    started: float
+    before: Dict[str, int]
+    """The cache's counters before the lookups."""
+    keys: Dict[int, str] = field(default_factory=dict)
+    served: List[TaskOutcome] = field(default_factory=list)
+    missing: List[TrialTask] = field(default_factory=list)
+
+
 class ExecutorBase:
     """Shared surface: ``run(plan) -> PlanResult`` plus cumulative metrics.
 
@@ -358,7 +364,13 @@ class ExecutorBase:
     def run(self, plan: TrialPlan) -> PlanResult:
         if self.cache is None:
             return self._run(plan)
-        return self._run_cached(plan)
+        split = self._cache_split(plan)
+        sub = (
+            self._run(replace(plan, tasks=split.missing))
+            if split.missing
+            else None
+        )
+        return self._cache_join(split, sub)
 
     def run_many(
         self,
@@ -396,54 +408,66 @@ class ExecutorBase:
     def _run(self, plan: TrialPlan) -> PlanResult:
         raise NotImplementedError
 
-    def _run_cached(self, plan: TrialPlan) -> PlanResult:
+    def _cache_split(self, plan: TrialPlan) -> _CacheSplit:
+        """Serve what the trial cache holds; the rest is the plan's work."""
         cache = self.cache
         assert cache is not None
-        started = time.perf_counter()
-        before = cache.counters()
+        split = _CacheSplit(
+            plan=plan, started=time.perf_counter(), before=cache.counters()
+        )
         ptoken = point_token(plan.point)
         checkpoints = tuple(plan.checkpoints)
-        keys: Dict[int, str] = {}
-        served: List[TaskOutcome] = []
-        missing: List[TrialTask] = []
         for task in plan.tasks:
             config = plan.benches[task.bench_index].module.config
             key = cache.key_for(config, plan.kernel, ptoken, task, checkpoints)
-            keys[task.index] = key
+            split.keys[task.index] = key
             outcome = cache.load(key, task)
             if outcome is None:
-                missing.append(task)
+                split.missing.append(task)
             else:
-                served.append(outcome)
-        if missing:
-            sub_result = self._run(replace(plan, tasks=missing))
-            for outcome in sub_result.outcomes:
-                cache.store(keys[outcome.index], outcome, origin=self.name)
-            delta = sub_result.metrics
-            outcomes = sorted(
-                served + list(sub_result.outcomes),
-                key=lambda outcome: outcome.index,
-            )
-        else:
+                split.served.append(outcome)
+        return split
+
+    def _cache_join(
+        self, split: _CacheSplit, sub: Optional[PlanResult]
+    ) -> PlanResult:
+        """Store the recomputed outcomes and merge them with the served.
+
+        ``sub`` is the result of running ``split.missing`` (``None``
+        when the cache served every task).  This plan's cache activity
+        is credited to both the returned delta and the cumulative
+        metrics (the sub-plan's delta was already merged by
+        :meth:`_finish`, so both are mutated explicitly).
+        """
+        cache = self.cache
+        assert cache is not None
+        if sub is None:
             # Every task served from cache: the plan still counts, but
             # no tasks/trials were *executed* -- the hit counters tell
             # that story.
             delta = EngineMetrics(executor=self.name, workers=1)
             delta.plans += 1
-            delta.wall_s += time.perf_counter() - started
-            self.metrics.merge(delta)
-            outcomes = sorted(served, key=lambda outcome: outcome.index)
-        # Attribute this plan's cache activity to both the returned
-        # delta and the cumulative metrics (the sub-plan's delta was
-        # already merged by _finish, so mutate both explicitly).
+            delta.wall_s += time.perf_counter() - split.started
+            self.metrics.merge(delta, skip_windows=self._merge_skip_windows)
+            fresh: List[TaskOutcome] = []
+        else:
+            delta = sub.metrics
+            fresh = list(sub.outcomes)
+            for outcome in fresh:
+                cache.store(
+                    split.keys[outcome.index], outcome, origin=self.name
+                )
         after = cache.counters()
-        for field in _CACHE_COUNTER_FIELDS:
-            gained = after[field] - before[field]
-            setattr(delta, field, getattr(delta, field) + gained)
-            setattr(
-                self.metrics, field, getattr(self.metrics, field) + gained
-            )
-        return PlanResult(plan_name=plan.name, outcomes=outcomes, metrics=delta)
+        for name in _CACHE_COUNTER_FIELDS:
+            gained = after[name] - split.before[name]
+            setattr(delta, name, getattr(delta, name) + gained)
+            setattr(self.metrics, name, getattr(self.metrics, name) + gained)
+        outcomes = sorted(
+            split.served + fresh, key=lambda outcome: outcome.index
+        )
+        return PlanResult(
+            plan_name=split.plan.name, outcomes=outcomes, metrics=delta
+        )
 
     def _apply_environment(self, plan: TrialPlan, delta: EngineMetrics) -> None:
         if not plan.apply_environment:
@@ -490,223 +514,81 @@ class SerialExecutor(ExecutorBase):
         return self._finish(plan, delta, outcomes, started)
 
 
-_BENCH_CACHE: Dict[Tuple[str, Any], TestBench] = {}
-"""Worker-local benches keyed by (module serial, simulation config).
+class _Worker:
+    """Dispatcher-side handle of one worker: its socket and its process."""
 
-Rebuilding a bench from its catalog spec costs more than most shards;
-with a persistent pool the same worker sees the same modules over and
-over, so benches are cached for the process lifetime.  A cached bench
-is reset to the baseline environment before reuse, which -- because
-the thermal controller settles exactly and all trial noise is keyed
-by measurement context, never execution history -- makes it
-indistinguishable from a freshly built one.
-"""
+    __slots__ = ("sock", "process")
 
-_BENCH_CACHE_LIMIT = 32
-
-
-def _bench_for_section(section: Dict[str, Any]) -> Tuple[TestBench, bool]:
-    """A (possibly cached) bench for one slice section; True when reused."""
-    key = (section["serial"], section["config"])
-    bench = _BENCH_CACHE.get(key)
-    if bench is not None:
-        # Same starting point as a fresh build: baseline environment,
-        # applied before any chaos harness goes in (a fresh bench's
-        # constructor drives the same settings pre-harness).
-        bench.reset_environment()
-        return bench, True
-    bench = TestBench.for_spec(
-        section["spec"], section["instance"], config=section["config"]
-    )
-    while len(_BENCH_CACHE) >= _BENCH_CACHE_LIMIT:
-        _BENCH_CACHE.pop(next(iter(_BENCH_CACHE)))
-    _BENCH_CACHE[key] = bench
-    return bench, False
-
-
-def _write_masks(outcomes: List[TaskOutcome], payload: Dict[str, Any]) -> None:
-    """Write packed final masks into the shard's shared-memory window.
-
-    Each task owns a fixed packed-word slot, so a shard re-executed
-    after a pool rebuild overwrites it with identical bits.
-    """
-    layout: Dict[int, Tuple[int, int]] = payload["mask_layout"]
-    shm = shared_memory.SharedMemory(name=payload["mask_shm"])
-    words_view = np.ndarray((shm.size // 8,), dtype=np.uint64, buffer=shm.buf)
-    for outcome in outcomes:
-        offset, words = layout[outcome.index]
-        packed = bitplane.pack_matrix(np.asarray(outcome.mask, dtype=bool))
-        words_view[offset:offset + words] = packed
-    del words_view
-    shm.close()
-
-
-def _run_slice(
-    payload: Dict[str, Any],
-) -> Tuple[
-    Optional[OutcomeColumns], Dict[str, Any], Dict[str, int], Optional[Exception]
-]:
-    """Worker entry point: run one contiguous slice of a plan.
-
-    Module-level so it pickles under the default process start method.
-    A slice spans one or more bench *sections* -- the payload carries a
-    section table (spec/serial/config/chaos per bench) plus the slice's
-    task specs as one :class:`~repro.engine.columnar.TaskColumns`
-    message, so a dispatch amortizes its round-trip, bench
-    rebuild/fingerprint check, and chaos-harness install over many
-    tasks instead of paying them per bench shard.  Each bench's tasks
-    run fused (:func:`run_tasks_fused`).
-
-    Results come back *columnar* too: masks go into the parent's
-    shared-memory window (when one is attached) and everything else is
-    packed into :class:`~repro.engine.columnar.OutcomeColumns`, so the
-    pickle channel carries a few flat arrays instead of per-trial
-    Python objects.  Alongside travel a stats dict (busy time,
-    worker-side APA programs, stage timings, bench reuses, tasks run),
-    the per-kind chaos faults the local harnesses injected, and any
-    *transient* error the slice died of.  Transient errors travel back
-    as data rather than through ``future.result()`` so the parent can
-    credit the injected faults to its ``max_faults_per_kind`` ledger
-    before re-raising -- a slice that faulted and raised would
-    otherwise never be accounted, and a rate-keyed chaotic campaign
-    would retry against an undiminished fault budget forever.
-    """
-    if payload.get("kill_worker"):
-        # Chaos proof load: this slice's worker dies abruptly, the way
-        # an OOM kill or segfault would -- no exception, no cleanup.
-        os._exit(86)
-    started = time.perf_counter()
-    sections: List[Dict[str, Any]] = payload["sections"]
-    tasks = unpack_tasks(
-        payload["tasks"], [section["serial"] for section in sections]
-    )
-    by_slot: Dict[int, List[TrialTask]] = {}
-    for task in tasks:
-        by_slot.setdefault(task.bench_index, []).append(task)
-    outcomes: List[TaskOutcome] = []
-    stats: Dict[str, Any] = {
-        "apa_programs": 0,
-        "stages": {},
-        "bench_reuses": 0,
-        "tasks_run": 0,
-    }
-    injected: Dict[str, int] = {}
-    error: Optional[Exception] = None
-    point: OperatingPoint = payload["point"]
-    for slot in sorted(by_slot):
-        section = sections[slot]
-        bench, reused = _bench_for_section(section)
-        if reused:
-            stats["bench_reuses"] += 1
-        harness: Optional[ChaosHarness] = None
-        if section["chaos"] is not None:
-            harness = ChaosHarness(section["chaos"])
-            harness.install(bench)
-        try:
-            if payload["apply_environment"]:
-                bench.set_temperature(point.temperature_c)
-                bench.set_vpp(point.vpp)
-            scratch = EngineMetrics(executor="slice")
-            outcomes.extend(
-                run_tasks_fused(
-                    payload["kernel"], point, payload["checkpoints"],
-                    bench, by_slot[slot], scratch,
-                )
-            )
-            stats["apa_programs"] += scratch.apa_programs
-            for stage, seconds in scratch.stages.items():
-                stats["stages"][stage] = (
-                    stats["stages"].get(stage, 0.0) + seconds
-                )
-            stats["tasks_run"] += len(by_slot[slot])
-        except TransientInfrastructureError as exc:
-            error = exc
-        finally:
-            if harness is not None:
-                for kind, count in harness.engine.stats.injected.items():
-                    if count:
-                        injected[kind] = injected.get(kind, 0) + count
-                harness.uninstall()
-        if error is not None:
-            break
-    columns: Optional[OutcomeColumns] = None
-    if error is None:
-        if payload.get("mask_shm") is not None:
-            _write_masks(outcomes, payload)
-            columns = pack_outcomes(outcomes, include_masks=False)
-        else:
-            columns = pack_outcomes(outcomes, include_masks=True)
-    stats["busy_s"] = time.perf_counter() - started
-    return columns, stats, injected, error
+    def __init__(self, sock: socket.socket, process: Any) -> None:
+        self.sock = sock
+        self.process = process
+        """A pid for a forked worker, a ``Popen`` for a dial-in one."""
 
 
 class _PendingPlan:
     """One plan moving through prepare -> slice -> execute -> finalize."""
 
     __slots__ = (
-        "plan", "started", "delta", "sections", "section_tasks",
-        "run_tasks", "served", "keys", "cache_before", "all_served",
-        "shm", "layout", "execute_started", "shard_columns", "error",
+        "plan", "started", "delta", "head", "sections", "kills",
+        "section_tasks", "execute_started", "shard_columns", "error",
     )
 
     def __init__(self, plan: TrialPlan, started: float) -> None:
         self.plan = plan
         self.started = started
         self.delta: Optional[EngineMetrics] = None
+        self.head: Dict[str, Any] = {}
+        """The plan's part of every ``run-slice`` header (kernel,
+        operating point, checkpoints) as wire specs."""
         self.sections: List[Dict[str, Any]] = []
-        """Per-bench rebuild recipes (spec/instance/serial/config/chaos)."""
+        """Per-bench wire specs (serial/config/chaos)."""
+        self.kills: List[bool] = []
+        """Per section: whether its slice carries the chaos worker kill."""
         self.section_tasks: List[List[TrialTask]] = []
         """Tasks per section, parallel to ``sections``, in plan order."""
-        self.run_tasks: List[TrialTask] = []
-        self.served: List[TaskOutcome] = []
-        self.keys: Optional[Dict[int, str]] = None
-        self.cache_before: Optional[Dict[str, int]] = None
-        self.all_served = False
-        self.shm: Optional[shared_memory.SharedMemory] = None
-        self.layout: Dict[int, Tuple[int, int]] = {}
         self.execute_started: float = started
         self.shard_columns: Dict[int, Tuple[OutcomeColumns, float]] = {}
         self.error: Optional[Exception] = None
 
-
-MAX_POOL_RESTARTS = 2
-"""Pool rebuilds per batch before the survivors run in-process."""
 
 DISPATCH_TARGET_S = 0.05
 """Minimum estimated compute per dispatch; slices are sized so each
 round-trip amortizes over at least this much work (0 disables the
 adaptation)."""
 
+SHUTDOWN_TIMEOUT_S = 5.0
+"""How long ``close()`` waits for a worker to exit before SIGKILL."""
+
 
 class ProcessPoolExecutor(ExecutorBase):
-    """Shards a plan's tasks across benches and runs them fused in processes.
+    """Shards a plan's tasks across benches and runs them fused in workers.
 
-    Workers rebuild each bench from its catalog spec (``module.spec``),
-    which is what makes the shards picklable; benches built by hand
-    around a bare :class:`~repro.dram.module.Module` cannot be shipped
-    and raise :class:`~repro.errors.ExperimentError`.  When ``chaos``
-    is set, each worker installs its own fault harness so fault
-    injection composes with sharded execution; worker-side injection
-    counts surface in ``metrics.chaos_faults_injected``, and the
-    parent keeps a per-kind ledger of them so ``max_faults_per_kind``
-    holds across shard re-executions (see :meth:`_worker_chaos`).
+    Each slice travels to a worker process as one ``run-slice`` frame
+    over a socket (:mod:`repro.engine.fleet`): wire specs rebuild the
+    kernel, operating point and each bench from its catalog spec
+    (``module.spec``), so benches built by hand around a bare
+    :class:`~repro.dram.module.Module` cannot be shipped and raise
+    :class:`~repro.errors.ExperimentError`.  When ``chaos`` is set,
+    each worker installs its own fault harness so fault injection
+    composes with sharded execution; worker-side injection counts
+    surface in ``metrics.chaos_faults_injected``, and the parent keeps
+    a per-kind ledger of them so ``max_faults_per_kind`` holds across
+    slice re-executions (see :meth:`_worker_chaos`).
 
-    The worker pool is *persistent*: it spins up lazily on the first
-    plan (sized to the work at hand, capped at ``jobs``), is reused by
-    every subsequent plan -- including a whole pipelined campaign
-    through :meth:`run_many` -- and grows on demand.  ``close()`` (or
-    the context-manager exit) tears it down; garbage collection does
-    too, as a backstop.  Workers cache rebuilt benches between shards
+    The workers are *persistent*: they are forked lazily on the first
+    plan (sized to the work at hand, capped at ``jobs``), serve every
+    subsequent plan -- including a whole pipelined campaign through
+    :meth:`run_many` -- and are topped up on demand.  ``close()`` (or
+    the context-manager exit) shuts them down; garbage collection does
+    too, as a backstop.  Workers cache rebuilt benches between slices
     and reset them to the baseline environment on reuse, which the
     exact thermal settle makes bit-identical to a fresh rebuild.
 
-    The pool is also *supervised*: a worker that dies mid-shard (the
-    pool surfaces it as ``BrokenProcessPool``) does not sink the plan.
-    The dead worker's unfinished shards are re-issued onto a rebuilt
-    pool -- safe because every trial's noise is keyed by measurement
-    context, never execution history, so re-running a shard lands on
-    identical bits -- and after :data:`MAX_POOL_RESTARTS` rebuilds the
-    survivors run in-process, one slice at a time.
+    Worker death is supervised once, whoever the worker is: the dead
+    worker's slice is re-queued onto a survivor -- safe because every
+    trial's noise is keyed by measurement context, never execution
+    history, so re-running a slice lands on identical bits -- and when
+    no worker survives, the rest of the batch runs in-process.
     """
 
     name = "fused-parallel"
@@ -724,37 +606,42 @@ class ProcessPoolExecutor(ExecutorBase):
         self._task_cost_ema: Optional[float] = None
         """Exponential moving average of observed per-task worker
         seconds, feeding the adaptive slice sizing."""
-        self._pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
-        self._pool_workers = 0
+        self._workers: List[_Worker] = []
         self._kills_done: set = set()
         """Module serials whose one-shot chaos worker-kill already fired."""
         self._faults_spent: Dict[str, int] = {}
         """Worker-injected faults per kind, accumulated across every
         plan this executor has run -- the parent-side ledger that makes
-        ``max_faults_per_kind`` hold across shard re-executions."""
+        ``max_faults_per_kind`` hold across slice re-executions."""
         self._chaos_epoch = 0
         """Plan-run counter salting the worker chaos schedule, so a
-        retried shard does not deterministically replay the exact
+        retried slice does not deterministically replay the exact
         fault sequence that just failed it."""
 
-    # -- pool lifecycle -------------------------------------------------------
+    # -- workers --------------------------------------------------------------
 
     def start(self) -> None:
-        """Spin the worker pool up eagerly (it is lazy otherwise)."""
-        self._ensure_pool(self._pool_target())
+        """Start the workers eagerly (they are started lazily otherwise)."""
+        self._ensure_workers(self._pool_target())
 
     def close(self) -> None:
-        """Shut the persistent worker pool down (idempotent).
+        """Shut every worker down (idempotent).
 
-        The pool reference is detached before the shutdown call, so a
-        second ``close()`` -- or ``close()`` from an interrupt handler
-        racing the context-manager exit -- is a no-op rather than a
-        double shutdown.  In-flight futures are cancelled; running
-        shards are waited out, never killed mid-write.
+        The worker list is detached first, so a second ``close()`` --
+        or ``close()`` from an interrupt handler racing the
+        context-manager exit -- is a no-op.
         """
-        pool, self._pool, self._pool_workers = self._pool, None, 0
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
+        workers, self._workers = self._workers, []
+        if not workers:
+            return
+        from .fleet import send_frame
+
+        for worker in workers:
+            with contextlib.suppress(OSError):
+                send_frame(worker.sock, {"type": "shutdown"})
+            worker.sock.close()
+        for worker in workers:
+            self._reap(worker.process, SHUTDOWN_TIMEOUT_S)
 
     def __del__(self) -> None:  # pragma: no cover - GC timing dependent
         try:
@@ -765,27 +652,74 @@ class ProcessPoolExecutor(ExecutorBase):
     def _pool_target(self) -> int:
         return max(1, self.jobs or available_cpu_count())
 
-    def _ensure_pool(self, need: int) -> concurrent.futures.ProcessPoolExecutor:
-        """The persistent pool, created lazily and grown by recreation."""
+    def _ensure_workers(self, need: int) -> None:
+        """Top the live workers up to ``min(jobs, need)``."""
         want = max(1, min(self._pool_target(), need))
-        if self._pool is not None:
-            if self._pool_workers >= want:
-                self.metrics.pool_reuses += 1
-                return self._pool
-            self.close()
-        self._pool = concurrent.futures.ProcessPoolExecutor(max_workers=want)
-        self._pool_workers = want
-        return self._pool
+        if len(self._workers) < want:
+            self._workers.extend(self._launch(want - len(self._workers)))
+
+    def _launch(self, count: int) -> List[_Worker]:
+        """Fork ``count`` workers, each serving one end of a socketpair."""
+        from .fleet import serve_connection
+
+        workers: List[_Worker] = []
+        for _ in range(count):
+            ours, theirs = socket.socketpair()
+            pid = os.fork()
+            if pid == 0:
+                # The worker: serve, then leave without unwinding the
+                # dispatcher's stack (or running its exit handlers).
+                status = 0
+                try:
+                    for worker in self._workers + workers:
+                        worker.sock.close()
+                    ours.close()
+                    serve_connection(theirs)
+                except BaseException:
+                    status = 1
+                finally:
+                    os._exit(status)
+            theirs.close()
+            workers.append(_Worker(ours, pid))
+        for worker in workers:
+            self._greet(worker.sock)
+        return workers
+
+    @staticmethod
+    def _greet(sock: socket.socket) -> int:
+        """Read a new worker's ``hello``; its pid."""
+        from .fleet import recv_frame
+
+        header, _ = recv_frame(sock)
+        if header.get("type") != "hello":
+            raise ExperimentError(
+                f"worker opened with {header.get('type')!r}, expected hello"
+            )
+        return int(header["pid"])
+
+    @staticmethod
+    def _reap(process: Any, timeout: float) -> None:
+        """Wait for a forked worker to exit; SIGKILL it past ``timeout``."""
+        deadline = time.monotonic() + timeout
+        with contextlib.suppress(ChildProcessError, ProcessLookupError):
+            while not os.waitpid(process, os.WNOHANG)[0]:
+                if time.monotonic() >= deadline:
+                    os.kill(process, signal.SIGKILL)
+                    os.waitpid(process, 0)
+                    return
+                time.sleep(0.001)
+
+    def _drop(self, worker: _Worker, timeout: float) -> None:
+        """Forget one worker: close its socket and reap its process."""
+        self._workers.remove(worker)
+        worker.sock.close()
+        self._reap(worker.process, timeout)
 
     # -- plan execution -------------------------------------------------------
 
     def _run(self, plan: TrialPlan) -> PlanResult:
-        pending = self._prepare(plan, manage_cache=False)
-        try:
-            self._execute_batch([pending])
-        except BaseException:
-            self._release(pending)
-            raise
+        pending = self._prepare(plan)
+        self._execute_batch([pending])
         return self._finalize(pending)
 
     def run_many(
@@ -795,43 +729,61 @@ class ProcessPoolExecutor(ExecutorBase):
             Callable[[int, Union[PlanResult, Exception]], None]
         ] = None,
     ) -> List[Union[PlanResult, Exception]]:
-        """Pipelined execution: one task stream over the shared pool.
+        """Pipelined execution: one slice stream over the shared workers.
 
-        Every plan is prepared up front, all shards are submitted as a
-        single supervised stream (so the pool stays saturated across
-        plan boundaries), and results are finalized strictly in plan
-        order -- a failing plan surfaces as its exception without
+        Every plan is prepared up front (tasks the trial cache holds
+        are served, the rest become the plan's work), all slices run
+        as a single supervised stream (so the workers stay saturated
+        across plan boundaries), and results are finalized strictly in
+        plan order -- a failing plan surfaces as its exception without
         disturbing its neighbours.
 
         With ``on_result`` set, each plan is finalized and streamed to
-        the caller as soon as its last shard lands (still strictly in
+        the caller as soon as its last slice lands (still strictly in
         plan order), instead of after the whole batch drains -- so a
         crash mid-batch loses only plans whose results were never
         delivered.  Exceptions the callback raises abort the batch:
-        in-flight shards are abandoned, shared memory is released, and
-        the exception propagates.
+        workers holding in-flight slices are discarded, and the
+        exception propagates.
         """
         batch_started = time.perf_counter()
-        pendings: List[_PendingPlan] = []
-        for plan in plans:
+        splits = [
+            self._cache_split(plan) if self.cache is not None else None
+            for plan in plans
+        ]
+        pendings: List[Optional[_PendingPlan]] = []
+        for plan, split in zip(plans, splits):
+            if split is not None and not split.missing:
+                pendings.append(None)  # every task served from the cache
+                continue
+            if split is not None:
+                plan = replace(plan, tasks=split.missing)
             try:
-                pending = self._prepare(
-                    plan, manage_cache=self.cache is not None
-                )
+                pending = self._prepare(plan)
             except Exception as exc:
                 pending = _PendingPlan(plan, time.perf_counter())
                 pending.error = exc
             pendings.append(pending)
-        order = {id(pending): index for index, pending in enumerate(pendings)}
+        live = {
+            index: pending
+            for index, pending in enumerate(pendings)
+            if pending is not None
+            and pending.error is None
+            and pending.sections
+        }
+        order = {id(pending): index for index, pending in live.items()}
         settled: Dict[int, Union[PlanResult, Exception]] = {}
         next_emit = [0]
 
-        def settle(pending: _PendingPlan) -> None:
-            index = order[id(pending)]
+        def settle(index: int) -> None:
             if index in settled:
                 return
+            pending = pendings[index]
             try:
-                settled[index] = self._finalize(pending)
+                result = None if pending is None else self._finalize(pending)
+                if splits[index] is not None:
+                    result = self._cache_join(splits[index], result)
+                settled[index] = result
             except Exception as exc:
                 settled[index] = exc
             while next_emit[0] in settled:
@@ -839,7 +791,6 @@ class ProcessPoolExecutor(ExecutorBase):
                     on_result(next_emit[0], settled[next_emit[0]])
                 next_emit[0] += 1
 
-        live = [p for p in pendings if p.error is None and p.sections]
         # Per-plan wall/execute windows overlap across a pipelined
         # batch; merging them all would multi-count the same seconds
         # (a 2 s batch of 60 plans once reported 129 s of wall).  Plans
@@ -848,21 +799,19 @@ class ProcessPoolExecutor(ExecutorBase):
         self._merge_skip_windows = True
         execute_started = time.perf_counter()
         try:
-            try:
-                # Plans that never reach the pool (prepare errors, fully
-                # cache-served) settle up front so their stream position
-                # never blocks a later live plan's delivery.
-                for pending in pendings:
-                    if pending not in live:
-                        settle(pending)
-                if live:
-                    self._execute_batch(live, on_complete=settle)
-            except BaseException:
-                for pending in pendings:
-                    self._release(pending)
-                raise
-            for pending in pendings:
-                settle(pending)
+            # Plans that never reach a worker (prepare errors, fully
+            # cache-served) settle up front so their stream position
+            # never blocks a later live plan's delivery.
+            for index in range(len(pendings)):
+                if index not in live:
+                    settle(index)
+            if live:
+                self._execute_batch(
+                    list(live.values()),
+                    on_complete=lambda pending: settle(order[id(pending)]),
+                )
+            for index in range(len(pendings)):
+                settle(index)
         finally:
             self._merge_skip_windows = False
             now = time.perf_counter()
@@ -871,33 +820,16 @@ class ProcessPoolExecutor(ExecutorBase):
             self.metrics.wall_s += now - batch_started
         return [settled[index] for index in range(len(pendings))]
 
-    def _prepare(self, plan: TrialPlan, manage_cache: bool) -> _PendingPlan:
-        """Cache split, environment, bench sections, and the mask window."""
+    def _prepare(self, plan: TrialPlan) -> _PendingPlan:
+        """Environment, bench sections and the plan's slice header."""
+        from .fleet import (
+            chaos_to_spec,
+            config_to_spec,
+            kernel_to_spec,
+            point_to_spec,
+        )
+
         pending = _PendingPlan(plan, time.perf_counter())
-        run_tasks = list(plan.tasks)
-        if manage_cache and self.cache is not None:
-            cache = self.cache
-            pending.cache_before = cache.counters()
-            ptoken = point_token(plan.point)
-            checkpoints = tuple(plan.checkpoints)
-            pending.keys = {}
-            missing: List[TrialTask] = []
-            for task in plan.tasks:
-                config = plan.benches[task.bench_index].module.config
-                key = cache.key_for(
-                    config, plan.kernel, ptoken, task, checkpoints
-                )
-                pending.keys[task.index] = key
-                outcome = cache.load(key, task)
-                if outcome is None:
-                    missing.append(task)
-                else:
-                    pending.served.append(outcome)
-            if not missing:
-                pending.all_served = True
-                return pending
-            run_tasks = missing
-        pending.run_tasks = run_tasks
         self._chaos_epoch += 1
         delta = EngineMetrics(executor=self.name)
         pending.delta = delta
@@ -905,73 +837,62 @@ class ProcessPoolExecutor(ExecutorBase):
         # caller ends in the same state a serial run would leave.
         self._apply_environment(plan, delta)
         shards: Dict[int, List[TrialTask]] = {}
-        for task in run_tasks:
+        for task in plan.tasks:
             shards.setdefault(task.bench_index, []).append(task)
         for bench_index in sorted(shards):
-            bench = plan.benches[bench_index]
-            module = bench.module
+            module = plan.benches[bench_index].module
             if module.spec is None:
                 raise ExperimentError(
                     "fused-parallel executor requires catalog-built benches; "
                     f"module {module.serial!r} has no spec to rebuild from"
                 )
             serial = module.serial
-            instance = (
-                int(serial.rsplit("#", 1)[1]) if "#" in serial else 0
-            )
-            kill_worker = (
+            chaos = self._worker_chaos(serial)
+            pending.sections.append({
+                "serial": serial,
+                "config": config_to_spec(module.config),
+                "chaos": None if chaos is None else chaos_to_spec(chaos),
+            })
+            kill = (
                 self.chaos is not None
                 and serial in self.chaos.worker_kill_serials
                 and serial not in self._kills_done
             )
-            if kill_worker:
+            if kill:
                 self._kills_done.add(serial)
-            pending.sections.append(
-                {
-                    "spec": module.spec,
-                    "instance": instance,
-                    "serial": serial,
-                    "config": module.config,
-                    "chaos": self._worker_chaos(serial),
-                    "kill_worker": kill_worker,
-                }
-            )
+            pending.kills.append(kill)
             pending.section_tasks.append(shards[bench_index])
         if pending.sections:
-            # Slices hand their masks back through one preallocated
-            # shared-memory window instead of the pickle channel; each
-            # task owns a fixed packed-word slot, so a slice re-executed
-            # after a pool rebuild overwrites it with identical bits.
-            offset = 0
-            for task in run_tasks:
-                words = bitplane.words_for(task.cells)
-                pending.layout[task.index] = (offset, words)
-                offset += words
-            pending.shm = shared_memory.SharedMemory(
-                create=True, size=max(8, offset * 8)
-            )
+            pending.head = {
+                "type": "run-slice",
+                "kernel": kernel_to_spec(plan.kernel),
+                "point": point_to_spec(plan.point),
+                "checkpoints": list(plan.checkpoints),
+                "apply_environment": plan.apply_environment,
+            }
         pending.execute_started = time.perf_counter()
         return pending
 
-    def _build_slices(self, pending: _PendingPlan) -> List[Dict[str, Any]]:
-        """Chunk one plan's prepared work into contiguous slice payloads.
+    def _build_slices(
+        self, pending: _PendingPlan
+    ) -> List[Tuple[Dict[str, Any], TaskColumns]]:
+        """Chunk one plan's prepared work into contiguous slices.
 
         The flattened (section, task) stream is cut into at most
         ``workers`` contiguous slices -- one dispatch per worker is the
-        O(workers) round-trip floor, versus the old payload-per-bench
-        shape that paid a pool round-trip for every shard.  Once a
-        per-task cost estimate exists (EMA over observed worker busy
-        seconds, see :meth:`_harvest`), the slice count also adapts
-        *downward* so every dispatch carries at least
-        :data:`DISPATCH_TARGET_S` of estimated compute: tiny plans collapse
-        toward a single dispatch instead of fanning out work that costs
-        less than its own round-trip.
+        O(workers) round-trip floor.  Once a per-task cost estimate
+        exists (EMA over observed worker busy seconds, see
+        :meth:`_harvest`), the slice count also adapts *downward* so
+        every dispatch carries at least :data:`DISPATCH_TARGET_S` of
+        estimated compute: tiny plans collapse toward a single dispatch
+        instead of fanning out work that costs less than its own
+        round-trip.
 
-        Each payload carries a slice-local section table (bench rebuild
-        recipes for just the benches the slice touches) and the slice's
-        tasks as one :class:`~repro.engine.columnar.TaskColumns`
+        Each slice is a ``run-slice`` header carrying a slice-local
+        section table (just the benches the slice touches) plus the
+        slice's tasks as one :class:`~repro.engine.columnar.TaskColumns`
         message; tasks reference sections by slot, so the worker
-        rebuilds/fingerprint-checks each bench once per slice.
+        rebuilds or fetches each bench once per slice.
         """
         flat: List[Tuple[int, TrialTask]] = []
         for section_index, tasks in enumerate(pending.section_tasks):
@@ -987,7 +908,7 @@ class ProcessPoolExecutor(ExecutorBase):
             affordable = int(total * self._task_cost_ema / DISPATCH_TARGET_S)
             n_slices = max(1, min(n_slices, affordable))
         base, extra = divmod(total, n_slices)
-        payloads: List[Dict[str, Any]] = []
+        slices: List[Tuple[Dict[str, Any], TaskColumns]] = []
         cursor = 0
         for slice_index in range(n_slices):
             size = base + (1 if slice_index < extra else 0)
@@ -1003,34 +924,19 @@ class ProcessPoolExecutor(ExecutorBase):
             for section_index, task in chunk:
                 slot = slot_of.get(section_index)
                 if slot is None:
-                    section = pending.sections[section_index]
                     slot = len(sections)
                     slot_of[section_index] = slot
-                    sections.append(section)
-                    kill = kill or bool(section["kill_worker"])
+                    sections.append(pending.sections[section_index])
+                    kill = kill or pending.kills[section_index]
                 slots.append(slot)
                 tasks.append(task)
             columns = pack_tasks(tasks, slots)
-            payload: Dict[str, Any] = {
-                "sections": sections,
-                "tasks": columns,
-                "kernel": pending.plan.kernel,
-                "point": pending.plan.point,
-                "checkpoints": tuple(pending.plan.checkpoints),
-                "apply_environment": pending.plan.apply_environment,
-                "kill_worker": kill,
-                "mask_shm": None,
-            }
-            if pending.shm is not None:
-                payload["mask_shm"] = pending.shm.name
-                payload["mask_layout"] = {
-                    task.index: pending.layout[task.index] for task in tasks
-                }
+            header = dict(pending.head, sections=sections, kill_worker=kill)
             delta.dispatches += 1
             delta.bytes_shipped_down += columns.nbytes()
-            payloads.append(payload)
-        delta.workers = max(1, min(self._pool_target(), len(payloads)))
-        return payloads
+            slices.append((header, columns))
+        delta.workers = max(1, min(self._pool_target(), len(slices)))
+        return slices
 
     def _execute_batch(
         self,
@@ -1039,211 +945,145 @@ class ProcessPoolExecutor(ExecutorBase):
     ) -> None:
         """Run every pending plan's slices to completion, supervised.
 
-        All slices share one job stream over the persistent pool.
+        All slices share one queue over the workers, driven by a
+        ``select`` loop: each idle worker takes the next slice, and
+        each reply is harvested into its owner.  A worker that dies
+        (EOF or a socket error) takes nothing with it: its slice goes
+        back to the front of the queue for a survivor, and once no
+        worker survives the rest of the queue runs in-process.
         Per-plan accounting (resharded tasks, chaos faults) lands in
-        each owner's delta; whole-batch events (pool rebuilds) are
-        credited once -- to the single owner's delta when one plan runs
-        alone (the historical shape), or straight to the cumulative
-        metrics for a pipelined batch.
+        each owner's delta; worker deaths are credited once -- to the
+        single owner's delta when one plan runs alone, or straight to
+        the cumulative metrics for a pipelined batch.
 
         ``on_complete`` fires the moment a plan has no outstanding
         slices left -- every slice harvested, or the plan abandoned on
         its first error -- which is what lets :meth:`run_many` stream
-        finalized plans mid-batch.
+        finalized plans mid-batch.  Idle workers are refilled before
+        the callbacks run, so a slow commit never starves them.
         """
-        jobs: Dict[int, Tuple[_PendingPlan, Dict[str, Any]]] = {}
-        for pending in pendings:
-            for payload in self._build_slices(pending):
-                jobs[len(jobs)] = (pending, payload)
+        from .fleet import recv_columns, send_columns, serve_slice
+
+        jobs: List[Tuple[_PendingPlan, Dict[str, Any], TaskColumns]] = [
+            (pending, header, columns)
+            for pending in pendings
+            for header, columns in self._build_slices(pending)
+        ]
         if not jobs:
             return
         outstanding: Dict[int, int] = {}
-        for owner, _ in jobs.values():
+        for owner, _, _ in jobs:
             outstanding[id(owner)] = outstanding.get(id(owner), 0) + 1
-
-        def job_settled(owner: _PendingPlan) -> None:
-            outstanding[id(owner)] -= 1
-            if outstanding[id(owner)] == 0 and on_complete is not None:
-                on_complete(owner)
+        done: List[_PendingPlan] = []
         batch_extra = (
             pendings[0].delta
             if len(pendings) == 1
             else EngineMetrics(executor=self.name)
         )
         assert batch_extra is not None
-        pending_jobs = dict(jobs)
-        restarts = 0
-        while pending_jobs:
-            if restarts > MAX_POOL_RESTARTS:
-                # Out of pool rebuilds: finish the survivors one by one
-                # in-process (the kill flag must not reach this path,
-                # or os._exit would take down the campaign itself).
-                for index in sorted(pending_jobs):
-                    owner, payload = pending_jobs[index]
-                    if owner.error is None:
-                        try:
-                            owner.shard_columns[index] = self._harvest(
-                                _run_slice(dict(payload, kill_worker=False)),
-                                owner.delta,
-                            )
-                        except TransientInfrastructureError as exc:
-                            owner.error = exc
-                    job_settled(owner)
-                pending_jobs.clear()
-                break
-            broke = False
-            pool = self._ensure_pool(len(pending_jobs))
+        queue = collections.deque(range(len(jobs)))
+        in_flight: Dict[_Worker, int] = {}
+
+        def settle(index: int, reply) -> None:
+            owner = jobs[index][0]
             try:
-                future_job: Dict[concurrent.futures.Future, int] = {}
-                for index in sorted(pending_jobs):
-                    future_job[
-                        pool.submit(_run_slice, pending_jobs[index][1])
-                    ] = index
-                active = set(future_job)
-                while active:
-                    done, _ = concurrent.futures.wait(
-                        active, return_when=concurrent.futures.FIRST_COMPLETED
-                    )
-                    round_failed = False
-                    for future in done:
-                        active.discard(future)
-                        index = future_job[future]
-                        owner = pending_jobs[index][0]
-                        try:
-                            harvested = self._harvest(
-                                future.result(), owner.delta
-                            )
-                        except concurrent.futures.process.BrokenProcessPool:
-                            raise
-                        except Exception as exc:
-                            # Keep harvesting (and crediting) the rest
-                            # of this round before the owner's failure
-                            # takes effect.
-                            if owner.error is None:
-                                owner.error = exc
-                            round_failed = True
-                            continue
-                        owner.shard_columns[index] = harvested
-                        del pending_jobs[index]
-                        job_settled(owner)
-                    if round_failed:
-                        # Abandon every remaining shard of each failed
-                        # plan; sibling plans keep running.
-                        abandoned = {
-                            index
-                            for index, (owner, _) in pending_jobs.items()
-                            if owner.error is not None
-                        }
-                        for future in list(active):
-                            if future_job[future] in abandoned:
-                                future.cancel()
-                                active.discard(future)
-                        for index in abandoned:
-                            owner, _payload = pending_jobs.pop(index)
-                            job_settled(owner)
-            except concurrent.futures.process.BrokenProcessPool:
-                broke = True
-                self.close()  # discard the broken pool
-            if broke:
-                restarts += 1
-                batch_extra.pool_restarts += 1
-                for owner, payload in pending_jobs.values():
-                    owner.delta.tasks_resharded += len(payload["tasks"])
-                    # A chaos kill flag fires once: clear it before the
-                    # shard is re-issued, or the rebuilt pool dies too.
-                    payload["kill_worker"] = False
+                harvested = self._harvest(reply, owner.delta)
+            except Exception as exc:
+                if owner.error is None:
+                    owner.error = exc
+            else:
+                owner.shard_columns[index] = harvested
+            done.append(owner)
+
+        def requeue(worker: _Worker, index: int) -> None:
+            owner, header, columns = jobs[index]
+            self._drop(worker, SHUTDOWN_TIMEOUT_S)
+            batch_extra.worker_deaths += 1
+            owner.delta.tasks_resharded += len(columns)
+            # A chaos kill fires once: clear it before the slice is
+            # re-issued, or the survivor dies too.
+            jobs[index] = (owner, dict(header, kill_worker=False), columns)
+            queue.appendleft(index)
+
+        def dispatch() -> None:
+            idle = [w for w in self._workers if w not in in_flight]
+            while queue and idle:
+                index = queue.popleft()
+                owner, header, columns = jobs[index]
+                if owner.error is not None:
+                    done.append(owner)  # abandoned with its plan
+                    continue
+                worker = idle.pop(0)
+                try:
+                    send_columns(worker.sock, header, columns)
+                except OSError:
+                    requeue(worker, index)
+                    continue
+                in_flight[worker] = index
+
+        def complete() -> None:
+            while done:
+                owner = done.pop(0)
+                outstanding[id(owner)] -= 1
+                if outstanding[id(owner)] == 0 and on_complete is not None:
+                    on_complete(owner)
+
+        self._ensure_workers(len(jobs))
+        try:
+            while queue or in_flight:
+                dispatch()
+                if not in_flight:
+                    # No worker left: finish the queue in-process.
+                    while queue:
+                        index = queue.popleft()
+                        owner, header, columns = jobs[index]
+                        if owner.error is None:
+                            settle(index, serve_slice(
+                                dict(header, kill_worker=False), columns
+                            ))
+                        else:
+                            done.append(owner)
+                        complete()
+                    break
+                readable, _, _ = select.select(
+                    [worker.sock for worker in in_flight], [], []
+                )
+                for worker in [w for w in in_flight if w.sock in readable]:
+                    index = in_flight.pop(worker)
+                    try:
+                        reply = recv_columns(worker.sock)
+                    except Exception:  # EOF, a socket error, a torn frame
+                        requeue(worker, index)
+                        continue
+                    settle(index, reply)
+                dispatch()
+                complete()
+        except BaseException:
+            # A worker still holding a slice would answer into the next
+            # batch: it goes with the batch.
+            for worker in list(in_flight):
+                self._drop(worker, 0.0)
+            raise
         if len(pendings) > 1:
             self.metrics.merge(batch_extra)
 
     def _finalize(self, pending: _PendingPlan) -> PlanResult:
-        """Unpack, account, cache-store, and commit one plan, in order."""
-        plan = pending.plan
-        cache = self.cache if pending.keys is not None else None
-        try:
-            if pending.error is not None:
-                raise pending.error
-            if pending.all_served:
-                delta = EngineMetrics(executor=self.name, workers=1)
-                delta.plans += 1
-                delta.wall_s += time.perf_counter() - pending.started
-                self.metrics.merge(
-                    delta, skip_windows=self._merge_skip_windows
-                )
-                outcomes = sorted(
-                    pending.served, key=lambda outcome: outcome.index
-                )
-                result = PlanResult(
-                    plan_name=plan.name, outcomes=outcomes, metrics=delta
-                )
-            else:
-                delta = pending.delta
-                assert delta is not None
-                fresh: List[TaskOutcome] = []
-                words_view = None
-                if pending.shm is not None:
-                    words_view = np.ndarray(
-                        (pending.shm.size // 8,),
-                        dtype=np.uint64,
-                        buffer=pending.shm.buf,
-                    )
-                try:
-                    for index in sorted(pending.shard_columns):
-                        columns, busy_s = pending.shard_columns[index]
-                        delta.busy_s += busy_s
-                        fresh.extend(
-                            unpack_outcomes(
-                                columns,
-                                words_view=words_view,
-                                layout=(
-                                    pending.layout
-                                    if words_view is not None
-                                    else None
-                                ),
-                            )
-                        )
-                finally:
-                    del words_view
-                for task in pending.run_tasks:
-                    delta.tasks += 1
-                    delta.trials += task.trials
-                    delta.cells += task.cells
-                delta.execute_s += time.perf_counter() - pending.execute_started
-                if cache is not None:
-                    for outcome in fresh:
-                        cache.store(
-                            pending.keys[outcome.index], outcome,
-                            origin=self.name,
-                        )
-                    sub = self._finish(plan, delta, fresh, pending.started)
-                    outcomes = sorted(
-                        pending.served + sub.outcomes,
-                        key=lambda outcome: outcome.index,
-                    )
-                    result = PlanResult(
-                        plan_name=plan.name, outcomes=outcomes, metrics=delta
-                    )
-                else:
-                    result = self._finish(plan, delta, fresh, pending.started)
-            if cache is not None:
-                after = cache.counters()
-                for field in _CACHE_COUNTER_FIELDS:
-                    gained = after[field] - pending.cache_before[field]
-                    setattr(delta, field, getattr(delta, field) + gained)
-                    setattr(
-                        self.metrics, field,
-                        getattr(self.metrics, field) + gained,
-                    )
-            return result
-        finally:
-            self._release(pending)
-
-    @staticmethod
-    def _release(pending: _PendingPlan) -> None:
-        """Free the plan's shared-memory mask window (idempotent)."""
-        shm, pending.shm = pending.shm, None
-        if shm is not None:
-            shm.close()
-            shm.unlink()
+        """Unpack, account, and commit one plan's outcomes, in order."""
+        if pending.error is not None:
+            raise pending.error
+        delta = pending.delta
+        assert delta is not None
+        fresh: List[TaskOutcome] = []
+        for index in sorted(pending.shard_columns):
+            columns, busy_s = pending.shard_columns[index]
+            delta.busy_s += busy_s
+            fresh.extend(unpack_outcomes(columns))
+        for task in pending.plan.tasks:
+            delta.tasks += 1
+            delta.trials += task.trials
+            delta.cells += task.cells
+        delta.execute_s += time.perf_counter() - pending.execute_started
+        return self._finish(pending.plan, delta, fresh, pending.started)
 
     _RATE_FIELDS = {
         FaultKind.PROGRAM_DROP: "program_drop_rate",
@@ -1253,9 +1093,9 @@ class ProcessPoolExecutor(ExecutorBase):
     }
 
     def _worker_chaos(self, serial: str) -> Optional[ChaosConfig]:
-        """The chaos profile one shard's worker should install.
+        """The chaos profile one slice's worker should install.
 
-        Worker harnesses are rebuilt per shard, so two properties the
+        Worker harnesses are rebuilt per slice, so two properties the
         serial harness gets for free must be restored here:
 
         - **caps persist**: a fault kind whose accumulated worker-side
@@ -1263,7 +1103,7 @@ class ProcessPoolExecutor(ExecutorBase):
           with rate 0, so a retried plan eventually runs fault-free
           and a chaotic campaign converges;
         - **schedules advance**: the seed is salted with a per-plan
-          epoch (and the shard's serial), so a retried shard does not
+          epoch (and the slice's serial), so a retried slice does not
           deterministically replay the exact fault sequence that just
           failed it.
 
@@ -1274,21 +1114,21 @@ class ProcessPoolExecutor(ExecutorBase):
         if chaos is None:
             return None
         rated = [
-            field
-            for field in self._RATE_FIELDS.values()
-            if getattr(chaos, field) > 0.0
+            name
+            for name in self._RATE_FIELDS.values()
+            if getattr(chaos, name) > 0.0
         ]
         if not rated:
             return chaos
         overrides: Dict[str, Any] = {}
         cap = chaos.max_faults_per_kind
         if cap is not None:
-            for kind, field in self._RATE_FIELDS.items():
+            for kind, name in self._RATE_FIELDS.items():
                 if (
-                    field in rated
+                    name in rated
                     and self._faults_spent.get(kind.value, 0) >= cap
                 ):
-                    overrides[field] = 0.0
+                    overrides[name] = 0.0
         salt = rng.generator(
             "worker-chaos", chaos.seed, self._chaos_epoch, serial
         )
@@ -1297,37 +1137,35 @@ class ProcessPoolExecutor(ExecutorBase):
 
     def _harvest(
         self,
-        shard: Tuple[
-            Optional[OutcomeColumns],
-            Dict[str, Any],
-            Dict[str, int],
-            Optional[Exception],
-        ],
+        reply: Tuple[Dict[str, Any], Optional[OutcomeColumns]],
         delta: EngineMetrics,
     ) -> Tuple[OutcomeColumns, float]:
-        """Account one finished shard, re-raising its transient error.
+        """Account one ``slice-result``, re-raising the error it carries.
 
         The fault ledger is credited *before* the raise so that a
         retried plan runs against a diminished budget -- the property
         that makes chaotic parallel campaigns converge.
         """
-        columns, stats, injected, error = shard
+        from .fleet import error_from_spec
+
+        header, columns = reply
+        injected: Dict[str, int] = header["injected"]
         delta.chaos_faults_injected += sum(injected.values())
         for kind, count in injected.items():
             self._faults_spent[kind] = self._faults_spent.get(kind, 0) + count
-        if error is not None:
-            raise error
-        delta.apa_programs += stats.get("apa_programs", 0)
-        for stage, seconds in stats.get("stages", {}).items():
+        if header["error"] is not None:
+            raise error_from_spec(header["error"])
+        stats = header["stats"]
+        delta.apa_programs += stats["apa_programs"]
+        for stage, seconds in stats["stages"].items():
             delta.add_stage(stage, seconds)
-        delta.worker_bench_reuses += stats.get("bench_reuses", 0)
+        delta.worker_bench_reuses += stats["bench_reuses"]
         delta.bytes_shipped += columns.nbytes()
-        tasks_run = int(stats.get("tasks_run", 0))
-        if tasks_run:
+        if stats["tasks_run"]:
             # Adaptive slice sizing input: observed per-task worker
             # seconds, smoothed so one outlier slice cannot whipsaw
             # the next plan's dispatch count.
-            per_task = stats["busy_s"] / tasks_run
+            per_task = stats["busy_s"] / stats["tasks_run"]
             if self._task_cost_ema is None:
                 self._task_cost_ema = per_task
             else:

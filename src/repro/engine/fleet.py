@@ -1,34 +1,26 @@
-"""Multi-process / multi-host campaign fleet.
+"""The one transport between the fused-parallel executor and its workers.
 
-The third scheduling tier, above the in-plan executors and the
-single-pool :class:`~repro.engine.scheduler.CampaignScheduler`::
+:class:`~repro.engine.executors.ProcessPoolExecutor` (``fused-parallel``)
+cuts each plan into slices and ships every slice to a worker as one
+``run-slice`` frame; the worker replies with one ``slice-result``
+frame.  A frame is an 8-byte length, a JSON header, and zero or more
+raw numpy array segments -- exactly the serialization of
+:func:`~repro.engine.columnar.columns_to_arrays`, so task specs travel
+down as :class:`~repro.engine.columnar.TaskColumns` and outcomes come
+back as :class:`~repro.engine.columnar.OutcomeColumns` with packed
+masks.  Everything else a slice needs travels as a JSON-safe *spec*:
+the kernel, the :class:`OperatingPoint`, each bench's serial,
+:class:`~repro.config.SimulationConfig` and
+:class:`~repro.chaos.ChaosConfig` (the wire codec below).  Errors
+come back as data too, so the dispatcher credits the faults a slice
+injected before it re-raises.
 
-    CampaignScheduler          one pool, plans pipelined
-        FleetDispatcher        whole programs across workers/hosts
-            host workers       ``simra-dram worker`` processes
+Where the workers come from is the only thing that differs:
 
-A :class:`FleetDispatcher` distributes whole experiment programs
-(figure id + scope recipe) across *fleet workers* -- separate
-processes on this host or ``simra-dram worker`` processes on other
-hosts -- over a length-prefixed columnar socket protocol.  Each frame
-is an 8-byte length, a JSON header, and zero or more raw numpy array
-segments: exactly the serialization of
-:func:`~repro.engine.columnar.columns_to_arrays`, so task-spec and
-outcome columns travel the wire in the same form the process-pool
-executor ships them through pickle.
-
-Supervision matches the single-pool tier:
-
-- **worker-death recovery**: a dead connection's in-flight item is
-  re-issued to another worker (or run locally when none remain) --
-  re-running an item lands on the same bits, so a death needs no
-  other remedy;
-- **deterministic commit order**: results are delivered strictly in
-  item order regardless of which worker finished first;
-- **bit-identical artifacts**: workers rebuild the scope from its
-  recipe and group sampling / measurement noise are serial-keyed,
-  so a fleet campaign commits exactly the bytes the serial reference
-  would.
+- ``--jobs N`` forks N local workers, each serving one end of a
+  socketpair (:meth:`ProcessPoolExecutor._launch`);
+- ``--fleet N`` (:class:`LocalFleet`) is the same executor over N
+  ``simra-dram worker --connect`` subprocesses that dial in over TCP.
 
 Because the simulated fleet is a pure function of
 (spec, instance, config), :func:`fleet_scope` can sample instances
@@ -39,23 +31,45 @@ catalog data.
 
 from __future__ import annotations
 
+import builtins
 import contextlib
 import json
 import os
-import select
 import socket
 import struct
 import subprocess
 import sys
 import time
-from dataclasses import asdict, dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import asdict
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .. import errors
+from ..bender.testbench import TestBench
+from ..chaos import ChaosConfig, ChaosHarness
+from ..config import SimulationConfig
+from ..core.patterns import DataPattern
+from ..dram.vendor import TESTED_MODULES
 from ..errors import ExperimentError
-from .columnar import columns_from_arrays, columns_to_arrays
+from .columnar import (
+    OutcomeColumns,
+    TaskColumns,
+    columns_from_arrays,
+    columns_to_arrays,
+    pack_outcomes,
+    unpack_tasks,
+)
+from .executors import ProcessPoolExecutor, _Worker, run_tasks_fused
+from .kernels import (
+    ActivationKernel,
+    DisturbanceKernel,
+    MajXKernel,
+    MultiRowCopyKernel,
+    TrialKernel,
+)
 from .metrics import EngineMetrics
+from .plan import TaskOutcome, TrialTask
 
 MAX_FRAME_BYTES = 1 << 30
 """Refuse frames above this size: a corrupt length prefix should fail
@@ -85,6 +99,14 @@ def _recv_exact(sock: socket.socket, count: int) -> bytes:
     return bytes(chunks)
 
 
+def _json_scalar(value: Any) -> Any:
+    """numpy scalars (an ``np.int64`` bank, a timing off a linspace)
+    encode as the Python number they equal."""
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
 def send_frame(
     sock: socket.socket,
     header: Dict[str, Any],
@@ -104,7 +126,9 @@ def send_frame(
         segments.append(array.tobytes())
     head = dict(header)
     head["arrays"] = specs
-    head_bytes = json.dumps(head, sort_keys=True).encode("utf-8")
+    head_bytes = json.dumps(
+        head, sort_keys=True, default=_json_scalar
+    ).encode("utf-8")
     payload = b"".join(
         [_HEADER_LENGTH.pack(len(head_bytes)), head_bytes, *segments]
     )
@@ -147,7 +171,10 @@ def recv_frame(
 def send_columns(
     sock: socket.socket, header: Dict[str, Any], columns
 ) -> None:
-    """Ship a columns record (task or outcome) as one frame."""
+    """Ship a header with an optional columns record as one frame."""
+    if columns is None:
+        send_frame(sock, header)
+        return
     column_header, arrays = columns_to_arrays(columns)
     merged = dict(header)
     merged["columns"] = column_header
@@ -157,72 +184,358 @@ def send_columns(
 def recv_columns(sock: socket.socket) -> Tuple[Dict[str, Any], Any]:
     """Receive a frame and rebuild its columns record (or ``None``)."""
     header, arrays = recv_frame(sock)
-    column_header = header.get("columns")
+    column_header = header.pop("columns", None)
     if column_header is None:
         return header, None
     return header, columns_from_arrays(column_header, arrays)
 
 
-# -- scope recipes ---------------------------------------------------------
+# -- wire codec ------------------------------------------------------------
 
-
-def scope_to_spec(scope) -> Dict[str, Any]:
-    """A JSON-safe recipe a worker can rebuild the scope from.
-
-    Benches must be catalog-built (serial ``identifier#instance``);
-    the recipe is pure data, so shipping it to another host yields a
-    bit-identical fleet there.
-    """
-    modules: List[List[Any]] = []
-    for bench in scope.benches:
-        serial = bench.module.serial
-        identifier, sep, instance = serial.rpartition("#")
-        if not sep:
-            raise ExperimentError(
-                "fleet dispatch requires catalog-built benches; "
-                f"module {serial!r} has no instance-tagged serial"
-            )
-        modules.append([identifier, int(instance)])
-    return {
-        "config": asdict(scope.benches[0].module.config),
-        "modules": modules,
-        "banks": list(scope.banks),
-        "subarrays": list(scope.subarrays),
-        "groups_per_size": scope.groups_per_size,
-        "trials": scope.trials,
-    }
-
-
-def scope_from_spec(spec: Dict[str, Any]):
-    """Rebuild a :class:`CharacterizationScope` from its recipe."""
-    # Imported lazily: characterization sits above the engine in the
-    # package graph.
-    from ..bender.testbench import TestBench
-    from ..characterization.experiment import CharacterizationScope
-    from ..config import SimulationConfig
-    from ..dram.vendor import TESTED_MODULES
-
-    config = SimulationConfig(**spec["config"])
-    specs_by_identifier = {
-        module.module_identifier: module for module in TESTED_MODULES
-    }
-    benches = []
-    for identifier, instance in spec["modules"]:
-        module_spec = specs_by_identifier.get(identifier)
-        if module_spec is None:
-            raise ExperimentError(
-                f"scope recipe names unknown module {identifier!r}"
-            )
-        benches.append(
-            TestBench.for_spec(module_spec, int(instance), config=config)
-        )
-    return CharacterizationScope(
-        benches=benches,
-        banks=tuple(spec["banks"]),
-        subarrays=tuple(spec["subarrays"]),
-        groups_per_size=int(spec["groups_per_size"]),
-        trials=int(spec["trials"]),
+_KERNELS = {
+    kind.op_name: kind
+    for kind in (
+        ActivationKernel, MajXKernel, MultiRowCopyKernel, DisturbanceKernel
     )
+}
+_CATALOG = {spec.module_identifier: spec for spec in TESTED_MODULES}
+
+
+def _pattern_to_spec(pattern: DataPattern) -> Dict[str, Any]:
+    pair = pattern.byte_pair
+    return {
+        "kind": pattern.kind,
+        "byte_pair": None if pair is None else list(pair),
+    }
+
+
+def _pattern_from_spec(spec: Dict[str, Any]) -> DataPattern:
+    pair = spec["byte_pair"]
+    return DataPattern(spec["kind"], None if pair is None else tuple(pair))
+
+
+def kernel_to_spec(kernel: TrialKernel) -> Dict[str, Any]:
+    """JSON-safe recipe of one of the engine's four kernels."""
+    if _KERNELS.get(kernel.op_name) is not type(kernel):
+        raise ExperimentError(
+            f"kernel {type(kernel).__name__} has no wire spec; the "
+            "fused-parallel executor ships only the engine's kernels"
+        )
+    spec: Dict[str, Any] = {"op": kernel.op_name}
+    if isinstance(kernel, MajXKernel):
+        spec.update(x=kernel.x, replicas=kernel.replicas)
+    elif isinstance(kernel, DisturbanceKernel):
+        spec.update(
+            pattern=_pattern_to_spec(kernel.pattern),
+            bystanders=list(kernel.bystanders),
+        )
+    return spec
+
+
+def kernel_from_spec(spec: Dict[str, Any]) -> TrialKernel:
+    """Rebuild a kernel from :func:`kernel_to_spec`."""
+    args = dict(spec)
+    kind = _KERNELS[args.pop("op")]
+    if "pattern" in args:
+        args["pattern"] = _pattern_from_spec(args["pattern"])
+    return kind(**args)
+
+
+def point_to_spec(point) -> Dict[str, Any]:
+    """JSON-safe form of an :class:`OperatingPoint`."""
+    return {
+        "t1_ns": point.t1_ns,
+        "t2_ns": point.t2_ns,
+        "temperature_c": point.temperature_c,
+        "vpp": point.vpp,
+        "pattern": _pattern_to_spec(point.pattern),
+    }
+
+
+def point_from_spec(spec: Dict[str, Any]):
+    """Rebuild an :class:`OperatingPoint` from :func:`point_to_spec`."""
+    # Imported here: characterization sits above the engine.
+    from ..characterization.experiment import OperatingPoint
+
+    return OperatingPoint(
+        **dict(spec, pattern=_pattern_from_spec(spec["pattern"]))
+    )
+
+
+def config_to_spec(config: SimulationConfig) -> Dict[str, Any]:
+    """JSON-safe form of a :class:`SimulationConfig`."""
+    return asdict(config)
+
+
+def config_from_spec(spec: Dict[str, Any]) -> SimulationConfig:
+    return SimulationConfig(**spec)
+
+
+def chaos_to_spec(chaos: ChaosConfig) -> Dict[str, Any]:
+    """JSON-safe form of a :class:`ChaosConfig` (name tuples as lists)."""
+    return {
+        name: list(value) if isinstance(value, tuple) else value
+        for name, value in asdict(chaos).items()
+    }
+
+
+def chaos_from_spec(spec: Dict[str, Any]) -> ChaosConfig:
+    return ChaosConfig(
+        **{
+            name: tuple(value) if isinstance(value, list) else value
+            for name, value in spec.items()
+        }
+    )
+
+
+def error_to_spec(error: Exception) -> List[str]:
+    return [type(error).__name__, str(error)]
+
+
+def error_from_spec(spec: Sequence[str]) -> Exception:
+    """The exception a worker reported, rebuilt by class name.
+
+    The library's errors (and builtins) keep their type, so the
+    campaign still retries a transient fault and quarantines a bench
+    that failed persistently; anything else becomes an
+    :class:`~repro.errors.ExperimentError` naming it.
+    """
+    name, message = spec
+    kind = getattr(errors, name, None) or getattr(builtins, name, None)
+    if isinstance(kind, type) and issubclass(kind, Exception):
+        with contextlib.suppress(Exception):
+            return kind(message)
+    return ExperimentError(f"{name}: {message}")
+
+
+# -- worker side -----------------------------------------------------------
+
+_BENCH_CACHE: Dict[Tuple[str, SimulationConfig], TestBench] = {}
+"""Worker-local benches keyed by (module serial, simulation config).
+
+Rebuilding a bench from its catalog spec costs more than most slices;
+a worker sees the same modules over and over, so benches are cached
+for the process lifetime.  A cached bench is reset to the baseline
+environment before reuse, which -- because the thermal controller
+settles exactly and all trial noise is keyed by measurement context,
+never execution history -- makes it indistinguishable from a freshly
+built one.
+"""
+
+_BENCH_CACHE_LIMIT = 32
+
+
+def _bench_for_section(section: Dict[str, Any]) -> Tuple[TestBench, bool]:
+    """A (possibly cached) bench for one slice section; True when reused."""
+    config = config_from_spec(section["config"])
+    key = (section["serial"], config)
+    bench = _BENCH_CACHE.get(key)
+    if bench is not None:
+        # Same starting point as a fresh build: baseline environment,
+        # applied before any chaos harness goes in (a fresh bench's
+        # constructor drives the same settings pre-harness).
+        bench.reset_environment()
+        return bench, True
+    identifier, _, instance = section["serial"].rpartition("#")
+    spec = _CATALOG.get(identifier)
+    if spec is None:
+        raise ExperimentError(f"slice names unknown module {identifier!r}")
+    bench = TestBench.for_spec(spec, int(instance), config=config)
+    while len(_BENCH_CACHE) >= _BENCH_CACHE_LIMIT:
+        _BENCH_CACHE.pop(next(iter(_BENCH_CACHE)))
+    _BENCH_CACHE[key] = bench
+    return bench, False
+
+
+def serve_slice(
+    header: Dict[str, Any], columns: TaskColumns
+) -> Tuple[Dict[str, Any], Optional[OutcomeColumns]]:
+    """Run one ``run-slice`` frame; the ``slice-result`` reply.
+
+    A slice spans one or more bench *sections* (serial, config and
+    chaos per bench); its tasks reference sections by slot, so each
+    bench is rebuilt or fetched, and its chaos harness installed, once
+    per slice.  Each bench's tasks run fused
+    (:func:`~repro.engine.executors.run_tasks_fused`).  The reply
+    carries a stats dict (busy time, worker-side APA programs, stage
+    timings, bench reuses, tasks run), the per-kind faults the local
+    harnesses injected, and the error the slice died of, if any, as
+    data: the dispatcher credits the injected faults to its
+    ``max_faults_per_kind`` ledger before it re-raises, or a chaotic
+    campaign would retry against an undiminished fault budget forever.
+    """
+    if header.get("kill_worker"):
+        # Chaos proof load: this slice's worker dies abruptly, the way
+        # an OOM kill or segfault would -- no exception, no cleanup.
+        os._exit(86)
+    started = time.perf_counter()
+    stats: Dict[str, Any] = {
+        "apa_programs": 0, "stages": {}, "bench_reuses": 0, "tasks_run": 0,
+    }
+    injected: Dict[str, int] = {}
+    outcomes: List[TaskOutcome] = []
+    error: Optional[Exception] = None
+    try:
+        sections: List[Dict[str, Any]] = header["sections"]
+        kernel = kernel_from_spec(header["kernel"])
+        point = point_from_spec(header["point"])
+        by_slot: Dict[int, List[TrialTask]] = {}
+        for task in unpack_tasks(columns, [s["serial"] for s in sections]):
+            by_slot.setdefault(task.bench_index, []).append(task)
+        for slot in sorted(by_slot):
+            section = sections[slot]
+            bench, reused = _bench_for_section(section)
+            stats["bench_reuses"] += int(reused)
+            harness: Optional[ChaosHarness] = None
+            if section["chaos"] is not None:
+                harness = ChaosHarness(chaos_from_spec(section["chaos"]))
+                harness.install(bench)
+            try:
+                if header["apply_environment"]:
+                    bench.set_temperature(point.temperature_c)
+                    bench.set_vpp(point.vpp)
+                scratch = EngineMetrics(executor="slice")
+                outcomes.extend(
+                    run_tasks_fused(
+                        kernel, point, header["checkpoints"], bench,
+                        by_slot[slot], scratch,
+                    )
+                )
+            finally:
+                if harness is not None:
+                    for kind, count in harness.engine.stats.injected.items():
+                        if count:
+                            injected[kind] = injected.get(kind, 0) + count
+                    harness.uninstall()
+            stats["apa_programs"] += scratch.apa_programs
+            for stage, seconds in scratch.stages.items():
+                stages = stats["stages"]
+                stages[stage] = stages.get(stage, 0.0) + seconds
+            stats["tasks_run"] += len(by_slot[slot])
+    except Exception as exc:  # noqa: BLE001 -- travels back as data
+        error = exc
+    stats["busy_s"] = time.perf_counter() - started
+    reply = {
+        "type": "slice-result",
+        "stats": stats,
+        "injected": injected,
+        "error": None if error is None else error_to_spec(error),
+    }
+    return reply, None if error is not None else pack_outcomes(outcomes)
+
+
+def serve_connection(sock: socket.socket) -> int:
+    """Serve one dispatcher connection until shutdown or EOF.
+
+    Greets with ``hello`` (carrying the worker's pid), then answers
+    every ``run-slice`` frame with its ``slice-result``
+    (:func:`serve_slice`).  Returns the number of slices served.
+    """
+    send_frame(sock, {"type": "hello", "pid": os.getpid()})
+    served = 0
+    while True:
+        try:
+            header, columns = recv_columns(sock)
+        except (EOFError, OSError):
+            return served
+        if header.get("type") != "run-slice":
+            return served  # shutdown
+        send_columns(sock, *serve_slice(header, columns))
+        served += 1
+
+
+def run_worker(connect: str) -> int:
+    """CLI entry: dial the dispatcher and serve until shutdown."""
+    host, sep, port = connect.rpartition(":")
+    if not sep or not host:
+        raise ExperimentError(
+            f"worker --connect wants HOST:PORT, got {connect!r}"
+        )
+    sock = socket.create_connection((host, int(port)))
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    with contextlib.closing(sock):
+        serve_connection(sock)
+    return 0
+
+
+# -- dial-in workers -------------------------------------------------------
+
+
+class LocalFleet(ProcessPoolExecutor):
+    """The fused-parallel executor over dial-in worker subprocesses.
+
+    Each worker is a ``python -m repro.cli worker --connect`` process
+    that dials a listener on ``127.0.0.1`` -- the path a worker on
+    another host would take.  Dispatch, supervision and the
+    bit-identity contract are :class:`ProcessPoolExecutor`'s; only
+    where the workers come from differs.  :meth:`kill_worker` SIGKILLs
+    one to exercise the worker-death recovery.
+    """
+
+    def __init__(self, workers: int = 2) -> None:
+        if workers < 1:
+            raise ExperimentError("fleet needs at least one worker")
+        super().__init__(jobs=workers)
+        self.processes: List[subprocess.Popen] = []
+
+    def _launch(self, count: int) -> List[_Worker]:
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(count)
+        listener.settimeout(SPAWN_TIMEOUT_S)
+        port = listener.getsockname()[1]
+        src_root = os.path.dirname(os.path.dirname(
+            os.path.dirname(os.path.abspath(__file__))
+        ))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src_root + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        command = [
+            sys.executable, "-m", "repro.cli", "worker",
+            "--connect", f"127.0.0.1:{port}",
+        ]
+        spawned = {}
+        workers: List[_Worker] = []
+        with contextlib.closing(listener):
+            try:
+                for _ in range(count):
+                    process = subprocess.Popen(
+                        command, env=env, stdin=subprocess.DEVNULL
+                    )
+                    spawned[process.pid] = process
+                    self.processes.append(process)
+                for _ in range(count):
+                    conn, _ = listener.accept()
+                    conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                    workers.append(_Worker(conn, spawned[self._greet(conn)]))
+            except Exception as exc:  # a timeout, EOF, a stranger's hello
+                for worker in workers:
+                    worker.sock.close()
+                for process in spawned.values():
+                    self._reap(process, 0.0)
+                raise ExperimentError(
+                    f"fleet workers failed to dial in: {exc}"
+                ) from exc
+        return workers
+
+    @staticmethod
+    def _reap(process: subprocess.Popen, timeout: float) -> None:
+        try:
+            process.wait(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            process.kill()
+            process.wait()
+
+    def kill_worker(self, index: int) -> int:
+        """SIGKILL one worker process (chaos for death-recovery tests)."""
+        process = self.processes[index]
+        process.kill()
+        process.wait(timeout=30)
+        return process.pid
+
+
+# -- sampled fleets --------------------------------------------------------
 
 
 def fleet_scope(
@@ -242,10 +555,7 @@ def fleet_scope(
     process-variation envelope.  This is how a campaign scales from
     the paper's 120 tested chips to thousands.
     """
-    from ..bender.testbench import TestBench
     from ..characterization.experiment import CharacterizationScope
-    from ..config import SimulationConfig
-    from ..dram.vendor import TESTED_MODULES
 
     if chips < 1:
         raise ExperimentError("fleet needs at least one chip")
@@ -266,443 +576,3 @@ def fleet_scope(
         groups_per_size=groups_per_size,
         trials=trials,
     )
-
-
-# -- worker side -----------------------------------------------------------
-
-
-def serve_connection(
-    sock: socket.socket,
-    executor_name: str = "serial",
-    jobs: Optional[int] = None,
-) -> int:
-    """Serve one dispatcher connection until shutdown or EOF.
-
-    Items arrive as ``run`` frames naming a figure and a scope recipe;
-    the worker rebuilds the scope (cached across items, so a campaign
-    pays the bench builds once), runs the figure's experiment program
-    on its local executor, and replies with the result in the store's
-    encoded form -- the exact JSON-safe bytes-determining form the
-    dispatcher will commit, so fleet artifacts are byte-equal to the
-    serial reference.  Returns the number of items served.
-    """
-    from ..characterization.campaign import EXPERIMENT_PROGRAMS
-    from ..characterization.reader import _encode, storable
-    from .executors import make_executor
-
-    send_frame(
-        sock,
-        {"type": "hello", "pid": os.getpid(), "executor": executor_name},
-    )
-    served = 0
-    scope_cache: Dict[str, Any] = {}
-    executor = make_executor(executor_name, jobs=jobs)
-    try:
-        while True:
-            try:
-                header, _ = recv_frame(sock)
-            except (EOFError, OSError):
-                return served
-            kind = header.get("type")
-            if kind == "shutdown":
-                return served
-            if kind == "ping":
-                send_frame(sock, {"type": "pong"})
-                continue
-            if kind != "run":
-                send_frame(
-                    sock,
-                    {"type": "error", "error": f"unknown frame {kind!r}"},
-                )
-                continue
-            started = time.perf_counter()
-            reply: Dict[str, Any] = {
-                "type": "result",
-                "item": header["item"],
-                "figure": header["figure"],
-            }
-            try:
-                key = json.dumps(header["scope"], sort_keys=True)
-                scope = scope_cache.get(key)
-                if scope is None:
-                    # One fleet's benches at a time: a new recipe
-                    # replaces the cache instead of growing it.
-                    scope_cache.clear()
-                    scope = scope_from_spec(header["scope"])
-                    scope_cache[key] = scope
-                program = EXPERIMENT_PROGRAMS[header["figure"]](scope)
-                data = program.run(executor)
-                reply["status"] = "ok"
-                reply["data"] = _encode(storable(data))
-            except Exception as exc:  # noqa: BLE001 -- travels as data
-                reply["status"] = "error"
-                reply["error"] = f"{type(exc).__name__}: {exc}"
-            reply["elapsed_s"] = time.perf_counter() - started
-            send_frame(sock, reply)
-            served += 1
-    finally:
-        executor.close()
-
-
-def run_worker(
-    connect: str,
-    executor_name: str = "serial",
-    jobs: Optional[int] = None,
-) -> int:
-    """CLI entry: dial the dispatcher and serve until shutdown."""
-    host, sep, port = connect.rpartition(":")
-    if not sep or not host:
-        raise ExperimentError(
-            f"worker --connect wants HOST:PORT, got {connect!r}"
-        )
-    sock = socket.create_connection((host, int(port)))
-    with contextlib.closing(sock):
-        serve_connection(sock, executor_name=executor_name, jobs=jobs)
-    return 0
-
-
-# -- dispatcher side -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FleetItem:
-    """One unit of fleet work: a figure over a scope recipe."""
-
-    index: int
-    figure: str
-    scope_spec: Dict[str, Any]
-
-
-@dataclass
-class FleetOutcome:
-    """One settled fleet item."""
-
-    figure: str
-    status: str
-    """``"ok"`` or ``"error"``."""
-    data: Any = None
-    """Decoded figure data (``status == "ok"``)."""
-    error: Optional[str] = None
-    worker: str = ""
-    """Which worker ran the item (``"local"`` for the fallback path)."""
-    elapsed_s: float = 0.0
-
-
-class _WorkerHandle:
-    """Dispatcher-side state for one fleet worker connection."""
-
-    def __init__(self, name: str, sock: socket.socket) -> None:
-        self.name = name
-        self.sock = sock
-        self.alive = True
-        self.greeted = False
-        """Whether the worker's ``hello`` has been read."""
-        self.item: Optional[int] = None
-
-
-class FleetDispatcher:
-    """Distributes whole experiment programs across fleet workers.
-
-    ``connections`` are ``(name, socket)`` pairs whose peers speak the
-    worker protocol (:func:`serve_connection`) -- subprocesses from
-    :class:`LocalFleet`, or ``simra-dram worker`` processes dialed in
-    from other hosts.  :meth:`run` drives a batch of
-    :class:`FleetItem` to completion with the supervision semantics
-    described in the module docstring, and accounts everything on
-    ``metrics`` (``fleet_items`` / ``fleet_reissued`` /
-    ``fleet_worker_deaths`` plus the shared busy/wall counters).
-    """
-
-    def __init__(
-        self, connections: Sequence[Tuple[str, socket.socket]]
-    ) -> None:
-        self.metrics = EngineMetrics(executor="fleet")
-        self._workers = [
-            _WorkerHandle(name, sock) for name, sock in connections
-        ]
-        self.metrics.workers = max(1, len(self._workers))
-
-    @property
-    def workers(self) -> List[str]:
-        """Names of the workers still alive."""
-        return [w.name for w in self._workers if w.alive]
-
-    def close(self) -> None:
-        """Send shutdown to every live worker and close the sockets."""
-        for worker in self._workers:
-            if worker.alive:
-                with contextlib.suppress(OSError):
-                    send_frame(worker.sock, {"type": "shutdown"})
-            worker.alive = False
-            with contextlib.suppress(OSError):
-                worker.sock.close()
-
-    def __enter__(self) -> "FleetDispatcher":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.close()
-        return False
-
-    # -- internals ---------------------------------------------------------
-
-    def _handshake(self, worker: _WorkerHandle) -> None:
-        header, _ = recv_frame(worker.sock)
-        if header.get("type") != "hello":
-            raise ExperimentError(
-                f"worker {worker.name} opened with {header.get('type')!r}, "
-                "expected hello"
-            )
-
-    def _mark_dead(self, worker: _WorkerHandle, queue: List[int]) -> None:
-        """Bury one worker and re-queue its in-flight item."""
-        worker.alive = False
-        self.metrics.fleet_worker_deaths += 1
-        with contextlib.suppress(OSError):
-            worker.sock.close()
-        item, worker.item = worker.item, None
-        if item is not None:
-            queue.insert(0, item)
-            self.metrics.fleet_reissued += 1
-
-    def _issue(self, worker: _WorkerHandle, item: FleetItem) -> bool:
-        try:
-            send_frame(
-                worker.sock,
-                {
-                    "type": "run",
-                    "item": item.index,
-                    "figure": item.figure,
-                    "scope": item.scope_spec,
-                },
-            )
-        except OSError:
-            return False
-        worker.item = item.index
-        return True
-
-    def _run_local(self, item: FleetItem) -> FleetOutcome:
-        """Last-resort in-process execution (every worker gone)."""
-        from ..characterization.campaign import EXPERIMENT_PROGRAMS
-
-        started = time.perf_counter()
-        try:
-            scope = scope_from_spec(item.scope_spec)
-            data = EXPERIMENT_PROGRAMS[item.figure](scope).run()
-        except Exception as exc:  # noqa: BLE001 -- isolate items
-            return FleetOutcome(
-                figure=item.figure,
-                status="error",
-                error=f"{type(exc).__name__}: {exc}",
-                worker="local",
-                elapsed_s=time.perf_counter() - started,
-            )
-        from ..characterization.reader import canonical_data
-
-        return FleetOutcome(
-            figure=item.figure,
-            status="ok",
-            data=canonical_data(data),
-            worker="local",
-            elapsed_s=time.perf_counter() - started,
-        )
-
-    def run(
-        self,
-        items: Sequence[FleetItem],
-        on_result: Optional[Callable[[int, FleetOutcome], None]] = None,
-    ) -> List[FleetOutcome]:
-        """Drive every item to a settled outcome, supervised.
-
-        ``on_result`` streams ``(index, outcome)`` strictly in item
-        order -- the hook fleet campaigns commit through, mirroring
-        :meth:`~repro.engine.executors.ExecutorBase.run_many`.
-        Exceptions it raises propagate (in-flight items are abandoned).
-        """
-        from ..characterization.reader import _decode
-
-        started = time.perf_counter()
-        for worker in self._workers:
-            if worker.alive and not worker.greeted:
-                worker.greeted = True
-                try:
-                    self._handshake(worker)
-                except (EOFError, OSError, ExperimentError):
-                    worker.alive = False
-                    self.metrics.fleet_worker_deaths += 1
-        queue: List[int] = [item.index for item in items]
-        by_index = {item.index: item for item in items}
-        if len(by_index) != len(items):
-            raise ExperimentError("fleet items must have unique indices")
-        results: Dict[int, FleetOutcome] = {}
-        emit_order = sorted(by_index)
-
-        def deliver() -> None:
-            while emit_order and emit_order[0] in results:
-                index = emit_order.pop(0)
-                if on_result is not None:
-                    on_result(index, results[index])
-
-        while len(results) < len(items):
-            available = [
-                w for w in self._workers if w.alive and w.item is None
-            ]
-            # Fill idle workers from the queue, in item order.
-            while queue and available:
-                index = queue.pop(0)
-                worker = available.pop(0)
-                if not self._issue(worker, by_index[index]):
-                    self._mark_dead(worker, queue)
-                    queue.insert(0, index)
-            busy = [w for w in self._workers if w.alive and w.item is not None]
-            if not busy:
-                # Nothing in flight and nothing issuable: the fleet is
-                # gone.  Preserve the campaign by finishing the
-                # remainder in-process -- bit-identical by the usual
-                # serial-keying argument.
-                for index in sorted(by_index):
-                    if index not in results:
-                        results[index] = self._run_local(by_index[index])
-                        self.metrics.fleet_items += 1
-                        self.metrics.busy_s += results[index].elapsed_s
-                        deliver()
-                break
-            readable, _, _ = select.select([w.sock for w in busy], [], [])
-            ready = {id(sock) for sock in readable}
-            for worker in list(busy):
-                if id(worker.sock) not in ready:
-                    continue
-                try:
-                    header, _ = recv_frame(worker.sock)
-                except (EOFError, OSError):
-                    self._mark_dead(worker, queue)
-                    continue
-                if header.get("type") != "result":
-                    continue
-                index = int(header["item"])
-                worker.item = None
-                elapsed = float(header.get("elapsed_s", 0.0))
-                ok = header.get("status") == "ok"
-                results[index] = FleetOutcome(
-                    figure=header["figure"],
-                    status="ok" if ok else "error",
-                    data=_decode(header["data"]) if ok else None,
-                    error=None if ok else str(header.get("error")),
-                    worker=worker.name,
-                    elapsed_s=elapsed,
-                )
-                self.metrics.fleet_items += 1
-                self.metrics.busy_s += elapsed
-                deliver()
-        deliver()
-        self.metrics.wall_s += time.perf_counter() - started
-        return [results[item.index] for item in items]
-
-
-# -- localhost backend -----------------------------------------------------
-
-
-class LocalFleet:
-    """Spawn localhost worker subprocesses speaking the fleet protocol.
-
-    The test/CI backend: a listener on ``127.0.0.1`` accepts one
-    dial-in per spawned ``python -m repro.cli worker`` subprocess.
-    Context-manager exit shuts the workers down; :meth:`kill_worker`
-    SIGKILLs one mid-run to exercise the dispatcher's death recovery.
-    """
-
-    def __init__(
-        self,
-        workers: int = 2,
-        executor_name: str = "serial",
-        jobs: Optional[int] = None,
-    ) -> None:
-        if workers < 1:
-            raise ExperimentError("fleet needs at least one worker")
-        self.worker_count = workers
-        self.executor_name = executor_name
-        self.jobs = jobs
-        self.connections: List[Tuple[str, socket.socket]] = []
-        self.processes: List[subprocess.Popen] = []
-        self._listener: Optional[socket.socket] = None
-
-    def start(self) -> "LocalFleet":
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.bind(("127.0.0.1", 0))
-        listener.listen(self.worker_count)
-        listener.settimeout(SPAWN_TIMEOUT_S)
-        self._listener = listener
-        port = listener.getsockname()[1]
-        src_root = os.path.dirname(
-            os.path.dirname(os.path.abspath(__file__))
-        )
-        src_root = os.path.dirname(src_root)  # .../src
-        env = dict(os.environ)
-        env["PYTHONPATH"] = src_root + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-        )
-        command = [
-            sys.executable,
-            "-m",
-            "repro.cli",
-            "worker",
-            "--connect",
-            f"127.0.0.1:{port}",
-            "--executor",
-            self.executor_name,
-        ]
-        if self.jobs is not None:
-            command += ["--jobs", str(self.jobs)]
-        try:
-            for index in range(self.worker_count):
-                self.processes.append(
-                    subprocess.Popen(command, env=env, stdin=subprocess.DEVNULL)
-                )
-            for index in range(self.worker_count):
-                conn, _ = listener.accept()
-                self.connections.append((f"worker-{index}", conn))
-        except (socket.timeout, OSError) as exc:
-            self.close()
-            raise ExperimentError(
-                f"fleet workers failed to dial in: {exc}"
-            ) from exc
-        return self
-
-    def dispatcher(self) -> FleetDispatcher:
-        """A dispatcher over this fleet's live connections."""
-        return FleetDispatcher(self.connections)
-
-    def kill_worker(self, index: int) -> int:
-        """SIGKILL one worker process (chaos for death-recovery tests)."""
-        process = self.processes[index]
-        process.kill()
-        process.wait(timeout=30)
-        return process.pid
-
-    def close(self) -> None:
-        for _, conn in self.connections:
-            with contextlib.suppress(OSError):
-                send_frame(conn, {"type": "shutdown"})
-            with contextlib.suppress(OSError):
-                conn.close()
-        self.connections = []
-        if self._listener is not None:
-            with contextlib.suppress(OSError):
-                self._listener.close()
-            self._listener = None
-        for process in self.processes:
-            with contextlib.suppress(Exception):
-                process.wait(timeout=10)
-        for process in self.processes:
-            if process.poll() is None:
-                with contextlib.suppress(Exception):
-                    process.kill()
-                    process.wait(timeout=10)
-        self.processes = []
-
-    def __enter__(self) -> "LocalFleet":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.close()
-        return False

@@ -40,25 +40,18 @@ class EngineMetrics:
     modules_quarantined: int = 0
     """Modules excluded from the scope by quarantine."""
     tasks_resharded: int = 0
-    """Tasks re-issued after their worker died mid-shard."""
-    pool_restarts: int = 0
-    """Times a broken worker pool was rebuilt."""
-    pool_reuses: int = 0
-    """Plan batches served by an already-running persistent pool."""
+    """Tasks re-issued after their worker died mid-slice."""
+    worker_deaths: int = 0
+    """Workers lost mid-run (EOF or a socket error: SIGKILL, OOM,
+    crash), whether forked locally or dialed in."""
     worker_bench_reuses: int = 0
     """Shards served by a worker's cached bench instead of a rebuild."""
     bytes_shipped: int = 0
-    """Columnar result bytes shipped over the worker pickle channel."""
+    """Columnar result bytes shipped up from the workers."""
     dispatches: int = 0
     """Slice payloads submitted to workers (parent round-trips)."""
     bytes_shipped_down: int = 0
     """Columnar task-spec bytes shipped down to workers."""
-    fleet_items: int = 0
-    """Whole experiment programs dispatched to fleet workers."""
-    fleet_reissued: int = 0
-    """Fleet items re-issued after their worker died."""
-    fleet_worker_deaths: int = 0
-    """Fleet workers lost mid-campaign (socket death, SIGKILL)."""
     pipelined_plans: int = 0
     """Plans executed through the pipelined campaign scheduler."""
     pipeline_wall_s: float = 0.0
@@ -219,11 +212,8 @@ class EngineMetrics:
             ("breaker trips", self.breaker_trips),
             ("modules quarantined", self.modules_quarantined),
             ("tasks re-sharded", self.tasks_resharded),
-            ("pool restarts", self.pool_restarts),
+            ("worker deaths", self.worker_deaths),
             ("audit mismatches", self.audit_mismatches),
-            ("fleet items", self.fleet_items),
-            ("fleet re-issues", self.fleet_reissued),
-            ("fleet worker deaths", self.fleet_worker_deaths),
         ]
         if any(count for _, count in health):
             lines.append("  fleet health")
@@ -231,7 +221,6 @@ class EngineMetrics:
                 lines.append(f"    {label:<18}: {count}")
         if (
             self.pipelined_plans
-            or self.pool_reuses
             or self.bytes_shipped
             or self.dispatches
             or self.pipeline_declined_reason
@@ -239,8 +228,6 @@ class EngineMetrics:
             # Only non-zero counters print: a serial, non-pipelined run
             # should not render a wall of zero-valued scheduler lines.
             lines.append("  scheduler")
-            if self.pool_reuses:
-                lines.append(f"    pool reuses       : {self.pool_reuses}")
             if self.worker_bench_reuses:
                 lines.append(
                     f"    bench reuses      : {self.worker_bench_reuses}"

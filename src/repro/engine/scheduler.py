@@ -11,7 +11,7 @@ one assembly function -- so the same program can run two ways:
 
 - :meth:`ExperimentProgram.run` executes the steps strictly in order
   on any executor: the sequential reference, and how a campaign's
-  sequential source, the audit and a fleet worker run a figure;
+  sequential source and the audit run a figure;
 - :class:`CampaignScheduler` flattens *many* programs into a single
   plan stream and hands it to a pipelining executor's ``run_many``,
   which keeps one shared persistent worker pool saturated across

@@ -1,10 +1,12 @@
 """Every campaign combination the product exposes, generated.
 
-``Campaign.run`` is one loop: a *source* (sequential, pipelined,
-adaptive or fleet) settles figures into one commit sink.  This matrix
-crosses the four sources with a fresh run and a resume after one
-committed figure, and with chaos injection and health supervision
-wherever the constructor allows them.  Each allowed combination must
+``Campaign.run`` is one loop: a *source* (sequential, pipelined or
+adaptive) settles figures into one commit sink.  This matrix crosses
+the sources -- and the fleet, the fused-parallel executor over dial-in
+worker subprocesses, under the default and the adaptive source -- with
+a fresh run and a resume after one committed figure, and with chaos
+injection and health supervision wherever the constructor allows
+them.  Each allowed combination must
 commit artifacts byte-equal to its serial sequential counterpart (the
 adaptive serial run for adaptive campaigns) and pass ``audit``; each
 refused one must raise :class:`~repro.errors.ConfigurationError`.
@@ -32,23 +34,24 @@ from repro.engine import (
     AdaptiveConfig,
     CampaignScheduler,
     FusedExecutor,
+    ProcessPoolExecutor,
     SerialExecutor,
     make_executor,
 )
-from repro.engine.fleet import FleetDispatcher
+from repro.engine.fleet import LocalFleet
 from repro.errors import ConfigurationError
 from repro.health import HealthTracker
 from repro.health.audit import audit_store
 
 FIGURES = ("fig4a", "fig11")
-SOURCES = ("sequential", "pipelined", "adaptive", "fleet")
+SOURCES = ("sequential", "pipelined", "adaptive", "fleet", "fleet-adaptive")
 MODES = ("fresh", "resume")
 FEATURES = ((), ("chaos",), ("supervise",), ("chaos", "supervise"))
 REFUSED = {
-    ("fleet", "chaos"),
-    ("fleet", "supervise"),
     ("adaptive", "supervise"),
+    ("fleet-adaptive", "supervise"),
 }
+ADAPTIVE_SOURCES = ("adaptive", "fleet-adaptive")
 ADAPTIVE = AdaptiveConfig(ci_target=0.05, round_trials=2, max_trials=8)
 
 
@@ -85,7 +88,13 @@ def pool():
         yield executor
 
 
-def _campaign(source, features, store, pool, reference=False):
+@pytest.fixture(scope="module")
+def fleet():
+    with LocalFleet(workers=2) as executor:
+        yield executor
+
+
+def _campaign(source, features, store, pool, reference=False, fleet=None):
     """A fresh campaign; ``reference`` swaps in the serial executor on
     the sequential (or adaptive) source with the same features."""
     kwargs = {
@@ -101,7 +110,7 @@ def _campaign(source, features, store, pool, reference=False):
     if reference:
         kwargs["executor"] = SerialExecutor()
         kwargs["pipeline"] = False
-        if source == "adaptive":
+        if source in ADAPTIVE_SOURCES:
             kwargs["adaptive"] = ADAPTIVE
     elif source == "sequential":
         kwargs["executor"] = make_executor("fused")
@@ -109,8 +118,10 @@ def _campaign(source, features, store, pool, reference=False):
         kwargs.update(executor=pool, pipeline=True)
     elif source == "adaptive":
         kwargs.update(executor=make_executor("fused"), adaptive=ADAPTIVE)
+    elif source == "fleet":
+        kwargs["executor"] = fleet
     else:
-        kwargs["dispatcher"] = FleetDispatcher([])
+        kwargs.update(executor=fleet, adaptive=ADAPTIVE)
     return Campaign(_scope(), **kwargs)
 
 
@@ -121,7 +132,7 @@ def references(tmp_path_factory, pool):
     built = {}
 
     def get(source, features):
-        key = (source == "adaptive", features)
+        key = (source in ADAPTIVE_SOURCES, features)
         if key not in built:
             directory = root / f"ref-{len(built)}"
             result = _campaign(
@@ -137,27 +148,32 @@ def references(tmp_path_factory, pool):
 
 @pytest.mark.parametrize("source, mode, features", CASES)
 def test_combination_matches_serial_and_audits(
-    source, mode, features, tmp_path, pool, references
+    source, mode, features, tmp_path, pool, fleet, references
 ):
     store = ResultStore(tmp_path / "store")
     if mode == "resume":
-        first = _campaign(source, features, store, pool).run([FIGURES[0]])
+        first = _campaign(source, features, store, pool, fleet=fleet).run(
+            [FIGURES[0]]
+        )
         assert first.completed == [FIGURES[0]]
-        result = _campaign(source, features, store, pool).run(
+        result = _campaign(source, features, store, pool, fleet=fleet).run(
             list(FIGURES), resume=True
         )
         assert result.skipped == [FIGURES[0]]
         assert result.completed == [FIGURES[1]]
     else:
-        result = _campaign(source, features, store, pool).run(list(FIGURES))
+        result = _campaign(source, features, store, pool, fleet=fleet).run(
+            list(FIGURES)
+        )
         assert result.completed == list(FIGURES)
     assert result.succeeded
 
     if source == "pipelined":
         expected = "health-supervised" if "supervise" in features else None
         assert result.pipeline_declined_reason == expected
-    if source == "fleet":
-        assert result.engine_stats["fleet_items"] == len(result.completed)
+    if source.startswith("fleet"):
+        # The slices ran on the dial-in workers.
+        assert result.engine_stats["dispatches"] > 0
 
     reference = references(source, features)
     for name in FIGURES:
@@ -170,18 +186,11 @@ def test_combination_matches_serial_and_audits(
 
 @pytest.mark.parametrize("source, features", REFUSED_CASES)
 def test_refused_combination_raises(source, features, pool):
+    executor = ProcessPoolExecutor(jobs=2)
     with pytest.raises(ConfigurationError, match="does not combine"):
-        _campaign(source, features, None, pool)
-
-
-def test_fleet_refuses_adaptive():
-    with pytest.raises(ConfigurationError, match="does not combine"):
-        Campaign(
-            _scope(),
-            executor=SerialExecutor(),
-            adaptive=ADAPTIVE,
-            dispatcher=FleetDispatcher([]),
-        )
+        _campaign(source, features, None, pool, fleet=executor)
+    # Refused before any worker started.
+    assert executor._workers == []
 
 
 @settings(max_examples=5, deadline=None)

@@ -26,6 +26,7 @@ from repro.engine import (
     FusedExecutor,
     SerialExecutor,
     TrialCache,
+    make_executor,
 )
 from repro.engine.kernels import point_token
 
@@ -96,17 +97,26 @@ class TestReadThrough:
         # The all-hit path still accounts the plan.
         assert warm.metrics.plans == 1
 
-    def test_partial_hit_recomputes_only_the_missing(self, tmp_path):
+    @pytest.mark.parametrize("name", ["fused", "fused-parallel"])
+    def test_partial_hit_recomputes_only_the_missing(self, tmp_path, name):
+        # Through run_many, so the pool's pipelined path splits the
+        # plan by the same cache helpers as every in-process run.
         cache = TrialCache(tmp_path)
         reference = SerialExecutor(cache=cache).run(make_plan())
         keys = plan_keys(cache, make_plan())
         os.unlink(cache._path(keys[0]))
         warm_cache = TrialCache(tmp_path)
-        candidate = FusedExecutor(cache=warm_cache).run(make_plan())
+        with make_executor(name, jobs=2, cache=warm_cache) as executor:
+            [candidate] = executor.run_many([make_plan()])
         assert_outcomes_identical(reference, candidate)
         assert warm_cache.hits == len(keys) - 1
         assert warm_cache.misses == 1
-        # The recomputed entry was stored back.
+        assert candidate.metrics.cache_hits == len(keys) - 1
+        assert candidate.metrics.cache_misses == 1
+        assert executor.metrics.cache_hits == len(keys) - 1
+        assert executor.metrics.cache_misses == 1
+        assert candidate.metrics.tasks == 1
+        # The recomputed entry was stored back, under this executor.
         assert warm_cache.stats()["entries"] == len(keys)
 
 

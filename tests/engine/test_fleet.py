@@ -1,11 +1,13 @@
-"""Fleet tier tests: socket protocol, dispatcher supervision, and the
-byte-equality contract of fleet-distributed campaigns.
+"""Fleet tier tests: the frame protocol, the wire codec, worker-death
+supervision, and the byte-equality contract of fleet campaigns.
 
-The fleet's hard guarantee mirrors the executors': distributing whole
-experiment programs across worker processes changes *where* the work
-runs, never *what* gets stored.  Artifacts from a fleet campaign are
-byte-equal to a single-host serial run, so ``simra-dram audit``
-verifies fleet output with no special handling.
+The fleet is the fused-parallel executor with workers that dial in
+over the same frame protocol its forked workers speak.  Its hard
+guarantee mirrors every executor's: distributing slices across worker
+processes changes *where* the work runs, never *what* gets stored.
+Artifacts from a fleet campaign are byte-equal to a single-host serial
+run, so ``simra-dram audit`` verifies fleet output with no special
+handling.
 """
 
 import socket
@@ -13,28 +15,59 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.characterization.activation import (
+    activation_success_distribution,
+    build_activation_plan,
+)
 from repro.characterization.campaign import Campaign
-from repro.characterization.experiment import CharacterizationScope
+from repro.characterization.experiment import (
+    CharacterizationScope,
+    OperatingPoint,
+)
+from repro.characterization.majority import build_majx_plan
+from repro.characterization.rowcopy import build_copy_plan
 from repro.characterization.store import ResultStore
+from repro.chaos import ChaosConfig
 from repro.config import SimulationConfig
+from repro.core.patterns import DataPattern
 from repro.dram.vendor import TESTED_MODULES
+from repro.engine import (
+    ActivationKernel,
+    DisturbanceKernel,
+    EngineMetrics,
+    MajXKernel,
+    MultiRowCopyKernel,
+    ProcessPoolExecutor,
+    SerialExecutor,
+)
+from repro.engine.columnar import pack_tasks, unpack_outcomes
+from repro.engine.executors import run_tasks_fused
 from repro.engine.fleet import (
-    FleetDispatcher,
-    FleetItem,
     LocalFleet,
+    chaos_from_spec,
+    chaos_to_spec,
+    config_from_spec,
+    config_to_spec,
     fleet_scope,
+    kernel_from_spec,
+    kernel_to_spec,
+    point_from_spec,
+    point_to_spec,
     recv_columns,
     recv_frame,
-    scope_from_spec,
-    scope_to_spec,
     send_columns,
     send_frame,
     serve_connection,
+    serve_slice,
 )
+from repro.engine.plan import slice_plan
 from repro.errors import ExperimentError
 
 CONFIG = SimulationConfig(seed=9, columns_per_row=64, trials_per_test=2)
+ACT_POINT = OperatingPoint(t1_ns=1.5, t2_ns=3.0)
+KILL_SERIAL = TESTED_MODULES[1].module_identifier + "#0"
 
 
 def make_scope():
@@ -45,6 +78,30 @@ def make_scope():
         groups_per_size=2,
         trials=2,
     )
+
+
+def section_for(bench, chaos=None):
+    """The wire spec a worker rebuilds ``bench`` from."""
+    return {
+        "serial": bench.module.serial,
+        "config": config_to_spec(bench.module.config),
+        "chaos": None if chaos is None else chaos_to_spec(chaos),
+    }
+
+
+def slice_frame(plan, tasks=None):
+    """One ``run-slice`` header and task columns covering ``tasks``."""
+    tasks = list(plan.tasks if tasks is None else tasks)
+    header = {
+        "type": "run-slice",
+        "sections": [section_for(bench) for bench in plan.benches],
+        "kernel": kernel_to_spec(plan.kernel),
+        "point": point_to_spec(plan.point),
+        "checkpoints": list(plan.checkpoints),
+        "apply_environment": plan.apply_environment,
+        "kill_worker": False,
+    }
+    return header, pack_tasks(tasks, [task.bench_index for task in tasks])
 
 
 class TestFrameProtocol:
@@ -89,13 +146,9 @@ class TestFrameProtocol:
             b.close()
 
     def test_task_columns_over_the_wire(self):
-        from repro.characterization.activation import build_activation_plan
-        from repro.characterization.experiment import OperatingPoint
-        from repro.engine.columnar import pack_tasks, unpack_tasks
+        from repro.engine.columnar import unpack_tasks
 
-        plan = build_activation_plan(
-            make_scope(), 8, OperatingPoint(t1_ns=1.5, t2_ns=3.0)
-        )
+        plan = build_activation_plan(make_scope(), 8, ACT_POINT)
         slots = [t.bench_index for t in plan.tasks]
         columns = pack_tasks(plan.tasks, slots)
         a, b = socket.socketpair()
@@ -113,22 +166,25 @@ class TestFrameProtocol:
 
 
 class TestScopeSpec:
+    """The bench sections a worker rebuilds a plan's benches from."""
+
     def test_round_trip_preserves_benches_and_knobs(self):
-        scope = make_scope()
-        rebuilt = scope_from_spec(scope_to_spec(scope))
-        assert [b.module.serial for b in rebuilt.benches] == [
-            b.module.serial for b in scope.benches
-        ]
-        assert rebuilt.banks == scope.banks
-        assert rebuilt.subarrays == scope.subarrays
-        assert rebuilt.groups_per_size == scope.groups_per_size
-        assert rebuilt.trials == scope.trials
+        from repro.engine.fleet import _bench_for_section
+
+        for bench in make_scope().benches:
+            rebuilt, _ = _bench_for_section(section_for(bench))
+            assert rebuilt.module.serial == bench.module.serial
+            assert rebuilt.module.config == bench.module.config
+            assert rebuilt.module.spec is bench.module.spec
 
     def test_unknown_module_rejected(self):
-        spec = scope_to_spec(make_scope())
-        spec["modules"] = [["NOT-A-MODULE", 0]]
-        with pytest.raises(ExperimentError, match="unknown module"):
-            scope_from_spec(spec)
+        plan = build_activation_plan(make_scope(), 8, ACT_POINT)
+        header, columns = slice_frame(plan)
+        header["sections"][0]["serial"] = "NOT-A-MODULE#0"
+        reply, outcomes = serve_slice(header, columns)
+        assert outcomes is None
+        assert reply["error"][0] == "ExperimentError"
+        assert "unknown module" in reply["error"][1]
 
     def test_fleet_scope_samples_beyond_the_catalog(self):
         # The paper tested 120 chips; fleet scopes sample the vendor
@@ -141,99 +197,272 @@ class TestScopeSpec:
         assert any(serial.endswith("#2") for serial in serials)
 
 
+finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+patterns = st.one_of(
+    st.just(DataPattern("random")),
+    st.builds(
+        DataPattern,
+        st.sampled_from(("00ff", "aa55", "cc33", "6699", "all0", "all1")),
+        st.tuples(st.integers(0, 255), st.integers(0, 255)),
+    ),
+)
+kernels = st.one_of(
+    st.just(ActivationKernel()),
+    st.just(MultiRowCopyKernel()),
+    st.builds(
+        MajXKernel,
+        st.integers(1, 32),
+        st.one_of(st.none(), st.integers(0, 16)),
+    ),
+    st.builds(
+        DisturbanceKernel,
+        patterns,
+        st.lists(st.integers(0, 1023), max_size=6).map(tuple),
+    ),
+)
+
+
+class TestWireCodec:
+    """spec -> object -> spec is a fixed point, and the rebuilt object
+    keys the same noise and cache entries as the original."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(kernel=kernels)
+    def test_kernel_specs_round_trip(self, kernel):
+        spec = kernel_to_spec(kernel)
+        rebuilt = kernel_from_spec(spec)
+        assert type(rebuilt) is type(kernel)
+        assert kernel_to_spec(rebuilt) == spec
+        assert rebuilt.signature == kernel.signature
+        assert rebuilt.cache_token == kernel.cache_token
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        t1=st.one_of(finite, st.just(-0.0)),
+        t2=finite,
+        temperature=st.one_of(finite, st.integers(-40, 120)),
+        vpp=finite,
+        pattern=patterns,
+    )
+    def test_operating_points_round_trip(
+        self, t1, t2, temperature, vpp, pattern
+    ):
+        from repro.engine import point_token
+
+        point = OperatingPoint(t1, t2, temperature, vpp, pattern)
+        spec = point_to_spec(point)
+        rebuilt = point_from_spec(spec)
+        assert rebuilt == point
+        assert point_to_spec(rebuilt) == spec
+        assert point_token(rebuilt) == point_token(point)
+        assert np.copysign(1.0, rebuilt.t1_ns) == np.copysign(1.0, t1)
+
+    def test_numpy_scalars_travel_as_their_numbers(self):
+        point = OperatingPoint(np.float64(1.5), 3.0, np.int64(85), 2.5)
+        a, b = socket.socketpair()
+        try:
+            send_frame(a, {"point": point_to_spec(point)})
+            header, _ = recv_frame(b)
+        finally:
+            a.close()
+            b.close()
+        rebuilt = point_from_spec(header["point"])
+        from repro.engine import point_token
+
+        assert point_token(rebuilt) == point_token(point)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31),
+        columns=st.integers(8, 4096),
+        trials=st.integers(1, 64),
+        functional_only=st.booleans(),
+    )
+    def test_simulation_configs_round_trip(
+        self, seed, columns, trials, functional_only
+    ):
+        config = SimulationConfig(seed, columns, trials, functional_only)
+        spec = config_to_spec(config)
+        rebuilt = config_from_spec(spec)
+        assert rebuilt == config
+        assert config_to_spec(rebuilt) == spec
+        assert rebuilt.fingerprint() == config.fingerprint()
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31),
+        rate=st.floats(0.0, 1.0),
+        cap=st.one_of(st.none(), st.integers(0, 8)),
+        serials=st.lists(st.sampled_from(
+            [spec.module_identifier + "#0" for spec in TESTED_MODULES]
+        ), max_size=3).map(tuple),
+        names=st.lists(
+            st.sampled_from(("fig3", "fig6")), max_size=2
+        ).map(tuple),
+    )
+    def test_chaos_configs_round_trip(self, seed, rate, cap, serials, names):
+        chaos = ChaosConfig(
+            seed=seed,
+            program_drop_rate=rate,
+            readback_corruption_rate=rate / 2,
+            max_faults_per_kind=cap,
+            bench_failure_serials=serials,
+            worker_kill_serials=serials,
+            result_corruption_names=names,
+        )
+        spec = chaos_to_spec(chaos)
+        rebuilt = chaos_from_spec(spec)
+        assert rebuilt == chaos
+        assert chaos_to_spec(rebuilt) == spec
+
+    def test_foreign_kernels_have_no_spec(self):
+        class Custom(ActivationKernel):
+            pass
+
+        with pytest.raises(ExperimentError, match="no wire spec"):
+            kernel_to_spec(Custom())
+
+
+PLAN_BUILDERS = (
+    lambda scope: build_activation_plan(scope, 8, ACT_POINT),
+    lambda scope: build_majx_plan(
+        scope, 3, 8, OperatingPoint(t1_ns=1.5, t2_ns=3.0)
+    ),
+    lambda scope: build_copy_plan(
+        scope, 7, OperatingPoint(t1_ns=36.0, t2_ns=3.0)
+    ),
+)
+
+
+def _outcome_key(outcome):
+    return (
+        outcome.index, outcome.rate, outcome.trials, outcome.cells,
+        outcome.mask.tobytes(), outcome.checkpoint_rates, outcome.trial_rates,
+    )
+
+
+class TestServedSlices:
+    """A ``run-slice`` frame answered by :func:`serve_connection` on a
+    socketpair equals in-process fused execution, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def worker(self):
+        ours, theirs = socket.socketpair()
+        thread = threading.Thread(
+            target=serve_connection, args=(theirs,), daemon=True
+        )
+        thread.start()
+        assert recv_frame(ours)[0]["type"] == "hello"
+        yield ours
+        send_frame(ours, {"type": "shutdown"})
+        thread.join(timeout=30)
+        ours.close()
+        theirs.close()
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        builder=st.sampled_from(PLAN_BUILDERS),
+        seed=st.integers(0, 2**16),
+        window=st.tuples(st.integers(0, 3), st.integers(1, 4)),
+        lo=st.integers(0, 100),
+        span=st.integers(1, 100),
+    )
+    def test_frame_equals_in_process_fused(
+        self, worker, builder, seed, window, lo, span
+    ):
+        scope = CharacterizationScope.build(
+            config=SimulationConfig(seed=seed, columns_per_row=64),
+            specs=TESTED_MODULES[:2],
+            modules_per_spec=1,
+            groups_per_size=1,
+            trials=4,
+        )
+        offset, trials = window
+        plan = slice_plan(builder(scope), offset, trials)
+        tasks = plan.tasks[lo % len(plan.tasks):][:span]
+        header, columns = slice_frame(plan, tasks)
+        send_columns(worker, header, columns)
+        reply, outcome_columns = recv_columns(worker)
+        assert reply["error"] is None
+        got = unpack_outcomes(outcome_columns)
+
+        expected = []
+        by_bench = {}
+        for task in tasks:
+            by_bench.setdefault(task.bench_index, []).append(task)
+        for index in sorted(by_bench):
+            bench = plan.benches[index]
+            if plan.apply_environment:
+                bench.set_temperature(plan.point.temperature_c)
+                bench.set_vpp(plan.point.vpp)
+            expected.extend(run_tasks_fused(
+                plan.kernel, plan.point, plan.checkpoints, bench,
+                by_bench[index], EngineMetrics(),
+            ))
+        assert sorted(map(_outcome_key, got)) == sorted(
+            map(_outcome_key, expected)
+        )
+
+
 class TestDispatcherLocalFallback:
-    """With no workers at all, the dispatcher preserves the campaign
-    by finishing items in-process."""
+    """With no worker left, the executor preserves the run by
+    finishing the queue in-process."""
 
     def test_runs_items_locally_in_order(self):
-        spec = scope_to_spec(make_scope())
-        items = [
-            FleetItem(index=0, figure="fig3", scope_spec=spec),
-            FleetItem(index=1, figure="fig6", scope_spec=spec),
+        scope = make_scope()
+        plans = [build_activation_plan(scope, 8, ACT_POINT) for _ in range(3)]
+        reference = [
+            list(map(_outcome_key, SerialExecutor().run(plan).outcomes))
+            for plan in plans
         ]
+        # The only worker dies on its first slice.
+        chaos = ChaosConfig(seed=3, worker_kill_serials=(KILL_SERIAL,))
         streamed = []
-        dispatcher = FleetDispatcher([])
-        outcomes = dispatcher.run(
-            items, on_result=lambda i, o: streamed.append(i)
-        )
-        assert streamed == [0, 1]
-        assert [o.status for o in outcomes] == ["ok", "ok"]
-        assert all(o.worker == "local" for o in outcomes)
-        assert dispatcher.metrics.fleet_items == 2
-
-    def test_duplicate_indices_rejected(self):
-        spec = scope_to_spec(make_scope())
-        items = [
-            FleetItem(index=0, figure="fig3", scope_spec=spec),
-            FleetItem(index=0, figure="fig6", scope_spec=spec),
-        ]
-        with pytest.raises(ExperimentError, match="unique"):
-            FleetDispatcher([]).run(items)
+        with ProcessPoolExecutor(jobs=1, chaos=chaos) as executor:
+            results = executor.run_many(
+                plans, on_result=lambda index, _: streamed.append(index)
+            )
+            assert executor._workers == []
+        assert streamed == [0, 1, 2]
+        assert [
+            list(map(_outcome_key, result.outcomes)) for result in results
+        ] == reference
+        assert executor.metrics.worker_deaths == 1
 
 
 class TestDispatcherWorkerDeath:
-    """A worker that dies holding an item: the item runs again on a
-    survivor, and results still stream in item order."""
+    """A worker that dies holding a slice: the slice runs again on a
+    survivor, and results still stream in plan order."""
 
     def test_orphaned_item_reruns_on_the_survivor(self):
-        spec = scope_to_spec(make_scope())
-        items = [
-            FleetItem(index=0, figure="fig3", scope_spec=spec),
-            FleetItem(index=1, figure="fig6", scope_spec=spec),
-        ]
-        doomed, doomed_peer = socket.socketpair()
-        survivor, survivor_peer = socket.socketpair()
-
-        def die_on_first_item():
-            send_frame(doomed_peer, {"type": "hello"})
-            header, _ = recv_frame(doomed_peer)
-            assert header["type"] == "run"
-            doomed_peer.close()
-
-        threads = [
-            threading.Thread(target=die_on_first_item, daemon=True),
-            threading.Thread(
-                target=serve_connection,
-                args=(survivor_peer,),
-                kwargs={"executor_name": "fused"},
-                daemon=True,
-            ),
-        ]
-        for thread in threads:
-            thread.start()
-        # Workers are filled in list order: the doomed one takes item 0.
-        dispatcher = FleetDispatcher(
-            [("doomed", doomed), ("survivor", survivor)]
+        reference = activation_success_distribution(
+            make_scope(), 8, ACT_POINT, executor=SerialExecutor()
         )
-        streamed = []
-        try:
-            outcomes = dispatcher.run(
-                items, on_result=lambda index, _: streamed.append(index)
+        chaos = ChaosConfig(seed=3, worker_kill_serials=(KILL_SERIAL,))
+        with ProcessPoolExecutor(jobs=2, chaos=chaos) as executor:
+            candidate = activation_success_distribution(
+                make_scope(), 8, ACT_POINT, executor=executor
             )
-            alive = dispatcher.workers
-        finally:
-            dispatcher.close()
-            for thread in threads:
-                thread.join(timeout=60)
-            survivor_peer.close()
-        assert dispatcher.metrics.fleet_worker_deaths == 1
-        assert dispatcher.metrics.fleet_reissued == 1
-        assert [o.status for o in outcomes] == ["ok", "ok"]
-        assert outcomes[0].worker == "survivor"
-        assert streamed == [0, 1]
-        assert alive == ["survivor"]
+            alive = len(executor._workers)
+        assert candidate == reference
+        assert executor.metrics.worker_deaths == 1
+        assert executor.metrics.tasks_resharded >= 1
+        assert alive == 1
 
 
-def fleet_campaign(dispatcher, store=None):
-    return Campaign(make_scope(), store=store, dispatcher=dispatcher)
+def fleet_campaign(executor, store=None):
+    return Campaign(make_scope(), store=store, executor=executor)
 
 
 class TestFleetCampaign:
     def test_validates_figures(self):
+        executor = ProcessPoolExecutor(jobs=2)
         with pytest.raises(ExperimentError, match="unknown experiments"):
-            fleet_campaign(FleetDispatcher([])).run(["fig99"])
+            fleet_campaign(executor).run(["fig99"])
         with pytest.raises(ExperimentError, match="at least one"):
-            fleet_campaign(FleetDispatcher([])).run([])
+            fleet_campaign(executor).run([])
+        # Refused before any worker started.
+        assert executor._workers == []
 
     def test_local_fallback_campaign_matches_serial_reference(self, tmp_path):
         figures = ["fig3", "fig6"]
@@ -241,10 +470,15 @@ class TestFleetCampaign:
         reference = Campaign(make_scope(), store=ref_store).run(figures)
         assert reference.succeeded
 
+        # The one worker dies on its first slice; the campaign runs on
+        # in-process and still commits the serial reference's bytes.
+        chaos = ChaosConfig(seed=3, worker_kill_serials=(KILL_SERIAL,))
         fleet_store = ResultStore(tmp_path / "fleet")
-        result = fleet_campaign(FleetDispatcher([]), fleet_store).run(figures)
+        with ProcessPoolExecutor(jobs=1, chaos=chaos) as executor:
+            result = fleet_campaign(executor, fleet_store).run(figures)
         assert result.succeeded
         assert result.completed == figures
+        assert result.engine_stats["worker_deaths"] == 1
         for name in figures:
             ref_bytes = (tmp_path / "ref" / f"{name}.json").read_bytes()
             got_bytes = (tmp_path / "fleet" / f"{name}.json").read_bytes()
@@ -255,7 +489,8 @@ class TestFleetCampaign:
         ref_store = ResultStore(tmp_path / "ref")
         Campaign(make_scope(), store=ref_store).run(figures)
         fleet_store = ResultStore(tmp_path / "fleet")
-        fleet_campaign(FleetDispatcher([]), fleet_store).run(figures)
+        with ProcessPoolExecutor(jobs=2) as executor:
+            fleet_campaign(executor, fleet_store).run(figures)
         ref = ref_store.load_manifest()
         got = fleet_store.load_manifest()
         assert got.fingerprint == ref.fingerprint
@@ -270,13 +505,10 @@ class TestFleetCampaign:
         def broken(_scope):
             raise ValueError("bad corner matrix")
 
-        # The dispatcher's in-process fallback builds the program from
-        # the same table, so the figure fails exactly as on a worker.
         monkeypatch.setitem(campaign_module.EXPERIMENT_PROGRAMS, "fig6", broken)
         store = ResultStore(tmp_path / "fleet")
-        result = fleet_campaign(FleetDispatcher([]), store).run(
-            ["fig3", "fig6"]
-        )
+        with ProcessPoolExecutor(jobs=2) as executor:
+            result = fleet_campaign(executor, store).run(["fig3", "fig6"])
         assert result.completed == ["fig3"]
         [failure] = result.failures
         assert failure.experiment == "fig6"
@@ -290,7 +522,7 @@ class TestFleetCampaign:
 
 @pytest.mark.slow
 class TestLocalFleetLive:
-    """Real worker subprocesses over real sockets."""
+    """Real dial-in worker subprocesses over real sockets."""
 
     def test_two_worker_campaign_byte_equal_and_audited(self, tmp_path):
         from repro.health import audit_store
@@ -301,12 +533,13 @@ class TestLocalFleetLive:
 
         fleet_store = ResultStore(tmp_path / "fleet")
         with LocalFleet(workers=2) as fleet:
-            result = fleet_campaign(fleet.dispatcher(), fleet_store).run(
-                figures
-            )
+            result = fleet_campaign(fleet, fleet_store).run(figures)
         assert result.succeeded
         assert result.completed == figures  # deterministic commit order
-        assert result.engine_stats["fleet_items"] == 2
+        # Slices run on the workers, and their work is counted.
+        assert result.engine_stats["dispatches"] > 0
+        assert result.engine_stats["apa_programs"] > 0
+        assert result.engine_stats["cells"] > 0
         for name in figures:
             assert (tmp_path / "fleet" / f"{name}.json").read_bytes() == (
                 tmp_path / "ref" / f"{name}.json"
@@ -320,23 +553,23 @@ class TestLocalFleetLive:
 
     def test_worker_death_mid_run_recovers(self, tmp_path):
         figures = ["fig3", "fig4a", "fig6", "fig7"]
+        ref_store = ResultStore(tmp_path / "ref")
+        Campaign(make_scope(), store=ref_store).run(figures)
         fleet_store = ResultStore(tmp_path / "fleet")
         with LocalFleet(workers=2) as fleet:
-            campaign = fleet_campaign(fleet.dispatcher(), fleet_store)
-            killer = threading.Timer(0.2, lambda: fleet.kill_worker(0))
-            killer.start()
-            try:
-                result = campaign.run(figures)
-            finally:
-                killer.cancel()
+            # SIGKILL a started worker: the dispatcher finds out on its
+            # next slice to it and re-queues that slice.
+            fleet.kill_worker(0)
+            result = fleet_campaign(fleet, fleet_store).run(figures)
         assert result.succeeded
         assert result.completed == figures
         stats = result.engine_stats
-        # The SIGKILLed worker's in-flight item was re-issued (unless
-        # the kill landed between items, in which case nothing was
-        # orphaned and nothing needed re-issuing).
-        assert stats["fleet_worker_deaths"] >= 1
-        assert stats["fleet_reissued"] >= 0
+        assert stats["worker_deaths"] == 1
+        assert stats["tasks_resharded"] >= 1
+        for name in figures:
+            assert (tmp_path / "fleet" / f"{name}.json").read_bytes() == (
+                tmp_path / "ref" / f"{name}.json"
+            ).read_bytes()
 
 
 class TestFleetScopeSampling:
@@ -393,13 +626,13 @@ class TestFleetScopeSampling:
             fleet_scope(0, config=CONFIG)
 
     def test_spec_round_trip_is_stable(self):
-        # fleet scopes ship to workers as recipes; the recipe must be
-        # a fixed point (spec -> scope -> spec reproduces itself), so
-        # re-shipping never drifts.
+        # Fleet benches ship to workers as section specs; a spec must
+        # be a fixed point (spec -> bench -> spec reproduces itself),
+        # including instance indices beyond the paper's module counts.
+        from repro.engine.fleet import _bench_for_section
+
         scope = fleet_scope(len(TESTED_MODULES) + 2, config=CONFIG, trials=3)
-        spec = scope_to_spec(scope)
-        rebuilt = scope_from_spec(spec)
-        assert scope_to_spec(rebuilt) == spec
-        assert [b.module.serial for b in rebuilt.benches] == [
-            b.module.serial for b in scope.benches
-        ]
+        for bench in scope.benches:
+            spec = section_for(bench)
+            rebuilt, _ = _bench_for_section(spec)
+            assert section_for(rebuilt) == spec

@@ -45,7 +45,7 @@ from repro.engine import (
     run_plan,
     slice_plan,
 )
-from repro.engine import executors, kernels
+from repro.engine import kernels
 from repro.errors import PersistentBenchError
 
 ACT_POINT = OperatingPoint(t1_ns=1.5, t2_ns=3.0)
@@ -312,18 +312,16 @@ class TestFusedParallelSupervision:
         chaos = ChaosConfig(seed=3, worker_kill_serials=(KILL_SERIAL,))
         executor = ProcessPoolExecutor(jobs=2, chaos=chaos)
         assert self.distribution(executor) == reference
-        assert executor.metrics.pool_restarts >= 1
+        assert executor.metrics.worker_deaths >= 1
         assert executor.metrics.tasks_resharded >= 1
 
-    def test_serial_fallback_when_restart_budget_exhausted(
-        self, monkeypatch
-    ):
+    def test_serial_fallback_when_restart_budget_exhausted(self):
+        # The only worker dies: its slices run in-process.
         reference = self.distribution(SerialExecutor())
         chaos = ChaosConfig(seed=3, worker_kill_serials=(KILL_SERIAL,))
-        monkeypatch.setattr(executors, "MAX_POOL_RESTARTS", 0)
-        executor = ProcessPoolExecutor(jobs=2, chaos=chaos)
+        executor = ProcessPoolExecutor(jobs=1, chaos=chaos)
         assert self.distribution(executor) == reference
-        assert executor.metrics.pool_restarts == 1
+        assert executor.metrics.worker_deaths == 1
 
 
 class TestFusedDisturbanceAudit:

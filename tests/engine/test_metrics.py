@@ -114,13 +114,12 @@ class TestReporting:
 class TestSchedulerCounters:
     def test_merge_adds_scheduler_counters(self):
         total = EngineMetrics()
-        total.merge(EngineMetrics(pool_reuses=2, worker_bench_reuses=8,
+        total.merge(EngineMetrics(worker_bench_reuses=8,
                                   bytes_shipped=100, pipelined_plans=3,
                                   pipeline_wall_s=1.0, pipeline_busy_s=1.5))
-        total.merge(EngineMetrics(pool_reuses=1, bytes_shipped=50,
+        total.merge(EngineMetrics(bytes_shipped=50,
                                   pipelined_plans=2, pipeline_wall_s=0.5,
                                   pipeline_busy_s=0.5))
-        assert total.pool_reuses == 3
         assert total.worker_bench_reuses == 8
         assert total.bytes_shipped == 150
         assert total.pipelined_plans == 5
@@ -140,11 +139,11 @@ class TestSchedulerCounters:
         quiet = EngineMetrics(executor="serial")
         assert "scheduler" not in quiet.render()
         busy = EngineMetrics(executor="fused-parallel", workers=2,
-                             pool_reuses=4, worker_bench_reuses=16,
+                             worker_bench_reuses=16,
                              bytes_shipped=2048, pipelined_plans=6,
                              pipeline_wall_s=1.0, pipeline_busy_s=1.8)
         report = busy.render()
-        for fragment in ("scheduler", "pool reuses", "bench reuses",
+        for fragment in ("scheduler", "bench reuses",
                          "bytes shipped", "pipelined plans",
                          "pipeline occupancy"):
             assert fragment in report
@@ -188,15 +187,10 @@ class TestDispatchAndFleetCounters:
 
     def test_merge_adds_fleet_counters(self):
         total = EngineMetrics()
-        total.merge(
-            EngineMetrics(
-                fleet_items=4, fleet_reissued=1, fleet_worker_deaths=1
-            )
-        )
-        total.merge(EngineMetrics(fleet_items=2))
-        assert total.fleet_items == 6
-        assert total.fleet_reissued == 1
-        assert total.fleet_worker_deaths == 1
+        total.merge(EngineMetrics(worker_deaths=1, tasks_resharded=4))
+        total.merge(EngineMetrics(worker_deaths=2))
+        assert total.worker_deaths == 3
+        assert total.tasks_resharded == 4
 
     def test_skip_windows_merge_keeps_work_but_not_time(self):
         total = EngineMetrics()
@@ -216,20 +210,19 @@ class TestDispatchAndFleetCounters:
 
     def test_new_counters_survive_as_dict_and_render(self):
         metrics = EngineMetrics(
-            executor="fleet", workers=2, dispatches=3,
-            bytes_shipped_down=4096, fleet_items=5, fleet_reissued=1,
-            fleet_worker_deaths=1,
+            executor="fused-parallel", workers=2, dispatches=3,
+            bytes_shipped_down=4096, tasks_resharded=5, worker_deaths=1,
         )
         payload = metrics.as_dict()
         for key in (
-            "dispatches", "bytes_shipped_down", "fleet_items",
-            "fleet_reissued", "fleet_worker_deaths",
+            "dispatches", "bytes_shipped_down", "tasks_resharded",
+            "worker_deaths",
         ):
             assert key in payload
         report = metrics.render()
         for fragment in (
-            "dispatches", "bytes shipped down", "fleet items",
-            "fleet re-issues", "fleet worker deaths",
+            "dispatches", "bytes shipped down", "tasks re-sharded",
+            "worker deaths",
         ):
             assert fragment in report
         assert render_stats_dict(payload) == report

@@ -82,11 +82,21 @@ def kernel_plans():
 
 
 @pytest.fixture(
-    scope="module", params=[SerialExecutor, FusedExecutor, ProcessPoolExecutor]
+    scope="module",
+    params=[
+        SerialExecutor,
+        FusedExecutor,
+        ProcessPoolExecutor,
+        lambda: ProcessPoolExecutor(jobs=1),
+    ],
+    ids=[
+        "SerialExecutor", "FusedExecutor", "ProcessPoolExecutor",
+        "ProcessPoolExecutor@1",
+    ],
 )
 def executor(request):
-    """One executor per class, shared by every example, so the process
-    pool starts once per module."""
+    """One executor per kind, shared by every example, so each pool's
+    workers start once per module."""
     built = request.param()
     yield built
     built.close()

@@ -123,6 +123,21 @@ class TestCampaignCommand:
         ]) == 2
         assert "more than once: ['fig3']" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "figures", [["fig3", "fig3"], ["fig3", "fig99"]],
+        ids=["repeated", "unknown"],
+    )
+    def test_refused_figure_list_leaves_no_results_dir(
+        self, capsys, tmp_path, figures
+    ):
+        results_dir = tmp_path / "x"
+        assert main([
+            "campaign", "--experiments", *figures, *self.CAMPAIGN_SCALE,
+            "--results-dir", str(results_dir),
+        ]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not results_dir.exists()
+
 
 class TestAdaptiveCampaignCommand:
     SCALE = ["--columns", "64", "--groups", "1", "--trials", "2"]
@@ -161,14 +176,6 @@ class TestAdaptiveCampaignCommand:
         assert "adaptive planner" in out
         assert "rounds" in out
 
-    def test_adaptive_refuses_fleet(self, capsys, tmp_path):
-        assert main([
-            "campaign", "--fleet", "2", *self.ADAPTIVE, *self.SCALE,
-            "--results-dir", str(tmp_path / "r"),
-        ]) == 2
-        err = capsys.readouterr().err
-        assert "--fleet" in err and "--adaptive" in err
-
     def test_adaptive_refuses_supervision(self, capsys, tmp_path):
         assert main([
             "campaign", "--supervise", *self.ADAPTIVE, *self.SCALE,
@@ -194,8 +201,23 @@ class TestAdaptiveCampaignCommand:
 class TestFleetCampaignCommand:
     SCALE = ["--columns", "64", "--groups", "1", "--trials", "2"]
 
-    @pytest.mark.parametrize("flag", ["--chaos", "--supervise"])
-    def test_fleet_refuses(self, capsys, tmp_path, monkeypatch, flag):
+    @pytest.mark.parametrize("flags", [
+        ["--supervise"],
+        ["--adaptive", "--ci-target", "0.05", "--round-trials", "2",
+         "--max-trials", "8"],
+    ], ids=["supervise", "adaptive"])
+    def test_fleet_combines(self, capsys, tmp_path, flags):
+        # The fleet is the fused-parallel executor over dial-in
+        # workers, so every source runs on it.
+        assert main([
+            "campaign", "--fleet", "2", *flags, "--experiments", "fig3",
+            *self.SCALE, "--results-dir", str(tmp_path / "r"),
+        ]) == 0
+        assert "fig3: done" in capsys.readouterr().out
+
+    def test_fleet_refuses_a_bad_figure_list_before_spawning(
+        self, capsys, tmp_path, monkeypatch
+    ):
         import repro.engine.fleet
 
         def spawn(*args, **kwargs):
@@ -204,14 +226,11 @@ class TestFleetCampaignCommand:
         monkeypatch.setattr(repro.engine.fleet, "LocalFleet", spawn)
         results_dir = tmp_path / "r"
         assert main([
-            "campaign", "--fleet", "2", flag, *self.SCALE,
-            "--results-dir", str(results_dir),
+            "campaign", "--fleet", "2", "--experiments", "fig99",
+            *self.SCALE, "--results-dir", str(results_dir),
         ]) == 2
-        err = capsys.readouterr().err
-        assert "--fleet" in err and flag in err
-        from repro.characterization.store import ResultStore
-
-        assert not ResultStore(results_dir).manifest_path.exists()
+        assert "unknown experiments ['fig99']" in capsys.readouterr().err
+        assert not results_dir.exists()
 
     def test_fleet_campaign_resumes(self, capsys, tmp_path):
         command = [
@@ -234,7 +253,7 @@ class TestFleetCampaignCommand:
         from repro.characterization.store import ResultStore
         from repro.config import SimulationConfig
         from repro.dram.vendor import TESTED_MODULES
-        from repro.engine.fleet import FleetDispatcher
+        from repro.engine import ProcessPoolExecutor
 
         scope = CharacterizationScope.build(
             config=SimulationConfig(columns_per_row=64),
@@ -243,25 +262,25 @@ class TestFleetCampaignCommand:
             trials=2,
         )
         store = ResultStore(tmp_path / "results")
-        Campaign(scope, store=store, dispatcher=FleetDispatcher([])).run(
-            ["fig3"]
-        )
+        with ProcessPoolExecutor(jobs=2) as executor:
+            Campaign(scope, store=store, executor=executor).run(["fig3"])
         stored = store.load("engine-stats")
-        assert stored["fleet_items"] == 1
-        assert stored["fleet_worker_deaths"] == 0
+        assert stored["dispatches"] > 0
+        assert stored["cells"] > 0
+        assert stored["worker_deaths"] == 0
         assert main(["stats", "--results-dir", str(store.directory)]) == 0
         out = capsys.readouterr().out
-        assert "engine stats (fleet executor)" in out
-        assert "fleet items" in out
-        assert "fleet worker deaths" in out
+        assert "engine stats (fused-parallel executor)" in out
+        assert "dispatches" in out
 
         # A no-op resume adds nothing and erases nothing.
-        Campaign(scope, store=store, dispatcher=FleetDispatcher([])).run(
-            ["fig3"], resume=True
-        )
-        assert store.load("engine-stats")["fleet_items"] == 1
+        with ProcessPoolExecutor(jobs=2) as executor:
+            Campaign(scope, store=store, executor=executor).run(
+                ["fig3"], resume=True
+            )
+        assert store.load("engine-stats")["dispatches"] == stored["dispatches"]
         assert main(["stats", "--results-dir", str(store.directory)]) == 0
-        assert "fleet items" in capsys.readouterr().out
+        assert "dispatches" in capsys.readouterr().out
 
 
 class TestEngineCommands:
@@ -339,12 +358,18 @@ class TestEngineCommands:
         from repro.engine import EngineMetrics
 
         # Stats payloads stored while the pool and the fleet duplicated
-        # overdue work carry a counter the engine no longer keeps.
+        # overdue work, or kept their own supervision counters, carry
+        # counters the engine no longer keeps.
         payload = EngineMetrics(
             executor="fused-parallel", plans=1, tasks=2, trials=8,
             apa_programs=8, cells=64, workers=2, wall_s=1.0, busy_s=1.0,
         ).as_dict()
         payload["stragglers_reissued"] = 3
+        for old in (
+            "pool_restarts", "pool_reuses", "fleet_items",
+            "fleet_reissued", "fleet_worker_deaths",
+        ):
+            payload[old] = 2
         results_dir = tmp_path / "results"
         ResultStore(results_dir).save("engine-stats", payload)
         assert main(["stats", "--results-dir", str(results_dir)]) == 0
@@ -353,8 +378,9 @@ class TestEngineCommands:
         assert "plans executed    : 1" in out
         assert "executor busy fraction: 50.0%" in out
         assert "straggler" not in out
+        assert "pool restarts" not in out and "fleet items" not in out
 
-    @pytest.mark.parametrize("command", ["campaign", "worker"])
+    @pytest.mark.parametrize("command", ["campaign"])
     @pytest.mark.parametrize(
         "removed, replacement",
         [("batched", "fused"), ("parallel", "fused-parallel")],
@@ -362,9 +388,8 @@ class TestEngineCommands:
     def test_removed_executor_names_the_replacement(
         self, capsys, command, removed, replacement
     ):
-        extra = ["--connect", "localhost:1"] if command == "worker" else []
         with pytest.raises(SystemExit) as exit_info:
-            main([command, *extra, "--executor", removed])
+            main([command, "--executor", removed])
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert f"executor {removed!r} was removed" in err

@@ -59,8 +59,7 @@ FROZEN_ALL = {
         "ActivationKernel", "AdaptiveConfig", "AdaptiveOutcome",
         "AdaptivePlanner", "CellReport",
         "CampaignScheduler", "DisturbanceKernel", "EngineMetrics",
-        "ExecutorBase", "ExperimentProgram", "FleetDispatcher",
-        "FleetItem", "FleetOutcome", "FusedExecutor", "LocalFleet",
+        "ExecutorBase", "ExperimentProgram", "FusedExecutor", "LocalFleet",
         "MajXKernel", "MultiRowCopyKernel", "OutcomeColumns",
         "PlanResult", "PlanStep", "ProcessPoolExecutor",
         "SerialExecutor", "TaskColumns", "TaskOutcome", "TrialCache",
