@@ -36,13 +36,13 @@ from typing import Dict, List
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.characterization.reader import ResultReader, _encode  # noqa: E402
+from repro.characterization.reader import ResultReader  # noqa: E402
 from repro.service import (  # noqa: E402
     HotFigureCache,
     ResultServer,
     ResultService,
 )
-from repro.service.api import _walk_summaries  # noqa: E402
+from repro.service.api import _summary_means  # noqa: E402
 
 
 def _raise_fd_limit(wanted: int) -> int:
@@ -168,12 +168,9 @@ async def run_service_benchmark(
         )
     # /ci/ only makes sense for figures that actually carry
     # distribution summaries (the service 400s the rest by design).
-    ci_names = []
-    for name in names:
-        means: List[float] = []
-        _walk_summaries(_encode(store_reader.load(name)), means)
-        if means:
-            ci_names.append(name)
+    ci_names = [
+        name for name in names if _summary_means(store_reader.load(name))
+    ]
     request_plans: List[List[str]] = []
     for index in range(readers):
         hot = names[index % len(names)]

@@ -229,20 +229,25 @@ class ChaoticReader(_ReaderFaultMixin, _ChaoticProxy):
     Wraps a :class:`~repro.characterization.reader.ResultReader` (all
     other read APIs -- digests, metadata, verify, manifest -- fall
     through untouched) and injects the reader-path faults into
-    ``load``, the call that actually pulls payload bytes off disk.
-    This is what ``simra-dram serve --chaos-read-*`` installs into a
-    live server, so the admission/deadline/breaker machinery is
-    exercised against real sockets.
+    ``load_version``, the call that actually pulls payload bytes off
+    disk (``load`` and the hot-figure cache's miss path both go
+    through it).  This is what ``simra-dram serve --chaos-read-*``
+    installs into a live server, so the admission/deadline/breaker
+    machinery is exercised against real sockets.
     """
 
     def __init__(self, wrapped, engine: ChaosEngine):
         super().__init__(wrapped, engine)
         self._init_read_faults()
 
-    def load(self, name: str, verify: bool = True):
-        """Load one stored payload, unless the disk misbehaves."""
+    def load_version(self, name: str, verify: bool = True):
+        """Load one stored version, unless the disk misbehaves."""
         self._inject_read_faults(name)
-        return self._wrapped.load(name, verify=verify)
+        return self._wrapped.load_version(name, verify=verify)
+
+    def load(self, name: str, verify: bool = True):
+        """Load one stored payload (through :meth:`load_version`)."""
+        return self.load_version(name, verify=verify).payload
 
 
 class ChaoticStore(_ReaderFaultMixin, _ChaoticProxy):

@@ -47,7 +47,7 @@ import struct
 import zipfile
 from dataclasses import asdict
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -84,6 +84,11 @@ document still paired with the old, intact sidecar.  The document's
 ``columns.file`` field is the source of truth for which file is live;
 superseded generations are swept by the writer and reported as
 unreferenced debris until then."""
+_GENERATION_SIDECAR = re.compile(
+    r"(.+)" + re.escape(_GENERATION_MARK) + r"[0-9a-f]{12}"
+    + re.escape(_COLUMNS_SUFFIX) + r"\Z"
+)
+"""A parked sidecar generation's file name; group 1 is the artifact."""
 
 _DAMAGE_CLASSES = (
     "torn-json",
@@ -108,6 +113,17 @@ _COARSE_STATUS = {
 }
 """Fine :meth:`~ResultReader.validate` classification to the coarse
 :meth:`~ResultReader.verify` status."""
+
+_HEADER_FIELDS = (
+    "format_version",
+    "library_version",
+    "config",
+    "notes",
+    "quality",
+    "checksum",
+    "columns",
+)
+"""The document fields :meth:`ResultReader.metadata` returns."""
 
 
 # -- payload codec (shared by the reader and the writer) -------------------
@@ -234,6 +250,11 @@ def artifact_path(directory: Path, name: str) -> Path:
     return directory / f"{name}.json"
 
 
+def _header(document: Dict[str, Any]) -> Dict[str, Any]:
+    """A parsed document's header fields (everything but the data)."""
+    return {key: document.get(key) for key in _HEADER_FIELDS}
+
+
 # -- memory-mapped sidecar access -------------------------------------------
 
 
@@ -330,6 +351,26 @@ def _stat_signature(path: Path) -> Optional[Tuple[int, int, int]]:
     except OSError:
         return None
     return (stat.st_mtime_ns, stat.st_size, stat.st_ino)
+
+
+StatSignature = Tuple[int, int, int]
+Signatures = Tuple[Optional[StatSignature], Optional[StatSignature]]
+"""``(document, canonical sidecar)`` stat signatures of one artifact."""
+
+
+class StoredVersion(NamedTuple):
+    """One artifact version, everything taken from a single document read."""
+
+    signatures: Signatures
+    """Stat signatures taken just before the document was read."""
+    digest: str
+    """Content sha256: the recorded checksum, or computed for legacy
+    version-1 documents (what :meth:`ResultReader.content_digest`
+    returns for the same bytes)."""
+    metadata: Dict[str, Any]
+    """The header fields :meth:`ResultReader.metadata` returns."""
+    payload: Any
+    """The decoded data payload :meth:`ResultReader.load` returns."""
 
 
 class ResultReader:
@@ -582,10 +623,13 @@ class ResultReader:
                 signatures[0], signatures[1], actual, True
             )
 
-    def _signatures(
-        self, name: str
-    ) -> Tuple[Optional[Tuple], Optional[Tuple]]:
-        """Stat signatures of an artifact's document and sidecar."""
+    def signatures(self, name: str) -> Signatures:
+        """Stat signatures of an artifact's document and canonical sidecar.
+
+        Every committed rewrite replaces the document (a fresh inode),
+        so an unchanged pair means unchanged bytes -- the freshness
+        check behind the digest memo and the hot-figure cache.
+        """
         return (
             _stat_signature(self.path_for(name)),
             _stat_signature(self.columns_path_for(name)),
@@ -607,9 +651,19 @@ class ResultReader:
     def load(self, name: str, verify: bool = True) -> Any:
         """Reload a result's data payload (integrity-checked).
 
-        Repeated loads of an unchanged artifact reuse the memoized
-        digest (stat-signature keyed) instead of recomputing the
-        content sha256.
+        The payload of :meth:`load_version`; see there for the digest
+        memo and the retry against a rewrite in flight.
+        """
+        return self.load_version(name, verify=verify).payload
+
+    def load_version(self, name: str, verify: bool = True) -> StoredVersion:
+        """One artifact version -- signatures, digest, header and decoded
+        payload -- from a single document read.
+
+        Everything returned describes the same bytes, so a caller never
+        pairs one version's data with another's notes.  Repeated loads
+        of an unchanged artifact reuse the memoized digest (stat-
+        signature keyed) instead of recomputing the content sha256.
 
         Lockless reads race the writer's commits: an integrity
         failure whose document changed underneath us is a rewrite in
@@ -620,8 +674,8 @@ class ResultReader:
         attempts = 3
         for attempt in range(attempts):
             path = self.path_for(name)
-            signatures = self._signatures(name)
-            if not path.exists():
+            signatures = self.signatures(name)
+            if signatures[0] is None:
                 raise ExperimentError(f"no stored result named {name!r}")
             document = self.read_document(name, path)
             if document.get("format_version") not in _SUPPORTED_VERSIONS:
@@ -638,27 +692,52 @@ class ResultReader:
                 if changed and attempt + 1 < attempts:
                     continue
                 raise
-            return _decode(payload)
+            return StoredVersion(
+                signatures=signatures,
+                digest=self._document_digest(
+                    name, document, payload, signatures
+                ),
+                metadata=_header(document),
+                payload=_decode(payload),
+            )
         raise AssertionError("unreachable")  # pragma: no cover
+
+    def _document_digest(
+        self,
+        name: str,
+        document: Dict[str, Any],
+        payload: Any,
+        signatures: Signatures,
+    ) -> str:
+        """The content digest of a parsed document's encoded payload.
+
+        Version-2/3 documents record it; a legacy version-1 document
+        gets it computed over the canonical payload and memoized for
+        these signatures (flagged unverified: there is no recorded
+        checksum it was checked against).
+        """
+        checksum = document.get("checksum")
+        if isinstance(checksum, dict) and isinstance(
+            checksum.get("digest"), str
+        ):
+            return checksum["digest"]
+        cached = self._digest_cache.get(name)
+        if cached is not None and (cached[0], cached[1]) == signatures:
+            self.digest_reuses += 1
+            return cached[2]
+        self.digest_recomputes += 1
+        digest = content_checksum(payload)
+        self._digest_cache[name] = (
+            signatures[0], signatures[1], digest, False
+        )
+        return digest
 
     def metadata(self, name: str) -> Dict[str, Any]:
         """Reload a result's header (version, config, notes, quality)."""
         path = self.path_for(name)
         if not path.exists():
             raise ExperimentError(f"no stored result named {name!r}")
-        document = self.read_document(name, path)
-        return {
-            key: document.get(key)
-            for key in (
-                "format_version",
-                "library_version",
-                "config",
-                "notes",
-                "quality",
-                "checksum",
-                "columns",
-            )
-        }
+        return _header(self.read_document(name, path))
 
     def content_digest(self, name: str) -> str:
         """The artifact's content sha256 (the HTTP service's ETag key).
@@ -669,7 +748,7 @@ class ResultReader:
         Version-2 and version-3 encodings of the same data share one
         digest, so the ETag survives a ``simra-dram migrate``.
         """
-        signatures = self._signatures(name)
+        signatures = self.signatures(name)
         cached = self._digest_cache.get(name)
         if cached is not None and (cached[0], cached[1]) == signatures:
             self.digest_reuses += 1
@@ -684,17 +763,17 @@ class ResultReader:
         ):
             # Copied, not recomputed: a cheap ETag, but a verifying
             # load for these same bytes must still do its checksum.
-            digest, verified = checksum["digest"], False
-        else:
-            self.digest_recomputes += 1
-            digest = content_checksum(
-                self._payload(name, document, verify=False)
+            digest = checksum["digest"]
+            self._digest_cache[name] = (
+                signatures[0], signatures[1], digest, False
             )
-            verified = False
-        self._digest_cache[name] = (
-            signatures[0], signatures[1], digest, verified
+            return digest
+        return self._document_digest(
+            name,
+            document,
+            self._payload(name, document, verify=False),
+            signatures,
         )
-        return digest
 
     # -- integrity classification --------------------------------------------
 
@@ -725,7 +804,7 @@ class ResultReader:
 
     def _validate_once(self, name: str) -> str:
         path = self.path_for(name)
-        signatures = self._signatures(name)
+        signatures = self.signatures(name)
         if not path.exists():
             return "missing"
         try:
@@ -849,17 +928,59 @@ class ResultReader:
     def state_token(self) -> str:
         """A digest of the store's observable state, for list ETags.
 
-        Covers every artifact's stat signature plus the manifest and
-        journal, so any committed write (or repair) changes the token
-        -- the coarse invalidation signal the hot-figure cache and the
-        ``/figures`` ETag watch.
+        Covers every artifact's stat signatures (document, canonical
+        sidecar, and any parked sidecar generations -- after a live
+        columnar rewrite the document reads a generation, so damage to
+        it must move the token too) plus the manifest and journal, so
+        any committed write (or repair) changes the token -- the
+        coarse invalidation signal the hot-figure cache and the
+        ``/figures`` listing memo watch.  One ``os.scandir`` pass finds
+        the files and stats only those the token covers; the lockfile
+        and ``*.tmp`` debris never move it.
         """
+        entries: Dict[str, os.DirEntry] = {}
+        try:
+            with os.scandir(self._directory) as listing:
+                for entry in listing:
+                    if entry.name.endswith((".json", _COLUMNS_SUFFIX)) or (
+                        entry.name == _JOURNAL_FILENAME
+                    ):
+                        entries[entry.name] = entry
+        except (FileNotFoundError, NotADirectoryError):
+            pass
+
+        def signature(filename: str) -> Optional[StatSignature]:
+            entry = entries.get(filename)
+            if entry is None:
+                return None
+            try:
+                stat = entry.stat()
+            except OSError:
+                return None
+            return (stat.st_mtime_ns, stat.st_size, stat.st_ino)
+
+        names = sorted(
+            filename[: -len(".json")]
+            for filename in entries
+            if filename.endswith(".json")
+            and filename != _MANIFEST_FILENAME
+            and not filename.startswith(".")
+        )
+        generations: Dict[str, List[str]] = {}
+        for filename in entries:
+            parked = _GENERATION_SIDECAR.match(filename)
+            if parked is not None:
+                generations.setdefault(parked.group(1), []).append(filename)
         digest = hashlib.sha256()
-        for name in self.names():
-            doc_sig, side_sig = self._signatures(name)
+        for name in names:
             digest.update(name.encode("utf-8"))
-            digest.update(repr(doc_sig).encode("utf-8"))
-            digest.update(repr(side_sig).encode("utf-8"))
-        digest.update(repr(_stat_signature(self.manifest_path)).encode("utf-8"))
-        digest.update(repr(_stat_signature(self.journal_path)).encode("utf-8"))
+            digest.update(repr(signature(f"{name}.json")).encode("utf-8"))
+            digest.update(
+                repr(signature(f"{name}{_COLUMNS_SUFFIX}")).encode("utf-8")
+            )
+            for filename in sorted(generations.get(name, ())):
+                digest.update(filename.encode("utf-8"))
+                digest.update(repr(signature(filename)).encode("utf-8"))
+        digest.update(repr(signature(_MANIFEST_FILENAME)).encode("utf-8"))
+        digest.update(repr(signature(_JOURNAL_FILENAME)).encode("utf-8"))
         return digest.hexdigest()

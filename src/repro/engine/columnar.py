@@ -25,10 +25,8 @@ handful of NumPy arrays:
 - checkpoint snapshots in CSR form (``ckpt_offsets`` into parallel
   ``ckpt_counts`` / ``ckpt_rates`` arrays), since tasks may hit a
   ragged subset of the plan's checkpoint schedule;
-- masks as packed uint64 bit-planes (:mod:`repro.engine.bitplane`),
-  either inline (``mask_offsets`` / ``mask_words``) or written into a
-  parent-owned shared-memory window, in which case the columns travel
-  mask-less and the parent re-attaches each mask from the buffer.
+- masks as packed uint64 bit-planes (:mod:`repro.engine.bitplane`)
+  in CSR form (``mask_offsets`` into the concatenated ``mask_words``).
 
 Packing and unpacking are pure reshapes: every float is copied
 bit-for-bit and every mask round-trips through the same
@@ -66,10 +64,10 @@ class OutcomeColumns:
     """Checkpoint trial counts, int64 ``(total,)``."""
     ckpt_rates: np.ndarray
     """Checkpoint running rates, float64 ``(total,)``."""
-    mask_offsets: Optional[np.ndarray] = None
-    """CSR word pointers into ``mask_words`` (inline-mask mode only)."""
-    mask_words: Optional[np.ndarray] = None
-    """Packed uint64 masks, concatenated (inline-mask mode only)."""
+    mask_offsets: np.ndarray
+    """CSR word pointers into ``mask_words``, int64 ``(n + 1,)``."""
+    mask_words: np.ndarray
+    """Packed uint64 masks, concatenated."""
     rate_offsets: Optional[np.ndarray] = None
     """CSR row pointers into ``rate_values``, int64 ``(n + 1,)``.
 
@@ -92,24 +90,18 @@ class OutcomeColumns:
             + self.ckpt_offsets.nbytes
             + self.ckpt_counts.nbytes
             + self.ckpt_rates.nbytes
+            + self.mask_offsets.nbytes
+            + self.mask_words.nbytes
         )
-        for name in ("mask_offsets", "mask_words", "rate_offsets",
-                     "rate_values"):
+        for name in ("rate_offsets", "rate_values"):
             column = getattr(self, name)
             if column is not None:
                 total += column.nbytes
         return int(total)
 
 
-def pack_outcomes(
-    outcomes: Sequence[TaskOutcome], include_masks: bool = True
-) -> OutcomeColumns:
-    """Pack outcomes into columns.
-
-    With ``include_masks=False`` the caller has already written each
-    packed mask somewhere out-of-band (the shared-memory window) and
-    the columns travel mask-less.
-    """
+def pack_outcomes(outcomes: Sequence[TaskOutcome]) -> OutcomeColumns:
+    """Pack outcomes into columns (the inverse of :func:`unpack_outcomes`)."""
     n = len(outcomes)
     indices = np.fromiter(
         (outcome.index for outcome in outcomes), dtype=np.int64, count=n
@@ -144,20 +136,17 @@ def pack_outcomes(
         for rate in outcome.trial_rates:
             rate_values[cursor] = rate
             cursor += 1
-    mask_offsets: Optional[np.ndarray] = None
-    mask_words: Optional[np.ndarray] = None
-    if include_masks:
-        mask_offsets = np.zeros(n + 1, dtype=np.int64)
-        packed_rows: List[np.ndarray] = []
-        for i, outcome in enumerate(outcomes):
-            packed = bitplane.pack_matrix(np.asarray(outcome.mask, dtype=bool))
-            packed_rows.append(packed)
-            mask_offsets[i + 1] = mask_offsets[i] + packed.shape[0]
-        mask_words = (
-            np.concatenate(packed_rows)
-            if packed_rows
-            else np.zeros(0, dtype=np.uint64)
-        )
+    mask_offsets = np.zeros(n + 1, dtype=np.int64)
+    packed_rows: List[np.ndarray] = []
+    for i, outcome in enumerate(outcomes):
+        packed = bitplane.pack_matrix(np.asarray(outcome.mask, dtype=bool))
+        packed_rows.append(packed)
+        mask_offsets[i + 1] = mask_offsets[i] + packed.shape[0]
+    mask_words = (
+        np.concatenate(packed_rows)
+        if packed_rows
+        else np.zeros(0, dtype=np.uint64)
+    )
     return OutcomeColumns(
         indices=indices,
         rates=rates,
@@ -173,30 +162,15 @@ def pack_outcomes(
     )
 
 
-def unpack_outcomes(
-    columns: OutcomeColumns,
-    words_view: Optional[np.ndarray] = None,
-    layout: Optional[Dict[int, Tuple[int, int]]] = None,
-) -> List[TaskOutcome]:
-    """Rebuild :class:`TaskOutcome` objects from columns.
-
-    Masks come either from the columns' inline words or -- when
-    ``words_view``/``layout`` name a shared-memory window and each
-    task's ``(offset, words)`` slot in it -- from the shared buffer.
-    """
+def unpack_outcomes(columns: OutcomeColumns) -> List[TaskOutcome]:
+    """Rebuild :class:`TaskOutcome` objects from columns."""
     outcomes: List[TaskOutcome] = []
     for i in range(len(columns)):
         index = int(columns.indices[i])
         cells = int(columns.cells[i])
-        if words_view is not None and layout is not None:
-            offset, words = layout[index]
-            mask = bitplane.unpack_mask(words_view[offset:offset + words], cells)
-        elif columns.mask_words is not None and columns.mask_offsets is not None:
-            lo = int(columns.mask_offsets[i])
-            hi = int(columns.mask_offsets[i + 1])
-            mask = bitplane.unpack_mask(columns.mask_words[lo:hi], cells)
-        else:
-            raise ValueError("columns carry no masks and no window was given")
+        lo = int(columns.mask_offsets[i])
+        hi = int(columns.mask_offsets[i + 1])
+        mask = bitplane.unpack_mask(columns.mask_words[lo:hi], cells)
         lo = int(columns.ckpt_offsets[i])
         hi = int(columns.ckpt_offsets[i + 1])
         snapshots = tuple(
@@ -399,8 +373,8 @@ def columns_to_arrays(
     """Flatten a columns record into (header, array list) for the wire.
 
     Works for both :class:`TaskColumns` and :class:`OutcomeColumns`
-    (mask-less outcome columns mark the absent fields in the header
-    instead of shipping empty placeholders).  The inverse is
+    (absent optional fields are left out of the header instead of
+    shipping empty placeholders).  The inverse is
     :func:`columns_from_arrays`.
     """
     if isinstance(columns, TaskColumns):

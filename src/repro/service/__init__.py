@@ -5,11 +5,11 @@ The service tier sits on the storage layer's read path
 writes: it serves stored figures, fleet summaries, bootstrap
 confidence intervals, and audit status over a small stdlib-only
 asyncio HTTP API (``simra-dram serve``), with ETags keyed off the
-store's content digests and an in-process hot-figure cache shared
-with the CLI.
+store's content digests and an in-process hot-figure cache of
+immutable figure versions (:class:`FigureEntry`) shared with the CLI.
 """
 
-from .cache import HotFigureCache
+from .cache import FigureEntry, HotFigureCache
 from .resilience import (
     AdmissionController,
     ResiliencePolicy,
@@ -21,6 +21,7 @@ from .api import ResultService, ServiceResponse
 from .http import ResultServer
 
 __all__ = [
+    "FigureEntry",
     "HotFigureCache",
     "AdmissionController",
     "ResiliencePolicy",

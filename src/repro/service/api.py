@@ -28,9 +28,18 @@ Endpoints (all ``GET``/``HEAD``):
 Conditional requests: every 200 carries a strong ``ETag`` derived
 from the store's content digests (``"sha256:<digest>"`` for one
 figure -- stable across a v2->v3 ``migrate`` because both encodings
-share a digest -- and a state-token digest for list endpoints); a
-matching ``If-None-Match`` short-circuits to ``304`` without loading
-anything.
+share a digest -- and a state-token digest for list endpoints).  Each
+route resolves to its ETag plus a body builder, and ``handle``
+compares ``If-None-Match`` before building anything, so a ``304``
+encodes nothing.
+
+Saved work: a figure is served from one immutable
+:class:`~repro.service.cache.FigureEntry` per stored version, whose
+ETag, header and payload come from a single document read (a commit
+between two reads can no longer pair one version's data with another's
+notes).  The entry memoizes its encoded ``/figures/{name}`` body and
+its ``/ci`` answers; the ``/figures`` listing is memoized by the
+store's state token.
 
 Error mapping: an absent artifact is ``404``; a stored artifact that
 fails integrity (:class:`~repro.errors.ResultCorruptionError`,
@@ -52,17 +61,21 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, unquote, urlsplit
 
 from ..characterization.reader import ResultReader, _encode
-from ..characterization.stats import bootstrap_mean_ci, summarize
+from ..characterization.stats import (
+    DistributionSummary,
+    bootstrap_mean_ci,
+    summarize,
+)
 from ..errors import (
     ExperimentError,
     ResultCorruptionError,
     StoreLockedError,
 )
-from .cache import HotFigureCache
+from .cache import FigureEntry, HotFigureCache
 from .resilience import ResilienceState
 
 _JSON_TYPE = "application/json; charset=utf-8"
@@ -104,13 +117,23 @@ class _HttpError(Exception):
         self.status = status
 
 
+Route = Tuple[Optional[str], Callable[[], bytes]]
+"""What a route resolves to: its ETag (known before any body exists)
+and the function that builds the 200 body if no 304 answers first."""
+
+
+def _dumps(payload: Any) -> bytes:
+    """The JSON wire form of every body."""
+    return json.dumps(payload, sort_keys=True).encode("utf-8")
+
+
 def _json_response(
     status: int,
     payload: Any,
     etag: Optional[str] = None,
     extra_headers: Optional[Dict[str, str]] = None,
 ) -> ServiceResponse:
-    body = json.dumps(payload, sort_keys=True).encode("utf-8")
+    body = _dumps(payload)
     headers = {"Content-Type": _JSON_TYPE}
     if etag is not None:
         headers["ETag"] = etag
@@ -130,17 +153,39 @@ def _etag_matches(header_value: str, etag: str) -> bool:
     return False
 
 
-def _walk_summaries(encoded: Any, means: List[float]) -> None:
-    """Collect every encoded summary's mean, in document order."""
-    if isinstance(encoded, dict):
-        if encoded.get("__distribution_summary__"):
-            means.append(float(encoded["mean"]))
-            return
-        for item in encoded.values():
-            _walk_summaries(item, means)
-    elif isinstance(encoded, list):
-        for item in encoded:
-            _walk_summaries(item, means)
+def _summary_means(payload: Any) -> List[float]:
+    """Every summary's mean in a decoded payload, in document order."""
+    means: List[float] = []
+
+    def walk(value: Any) -> None:
+        if isinstance(value, DistributionSummary):
+            means.append(float(value.mean))
+        elif isinstance(value, dict):
+            for item in value.values():
+                walk(item)
+        elif isinstance(value, list):
+            for item in value:
+                walk(item)
+
+    walk(payload)
+    return means
+
+
+def _render_figure(entry: FigureEntry) -> bytes:
+    """The ``/figures/{name}`` body of one version (memoized per entry)."""
+    meta = entry.metadata
+    return _dumps({
+        "name": entry.name,
+        "etag": entry.etag,
+        "format_version": meta.get("format_version"),
+        "library_version": meta.get("library_version"),
+        "config": meta.get("config"),
+        "notes": meta.get("notes"),
+        "quality": meta.get("quality"),
+        # Decoded payloads carry DistributionSummary objects;
+        # re-encode to the marker-dict JSON form clients parse.
+        "data": _encode(entry.payload),
+    })
 
 
 class ResultService:
@@ -159,6 +204,8 @@ class ResultService:
         )
         self.requests = 0
         self.not_modified = 0
+        # (state token, encoded /figures body) of the last listing.
+        self._listing: Optional[Tuple[str, bytes]] = None
 
     @property
     def reader(self) -> ResultReader:
@@ -215,7 +262,13 @@ class ResultService:
         if path in CONTROL_PATHS:
             return self._control(path)
         try:
-            etag, payload = self._route(path, query)
+            etag, build = self._route(path, query)
+            if etag is not None:
+                conditional = headers.get("if-none-match")
+                if conditional and _etag_matches(conditional, etag):
+                    self.not_modified += 1
+                    return ServiceResponse(status=304, headers={"ETag": etag})
+            body = build()
         except _HttpError as exc:
             extra = (
                 {"Retry-After": "1"} if exc.status == 503 else None
@@ -241,20 +294,16 @@ class ResultService:
             )
         except ExperimentError as exc:
             return _json_response(500, {"error": str(exc)})
+        response_headers = {"Content-Type": _JSON_TYPE}
         if etag is not None:
-            conditional = headers.get("if-none-match")
-            if conditional and _etag_matches(conditional, etag):
-                self.not_modified += 1
-                return ServiceResponse(status=304, headers={"ETag": etag})
-        return _json_response(200, payload, etag=etag)
+            response_headers["ETag"] = etag
+        return ServiceResponse(status=200, headers=response_headers, body=body)
 
     # -- routing ---------------------------------------------------------------
 
-    def _route(
-        self, path: str, query: Dict[str, List[str]]
-    ) -> Tuple[Optional[str], Any]:
+    def _route(self, path: str, query: Dict[str, List[str]]) -> Route:
         if path in ("", "/"):
-            return None, self._index()
+            return None, lambda: _dumps(self._index())
         if path == "/figures":
             return self._figures()
         if path.startswith("/figures/"):
@@ -325,8 +374,8 @@ class ResultService:
             raise _HttpError(404, f"invalid figure name {raw!r}")
         return name
 
-    def _load(self, name: str) -> Tuple[str, Any]:
-        """``(digest, decoded payload)`` with HTTP error mapping.
+    def _load(self, name: str) -> FigureEntry:
+        """The current version of one figure, with HTTP error mapping.
 
         Guarded by the store-read circuit breaker: an open breaker
         short-circuits to ``503`` without touching the disk; read
@@ -343,14 +392,35 @@ class ResultService:
         if not self._reader.has(name):
             raise _HttpError(404, f"no stored result named {name!r}")
         try:
-            result = self._cache.get(name)
+            entry = self._cache.get(name)
         except (ResultCorruptionError, OSError):
             breaker.record_failure()
             raise
         breaker.record_success()
-        return result
+        return entry
 
-    def _figures(self) -> Tuple[str, Any]:
+    def _state_etag(self) -> Tuple[str, str]:
+        """``(state token, list ETag)`` of the store as it is now."""
+        token = self._reader.state_token()
+        return token, f'"state:{token}"'
+
+    def _figures(self) -> Route:
+        token, etag = self._state_etag()
+
+        def build() -> bytes:
+            listing = self._listing
+            if listing is not None and listing[0] == token:
+                return listing[1]
+            body = _dumps(self._inventory())
+            # Memoize only a listing no commit overlapped: one that did
+            # may mix versions, and must not outlive this response.
+            if self._reader.state_token() == token:
+                self._listing = (token, body)
+            return body
+
+        return etag, build
+
+    def _inventory(self) -> Dict[str, Any]:
         listing = []
         for name in self._reader.names():
             entry: Dict[str, Any] = {"name": name}
@@ -365,61 +435,46 @@ class ResultService:
                 entry["notes"] = meta.get("notes")
                 entry["etag"] = f'"sha256:{self._reader.content_digest(name)}"'
             listing.append(entry)
-        etag = f'"state:{self._reader.state_token()}"'
-        return etag, {"figures": listing, "count": len(listing)}
+        return {"figures": listing, "count": len(listing)}
 
-    def _figure(self, raw: str) -> Tuple[str, Any]:
-        name = self._figure_name(raw)
-        digest, payload = self._load(name)
-        etag = f'"sha256:{digest}"'
-        meta = self._reader.metadata(name)
-        return etag, {
-            "name": name,
-            "etag": etag,
-            "format_version": meta.get("format_version"),
-            "library_version": meta.get("library_version"),
-            "config": meta.get("config"),
-            "notes": meta.get("notes"),
-            "quality": meta.get("quality"),
-            # Decoded payloads carry DistributionSummary objects;
-            # re-encode to the marker-dict JSON form clients parse.
-            "data": _encode(payload),
-        }
+    def _figure(self, raw: str) -> Route:
+        entry = self._load(self._figure_name(raw))
+        return entry.etag, lambda: entry.body(_render_figure)
 
-    def _fleet_summary(self) -> Tuple[str, Any]:
-        manifest = self._reader.load_manifest()
-        figures: Dict[str, Any] = {}
-        for name in self._reader.names():
-            try:
-                _, payload = self._load(name)
-            except (_HttpError, ResultCorruptionError):
-                continue
-            means: List[float] = []
-            _walk_summaries(_encode(payload), means)
-            if not means:
-                continue
-            figures[name] = {
-                "summaries": len(means),
-                "across_groups": _encode(summarize(means)),
-            }
-        etag = f'"state:{self._reader.state_token()}"'
-        return etag, {
-            "figures": figures,
-            "manifest": (
-                None
-                if manifest is None
-                else {
-                    "planned": list(manifest.planned),
-                    "completed": list(manifest.completed),
-                    "failures": sorted(manifest.failures),
-                    "modules": len(manifest.serials),
+    def _fleet_summary(self) -> Route:
+        _, etag = self._state_etag()
+
+        def build() -> bytes:
+            manifest = self._reader.load_manifest()
+            figures: Dict[str, Any] = {}
+            for name in self._reader.names():
+                try:
+                    means = _summary_means(self._load(name).payload)
+                except (_HttpError, ResultCorruptionError):
+                    continue
+                if not means:
+                    continue
+                figures[name] = {
+                    "summaries": len(means),
+                    "across_groups": _encode(summarize(means)),
                 }
-            ),
-        }
+            return _dumps({
+                "figures": figures,
+                "manifest": (
+                    None
+                    if manifest is None
+                    else {
+                        "planned": list(manifest.planned),
+                        "completed": list(manifest.completed),
+                        "failures": sorted(manifest.failures),
+                        "modules": len(manifest.serials),
+                    }
+                ),
+            })
 
-    def _ci(
-        self, raw: str, query: Dict[str, List[str]]
-    ) -> Tuple[str, Any]:
+        return etag, build
+
+    def _ci(self, raw: str, query: Dict[str, List[str]]) -> Route:
         name = self._figure_name(raw)
 
         def _param(key: str, default: float, cast) -> Any:
@@ -437,51 +492,59 @@ class ResultService:
         confidence = _param("confidence", 0.95, float)
         resamples = _param("resamples", 2000, int)
         seed = _param("seed", 0, int)
-        digest, payload = self._load(name)
-        means: List[float] = []
-        _walk_summaries(_encode(payload), means)
-        if not means:
-            raise _HttpError(
-                400,
-                f"stored result {name!r} carries no distribution "
-                "summaries to bootstrap",
-            )
-        try:
-            ci = bootstrap_mean_ci(
-                means, confidence=confidence, resamples=resamples, seed=seed
-            )
-        except ExperimentError as exc:
-            raise _HttpError(400, str(exc))
+        entry = self._load(name)
+
+        def compute() -> bytes:
+            means = _summary_means(entry.payload)
+            if not means:
+                raise _HttpError(
+                    400,
+                    f"stored result {name!r} carries no distribution "
+                    "summaries to bootstrap",
+                )
+            try:
+                ci = bootstrap_mean_ci(
+                    means, confidence=confidence, resamples=resamples,
+                    seed=seed,
+                )
+            except ExperimentError as exc:
+                raise _HttpError(400, str(exc))
+            return _dumps({
+                "name": name,
+                "groups": len(means),
+                "confidence": ci.confidence,
+                "resamples": ci.resamples,
+                "seed": seed,
+                "mean": ci.mean,
+                "low": ci.low,
+                "high": ci.high,
+                "halfwidth": ci.halfwidth,
+            })
+
         # The CI depends on the query knobs as well as the content, so
         # its ETag extends the artifact digest with them.
-        ci_etag = f'"sha256:{digest}:ci:{confidence}:{resamples}:{seed}"'
-        return ci_etag, {
-            "name": name,
-            "groups": len(means),
-            "confidence": ci.confidence,
-            "resamples": ci.resamples,
-            "seed": seed,
-            "mean": ci.mean,
-            "low": ci.low,
-            "high": ci.high,
-            "halfwidth": ci.halfwidth,
-        }
+        ci_etag = f'"sha256:{entry.digest}:ci:{confidence}:{resamples}:{seed}"'
+        key = (confidence, resamples, seed)
+        return ci_etag, lambda: entry.ci(key, compute)
 
-    def _audit_status(self) -> Tuple[str, Any]:
-        report: Optional[Any] = None
-        status = "never-audited"
-        if self._reader.has("audit-report"):
-            _, report = self._load("audit-report")
-            report = _encode(report)
-            status = "pass" if report.get("passed") else "fail"
-        manifest = self._reader.load_manifest()
-        etag = f'"state:{self._reader.state_token()}"'
-        return etag, {
-            "status": status,
-            "report": report,
-            "lock_holder": self._reader.lock_holder(),
-            "journal_entries": len(self._reader.journal_entries()),
-            "completed": (
-                len(manifest.completed) if manifest is not None else 0
-            ),
-        }
+    def _audit_status(self) -> Route:
+        _, etag = self._state_etag()
+
+        def build() -> bytes:
+            report: Optional[Any] = None
+            status = "never-audited"
+            if self._reader.has("audit-report"):
+                report = _encode(self._load("audit-report").payload)
+                status = "pass" if report.get("passed") else "fail"
+            manifest = self._reader.load_manifest()
+            return _dumps({
+                "status": status,
+                "report": report,
+                "lock_holder": self._reader.lock_holder(),
+                "journal_entries": len(self._reader.journal_entries()),
+                "completed": (
+                    len(manifest.completed) if manifest is not None else 0
+                ),
+            })
+
+        return etag, build

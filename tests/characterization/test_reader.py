@@ -261,6 +261,55 @@ class TestStateToken:
         store.save("fig", {"x": 2})
         assert reader.state_token() != token
 
+    def test_changes_on_sidecar_only_replace(self, store, reader):
+        store.save("fig", _summary_payload(), columnar=True)
+        token = reader.state_token()
+        sidecar = reader.columns_path_for("fig")
+        copy = sidecar.with_name("copy.bin")
+        copy.write_bytes(sidecar.read_bytes())
+        copy.replace(sidecar)  # same bytes, fresh inode
+        assert reader.state_token() != token
+
+    def test_changes_when_the_live_sidecar_rots(self, store, reader):
+        store.save("fig", _summary_payload(), columnar=True)
+        rewrite = {"fig": {"8-row": summarize([0.5, 0.6])}}
+        store.save("fig", rewrite, columnar=True)  # parks a generation
+        (live,) = [
+            name for name in reader.sidecar_names("fig") if ".g" in name
+        ]
+        token = reader.state_token()
+        path = store.directory / live
+        raw = bytearray(path.read_bytes())
+        raw[-30] ^= 0xFF  # in place: the document is untouched
+        path.write_bytes(bytes(raw))
+        assert reader.state_token() != token
+        assert reader.verify("fig") == "corrupt"
+
+    def test_changes_on_manifest_save(self, store, reader):
+        from repro.characterization.store import CampaignManifest
+
+        store.save("fig", {"x": 1})
+        token = reader.state_token()
+        store.save_manifest(CampaignManifest(planned=["fig"]))
+        assert reader.state_token() != token
+
+    def test_changes_on_journal_append(self, store, reader):
+        store.save("fig", {"x": 1})
+        token = reader.state_token()
+        store.journal_append({"event": "commit-intent", "name": "fig"})
+        assert reader.state_token() != token
+
+    def test_ignores_lockfile_and_tmp_debris(self, store, reader):
+        store.save("fig", {"x": 1})
+        token = reader.state_token()
+        reader.lock_path.write_text("12345")
+        (store.directory / ".fig.json.abc123.tmp").write_text("{")
+        (store.directory / "fig.json.tmp").write_text("{")
+        assert reader.state_token() == token
+
+    def test_absent_directory_has_a_token(self, tmp_path):
+        assert ResultReader(tmp_path / "nowhere").state_token()
+
 
 class TestStoreDelegation:
     """The write-path facade serves reads through its embedded reader."""

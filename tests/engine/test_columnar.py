@@ -2,8 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.engine import bitplane
 from repro.engine.columnar import pack_outcomes, unpack_outcomes
 from repro.engine.plan import TaskOutcome
 
@@ -60,40 +60,12 @@ class TestInlineRoundTrip:
         assert len(columns) == 0
         assert unpack_outcomes(columns) == []
 
-    def test_nbytes_reflects_mask_mode(self):
-        originals = _outcomes()
-        with_masks = pack_outcomes(originals, include_masks=True)
-        without = pack_outcomes(originals, include_masks=False)
-        assert with_masks.nbytes() > without.nbytes() > 0
-
     def test_ragged_checkpoints_survive(self):
         originals = _outcomes()
         rebuilt = unpack_outcomes(pack_outcomes(originals))
         lengths = [len(o.checkpoint_rates) for o in rebuilt]
         assert lengths == [len(o.checkpoint_rates) for o in originals]
         assert 0 in lengths and 2 in lengths
-
-
-class TestWindowedMasks:
-    def test_maskless_columns_require_a_window(self):
-        columns = pack_outcomes(_outcomes(), include_masks=False)
-        with pytest.raises(ValueError):
-            unpack_outcomes(columns)
-
-    def test_shared_window_round_trip(self):
-        originals = _outcomes()
-        columns = pack_outcomes(originals, include_masks=False)
-        layout = {}
-        rows = []
-        offset = 0
-        for outcome in originals:
-            packed = bitplane.pack_matrix(np.asarray(outcome.mask, dtype=bool))
-            layout[outcome.index] = (offset, packed.shape[0])
-            rows.append(packed)
-            offset += packed.shape[0]
-        window = np.concatenate(rows)
-        rebuilt = unpack_outcomes(columns, words_view=window, layout=layout)
-        _assert_equal(rebuilt, originals)
 
 
 def _tasks(n=8, seed=11, max_rows=40):
@@ -228,15 +200,6 @@ class TestWireArrays:
         rebuilt = columns_from_arrays(header, arrays)
         _assert_equal(unpack_outcomes(rebuilt), originals)
 
-    def test_maskless_outcomes_keep_their_shape(self):
-        from repro.engine.columnar import columns_from_arrays, columns_to_arrays
-
-        columns = pack_outcomes(_outcomes(), include_masks=False)
-        header, arrays = columns_to_arrays(columns)
-        rebuilt = columns_from_arrays(header, arrays)
-        with pytest.raises(ValueError):
-            unpack_outcomes(rebuilt)  # still maskless, still needs a window
-
     def test_unknown_kind_rejected(self):
         from repro.engine.columnar import columns_from_arrays
 
@@ -291,3 +254,40 @@ class TestPackedEdgeCases:
         rebuilt = unpack_outcomes(pack_outcomes([outcome]))
         assert np.array_equal(rebuilt[0].mask, mask)
         assert rebuilt[0].cells == cells
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+@st.composite
+def outcome_lists(draw):
+    """Random shards: zero tasks up, masks around word boundaries,
+    ragged checkpoints and per-trial rates."""
+    outcomes = []
+    for index in range(draw(st.integers(0, 6))):
+        cells = draw(st.sampled_from((1, 2, 63, 64, 65, 127, 128, 129)))
+        bits = draw(st.lists(st.booleans(), min_size=cells, max_size=cells))
+        outcomes.append(
+            TaskOutcome(
+                index=index + draw(st.integers(0, 3)),
+                rate=draw(finite),
+                trials=draw(st.integers(0, 1 << 20)),
+                cells=cells,
+                mask=np.array(bits, dtype=bool),
+                checkpoint_rates=tuple(
+                    draw(st.lists(
+                        st.tuples(st.integers(0, 1 << 20), finite),
+                        max_size=5,
+                    ))
+                ),
+                trial_rates=tuple(draw(st.lists(finite, max_size=5))),
+            )
+        )
+    return outcomes
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(originals=outcome_lists())
+    def test_pack_unpack_is_exact(self, originals):
+        _assert_equal(unpack_outcomes(pack_outcomes(originals)), originals)

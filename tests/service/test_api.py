@@ -1,6 +1,7 @@
 """Tests for the transport-free service routing layer."""
 
 import json
+import sys
 
 import pytest
 
@@ -204,3 +205,219 @@ class TestCacheIntegration:
         service.handle("GET", "/figures/fig3")
         assert cache.hits >= 1
         assert cache.misses == 1
+
+
+def _digest_of(directory, name):
+    """The content digest a fresh reader reports for ``name`` now."""
+    return ResultReader(directory).content_digest(name)
+
+
+class TestOneVersionPerResponse:
+    """Data, metadata and ETag of a figure come from one document read."""
+
+    def test_commit_between_reads_cannot_pair_versions(self, store):
+        store.save("fig", {"rate": 0.5}, notes="first")
+        first_digest = _digest_of(store.directory, "fig")
+        reader = ResultReader(store.directory)
+        original = reader.read_document
+        committed = []
+
+        def read_then_commit(name, path=None):
+            document = original(name, path)
+            if name == "fig" and not committed:
+                # A writer lands right after the first read of `fig`.
+                store.save("fig", {"rate": 0.25}, notes="second")
+                committed.append(_digest_of(store.directory, "fig"))
+            return document
+
+        reader.read_document = read_then_commit
+        response = ResultService(reader).handle("GET", "/figures/fig")
+        assert committed and committed[0] != first_digest
+        assert response.status == 200
+        body = _body(response)
+        version = {
+            0.5: ("first", first_digest),
+            0.25: ("second", committed[0]),
+        }[body["data"]["rate"]]
+        assert body["notes"] == version[0]
+        assert response.headers["ETag"] == f'"sha256:{version[1]}"'
+        assert body["etag"] == response.headers["ETag"]
+
+    def test_threaded_writer_never_tears_a_response(self, store):
+        import threading
+
+        versions = [
+            ({"g": summarize([0.9, 0.8])}, "high"),
+            ({"g": summarize([0.5, 0.4])}, "low"),
+        ]
+        digests = {}
+        for data, notes in versions:
+            store.save("fig", data, notes=notes)
+            digests[notes] = _digest_of(store.directory, "fig")
+        notes_by_mean = {
+            data["g"].mean: notes for data, notes in versions
+        }
+        service = ResultService(ResultReader(store.directory))
+        done = threading.Event()
+
+        def writer():
+            try:
+                for commit in range(60):
+                    data, notes = versions[commit % 2]
+                    store.save(
+                        "fig", data, notes=notes, columnar=commit % 3 == 0
+                    )
+            finally:
+                done.set()
+
+        problems = []
+
+        def reader_loop():
+            while not done.is_set():
+                response = service.handle("GET", "/figures/fig")
+                if response.status != 200:
+                    problems.append(
+                        f"HTTP {response.status}: {response.body!r}"
+                    )
+                    continue
+                body = _body(response)
+                notes = notes_by_mean[body["data"]["g"]["mean"]]
+                if body["notes"] != notes:
+                    problems.append(f"{body['notes']!r} notes, {notes!r} data")
+                if response.headers["ETag"] != f'"sha256:{digests[notes]}"':
+                    problems.append(f"another ETag on {notes!r} data")
+
+        threads = [threading.Thread(target=writer)] + [
+            threading.Thread(target=reader_loop) for _ in range(3)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads finely
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not problems, problems[:5]
+
+
+class TestSavedWork:
+    def test_304_builds_no_body(self, store, monkeypatch):
+        from repro.service import api
+
+        etag = ResultService(ResultReader(store.directory)).handle(
+            "GET", "/figures/fig3"
+        ).headers["ETag"]
+        calls = {"encode": 0, "dumps": 0}
+        real_encode, real_dumps = api._encode, api._dumps
+
+        def counting_encode(value):
+            calls["encode"] += 1
+            return real_encode(value)
+
+        def counting_dumps(value):
+            calls["dumps"] += 1
+            return real_dumps(value)
+
+        monkeypatch.setattr(api, "_encode", counting_encode)
+        monkeypatch.setattr(api, "_dumps", counting_dumps)
+        service = ResultService(ResultReader(store.directory))
+        for _ in range(2):  # cold, then warm
+            response = service.handle(
+                "GET", "/figures/fig3", {"If-None-Match": etag}
+            )
+            assert response.status == 304
+        assert calls == {"encode": 0, "dumps": 0}
+        assert service.handle("GET", "/figures/fig3").status == 200
+        assert calls["encode"] >= 1 and calls["dumps"] == 1
+
+    def test_figure_body_is_encoded_once_per_version(self, store, monkeypatch):
+        from repro.service import api
+
+        calls = {"dumps": 0}
+        real_dumps = api._dumps
+
+        def counting_dumps(value):
+            calls["dumps"] += 1
+            return real_dumps(value)
+
+        monkeypatch.setattr(api, "_dumps", counting_dumps)
+        service = ResultService(ResultReader(store.directory))
+        first = service.handle("GET", "/figures/fig3").body
+        assert service.handle("GET", "/figures/fig3").body == first
+        assert calls["dumps"] == 1
+
+    def test_unchanged_listing_calls_verify_zero_times(self, store):
+        reader = ResultReader(store.directory)
+        service = ResultService(reader)
+        verifies = {"n": 0}
+        original = reader.verify
+
+        def counting_verify(name=None):
+            verifies["n"] += 1
+            return original(name)
+
+        reader.verify = counting_verify
+        first = service.handle("GET", "/figures")
+        assert verifies["n"] == 2
+        verifies["n"] = 0
+        second = service.handle("GET", "/figures")
+        assert verifies["n"] == 0
+        assert second.body == first.body
+        assert second.headers["ETag"] == first.headers["ETag"]
+        store.save("plain", {"threshold": 0.75}, notes="resaved")
+        third = service.handle("GET", "/figures")
+        assert verifies["n"] == 2
+        assert third.headers["ETag"] != first.headers["ETag"]
+        by_name = {f["name"]: f for f in _body(third)["figures"]}
+        assert by_name["plain"]["notes"] == "resaved"
+
+    def test_listing_sees_damage_to_the_live_sidecar_generation(self, store):
+        store.save("fig", {"g": summarize([0.9, 0.8])}, columnar=True)
+        store.save("fig", {"g": summarize([0.5, 0.4])}, columnar=True)
+        reader = ResultReader(store.directory)
+        service = ResultService(reader)
+
+        def status():
+            listing = _body(service.handle("GET", "/figures"))["figures"]
+            return {f["name"]: f["status"] for f in listing}["fig"]
+
+        assert status() == "ok"
+        (live,) = [n for n in reader.sidecar_names("fig") if ".g" in n]
+        path = store.directory / live
+        raw = bytearray(path.read_bytes())
+        raw[-30] ^= 0xFF  # in place: the document is untouched
+        path.write_bytes(bytes(raw))
+        assert status() != "ok"
+
+    def test_repeated_ci_bootstraps_once_per_version(self, store, monkeypatch):
+        from repro.service import api
+        from repro.service.cache import CI_MEMO_LIMIT
+
+        calls = {"n": 0}
+
+        def counting_ci(*args, **kwargs):
+            calls["n"] += 1
+            return bootstrap_mean_ci(*args, **kwargs)
+
+        monkeypatch.setattr(api, "bootstrap_mean_ci", counting_ci)
+        service = ResultService(ResultReader(store.directory))
+        query = "/ci/fig3?resamples=200&seed=4"
+        first = service.handle("GET", query)
+        assert service.handle("GET", query).body == first.body
+        assert calls["n"] == 1
+        store.save(
+            "fig3",
+            {"rows": {"8": summarize([0.5, 0.6]),
+                      "16": summarize([0.7, 0.8])}},
+        )
+        changed = service.handle("GET", query)
+        assert calls["n"] == 2
+        assert changed.headers["ETag"] != first.headers["ETag"]
+        for seed in range(CI_MEMO_LIMIT + 8):
+            assert service.handle(
+                "GET", f"/ci/fig3?resamples=50&seed={seed}"
+            ).status == 200
+        assert len(service.cache.get("fig3")._ci) == CI_MEMO_LIMIT

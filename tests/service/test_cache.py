@@ -1,4 +1,4 @@
-"""Tests for the digest-keyed hot-figure cache."""
+"""Tests for the hot-figure cache of immutable figure versions."""
 
 import pytest
 
@@ -22,11 +22,12 @@ class TestHitsAndMisses:
     def test_first_get_misses_then_hits(self, store, reader):
         store.save("fig", {"x": 1})
         cache = HotFigureCache(reader)
-        digest, payload = cache.get("fig")
+        entry = cache.get("fig")
+        digest, payload = entry.digest, entry.payload
         assert payload == {"x": 1}
         assert (cache.misses, cache.hits) == (1, 0)
-        again, payload = cache.get("fig")
-        assert again == digest and payload == {"x": 1}
+        again = cache.get("fig")
+        assert again.digest == digest and again.payload == {"x": 1}
         assert (cache.misses, cache.hits) == (1, 1)
 
     def test_hit_skips_the_store_load(self, store, reader):
@@ -34,22 +35,27 @@ class TestHitsAndMisses:
         cache = HotFigureCache(reader)
         cache.get("fig")
         loads = {"n": 0}
-        original = reader.load
+        original = reader.load_version
 
         def counting_load(name, **kwargs):
             loads["n"] += 1
             return original(name, **kwargs)
 
-        reader.load = counting_load
+        # load_version is the one method that pulls the bytes (load is
+        # built on it), so counting it counts every store read.
+        reader.load_version = counting_load
         cache.get("fig")
         assert loads["n"] == 0  # two stats, no load
+        store.save("fig", {"x": 2})
+        cache.get("fig")
+        assert loads["n"] == 1  # the counter does see a miss
 
     def test_summary_payloads_cache_decoded(self, store, reader):
         data = {"groups": {"a": summarize([0.5, 0.7])}}
         store.save("fig", data)
         cache = HotFigureCache(reader)
-        _, first = cache.get("fig")
-        _, second = cache.get("fig")
+        first = cache.get("fig").payload
+        second = cache.get("fig").payload
         assert first == data and second == data
 
 
@@ -57,13 +63,66 @@ class TestInvalidation:
     def test_rewrite_invalidates_by_digest(self, store, reader):
         store.save("fig", {"x": 1})
         cache = HotFigureCache(reader)
-        old_digest, _ = cache.get("fig")
+        old_digest = cache.get("fig").digest
         store.save("fig", {"x": 2})
-        new_digest, payload = cache.get("fig")
+        entry = cache.get("fig")
+        new_digest, payload = entry.digest, entry.payload
         assert payload == {"x": 2}
         assert new_digest != old_digest
         assert cache.invalidations == 1
         assert cache.misses == 2
+
+    def test_digest_keeping_rewrite_rebuilds_the_entry(self, store, reader):
+        store.save("fig", {"x": 1}, notes="first")
+        cache = HotFigureCache(reader)
+        old = cache.get("fig")
+        store.save("fig", {"x": 1}, notes="second")
+        new = cache.get("fig")
+        assert new is not old
+        assert new.digest == old.digest  # same content, same ETag
+        assert new.metadata["notes"] == "second"
+        assert (cache.misses, cache.invalidations) == (2, 1)
+
+    def test_entry_fields_are_read_only(self, store, reader):
+        import dataclasses
+
+        store.save("fig", {"x": 1})
+        entry = HotFigureCache(reader).get("fig")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            entry.digest = "other"
+
+    def test_ci_memo_stays_bounded_under_threads(self, store, reader):
+        import sys
+        import threading
+
+        from repro.service.cache import CI_MEMO_LIMIT
+
+        store.save("fig", {"x": 1})
+        entry = HotFigureCache(reader).get("fig")
+        wrong = []
+
+        def worker(offset):
+            for key in range(offset, offset + 3 * CI_MEMO_LIMIT):
+                answer = entry.ci(key, lambda: str(key).encode())
+                if answer != str(key).encode():
+                    wrong.append((key, answer))
+
+        threads = [
+            threading.Thread(target=worker, args=(index * 7,))
+            for index in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not wrong
+        assert len(entry._ci) == CI_MEMO_LIMIT
 
     def test_watch_clears_on_store_change(self, store, reader):
         store.save("fig", {"x": 1})

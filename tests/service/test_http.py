@@ -215,7 +215,11 @@ class TestHttpEndToEnd:
 
 
 class _FaultableReader:
-    """Delegating reader whose ``load`` can block, stall, or raise.
+    """Delegating reader whose ``load_version`` can block, stall, or raise.
+
+    ``load_version`` is the one method that pulls the bytes (``load``
+    is built on it, and the hot-figure cache's miss path calls it), so
+    faults injected there reach every store read.
 
     Mutable knobs so one test can flip behaviour mid-flight: ``gate``
     (a :class:`threading.Event` the load waits for), ``delay_s`` (a
@@ -233,7 +237,7 @@ class _FaultableReader:
     def __getattr__(self, name):
         return getattr(self._reader, name)
 
-    def load(self, name, verify=True):
+    def load_version(self, name, verify=True):
         self.loads += 1
         if self.gate is not None:
             assert self.gate.wait(timeout=10.0), "test gate never opened"
@@ -241,7 +245,10 @@ class _FaultableReader:
             time.sleep(self.delay_s)
         if self.error is not None:
             raise self.error()
-        return self._reader.load(name, verify=verify)
+        return self._reader.load_version(name, verify=verify)
+
+    def load(self, name, verify=True):
+        return self.load_version(name, verify=verify).payload
 
 
 def _serve_resilient(store, policy, session, keepalive_s=30.0):
