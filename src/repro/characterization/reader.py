@@ -356,6 +356,38 @@ def _stat_signature(path: Path) -> Optional[Tuple[int, int, int]]:
 StatSignature = Tuple[int, int, int]
 Signatures = Tuple[Optional[StatSignature], Optional[StatSignature]]
 """``(document, canonical sidecar)`` stat signatures of one artifact."""
+ArtifactKey = Tuple[
+    Optional[StatSignature],
+    Optional[StatSignature],
+    Tuple[Tuple[str, Optional[StatSignature]], ...],
+]
+"""One artifact's slice of the state token: its document and canonical
+sidecar signatures, then every parked sidecar generation's file name
+and signature, in name order."""
+
+
+class StoreScan(NamedTuple):
+    """What one ``os.scandir`` pass over a store saw."""
+
+    artifacts: Dict[str, ArtifactKey]
+    """Every artifact's key, in name order (manifest excluded)."""
+    manifest: Optional[StatSignature]
+    journal: Optional[StatSignature]
+
+    @property
+    def token(self) -> str:
+        """The :meth:`ResultReader.state_token` of this scan."""
+        digest = hashlib.sha256()
+        for name, (document, sidecar, generations) in self.artifacts.items():
+            digest.update(name.encode("utf-8"))
+            digest.update(repr(document).encode("utf-8"))
+            digest.update(repr(sidecar).encode("utf-8"))
+            for filename, signature in generations:
+                digest.update(filename.encode("utf-8"))
+                digest.update(repr(signature).encode("utf-8"))
+        digest.update(repr(self.manifest).encode("utf-8"))
+        digest.update(repr(self.journal).encode("utf-8"))
+        return digest.hexdigest()
 
 
 class StoredVersion(NamedTuple):
@@ -925,18 +957,15 @@ class ResultReader:
             return None
         return holder if _pid_alive(holder) else None
 
-    def state_token(self) -> str:
-        """A digest of the store's observable state, for list ETags.
+    def scan(self) -> StoreScan:
+        """Names, per-artifact keys, manifest and journal in one pass.
 
-        Covers every artifact's stat signatures (document, canonical
-        sidecar, and any parked sidecar generations -- after a live
-        columnar rewrite the document reads a generation, so damage to
-        it must move the token too) plus the manifest and journal, so
-        any committed write (or repair) changes the token -- the
-        coarse invalidation signal the hot-figure cache and the
-        ``/figures`` listing memo watch.  One ``os.scandir`` pass finds
-        the files and stats only those the token covers; the lockfile
-        and ``*.tmp`` debris never move it.
+        One ``os.scandir`` finds the files and stats only those a key
+        covers: each artifact's document, canonical sidecar and parked
+        sidecar generations (after a live columnar rewrite the document
+        reads a generation, so damage to it must move the key), plus
+        the manifest and journal.  The lockfile and ``*.tmp`` debris
+        are never stat'ed.
         """
         entries: Dict[str, os.DirEntry] = {}
         try:
@@ -971,16 +1000,30 @@ class ResultReader:
             parked = _GENERATION_SIDECAR.match(filename)
             if parked is not None:
                 generations.setdefault(parked.group(1), []).append(filename)
-        digest = hashlib.sha256()
-        for name in names:
-            digest.update(name.encode("utf-8"))
-            digest.update(repr(signature(f"{name}.json")).encode("utf-8"))
-            digest.update(
-                repr(signature(f"{name}{_COLUMNS_SUFFIX}")).encode("utf-8")
-            )
-            for filename in sorted(generations.get(name, ())):
-                digest.update(filename.encode("utf-8"))
-                digest.update(repr(signature(filename)).encode("utf-8"))
-        digest.update(repr(signature(_MANIFEST_FILENAME)).encode("utf-8"))
-        digest.update(repr(signature(_JOURNAL_FILENAME)).encode("utf-8"))
-        return digest.hexdigest()
+        return StoreScan(
+            artifacts={
+                name: (
+                    signature(f"{name}.json"),
+                    signature(f"{name}{_COLUMNS_SUFFIX}"),
+                    tuple(
+                        (filename, signature(filename))
+                        for filename in sorted(generations.get(name, ()))
+                    ),
+                )
+                for name in names
+            },
+            manifest=signature(_MANIFEST_FILENAME),
+            journal=signature(_JOURNAL_FILENAME),
+        )
+
+    def state_token(self) -> str:
+        """A digest of the store's observable state, for list ETags.
+
+        The hash of one :meth:`scan`: every artifact's key plus the
+        manifest and journal signatures, so any committed write (or
+        repair, or damage to a live sidecar) changes the token -- the
+        coarse invalidation signal behind the list ETags and the
+        ``/figures`` body memo, whose rows are keyed by the same scan's
+        per-artifact keys.
+        """
+        return self.scan().token

@@ -43,6 +43,7 @@ and the allocation policy is a pure function of (observations, seed)
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import (
@@ -359,7 +360,8 @@ def allocate_round(
         for cell in live
     }
     weights = {cell.step_index: cell.variance for cell in live}
-    total_weight = sum(weights.values())
+    # Exactly rounded, so the shares cannot depend on the cells' order.
+    total_weight = math.fsum(weights.values())
     if surplus > 0 and total_weight > 0.0:
         shares = {
             cell.step_index: surplus * weights[cell.step_index] / total_weight

@@ -38,8 +38,10 @@ Saved work: a figure is served from one immutable
 ETag, header and payload come from a single document read (a commit
 between two reads can no longer pair one version's data with another's
 notes).  The entry memoizes its encoded ``/figures/{name}`` body and
-its ``/ci`` answers; the ``/figures`` listing is memoized by the
-store's state token.
+its ``/ci`` answers.  The ``/figures`` body is memoized by the store
+scan its state token hashes, and its rows per artifact, each keyed by
+that artifact's stat signatures, so a commit re-verifies only the rows
+it touched.
 
 Error mapping: an absent artifact is ``404``; a stored artifact that
 fails integrity (:class:`~repro.errors.ResultCorruptionError`,
@@ -64,7 +66,12 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, unquote, urlsplit
 
-from ..characterization.reader import ResultReader, _encode
+from ..characterization.reader import (
+    ArtifactKey,
+    ResultReader,
+    StoreScan,
+    _encode,
+)
 from ..characterization.stats import (
     DistributionSummary,
     bootstrap_mean_ci,
@@ -204,8 +211,10 @@ class ResultService:
         )
         self.requests = 0
         self.not_modified = 0
-        # (state token, encoded /figures body) of the last listing.
-        self._listing: Optional[Tuple[str, bytes]] = None
+        # (store scan, ETag, encoded /figures body) of the last settled
+        # listing, and each artifact's (key, row) it was built from.
+        self._listing: Optional[Tuple[StoreScan, str, bytes]] = None
+        self._rows: Dict[str, Tuple[ArtifactKey, Dict[str, Any]]] = {}
 
     @property
     def reader(self) -> ResultReader:
@@ -399,50 +408,85 @@ class ResultService:
         breaker.record_success()
         return entry
 
-    def _state_etag(self) -> Tuple[str, str]:
-        """``(state token, list ETag)`` of the store as it is now."""
-        token = self._reader.state_token()
-        return token, f'"state:{token}"'
+    def _state_etag(self) -> str:
+        """The list ETag of the store as it is now."""
+        return f'"state:{self._reader.state_token()}"'
 
     def _figures(self) -> Route:
-        token, etag = self._state_etag()
+        scan = self._reader.scan()
+        listing = self._listing
+        if listing is not None and listing[0] == scan:
+            # An unchanged store: no token to hash, no body to build.
+            return listing[1], lambda: listing[2]
+        etag = f'"state:{scan.token}"'
 
         def build() -> bytes:
-            listing = self._listing
-            if listing is not None and listing[0] == token:
-                return listing[1]
-            body = _dumps(self._inventory())
+            inventory, settled = self._inventory(scan)
+            body = _dumps(inventory)
             # Memoize only a listing no commit overlapped: one that did
             # may mix versions, and must not outlive this response.
-            if self._reader.state_token() == token:
-                self._listing = (token, body)
+            if settled:
+                self._listing = (scan, etag, body)
             return body
 
         return etag, build
 
-    def _inventory(self) -> Dict[str, Any]:
-        listing = []
-        for name in self._reader.names():
-            entry: Dict[str, Any] = {"name": name}
-            # The coarse integrity verdict ("ok" / "legacy" /
-            # "corrupt" / "mismatch"); damaged entries stay listed --
-            # hiding them would make damage look like deletion -- but
-            # carry no ETag or metadata.
-            entry["status"] = self._reader.verify(name)
-            if entry["status"] in ("ok", "legacy"):
-                meta = self._reader.metadata(name)
-                entry["format_version"] = meta.get("format_version")
-                entry["notes"] = meta.get("notes")
-                entry["etag"] = f'"sha256:{self._reader.content_digest(name)}"'
-            listing.append(entry)
-        return {"figures": listing, "count": len(listing)}
+    def _inventory(self, scan: StoreScan) -> Tuple[Dict[str, Any], bool]:
+        """The ``/figures`` listing of ``scan``, and whether it is settled.
+
+        Rows are memoized per artifact, keyed by that artifact's slice
+        of the scan (:data:`~repro.characterization.reader.ArtifactKey`):
+        a row whose key is unchanged is reused as built, so a commit
+        re-verifies only the rows it touched, and rows of deleted
+        artifacts are dropped.  A row is kept only if a second scan
+        after the build still shows the key the build started from: a
+        commit that overlapped the build may have mixed two versions,
+        and on a coarse file clock a recycled inode could later show
+        the starting key again.  The listing is settled when every row
+        in it was kept, so it is exactly the listing of ``scan``'s state.
+        """
+        held = self._rows
+        rows: Dict[str, Tuple[ArtifactKey, Dict[str, Any]]] = {}
+        built: List[str] = []
+        for name, key in scan.artifacts.items():
+            row = held.get(name)
+            if row is None or row[0] != key:
+                row = (key, self._row(name))
+                built.append(name)
+            rows[name] = row
+        listing = [row for _, row in rows.values()]
+        if built:
+            after = self._reader.scan().artifacts
+            for name in built:
+                if after.get(name) != rows[name][0]:
+                    del rows[name]
+        # Racing listings may overwrite each other's rows: every row
+        # held is right for its own key, so a lost one is only rebuilt.
+        self._rows = rows
+        settled = len(rows) == len(listing)
+        return {"figures": listing, "count": len(listing)}, settled
+
+    def _row(self, name: str) -> Dict[str, Any]:
+        """One artifact's ``/figures`` row, built from the store now."""
+        row: Dict[str, Any] = {"name": name}
+        # The coarse integrity verdict ("ok" / "legacy" / "corrupt" /
+        # "mismatch"); damaged entries stay listed -- hiding them would
+        # make damage look like deletion -- but carry no ETag or
+        # metadata.
+        row["status"] = self._reader.verify(name)
+        if row["status"] in ("ok", "legacy"):
+            meta = self._reader.metadata(name)
+            row["format_version"] = meta.get("format_version")
+            row["notes"] = meta.get("notes")
+            row["etag"] = f'"sha256:{self._reader.content_digest(name)}"'
+        return row
 
     def _figure(self, raw: str) -> Route:
         entry = self._load(self._figure_name(raw))
         return entry.etag, lambda: entry.body(_render_figure)
 
     def _fleet_summary(self) -> Route:
-        _, etag = self._state_etag()
+        etag = self._state_etag()
 
         def build() -> bytes:
             manifest = self._reader.load_manifest()
@@ -528,7 +572,7 @@ class ResultService:
         return ci_etag, lambda: entry.ci(key, compute)
 
     def _audit_status(self) -> Route:
-        _, etag = self._state_etag()
+        etag = self._state_etag()
 
         def build() -> bytes:
             report: Optional[Any] = None

@@ -119,7 +119,6 @@ class HotFigureCache:
         self.misses = 0
         self.evictions = 0
         self.invalidations = 0
-        self._state_token: Optional[str] = None
 
     @property
     def reader(self) -> ResultReader:
@@ -163,29 +162,6 @@ class HotFigureCache:
                 self._entries.popitem(last=False)
                 self.evictions += 1
         return entry
-
-    def watch(self) -> bool:
-        """Coarse store-change probe; drops everything on a change.
-
-        Compares the reader's :meth:`~repro.characterization.reader.
-        ResultReader.state_token` (artifact stat signatures + manifest
-        + journal) against the last observed one and clears the cache
-        when it moved.  Per-entry signature checks already make stale
-        hits impossible; this is the belt-and-braces sweep a
-        long-running service runs between requests so deleted
-        artifacts do not pin memory.  Returns whether a change was
-        seen.
-        """
-        token = self._reader.state_token()
-        with self._lock:
-            if token == self._state_token:
-                return False
-            changed = self._state_token is not None
-            self._state_token = token
-            if changed and self._entries:
-                self.invalidations += len(self._entries)
-                self._entries.clear()
-            return changed
 
     def clear(self) -> None:
         """Drop every resident entry."""

@@ -11,7 +11,7 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.characterization.activation import (
     build_activation_plan,
@@ -246,6 +246,62 @@ class TestAllocateRound:
         assert first == allocate_round(build(), 3)
         assert sum(first.values()) == 9  # floor 3+3 plus surplus 3
         assert sorted(first.values()) == [4, 5]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        specs=st.lists(
+            st.tuples(
+                st.integers(1, 40),  # budget
+                st.integers(0, 40),  # trials run
+                st.floats(0.0, 0.25),  # observed per-trial variance
+                st.booleans(),  # converged
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        ranks=st.lists(
+            st.integers(0, 2**64 - 1), min_size=8, max_size=8, unique=True
+        ),
+        round_trials=st.integers(1, 8),
+        order=st.permutations(range(8)),
+    )
+    # Shares that sit one rounding error apart: summing the variances
+    # in list order made the reversed list allocate {0: 3, 2: 5}.
+    @example(
+        specs=[(13, 0, 0.05, False), (1, 0, 0.05, False), (14, 0, 0.2, False)],
+        ranks=list(range(8)),
+        round_trials=3,
+        order=list(range(7, -1, -1)),
+    )
+    def test_allocation_is_a_pure_function_of_observations(
+        self, plan, specs, ranks, round_trials, order
+    ):
+        def build():
+            cells = []
+            for step, (budget, run, variance, done) in enumerate(specs):
+                cell = _cell(
+                    step, plan, budget=budget, trials_run=min(run, budget),
+                    done=done,
+                )
+                # Running moments whose variance is exactly the draw.
+                cell._obs_n, cell._obs_sum, cell._obs_sumsq = 1, 0.0, variance
+                cell.tie_rank = ranks[step]
+                cells.append(cell)
+            return cells
+
+        cells = build()
+        allocation = allocate_round(cells, round_trials)
+        assert allocate_round(build(), round_trials) == allocation
+        shuffled = [cells[index] for index in order if index < len(cells)]
+        assert allocate_round(shuffled, round_trials) == allocation
+        for cell in cells:
+            if cell.done or cell.remaining == 0:
+                assert cell.step_index not in allocation
+                continue
+            granted = allocation[cell.step_index]
+            assert min(round_trials, cell.remaining) <= granted
+            assert granted <= cell.remaining
+        assert sum(allocation.values()) <= round_trials * len(cells)
 
 
 class TestAdaptiveConfig:

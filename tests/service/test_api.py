@@ -1,9 +1,13 @@
 """Tests for the transport-free service routing layer."""
 
 import json
+import os
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.characterization.reader import ResultReader
 from repro.characterization.stats import bootstrap_mean_ci, summarize
@@ -207,6 +211,19 @@ class TestCacheIntegration:
         assert cache.misses == 1
 
 
+def _count_verifies(reader):
+    """Record the name of every ``reader.verify`` call from now on."""
+    verified = []
+    original = reader.verify
+
+    def counting_verify(name=None):
+        verified.append(name)
+        return original(name)
+
+    reader.verify = counting_verify
+    return verified
+
+
 def _digest_of(directory, name):
     """The content digest a fresh reader reports for ``name`` now."""
     return ResultReader(directory).content_digest(name)
@@ -352,27 +369,104 @@ class TestSavedWork:
     def test_unchanged_listing_calls_verify_zero_times(self, store):
         reader = ResultReader(store.directory)
         service = ResultService(reader)
-        verifies = {"n": 0}
-        original = reader.verify
-
-        def counting_verify(name=None):
-            verifies["n"] += 1
-            return original(name)
-
-        reader.verify = counting_verify
+        verified = _count_verifies(reader)
         first = service.handle("GET", "/figures")
-        assert verifies["n"] == 2
-        verifies["n"] = 0
+        assert len(verified) == 2
+        verified.clear()
         second = service.handle("GET", "/figures")
-        assert verifies["n"] == 0
+        assert verified == []
         assert second.body == first.body
         assert second.headers["ETag"] == first.headers["ETag"]
         store.save("plain", {"threshold": 0.75}, notes="resaved")
         third = service.handle("GET", "/figures")
-        assert verifies["n"] == 2
+        assert verified == ["plain"]  # fig3's row is reused as built
         assert third.headers["ETag"] != first.headers["ETag"]
         by_name = {f["name"]: f for f in _body(third)["figures"]}
         assert by_name["plain"]["notes"] == "resaved"
+
+    def test_deleting_an_artifact_drops_its_row(self, store):
+        reader = ResultReader(store.directory)
+        service = ResultService(reader)
+        verified = _count_verifies(reader)
+        service.handle("GET", "/figures")
+        verified.clear()
+        (store.directory / "plain.json").unlink()
+        body = _body(service.handle("GET", "/figures"))
+        assert [f["name"] for f in body["figures"]] == ["fig3"]
+        assert body["count"] == 1
+        assert verified == []
+        store.save("plain", {"threshold": 0.5})
+        body = _body(service.handle("GET", "/figures"))
+        assert [f["name"] for f in body["figures"]] == ["fig3", "plain"]
+        assert verified == ["plain"]
+
+    def test_a_commit_during_a_row_build_is_rebuilt_next_time(self, store):
+        reader = ResultReader(store.directory)
+        service = ResultService(reader)
+        service.handle("GET", "/figures")
+        store.save("plain", {"threshold": 0.6}, notes="first")
+        verified = []
+        original = reader.verify
+
+        def verify_then_commit(name=None):
+            status = original(name)
+            verified.append(name)
+            if verified == ["plain"]:
+                # A writer lands while the listing builds plain's row.
+                store.save("plain", {"threshold": 0.7}, notes="second")
+            return status
+
+        reader.verify = verify_then_commit
+        mixed = service.handle("GET", "/figures")
+        assert mixed.status == 200
+        assert verified == ["plain"]
+        by_name = {f["name"]: f for f in _body(mixed)["figures"]}
+        assert by_name["plain"]["notes"] in ("first", "second")
+        settled = service.handle("GET", "/figures")
+        assert verified == ["plain", "plain"]
+        by_name = {f["name"]: f for f in _body(settled)["figures"]}
+        assert by_name["plain"]["notes"] == "second"
+        assert by_name["plain"]["etag"] == (
+            f'"sha256:{_digest_of(store.directory, "plain")}"'
+        )
+        cold = ResultService(ResultReader(store.directory))
+        assert settled.body == cold.handle("GET", "/figures").body
+        assert service.handle("GET", "/figures").body == settled.body
+        assert verified == ["plain", "plain"]
+
+    def test_a_row_whose_key_moved_mid_build_is_not_kept(self, store):
+        reader = ResultReader(store.directory)
+        service = ResultService(reader)
+        store.save("plain", {"threshold": 0.6}, notes="first")
+        scans = []
+        real_scan = reader.scan
+
+        def recording_scan():
+            scans.append(real_scan())
+            return scans[-1]
+
+        original = reader.verify
+
+        def verify_then_commit(name=None):
+            status = original(name)
+            if name == "plain" and len(scans) == 1:
+                store.save("plain", {"threshold": 0.7}, notes="second")
+            return status
+
+        reader.scan, reader.verify = recording_scan, verify_then_commit
+        service.handle("GET", "/figures")  # plain's row mixes two versions
+        store.save("plain", {"threshold": 0.8}, notes="third")
+
+        def recycled_scan():
+            # A recycled inode on a coarse file clock: the third version
+            # stats exactly as the first did.
+            scan = real_scan()
+            scan.artifacts["plain"] = scans[0].artifacts["plain"]
+            return scan
+
+        reader.scan = recycled_scan
+        listing = _body(service.handle("GET", "/figures"))["figures"]
+        assert {f["name"]: f["notes"] for f in listing}["plain"] == "third"
 
     def test_listing_sees_damage_to_the_live_sidecar_generation(self, store):
         store.save("fig", {"g": summarize([0.9, 0.8])}, columnar=True)
@@ -421,3 +515,132 @@ class TestSavedWork:
                 "GET", f"/ci/fig3?resamples=50&seed={seed}"
             ).status == 200
         assert len(service.cache.get("fig3")._ci) == CI_MEMO_LIMIT
+
+
+_FIGURES = ("f0", "f1", "f2", "f3")
+_STEPS = st.one_of(
+    st.tuples(
+        st.just("save"), st.sampled_from(_FIGURES), st.booleans(),
+        st.integers(0, 3),
+    ),
+    st.tuples(st.just("resave"), st.sampled_from(_FIGURES), st.booleans()),
+    st.tuples(st.just("delete"), st.sampled_from(_FIGURES)),
+    st.tuples(
+        st.just("damage-document"), st.sampled_from(_FIGURES),
+        st.integers(0, 1 << 16),
+    ),
+    st.tuples(st.just("damage-sidecar"), st.sampled_from(_FIGURES)),
+)
+
+
+def _damage_in_place(path, position, mask):
+    """Flip bits of one byte without replacing the file (same inode)."""
+    before = ResultReader(path.parent).scan()
+    raw = bytearray(path.read_bytes())
+    raw[position % len(raw)] ^= mask
+    path.write_bytes(bytes(raw))
+    if ResultReader(path.parent).scan() == before:
+        # A coarse file clock can keep (mtime, size, inode) across an
+        # in-place write inside one tick, which no stat-keyed memo can
+        # see; step the mtime as the next tick would.
+        stat = path.stat()
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 1))
+
+
+def _apply(store, saved, step):
+    """One store mutation; ``saved`` tracks each figure's last save."""
+    kind, name = step[0], step[1]
+    directory = store.directory
+    if kind == "save":
+        columnar, value = step[2], step[3]
+        saved[name] = [value, columnar, 0]
+    elif name not in saved:
+        return
+    value, columnar, edition = saved[name]
+    data = {"g": summarize([value / 10, value / 10 + 0.05])}
+    if kind == "resave":
+        # Same data: the digest (and the row's ETag) stays while the
+        # notes move, and the encoding may (a columnar rewrite of a
+        # columnar artifact parks a new sidecar generation).
+        columnar = step[2]
+        saved[name] = [value, columnar, edition + 1]
+        store.save(name, data, notes=f"e{edition + 1}", columnar=columnar)
+    elif kind == "save":
+        store.save(name, data, notes="e0", columnar=columnar)
+    elif kind == "delete":
+        del saved[name]
+        for filename in [f"{name}.json"] + store.reader.sidecar_names(name):
+            (directory / filename).unlink()
+    elif kind == "damage-document":
+        _damage_in_place(directory / f"{name}.json", step[2], 0x01)
+    else:
+        try:
+            live = json.loads((directory / f"{name}.json").read_text())
+            sidecar = directory / live["columns"]["file"]
+        except (ValueError, KeyError, TypeError):
+            return  # no readable live sidecar to damage
+        if sidecar.is_file():
+            _damage_in_place(sidecar, -30, 0xFF)
+
+
+class TestWarmListingProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(steps=st.lists(_STEPS, min_size=1, max_size=10))
+    def test_a_warm_listing_equals_a_cold_one(self, steps):
+        with tempfile.TemporaryDirectory() as scratch:
+            store = ResultStore(Path(scratch) / "results")
+            warm = ResultService(ResultReader(store.directory))
+            saved = {}
+            for step in steps:
+                _apply(store, saved, step)
+                cold = ResultService(ResultReader(store.directory))
+                expected = cold.handle("GET", "/figures")
+                listed = warm.handle("GET", "/figures")
+                assert listed.status == expected.status == 200, step
+                assert listed.body == expected.body, step
+                assert listed.headers["ETag"] == expected.headers["ETag"]
+
+    def test_threaded_listings_settle_to_the_cold_listing(self, store):
+        import threading
+
+        service = ResultService(ResultReader(store.directory))
+        done = threading.Event()
+        problems = []
+
+        def writer():
+            try:
+                for commit in range(40):
+                    store.save(
+                        "fig3" if commit % 2 else "plain",
+                        {"g": summarize([0.1 * (commit % 5), 0.5])},
+                        notes=f"commit {commit}",
+                        columnar=commit % 3 == 0,
+                    )
+            finally:
+                done.set()
+
+        def lister():
+            while not done.is_set():
+                response = service.handle("GET", "/figures")
+                if response.status != 200:
+                    problems.append(f"HTTP {response.status}")
+
+        threads = [threading.Thread(target=writer)] + [
+            threading.Thread(target=lister) for _ in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads finely
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not problems, problems[:5]
+        cold = ResultService(ResultReader(store.directory))
+        assert (
+            service.handle("GET", "/figures").body
+            == cold.handle("GET", "/figures").body
+        )

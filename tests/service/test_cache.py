@@ -124,16 +124,6 @@ class TestInvalidation:
         assert not wrong
         assert len(entry._ci) == CI_MEMO_LIMIT
 
-    def test_watch_clears_on_store_change(self, store, reader):
-        store.save("fig", {"x": 1})
-        cache = HotFigureCache(reader)
-        cache.get("fig")
-        assert cache.watch() is False  # no change: nothing dropped
-        assert cache.stats()["entries"] == 1
-        store.save("other", {"y": 1})
-        assert cache.watch() is True
-        assert cache.stats()["entries"] == 0
-
     def test_clear(self, store, reader):
         store.save("fig", {"x": 1})
         cache = HotFigureCache(reader)
