@@ -242,17 +242,25 @@ def run_chaos_smoke(results_dir: Path) -> int:
     """The degradation smoke: breaker flip, recovery, clean drain.
 
     Every store read fails digest verification until the injected
-    fault budget (6) runs out; a threshold of 3 consecutive faults
-    opens the breaker and a 5-consultation cooldown paces the
-    half-open probes, so the whole open -> probe -> recover arc takes
-    a few dozen requests.
+    fault budget runs out; a threshold of 3 consecutive faults opens
+    the breaker and a 5-consultation cooldown paces the half-open
+    probes, so the whole open -> probe -> recover arc takes a few dozen
+    requests.  The first ``/figures`` listing reads every artifact
+    through the faulted path (its rows list them as ``mismatch``), so
+    the budget is one fault per artifact plus the 6 the figure reads
+    need to open the breaker and fail its first probes.
     """
+    artifacts = sum(
+        1
+        for path in results_dir.glob("*.json")
+        if path.name != "campaign-manifest.json"
+    )
     process, base = _start_server(
         results_dir,
         [
             "--cache-size", "1",  # force every figure read to disk
             "--chaos-digest-mismatch-rate", "1.0",
-            "--chaos-max-faults", "6",
+            "--chaos-max-faults", str(artifacts + 6),
             "--breaker-threshold", "3",
             "--breaker-cooldown", "5",
         ],

@@ -21,23 +21,28 @@ Read-path contract:
   arrays can be served straight off a shared read-only ``mmap`` --
   zero copies per reader -- with a transparent ``np.load`` fallback
   for anything the fast path cannot prove safe.
-- **Memoized digests.**  Content sha256 digests (and sidecar array
-  digests) are cached per artifact, keyed by ``(mtime_ns, size,
-  inode)`` stat signatures of the files they were computed from, so a
-  repeated ``load`` of an unchanged artifact skips the checksum
-  recompute and the HTTP service's ETags cost one ``stat`` instead of
-  one hash.
-- **One damage taxonomy.**  :meth:`ResultReader.validate` is the only
-  implementation of the fine-grained damage classification
-  (``torn-json`` / ``checksum-mismatch`` / ``sidecar-missing`` /
-  ``sidecar-corrupt`` / ``sidecar-mismatch`` / ``legacy`` / ``ok`` /
-  ``missing``); :meth:`verify`'s coarse statuses and ``repair``'s
-  findings are both derived from it.
+- **Memoized digests.**  Content sha256 digests are cached per
+  artifact, keyed by the ``(mtime_ns, size, inode)`` stat signatures
+  of the document and of the sidecar it references.  The memo holds
+  only digests computed from those bytes, so a repeated verifying
+  read of an unchanged artifact skips the checksum recompute, and a
+  digest merely copied out of a document can never stand in for one.
+- **One read, one damage taxonomy.**  Every view of an artifact
+  version -- :meth:`ResultReader.load_version`, :meth:`validate`,
+  :meth:`verify`, :meth:`content_digest` -- is one private read: it
+  parses the document, maps and checks the sidecar, checks the
+  content checksum through the memo, and retries against a rewrite
+  in flight.  Damage raises :class:`~repro.errors.ResultCorruptionError`
+  carrying its fine class (``torn-json`` / ``checksum-mismatch`` /
+  ``sidecar-missing`` / ``sidecar-corrupt`` / ``sidecar-mismatch``);
+  :meth:`validate` reports it (or ``legacy`` / ``ok`` / ``missing``),
+  :meth:`verify` coarsens it, and ``repair``'s findings and the HTTP
+  service's ``/figures`` rows are built from the same verdicts, so
+  loading and classifying cannot drift.
 """
 
 from __future__ import annotations
 
-import ast
 import hashlib
 import json
 import mmap
@@ -89,17 +94,6 @@ _GENERATION_SIDECAR = re.compile(
     + re.escape(_COLUMNS_SUFFIX) + r"\Z"
 )
 """A parked sidecar generation's file name; group 1 is the artifact."""
-
-_DAMAGE_CLASSES = (
-    "torn-json",
-    "checksum-mismatch",
-    "sidecar-missing",
-    "sidecar-corrupt",
-    "sidecar-mismatch",
-)
-""":meth:`ResultReader.validate` classifications that make a present
-artifact untrustworthy (``ok`` / ``legacy`` / ``missing`` are not
-damage)."""
 
 _COARSE_STATUS = {
     "ok": "ok",
@@ -255,53 +249,59 @@ def _header(document: Dict[str, Any]) -> Dict[str, Any]:
     return {key: document.get(key) for key in _HEADER_FIELDS}
 
 
+def _status(metadata: Dict[str, Any]) -> str:
+    """``"ok"`` or ``"legacy"``: the status of an undamaged version,
+    by whether its header carries a checksum record."""
+    return "ok" if isinstance(metadata.get("checksum"), dict) else "legacy"
+
+
 # -- memory-mapped sidecar access -------------------------------------------
 
 
-def _npy_from_buffer(buffer, offset: int) -> Optional[np.ndarray]:
-    """Parse one ``.npy`` member in place and view its data zero-copy.
+_NPY_HEADER = re.compile(
+    rb"\{'descr': '(<f8|<i8)', 'fortran_order': False, "
+    rb"'shape': \((\d+),\), \} *\n"
+)
+"""The version-1.0 ``.npy`` header ``np.savez`` writes for a 1-D
+little-endian float64 or int64 column, the only members a sidecar
+holds (group 1 is the dtype, group 2 the row count)."""
 
-    Returns ``None`` for anything the fast path cannot prove safe
-    (version it does not know, Fortran order, object dtype) -- the
-    caller falls back to ``np.load``.
+
+def _npy_from_buffer(
+    buffer, offset: int, dtype: str, count: Optional[int]
+) -> Optional[np.ndarray]:
+    """View one ``.npy`` column member in place, zero-copy.
+
+    The header must be exactly the one the writer produces for a
+    ``dtype`` column of ``count`` rows (any row count when ``count``
+    is ``None``); it is matched, never evaluated.  Anything else
+    returns ``None`` and the caller falls back to ``np.load``.
     """
-    if bytes(buffer[offset : offset + 6]) != b"\x93NUMPY":
+    if bytes(buffer[offset : offset + 8]) != b"\x93NUMPY\x01\x00":
         return None
-    major = buffer[offset + 6]
-    if major == 1:
-        (header_len,) = struct.unpack(
-            "<H", bytes(buffer[offset + 8 : offset + 10])
-        )
-        header_start = offset + 10
-    elif major in (2, 3):
-        (header_len,) = struct.unpack(
-            "<I", bytes(buffer[offset + 8 : offset + 12])
-        )
-        header_start = offset + 12
-    else:
+    (header_len,) = struct.unpack(
+        "<H", bytes(buffer[offset + 8 : offset + 10])
+    )
+    header_start = offset + 10
+    header = _NPY_HEADER.fullmatch(
+        bytes(buffer[header_start : header_start + header_len])
+    )
+    if header is None or header.group(1).decode("ascii") != dtype:
         return None
-    header = bytes(buffer[header_start : header_start + header_len])
+    rows = int(header.group(2))
+    if count is not None and rows != count:
+        return None
     try:
-        info = ast.literal_eval(header.decode("latin1"))
-        dtype = np.dtype(info["descr"])
-        shape = tuple(info["shape"])
-        fortran = bool(info["fortran_order"])
-    except (ValueError, SyntaxError, KeyError, TypeError):
-        return None
-    if fortran or dtype.hasobject:
-        return None
-    count = 1
-    for dim in shape:
-        count *= int(dim)
-    data_start = header_start + header_len
-    try:
-        arr = np.frombuffer(buffer, dtype=dtype, count=count, offset=data_start)
+        return np.frombuffer(
+            buffer, dtype=dtype, count=rows, offset=header_start + header_len
+        )
     except ValueError:
         return None
-    return arr.reshape(shape)
 
 
-def mmap_npz_columns(path: Path) -> Optional[Dict[str, np.ndarray]]:
+def mmap_npz_columns(
+    path: Path, count: Optional[int] = None
+) -> Optional[Dict[str, np.ndarray]]:
     """Map an uncompressed ``.npz`` sidecar and view its column arrays.
 
     ``np.savez`` writes ``ZIP_STORED`` members, so each array's bytes
@@ -309,8 +309,9 @@ def mmap_npz_columns(path: Path) -> Optional[Dict[str, np.ndarray]]:
     read-only views over one shared ``mmap`` (their ``.base`` chain
     keeps it alive).  Returns ``None`` whenever the archive is not in
     the exact shape the writer produces -- compressed members, missing
-    fields, damaged headers -- so the caller can fall back to
-    ``np.load`` (which then raises the usual corruption errors).
+    fields, damaged headers, a row count other than ``count`` -- so
+    the caller can fall back to ``np.load`` (which then raises the
+    usual corruption errors).
     """
     try:
         with open(path, "rb") as handle:
@@ -330,7 +331,12 @@ def mmap_npz_columns(path: Path) -> Optional[Dict[str, np.ndarray]]:
             name_len, extra_len = struct.unpack(
                 "<HH", bytes(mapped[local + 26 : local + 30])
             )
-            arr = _npy_from_buffer(mapped, local + 30 + name_len + extra_len)
+            arr = _npy_from_buffer(
+                mapped,
+                local + 30 + name_len + extra_len,
+                "<i8" if field == "n" else "<f8",
+                count,
+            )
             if arr is None:
                 return None
             arrays[field] = arr
@@ -355,7 +361,9 @@ def _stat_signature(path: Path) -> Optional[Tuple[int, int, int]]:
 
 StatSignature = Tuple[int, int, int]
 Signatures = Tuple[Optional[StatSignature], Optional[StatSignature]]
-"""``(document, canonical sidecar)`` stat signatures of one artifact."""
+"""``(document, referenced sidecar)`` stat signatures of one artifact
+version; the sidecar's is ``None`` for a document that references
+none."""
 ArtifactKey = Tuple[
     Optional[StatSignature],
     Optional[StatSignature],
@@ -394,11 +402,14 @@ class StoredVersion(NamedTuple):
     """One artifact version, everything taken from a single document read."""
 
     signatures: Signatures
-    """Stat signatures taken just before the document was read."""
+    """Stat signatures of the document (taken just before it was read)
+    and of the sidecar it references."""
+    sidecar: Optional[str]
+    """The column sidecar file the document references, if any."""
     digest: str
-    """Content sha256: the recorded checksum, or computed for legacy
-    version-1 documents (what :meth:`ResultReader.content_digest`
-    returns for the same bytes)."""
+    """Content sha256: memoized or recomputed for these bytes, or the
+    recorded checksum when the read did not verify (what
+    :meth:`ResultReader.content_digest` returns for the same bytes)."""
     metadata: Dict[str, Any]
     """The header fields :meth:`ResultReader.metadata` returns."""
     payload: Any
@@ -416,14 +427,9 @@ class ResultReader:
 
     def __init__(self, directory: Union[str, Path]):
         self._directory = Path(directory)
-        # name -> (doc signature, sidecar signature, digest, verified).
-        # `verified` records whether the digest was RECOMPUTED against
-        # the payload for exactly these on-disk bytes; a digest merely
-        # copied out of the document (the cheap ETag path) must never
-        # let a later verifying load skip its checksum.
-        self._digest_cache: Dict[
-            str, Tuple[Optional[Tuple], Optional[Tuple], str, bool]
-        ] = {}
+        # name -> (signatures, digest): a digest computed from exactly
+        # the bytes those signatures describe.
+        self._digest_cache: Dict[str, Tuple[Signatures, str]] = {}
         self.digest_recomputes = 0
         """Times a content sha256 was actually recomputed (cache misses)."""
         self.digest_reuses = 0
@@ -503,14 +509,10 @@ class ResultReader:
         referenced = set()
         for name in self.names():
             try:
-                document = json.loads(self.path_for(name).read_text())
-            except (OSError, json.JSONDecodeError):
+                document = self.read_document(name)
+            except (OSError, ResultCorruptionError):
                 continue
-            if (
-                isinstance(document, dict)
-                and document.get("format_version")
-                == _COLUMNAR_FORMAT_VERSION
-            ):
+            if document.get("format_version") == _COLUMNAR_FORMAT_VERSION:
                 columns = document.get("columns")
                 if isinstance(columns, dict):
                     referenced.add(columns.get("file"))
@@ -551,8 +553,8 @@ class ResultReader:
         """Parse a raw result document (no checksum verification)."""
         path = self.path_for(name) if path is None else path
         try:
-            document = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
+            document = json.loads(path.read_bytes())
+        except ValueError as exc:  # not JSON, or not UTF-8 at all
             raise ResultCorruptionError(
                 f"stored result {name!r} is corrupt or truncated: {exc}"
             ) from exc
@@ -562,109 +564,23 @@ class ResultReader:
             )
         return document
 
-    def _sidecar_arrays(
-        self, name: str, sidecar: Path
-    ) -> Dict[str, np.ndarray]:
-        """The column arrays of a sidecar, memory-mapped when possible."""
-        arrays = mmap_npz_columns(sidecar)
-        if arrays is not None:
-            return arrays
-        # Fallback: let np.load produce the canonical corruption errors.
-        try:
-            with np.load(sidecar) as archive:
-                return {field: archive[field] for field in _COLUMN_FIELDS}
-        except Exception as exc:
-            raise ResultCorruptionError(
-                f"column sidecar of result {name!r} is corrupt: {exc}"
-            ) from exc
+    def signatures(
+        self, name: str, sidecar: Optional[str] = None
+    ) -> Signatures:
+        """Stat signatures of an artifact's document and of ``sidecar``.
 
-    def _payload(
-        self, name: str, document: Dict[str, Any], verify: bool = True
-    ) -> Any:
-        """The version-2-equivalent encoded data payload of a document.
-
-        For version-3 documents this maps the column sidecar, checks
-        its array checksum (when ``verify``), and rebuilds the summary
-        dicts in place of their ``__column_ref__`` stubs.
-        """
-        data = document.get("data")
-        if document.get("format_version") != _COLUMNAR_FORMAT_VERSION:
-            return data
-        columns = document.get("columns")
-        if not isinstance(columns, dict):
-            raise ResultCorruptionError(
-                f"stored result {name!r} is columnar but lists no column sidecar"
-            )
-        sidecar = self._directory / str(columns.get("file", ""))
-        if not sidecar.exists():
-            raise ResultCorruptionError(
-                f"stored result {name!r} is missing its column sidecar "
-                f"{columns.get('file')!r}"
-            )
-        arrays = self._sidecar_arrays(name, sidecar)
-        if verify:
-            recorded = (columns.get("checksum") or {}).get("digest")
-            actual = _columns_checksum(arrays)
-            if recorded != actual:
-                raise ChecksumMismatchError(
-                    f"column sidecar of result {name!r} failed its integrity "
-                    f"check: recorded digest {recorded!r}, recomputed {actual!r}"
-                )
-        return _restore_summaries(data, arrays)
-
-    def _verify_document(
-        self,
-        name: str,
-        document: Dict[str, Any],
-        payload: Any,
-        signatures: Optional[Tuple[Optional[Tuple], Optional[Tuple]]] = None,
-    ) -> None:
-        """Check a document's content checksum (if it has one) against
-        its version-2-equivalent payload.
-
-        With ``signatures`` (the document and sidecar stat signatures
-        taken *before* the document was read), a digest already
-        verified for the same on-disk bytes is trusted without
-        recomputing the sha256 -- the memoization the load path and
-        service ETags share.
-        """
-        checksum = document.get("checksum")
-        if not isinstance(checksum, dict):
-            return  # legacy version-1 document: nothing to verify against
-        recorded = checksum.get("digest")
-        if signatures is not None:
-            cached = self._digest_cache.get(name)
-            if (
-                cached is not None
-                and cached[0] is not None
-                and (cached[0], cached[1]) == signatures
-                and cached[2] == recorded
-                and cached[3]  # recomputed for these bytes, not copied
-            ):
-                self.digest_reuses += 1
-                return
-        self.digest_recomputes += 1
-        actual = content_checksum(payload)
-        if recorded != actual:
-            raise ChecksumMismatchError(
-                f"stored result {name!r} failed its integrity check: "
-                f"recorded digest {recorded!r}, recomputed {actual!r}"
-            )
-        if signatures is not None:
-            self._digest_cache[name] = (
-                signatures[0], signatures[1], actual, True
-            )
-
-    def signatures(self, name: str) -> Signatures:
-        """Stat signatures of an artifact's document and canonical sidecar.
-
-        Every committed rewrite replaces the document (a fresh inode),
-        so an unchanged pair means unchanged bytes -- the freshness
-        check behind the digest memo and the hot-figure cache.
+        ``sidecar`` is the column sidecar file name a version's
+        document references (:attr:`StoredVersion.sidecar`).  Every
+        committed rewrite replaces the document (a fresh inode), and
+        damage to the referenced sidecar moves its signature, so an
+        unchanged pair means unchanged bytes -- the freshness check
+        behind the digest memo and the hot-figure cache.
         """
         return (
             _stat_signature(self.path_for(name)),
-            _stat_signature(self.columns_path_for(name)),
+            None
+            if sidecar is None
+            else _stat_signature(self._directory / sidecar),
         )
 
     def invalidate(self, name: Optional[str] = None) -> None:
@@ -680,11 +596,162 @@ class ResultReader:
         else:
             self._digest_cache.pop(name, None)
 
+    def _read(self, name: str, verify: bool = True) -> Optional[StoredVersion]:
+        """The one read of an artifact version; ``None`` if absent.
+
+        Takes the document's stat signature, parses the document, maps
+        the sidecar it references and (with ``verify``) checks the
+        sidecar's array checksum, then checks the content checksum
+        through the digest memo.  The returned payload is still in its
+        encoded form.  Damage raises
+        :class:`~repro.errors.ResultCorruptionError` carrying its fine
+        class (``exc.damage``); a document in a format this reader does
+        not know is ``torn-json`` too, since nothing in it can be
+        trusted.
+
+        Lockless reads race the writer's commits: damage seen while
+        the document changed underneath the read is a rewrite in
+        flight, so the read retries against the fresh document/sidecar
+        pair.  Damage with a *stable* document signature raises.
+        """
+        path = self.path_for(name)
+        attempts = 3
+        for attempt in range(attempts):
+            document_signature = _stat_signature(path)
+            if document_signature is None:
+                return None
+            try:
+                document = self.read_document(name, path)
+                version = document.get("format_version")
+                if version not in _SUPPORTED_VERSIONS:
+                    raise ResultCorruptionError(
+                        f"result {name!r} uses unsupported format {version}"
+                    )
+                payload = document.get("data")
+                sidecar: Optional[str] = None
+                sidecar_signature = None
+                if version == _COLUMNAR_FORMAT_VERSION:
+                    payload, sidecar, sidecar_signature = self._columns(
+                        name, document, verify
+                    )
+                signatures = (document_signature, sidecar_signature)
+                digest = self._digest(
+                    name, document.get("checksum"), payload, signatures, verify
+                )
+            except ResultCorruptionError:
+                changed = _stat_signature(path) != document_signature
+                if changed and attempt + 1 < attempts:
+                    continue
+                raise
+            return StoredVersion(
+                signatures=signatures,
+                sidecar=sidecar,
+                digest=digest,
+                metadata=_header(document),
+                payload=payload,
+            )
+        raise AssertionError("unreachable")  # pragma: no cover
+
+    def _columns(
+        self, name: str, document: Dict[str, Any], verify: bool
+    ) -> Tuple[Any, str, StatSignature]:
+        """A version-3 document's payload rebuilt from its sidecar.
+
+        Returns the version-2-equivalent encoded payload, the sidecar
+        file name and its stat signature.  The sidecar is memory-mapped
+        when it has the writer's exact shape, else read by ``np.load``;
+        with ``verify`` its arrays must match their recorded checksum.
+        """
+        columns = document.get("columns")
+        if not isinstance(columns, dict):
+            raise ResultCorruptionError(
+                f"stored result {name!r} is columnar but lists no column sidecar"
+            )
+        sidecar = str(columns.get("file", ""))
+        path = self._directory / sidecar
+        signature = _stat_signature(path)
+        if signature is None:
+            raise ResultCorruptionError(
+                f"stored result {name!r} is missing its column sidecar "
+                f"{sidecar!r}",
+                damage="sidecar-missing",
+            )
+        count = columns.get("count")
+        arrays = mmap_npz_columns(
+            path, count if isinstance(count, int) else None
+        )
+        if arrays is None:
+            # Fallback: let np.load produce the canonical corruption errors.
+            try:
+                with np.load(path) as archive:
+                    arrays = {
+                        field: archive[field] for field in _COLUMN_FIELDS
+                    }
+            except Exception as exc:
+                raise ResultCorruptionError(
+                    f"column sidecar of result {name!r} is corrupt: {exc}",
+                    damage="sidecar-corrupt",
+                ) from exc
+        if verify:
+            recorded = (columns.get("checksum") or {}).get("digest")
+            actual = _columns_checksum(arrays)
+            if recorded != actual:
+                raise ChecksumMismatchError(
+                    f"column sidecar of result {name!r} failed its integrity "
+                    f"check: recorded digest {recorded!r}, recomputed {actual!r}",
+                    damage="sidecar-mismatch",
+                )
+        try:
+            payload = _restore_summaries(document.get("data"), arrays)
+        except (IndexError, KeyError, TypeError) as exc:
+            raise ChecksumMismatchError(
+                f"stored result {name!r} references columns its sidecar "
+                f"does not hold: {exc}"
+            ) from exc
+        return payload, sidecar, signature
+
+    def _digest(
+        self,
+        name: str,
+        checksum: Any,
+        payload: Any,
+        signatures: Signatures,
+        verify: bool,
+    ) -> str:
+        """The content digest of one read's encoded payload.
+
+        A digest memoized for the same signatures is reused.  Otherwise
+        a document with a ``checksum`` record has it checked against
+        the recomputed sha256 (``verify``) or copied unchecked; a
+        legacy version-1 document, which has none, gets its digest
+        computed.  Only computed digests are memoized.
+        """
+        legacy = not isinstance(checksum, dict)
+        recorded = None if legacy else checksum.get("digest")
+        cached = self._digest_cache.get(name)
+        if (
+            cached is not None
+            and cached[0] == signatures
+            and (legacy or recorded == cached[1])
+        ):
+            self.digest_reuses += 1
+            return cached[1]
+        if not legacy and not verify and isinstance(recorded, str):
+            return recorded
+        self.digest_recomputes += 1
+        actual = content_checksum(payload)
+        if not legacy and verify and recorded != actual:
+            raise ChecksumMismatchError(
+                f"stored result {name!r} failed its integrity check: "
+                f"recorded digest {recorded!r}, recomputed {actual!r}"
+            )
+        self._digest_cache[name] = (signatures, actual)
+        return actual
+
     def load(self, name: str, verify: bool = True) -> Any:
         """Reload a result's data payload (integrity-checked).
 
-        The payload of :meth:`load_version`; see there for the digest
-        memo and the retry against a rewrite in flight.
+        The payload of :meth:`load_version`.
         """
         return self.load_version(name, verify=verify).payload
 
@@ -694,75 +761,14 @@ class ResultReader:
 
         Everything returned describes the same bytes, so a caller never
         pairs one version's data with another's notes.  Repeated loads
-        of an unchanged artifact reuse the memoized digest (stat-
-        signature keyed) instead of recomputing the content sha256.
-
-        Lockless reads race the writer's commits: an integrity
-        failure whose document changed underneath us is a rewrite in
-        flight, not damage, so the read retries against the fresh
-        document/sidecar pair.  Damage with a *stable* document
-        signature raises as usual.
+        of an unchanged artifact reuse the memoized digest instead of
+        recomputing the content sha256, and a load racing a commit
+        retries against the fresh version (see :meth:`_read`).
         """
-        attempts = 3
-        for attempt in range(attempts):
-            path = self.path_for(name)
-            signatures = self.signatures(name)
-            if signatures[0] is None:
-                raise ExperimentError(f"no stored result named {name!r}")
-            document = self.read_document(name, path)
-            if document.get("format_version") not in _SUPPORTED_VERSIONS:
-                raise ExperimentError(
-                    f"result {name!r} uses unsupported format "
-                    f"{document.get('format_version')}"
-                )
-            try:
-                payload = self._payload(name, document, verify=verify)
-                if verify:
-                    self._verify_document(name, document, payload, signatures)
-            except ResultCorruptionError:
-                changed = _stat_signature(path) != signatures[0]
-                if changed and attempt + 1 < attempts:
-                    continue
-                raise
-            return StoredVersion(
-                signatures=signatures,
-                digest=self._document_digest(
-                    name, document, payload, signatures
-                ),
-                metadata=_header(document),
-                payload=_decode(payload),
-            )
-        raise AssertionError("unreachable")  # pragma: no cover
-
-    def _document_digest(
-        self,
-        name: str,
-        document: Dict[str, Any],
-        payload: Any,
-        signatures: Signatures,
-    ) -> str:
-        """The content digest of a parsed document's encoded payload.
-
-        Version-2/3 documents record it; a legacy version-1 document
-        gets it computed over the canonical payload and memoized for
-        these signatures (flagged unverified: there is no recorded
-        checksum it was checked against).
-        """
-        checksum = document.get("checksum")
-        if isinstance(checksum, dict) and isinstance(
-            checksum.get("digest"), str
-        ):
-            return checksum["digest"]
-        cached = self._digest_cache.get(name)
-        if cached is not None and (cached[0], cached[1]) == signatures:
-            self.digest_reuses += 1
-            return cached[2]
-        self.digest_recomputes += 1
-        digest = content_checksum(payload)
-        self._digest_cache[name] = (
-            signatures[0], signatures[1], digest, False
-        )
-        return digest
+        version = self._read(name, verify)
+        if version is None:
+            raise ExperimentError(f"no stored result named {name!r}")
+        return version._replace(payload=_decode(version.payload))
 
     def metadata(self, name: str) -> Dict[str, Any]:
         """Reload a result's header (version, config, notes, quality)."""
@@ -774,103 +780,39 @@ class ResultReader:
     def content_digest(self, name: str) -> str:
         """The artifact's content sha256 (the HTTP service's ETag key).
 
-        Version-2/3 documents record it at save time, so an unchanged
-        artifact costs two ``stat`` calls; legacy version-1 documents
-        get theirs computed (and memoized) over the canonical payload.
+        The digest of one unverified read: the memoized digest of these
+        bytes, else the checksum version-2/3 documents record at save
+        time (nothing recomputed), else -- for legacy version-1
+        documents -- computed over the canonical payload and memoized.
         Version-2 and version-3 encodings of the same data share one
         digest, so the ETag survives a ``simra-dram migrate``.
         """
-        signatures = self.signatures(name)
-        cached = self._digest_cache.get(name)
-        if cached is not None and (cached[0], cached[1]) == signatures:
-            self.digest_reuses += 1
-            return cached[2]
-        path = self.path_for(name)
-        if not path.exists():
+        version = self._read(name, verify=False)
+        if version is None:
             raise ExperimentError(f"no stored result named {name!r}")
-        document = self.read_document(name, path)
-        checksum = document.get("checksum")
-        if isinstance(checksum, dict) and isinstance(
-            checksum.get("digest"), str
-        ):
-            # Copied, not recomputed: a cheap ETag, but a verifying
-            # load for these same bytes must still do its checksum.
-            digest = checksum["digest"]
-            self._digest_cache[name] = (
-                signatures[0], signatures[1], digest, False
-            )
-            return digest
-        return self._document_digest(
-            name,
-            document,
-            self._payload(name, document, verify=False),
-            signatures,
-        )
+        return version.digest
 
     # -- integrity classification --------------------------------------------
 
     def validate(self, name: str) -> str:
         """Fine-grained damage classification of one stored artifact.
 
-        The single authority behind both :meth:`verify`'s coarse
-        statuses and ``simra-dram repair``'s findings: ``"torn-json"``
-        (truncated or non-JSON document), ``"checksum-mismatch"``
-        (document bytes altered after the save), ``"sidecar-missing"``
-        / ``"sidecar-corrupt"`` / ``"sidecar-mismatch"`` (columnar
-        sidecar damage), plus the benign ``"ok"`` / ``"legacy"`` /
-        ``"missing"``.
-
-        Like :meth:`load`, a damage verdict is re-checked when the
-        document changed mid-classification -- a lockless reader
-        racing the writer's commit must not misread a rewrite in
-        flight as corruption.
+        The verdict of one verifying read: the damage class it raised
+        -- ``"torn-json"`` (truncated, non-JSON or unsupported
+        document), ``"checksum-mismatch"`` (document bytes altered
+        after the save), ``"sidecar-missing"`` / ``"sidecar-corrupt"``
+        / ``"sidecar-mismatch"`` (columnar sidecar damage) -- or the
+        benign ``"ok"`` / ``"legacy"`` (no checksum record) /
+        ``"missing"``.  :meth:`verify`'s coarse statuses and
+        ``simra-dram repair``'s findings are both derived from it.
         """
-        before = _stat_signature(self.path_for(name))
-        verdict = self._validate_once(name)
-        if (
-            verdict in _DAMAGE_CLASSES
-            and _stat_signature(self.path_for(name)) != before
-        ):
-            verdict = self._validate_once(name)
-        return verdict
-
-    def _validate_once(self, name: str) -> str:
-        path = self.path_for(name)
-        signatures = self.signatures(name)
-        if not path.exists():
+        try:
+            version = self._read(name)
+        except ResultCorruptionError as exc:
+            return exc.damage
+        if version is None:
             return "missing"
-        try:
-            document = self.read_document(name, path)
-        except ResultCorruptionError:
-            return "torn-json"
-        arrays: Optional[Dict[str, np.ndarray]] = None
-        if document.get("format_version") == _COLUMNAR_FORMAT_VERSION:
-            columns = document.get("columns")
-            if not isinstance(columns, dict):
-                return "torn-json"
-            sidecar = self._directory / str(columns.get("file", ""))
-            if not sidecar.exists():
-                return "sidecar-missing"
-            try:
-                arrays = self._sidecar_arrays(name, sidecar)
-            except ResultCorruptionError:
-                return "sidecar-corrupt"
-            recorded = (columns.get("checksum") or {}).get("digest")
-            if recorded != _columns_checksum(arrays):
-                return "sidecar-mismatch"
-        if not isinstance(document.get("checksum"), dict):
-            return "legacy"
-        try:
-            if arrays is not None:
-                payload = _restore_summaries(document.get("data"), arrays)
-            else:
-                payload = self._payload(name, document, verify=True)
-            self._verify_document(name, document, payload, signatures)
-        except ChecksumMismatchError:
-            return "checksum-mismatch"
-        except ResultCorruptionError:
-            return "torn-json"
-        return "ok"
+        return _status(version.metadata)
 
     def verify(self, name: Optional[str] = None) -> Union[str, Dict[str, Any]]:
         """Integrity status of one artifact, or a store-wide scan.

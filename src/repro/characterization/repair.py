@@ -42,7 +42,7 @@ class RepairFinding:
 
     name: str
     classification: str
-    """What was wrong: a :meth:`ResultStore.diagnose` damage class,
+    """What was wrong: a :meth:`ResultReader.validate` damage class,
     ``missing-artifact`` (manifest names it, no file), ``orphaned-tmp``,
     ``orphaned-sidecar``, ``interrupted-commit`` (journal intent with
     no done), ``corrupt-manifest``, or ``stale-lock``."""

@@ -171,9 +171,9 @@ class ResultStore:
     the two encodings.
 
     Every read-side method (``load`` / ``metadata`` / ``verify`` /
-    ``diagnose`` / ``names`` / ...) is served by the embedded
-    :attr:`reader`; consumers that never write should take the reader
-    directly and skip the store (and its lock) entirely.
+    ``names`` / ...) is served by the embedded :attr:`reader`;
+    consumers that never write should take the reader directly and
+    skip the store (and its lock) entirely.
     """
 
     def __init__(self, directory: Path, columnar: bool = False):
@@ -354,13 +354,6 @@ class ResultStore:
         See :meth:`ResultReader.verify`.
         """
         return self._reader.verify(name)
-
-    def diagnose(self, name: str) -> str:
-        """Fine-grained damage classification of one stored artifact.
-
-        See :meth:`ResultReader.validate` (the single implementation).
-        """
-        return self._reader.validate(name)
 
     def orphaned_tmp_files(self) -> List[str]:
         """Stale ``*.tmp`` files left by writers that died mid-write."""

@@ -7,6 +7,8 @@ still distinguishing configuration mistakes from protocol violations.
 
 from __future__ import annotations
 
+from typing import Optional
+
 
 class SimraError(Exception):
     """Base class for all errors raised by this library."""
@@ -102,11 +104,22 @@ class ResultCorruptionError(ExperimentError):
     (e.g. a campaign was killed mid-write before writes became atomic,
     or the file was damaged on disk)."""
 
+    damage = "torn-json"
+    """The fine damage class :meth:`~repro.characterization.reader.
+    ResultReader.validate` reports for this error."""
+
+    def __init__(self, message: str = "", damage: Optional[str] = None):
+        super().__init__(message)
+        if damage is not None:
+            self.damage = damage
+
 
 class ChecksumMismatchError(ResultCorruptionError):
     """A stored artifact parses fine but its content no longer matches
     the checksum recorded at write time: the bytes were altered after
     the save (bit rot, a hand edit, an injected corruption)."""
+
+    damage = "checksum-mismatch"
 
 
 class NoHealthyModulesError(ExperimentError):

@@ -38,10 +38,12 @@ Saved work: a figure is served from one immutable
 ETag, header and payload come from a single document read (a commit
 between two reads can no longer pair one version's data with another's
 notes).  The entry memoizes its encoded ``/figures/{name}`` body and
-its ``/ci`` answers.  The ``/figures`` body is memoized by the store
-scan its state token hashes, and its rows per artifact, each keyed by
-that artifact's stat signatures, so a commit re-verifies only the rows
-it touched.
+its ``/ci`` answers.  A ``/figures`` row is a view of the same entry
+(or of the damage class its read raised), so a row, its figure body
+and its ``/ci`` answers share one read per version.  The ``/figures``
+body is memoized by the store scan its state token hashes, and its
+rows per artifact, each keyed by that artifact's stat signatures, so a
+commit re-reads only the rows it touched.
 
 Error mapping: an absent artifact is ``404``; a stored artifact that
 fails integrity (:class:`~repro.errors.ResultCorruptionError`,
@@ -67,10 +69,12 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, unquote, urlsplit
 
 from ..characterization.reader import (
+    _COARSE_STATUS,
     ArtifactKey,
     ResultReader,
     StoreScan,
     _encode,
+    _status,
 )
 from ..characterization.stats import (
     DistributionSummary,
@@ -437,7 +441,7 @@ class ResultService:
         Rows are memoized per artifact, keyed by that artifact's slice
         of the scan (:data:`~repro.characterization.reader.ArtifactKey`):
         a row whose key is unchanged is reused as built, so a commit
-        re-verifies only the rows it touched, and rows of deleted
+        re-reads only the rows it touched, and rows of deleted
         artifacts are dropped.  A row is kept only if a second scan
         after the build still shows the key the build started from: a
         commit that overlapped the build may have mixed two versions,
@@ -467,19 +471,27 @@ class ResultService:
         return {"figures": listing, "count": len(listing)}, settled
 
     def _row(self, name: str) -> Dict[str, Any]:
-        """One artifact's ``/figures`` row, built from the store now."""
-        row: Dict[str, Any] = {"name": name}
-        # The coarse integrity verdict ("ok" / "legacy" / "corrupt" /
-        # "mismatch"); damaged entries stay listed -- hiding them would
-        # make damage look like deletion -- but carry no ETag or
-        # metadata.
-        row["status"] = self._reader.verify(name)
-        if row["status"] in ("ok", "legacy"):
-            meta = self._reader.metadata(name)
-            row["format_version"] = meta.get("format_version")
-            row["notes"] = meta.get("notes")
-            row["etag"] = f'"sha256:{self._reader.content_digest(name)}"'
-        return row
+        """One artifact's ``/figures`` row: a view of its current entry.
+
+        The status is the coarse integrity verdict of the entry's read
+        (``"ok"`` / ``"legacy"``) or of the damage it raised
+        (``"corrupt"`` / ``"mismatch"``); damaged entries stay listed
+        -- hiding them would make damage look like deletion -- but
+        carry no ETag or metadata.
+        """
+        try:
+            entry = self._cache.get(name)
+        except ResultCorruptionError as exc:
+            return {"name": name, "status": _COARSE_STATUS[exc.damage]}
+        except ExperimentError:  # deleted since the scan
+            return {"name": name, "status": "missing"}
+        return {
+            "name": name,
+            "status": _status(entry.metadata),
+            "format_version": entry.metadata.get("format_version"),
+            "notes": entry.metadata.get("notes"),
+            "etag": entry.etag,
+        }
 
     def _figure(self, raw: str) -> Route:
         entry = self._load(self._figure_name(raw))

@@ -7,22 +7,25 @@ immutable versions serves well.  :class:`HotFigureCache` holds one
 :class:`FigureEntry` per figure, built from **one** document read
 (:meth:`~repro.characterization.reader.ResultReader.load_version`), so
 the entry's digest, header and payload always describe the same
-bytes.  Entries are keyed by the artifact's ``(document, sidecar)``
-stat signatures:
+bytes.  Entries are keyed by the stat signatures of the document and
+of the column sidecar it references:
 
-- a **hit** costs two ``stat`` calls and no hashing, parsing, or
+- a **hit** costs one ``stat`` per file and no hashing, parsing, or
   verification;
-- any committed rewrite replaces the document (a fresh inode), the
-  signatures differ, and the stale entry is rebuilt -- the stat check
-  *is* the freshness check, there is no timer to race.  That includes
-  rewrites that keep the content digest (a ``simra-dram migrate``, a
-  new ``notes``): the rebuilt entry carries the same ETag, so clients'
-  revalidations still answer ``304``.
+- any committed rewrite replaces the document (a fresh inode), and
+  damage to the referenced sidecar moves its signature, so the stale
+  entry is rebuilt -- the stat check *is* the freshness check, there
+  is no timer to race.  That includes rewrites that keep the content
+  digest (a ``simra-dram migrate``, a new ``notes``): the rebuilt
+  entry carries the same ETag, so clients' revalidations still answer
+  ``304``.
 
 An entry also memoizes what the service derives from it: the encoded
 ``/figures/{name}`` body (rendered on first use) and up to
 :data:`CI_MEMO_LIMIT` ``/ci`` answers keyed by their query knobs.  A
-new version is a new entry, so neither memo can outlive its data.
+new version is a new entry, so the body memo cannot outlive its data;
+the ``/ci`` answers depend on the content alone, so an entry that
+replaces one of the same digest inherits them.
 
 The same instance backs the CLI and the HTTP service, so a service
 colocated with analytics tooling shares one working set.
@@ -56,6 +59,8 @@ class FigureEntry:
     name: str
     signatures: Signatures
     """``(document, sidecar)`` stat signatures the entry is keyed by."""
+    sidecar: Optional[str]
+    """The column sidecar file the document references, if any."""
     digest: str
     """Content sha256 (the ETag's key; survives ``migrate``)."""
     metadata: Dict[str, Any]
@@ -104,6 +109,12 @@ class FigureEntry:
                 self._ci.popitem(last=False)
         return answer
 
+    def inherit_ci(self, older: "FigureEntry") -> None:
+        """Start from ``older``'s ``/ci`` answers (same digest, so the
+        same content); called before this entry is shared."""
+        with older._lock:
+            self._ci.update(older._ci)
+
 
 class HotFigureCache:
     """LRU of immutable figure versions keyed by stat signature."""
@@ -136,15 +147,24 @@ class HotFigureCache:
     def get(self, name: str) -> FigureEntry:
         """The current version of one stored figure.
 
-        A hit is two ``stat`` calls.  A miss runs one verified
-        ``reader.load_version``; corruption and missing-artifact
-        errors propagate to the caller untouched -- a damaged artifact
-        is never cached.
+        A hit is one ``stat`` per file the entry was read from.  A miss
+        runs one verified ``reader.load_version``; corruption and
+        missing-artifact errors propagate to the caller untouched -- a
+        damaged artifact is never cached.  An entry replacing one of
+        the same digest inherits its ``/ci`` answers.
         """
-        signatures = self._reader.signatures(name)
+        with self._lock:
+            stale = self._entries.get(name)
+        signatures = self._reader.signatures(
+            name, None if stale is None else stale.sidecar
+        )
         with self._lock:
             entry = self._entries.get(name)
-            if entry is not None and entry.signatures == signatures:
+            if (
+                entry is not None
+                and entry is stale
+                and entry.signatures == signatures
+            ):
                 self.hits += 1
                 self._entries.move_to_end(name)
                 return entry
@@ -155,6 +175,8 @@ class HotFigureCache:
         # The load runs unlocked: a slow read must not serialize every
         # other reader.  Racing misses both load; last insert wins.
         entry = FigureEntry(name, **self._reader.load_version(name)._asdict())
+        if stale is not None and stale.digest == entry.digest:
+            entry.inherit_ci(stale)
         with self._lock:
             self._entries[name] = entry
             self._entries.move_to_end(name)

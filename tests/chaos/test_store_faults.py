@@ -52,7 +52,7 @@ class TestTornWrite:
         )
         chaotic.save("figx", PAYLOAD)  # reports success
         assert store.verify("figx") == "corrupt"
-        assert store.diagnose("figx") == "torn-json"
+        assert store.reader.validate("figx") == "torn-json"
         assert engine.stats.injected["store-torn-write"] == 1
 
 
@@ -62,7 +62,7 @@ class TestPartialSidecar:
             tmp_path, columnar=True, store_partial_sidecar_names=("figx",)
         )
         chaotic.save("figx", {"cell": summarize([0.5, 1.0])})
-        assert store.diagnose("figx") == "sidecar-missing"
+        assert store.reader.validate("figx") == "sidecar-missing"
         assert store.verify("figx") == "corrupt"
 
     def test_plain_artifact_gains_orphan_sidecar(self, tmp_path):

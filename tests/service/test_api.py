@@ -212,15 +212,16 @@ class TestCacheIntegration:
 
 
 def _count_verifies(reader):
-    """Record the name of every ``reader.verify`` call from now on."""
+    """Record the name of every read of an artifact version from now on
+    (the one read behind rows, figures, ``verify`` and ``validate``)."""
     verified = []
-    original = reader.verify
+    original = reader._read
 
-    def counting_verify(name=None):
+    def counting_read(name, verify=True):
         verified.append(name)
-        return original(name)
+        return original(name, verify)
 
-    reader.verify = counting_verify
+    reader._read = counting_read
     return verified
 
 
@@ -406,17 +407,17 @@ class TestSavedWork:
         service.handle("GET", "/figures")
         store.save("plain", {"threshold": 0.6}, notes="first")
         verified = []
-        original = reader.verify
+        original = reader._read
 
-        def verify_then_commit(name=None):
-            status = original(name)
+        def verify_then_commit(name, verify=True):
+            version = original(name, verify)
             verified.append(name)
             if verified == ["plain"]:
                 # A writer lands while the listing builds plain's row.
                 store.save("plain", {"threshold": 0.7}, notes="second")
-            return status
+            return version
 
-        reader.verify = verify_then_commit
+        reader._read = verify_then_commit
         mixed = service.handle("GET", "/figures")
         assert mixed.status == 200
         assert verified == ["plain"]
@@ -445,15 +446,15 @@ class TestSavedWork:
             scans.append(real_scan())
             return scans[-1]
 
-        original = reader.verify
+        original = reader._read
 
-        def verify_then_commit(name=None):
-            status = original(name)
+        def verify_then_commit(name, verify=True):
+            version = original(name, verify)
             if name == "plain" and len(scans) == 1:
                 store.save("plain", {"threshold": 0.7}, notes="second")
-            return status
+            return version
 
-        reader.scan, reader.verify = recording_scan, verify_then_commit
+        reader.scan, reader._read = recording_scan, verify_then_commit
         service.handle("GET", "/figures")  # plain's row mixes two versions
         store.save("plain", {"threshold": 0.8}, notes="third")
 
@@ -515,6 +516,32 @@ class TestSavedWork:
                 "GET", f"/ci/fig3?resamples=50&seed={seed}"
             ).status == 200
         assert len(service.cache.get("fig3")._ci) == CI_MEMO_LIMIT
+
+    def test_ci_answers_survive_a_digest_keeping_rewrite(
+        self, store, monkeypatch
+    ):
+        from repro.service import api
+
+        calls = {"n": 0}
+
+        def counting_ci(*args, **kwargs):
+            calls["n"] += 1
+            return bootstrap_mean_ci(*args, **kwargs)
+
+        monkeypatch.setattr(api, "bootstrap_mean_ci", counting_ci)
+        service = ResultService(ResultReader(store.directory))
+        query = "/ci/fig3?resamples=200&seed=4"
+        first = service.handle("GET", query)
+        data = store.load("fig3")
+        # New notes, then a columnar migrate: same content digest.
+        for columnar in (False, True):
+            store.save("fig3", data, notes="re-noted", columnar=columnar)
+            again = service.handle("GET", query)
+            assert again.body == first.body
+            assert again.headers["ETag"] == first.headers["ETag"]
+        assert calls["n"] == 1
+        figure = _body(service.handle("GET", "/figures/fig3"))
+        assert figure["notes"] == "re-noted"  # the body is not inherited
 
 
 _FIGURES = ("f0", "f1", "f2", "f3")
