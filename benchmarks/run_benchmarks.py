@@ -37,15 +37,10 @@ from repro.engine.benchmark import (  # noqa: E402
     DEFAULT_EXECUTORS,
     run_campaign_benchmark,
     run_engine_benchmark,
-    run_fleet_benchmark,
     run_planner_benchmark,
     write_benchmark_json,
 )
 from repro.engine.executors import available_cpu_count  # noqa: E402
-
-# Floors that only hold when the machine can actually run the workers
-# in parallel: a 1-CPU container measures time-slicing, not scaling.
-CPU_GATED_FLOORS = {"fleet": 2}
 
 
 def check_floors(report, floors_path: Path) -> int:
@@ -56,9 +51,9 @@ def check_floors(report, floors_path: Path) -> int:
     machines than absolute wall-times; the tolerance absorbs the
     remaining run-to-run noise.  Worker-scaling floors (the
     ``worker_scaling`` section) gate on the fused-parallel executor's
-    scaling curve; they and other parallelism floors are skipped --
-    with a printed note -- on machines without enough usable CPUs to
-    make the measurement meaningful.
+    scaling curve; they are skipped -- with a printed note -- on
+    machines without enough usable CPUs to make the measurement
+    meaningful.
     """
     floors = json.loads(floors_path.read_text())
     tolerance = float(floors.get("tolerance", 0.75))
@@ -68,13 +63,6 @@ def check_floors(report, floors_path: Path) -> int:
         measured = report.speedup.get(name)
         if measured is None:
             print(f"floor check: {name} not benchmarked, skipping")
-            continue
-        needs = CPU_GATED_FLOORS.get(name)
-        if needs is not None and cpus < needs:
-            print(
-                f"floor check: {name} needs >= {needs} usable CPUs "
-                f"(have {cpus}), skipping"
-            )
             continue
         threshold = float(floor) * tolerance
         verdict = "ok" if measured >= threshold else "REGRESSION"
@@ -199,7 +187,6 @@ def provenance(args) -> dict:
             "seed": args.seed,
             "jobs": args.jobs,
             "campaign_trials": args.campaign_trials if args.campaign else None,
-            "fleet_workers": args.fleet_workers if args.fleet else None,
             "planner_max_trials": (
                 args.planner_max_trials if args.planner else None
             ),
@@ -208,8 +195,8 @@ def provenance(args) -> dict:
     }
     if usable < 2:
         stamp["notes"].append(
-            f"time-sliced: {usable} usable CPU, so parallel and fleet "
-            "numbers measure time-slicing, not scaling"
+            f"time-sliced: {usable} usable CPU, so parallel numbers "
+            "measure time-slicing, not scaling"
         )
     return stamp
 
@@ -247,16 +234,6 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--campaign-trials", type=int, default=16,
         help="trials per test for the campaign benchmark",
-    )
-    parser.add_argument(
-        "--fleet", action="store_true",
-        help="also time a >= 6-figure campaign on a localhost worker "
-        "fleet vs the single-pool pipelined baseline (adds the 'fleet' "
-        "section and speedup)",
-    )
-    parser.add_argument(
-        "--fleet-workers", type=int, default=2,
-        help="worker subprocesses for the fleet benchmark",
     )
     parser.add_argument(
         "--planner", action="store_true",
@@ -300,13 +277,6 @@ def main(argv=None) -> int:
             jobs=args.jobs,
         )
         report.speedup["campaign"] = report.campaign["speedup"]
-    if args.fleet:
-        report.fleet = run_fleet_benchmark(
-            seed=args.seed,
-            jobs=args.jobs,
-            workers=args.fleet_workers,
-        )
-        report.speedup["fleet"] = report.fleet["speedup"]
     if args.planner:
         report.planner = run_planner_benchmark(
             seed=args.seed,
@@ -325,10 +295,6 @@ def main(argv=None) -> int:
     if not report.identical:
         return 1
     if report.campaign is not None and not report.campaign["identical"]:
-        return 1
-    if report.fleet is not None and not (
-        report.fleet["identical"] and report.fleet["audit_passed"]
-    ):
         return 1
     if report.planner is not None and not (
         report.planner["converged"] and report.planner["identical"]

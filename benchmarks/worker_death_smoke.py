@@ -1,29 +1,29 @@
 #!/usr/bin/env python
-"""Nightly fleet smoke: kill a worker mid-campaign, lose nothing.
+"""Nightly worker-death smoke: kill a worker mid-campaign, lose nothing.
 
-Runs a two-figure campaign through the real socket backend -- two
-``simra-dram worker`` subprocesses dialed into a
-:class:`~repro.engine.fleet.LocalFleet`, the fused-parallel executor
-over dial-in workers -- and SIGKILLs one worker while the campaign
-runs.  The executor must notice the death, re-queue the orphaned
-slice, and finish the campaign; the stored artifacts must be
-byte-equal to a single-host serial reference; and ``audit`` (checksum
-+ serial recompute) must pass on the fleet store with no
-fleet-specific handling.
+Runs a two-figure campaign on the fused-parallel executor with two
+forked workers, which speak the frame protocol of
+:mod:`repro.engine.fleet` over socketpairs, and SIGKILLs one worker's
+pid while the campaign runs.  The executor must notice the death,
+re-queue the orphaned slice, and finish the campaign; the stored
+artifacts must be byte-equal to an in-process serial reference; and
+``audit`` (checksum + serial recompute) must pass on the pool's store
+with no special handling.
 
-This is the fleet tier's whole contract in one script: distribution
-changes where the work runs, never what gets stored -- even across a
-worker death.
+This is distribution's whole contract in one script: it changes where
+the work runs, never what gets stored -- even across a worker death.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/fleet_smoke.py
-    PYTHONPATH=src python benchmarks/fleet_smoke.py --kill-after 0.1
+    PYTHONPATH=src python benchmarks/worker_death_smoke.py
+    PYTHONPATH=src python benchmarks/worker_death_smoke.py --kill-after 0.1
 """
 
 from __future__ import annotations
 
 import argparse
+import os
+import signal
 import sys
 import tempfile
 import threading
@@ -39,7 +39,7 @@ from repro.characterization.experiment import (  # noqa: E402
 from repro.characterization.store import ResultStore  # noqa: E402
 from repro.config import SimulationConfig  # noqa: E402
 from repro.dram.vendor import TESTED_MODULES  # noqa: E402
-from repro.engine.fleet import LocalFleet  # noqa: E402
+from repro.engine import ProcessPoolExecutor  # noqa: E402
 from repro.health import audit_store  # noqa: E402
 
 
@@ -60,7 +60,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=2024)
     parser.add_argument(
         "--kill-after", type=float, default=0.05,
-        help="seconds into the fleet run at which worker 0 is "
+        help="seconds into the pool run at which worker 0 is "
         "SIGKILLed; must land before the campaign's last slice to it "
         "(default 0.05: the whole campaign takes a few tenths of a "
         "second)",
@@ -81,7 +81,7 @@ def main(argv=None) -> int:
     failures = 0
     with tempfile.TemporaryDirectory() as tmp:
         ref_dir = Path(tmp) / "reference"
-        fleet_dir = Path(tmp) / "fleet"
+        pool_dir = Path(tmp) / "pool"
 
         print(f"serial reference campaign: {' '.join(args.figures)}")
         reference = Campaign(build_scope(), store=ResultStore(ref_dir)).run(
@@ -90,15 +90,17 @@ def main(argv=None) -> int:
         failures += check(reference.succeeded, "reference campaign succeeded")
 
         print(
-            f"fleet campaign over 2 workers, SIGKILL worker 0 at "
-            f"t+{args.kill_after:.1f}s"
+            f"pool campaign over 2 forked workers, SIGKILL worker 0 at "
+            f"t+{args.kill_after:.2f}s"
         )
-        with LocalFleet(workers=2) as fleet:
+        with ProcessPoolExecutor(jobs=2) as pool:
+            pool.start()
+            victim = pool._workers[0].process
             campaign = Campaign(
-                build_scope(), store=ResultStore(fleet_dir), executor=fleet
+                build_scope(), store=ResultStore(pool_dir), executor=pool
             )
             killer = threading.Timer(
-                args.kill_after, lambda: fleet.kill_worker(0)
+                args.kill_after, os.kill, (victim, signal.SIGKILL)
             )
             killer.start()
             try:
@@ -107,7 +109,7 @@ def main(argv=None) -> int:
                 killer.cancel()
 
         stats = result.engine_stats
-        failures += check(result.succeeded, "fleet campaign succeeded")
+        failures += check(result.succeeded, "pool campaign succeeded")
         failures += check(
             result.completed == list(args.figures),
             "figures committed in deterministic order",
@@ -122,24 +124,24 @@ def main(argv=None) -> int:
         )
 
         failures += check(
-            ResultStore(fleet_dir).load_manifest().fingerprint
+            ResultStore(pool_dir).load_manifest().fingerprint
             == ResultStore(ref_dir).load_manifest().fingerprint,
-            "manifest fingerprint equal to the single-host one",
+            "manifest fingerprint equal to the serial reference",
         )
         for name in args.figures:
-            same = (fleet_dir / f"{name}.json").read_bytes() == (
+            same = (pool_dir / f"{name}.json").read_bytes() == (
                 ref_dir / f"{name}.json"
             ).read_bytes()
             failures += check(
                 same, f"{name} artifact byte-equal to serial reference"
             )
 
-        report = audit_store(ResultStore(fleet_dir), sample=2, seed=0)
+        report = audit_store(ResultStore(pool_dir), sample=2, seed=0)
         for line in report.summary_lines():
             print(f"  {line}")
-        failures += check(report.passed, "audit PASS on the fleet store")
+        failures += check(report.passed, "audit PASS on the pool store")
 
-    print("fleet smoke: " + ("PASS" if failures == 0 else "FAIL"))
+    print("worker-death smoke: " + ("PASS" if failures == 0 else "FAIL"))
     return 0 if failures == 0 else 1
 
 

@@ -43,11 +43,10 @@ the executor is failure-isolated:
   adaptive knobs ride in the manifest fingerprint so resume refuses to
   mix budgets and the audit can rebuild the exact planner.
 
-Where the trials run is the executor's business: a fleet of dial-in
-workers (:class:`~repro.engine.fleet.LocalFleet`) is the
-``fused-parallel`` executor with remote workers, so it combines with
-every source below, chaos and health supervision included, and
-commits bytes equal to a single-host run.
+Where the trials run is the executor's business: the
+``fused-parallel`` executor's worker processes combine with every
+source below, chaos and health supervision included, and commit bytes
+equal to an in-process run.
 
 One loop drives every run.  :meth:`Campaign.run` prepares the manifest
 and the resume skips once, then hands the figures still to run to

@@ -14,8 +14,7 @@ writing Python::
     simra-dram trng --bits 4096         # extension: random numbers
     simra-dram decoder --rf 0 --rs 7    # decoder algebra lookup
     simra-dram campaign --resume        # checkpointed figure sweep
-    simra-dram campaign --fleet 4       # slices across 4 dial-in workers
-    simra-dram worker --connect H:P     # fleet worker serving a dispatcher
+    simra-dram campaign --chips 240     # sampled vendor-profile chips
     simra-dram audit --results-dir d    # integrity + recompute audit
     simra-dram repair --results-dir d   # quarantine damage, patch manifest
     simra-dram stats --results-dir d    # engine metrics of a campaign
@@ -32,10 +31,9 @@ knobs where relevant; measurement commands additionally take
 the trial-engine execution strategy,
 ``--cache``/``--cache-dir`` to reuse bit-identical trial outcomes
 across runs, and ``--stats`` to print the engine's per-layer
-counters afterwards.  ``campaign --fleet N`` runs the
-``fused-parallel`` executor on N ``worker`` processes that dial in
-over its socket protocol instead of N forked ones, and combines with
-``--chaos``, ``--supervise`` and ``--adaptive`` like any executor.
+counters afterwards.  ``campaign --chips N`` characterizes N
+vendor-profile chips sampled round-robin over the catalog (instances
+beyond the paper's module counts) on any executor.
 
 Exit codes: 0 success; 1 experiment failures, audit FAIL, or damage
 found by a dry-run repair; 2 usage/configuration error (including a
@@ -187,14 +185,15 @@ def _print_stats(args: argparse.Namespace, executor) -> None:
 
 
 def _scope_from(args: argparse.Namespace) -> CharacterizationScope:
-    from .characterization.experiment import CharacterizationScope
+    """``--chips`` sampled chips; by default the catalog's first module
+    of each spec (the same benches as ``CharacterizationScope.build``)."""
     from .dram.vendor import TESTED_MODULES
+    from .engine.fleet import fleet_scope
 
-    config = SimulationConfig(seed=args.seed, columns_per_row=args.columns)
-    return CharacterizationScope.build(
-        config=config,
-        specs=TESTED_MODULES,
-        modules_per_spec=1,
+    chips = getattr(args, "chips", None)
+    return fleet_scope(
+        len(TESTED_MODULES) if chips is None else chips,
+        config=SimulationConfig(seed=args.seed, columns_per_row=args.columns),
         groups_per_size=args.groups,
         trials=args.trials,
     )
@@ -374,18 +373,6 @@ def _cmd_trng(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_worker(args: argparse.Namespace) -> int:
-    from .engine.fleet import run_worker
-    from .errors import ExperimentError
-
-    try:
-        run_worker(args.connect)
-    except (ExperimentError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    return EXIT_OK
-
-
 def _cmd_campaign(args: argparse.Namespace) -> int:
     from .characterization.campaign import (
         Campaign,
@@ -402,22 +389,10 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         # A refused campaign leaves no results directory behind and
         # starts no worker.
         check_experiments(args.experiments)
+        scope = _scope_from(args)
     except ExperimentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.fleet and args.fleet_chips:
-        from .engine.fleet import fleet_scope
-
-        scope = fleet_scope(
-            args.fleet_chips,
-            config=SimulationConfig(
-                seed=args.seed, columns_per_row=args.columns
-            ),
-            groups_per_size=args.groups,
-            trials=args.trials,
-        )
-    else:
-        scope = _scope_from(args)
     chaos = None
     if args.chaos:
         chaos = ChaosConfig.light(
@@ -449,15 +424,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         refuse_combinations(chaos=chaos, health=health, adaptive=adaptive)
         store = ResultStore(Path(args.results_dir))
         with contextlib.ExitStack() as stack:
-            if args.fleet:
-                # The fused-parallel executor over dial-in workers;
-                # --executor and --jobs do not apply.
-                from .engine.fleet import LocalFleet
-
-                executor = stack.enter_context(LocalFleet(workers=args.fleet))
-                executor.cache = _cache_from(args)
-            else:
-                executor = stack.enter_context(_executor_from(args))
+            executor = stack.enter_context(_executor_from(args))
             campaign = Campaign(
                 scope,
                 store=store,
@@ -483,8 +450,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     print(campaign.render(result))
-    workers = f" across {args.fleet} fleet worker(s)" if args.fleet else ""
-    print(f"\nCampaign over {len(scope.benches)} modules{workers} "
+    print(f"\nCampaign over {len(scope.benches)} modules "
           f"-> {result.stored_at}/")
     for line in result.summary_lines():
         print(line)
@@ -954,17 +920,10 @@ def build_parser() -> argparse.ArgumentParser:
                           "pipelined cross-experiment scheduling; the "
                           "default engages it automatically for "
                           "multi-figure runs on a pipelining executor")
-    sub.add_argument("--fleet", type=int, default=None, metavar="N",
-                     help="run the fused-parallel executor on N localhost "
-                          "worker processes that dial in over the fleet "
-                          "socket protocol (replaces --executor/--jobs; "
-                          "combines with --chaos, --supervise and "
-                          "--adaptive; artifacts stay byte-equal to a "
-                          "single-host run)")
-    sub.add_argument("--fleet-chips", type=int, default=None, metavar="N",
-                     help="with --fleet: characterize N sampled "
-                          "vendor-profile chips instead of the paper's "
-                          "one-module-per-spec catalog scope")
+    sub.add_argument("--chips", type=int, default=None, metavar="N",
+                     help="characterize N vendor-profile chips sampled "
+                          "round-robin over the catalog instead of the "
+                          "paper's one-module-per-spec scope")
     sub.add_argument("--adaptive", action="store_true",
                      help="run the corner matrix through the adaptive "
                           "planner: cells stop at the target CI "
@@ -981,15 +940,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "cell -- the fixed-budget baseline the "
                           "savings are measured against (default 32)")
     sub.set_defaults(handler=_cmd_campaign)
-
-    sub = subparsers.add_parser(
-        "worker",
-        help="run plan slices for a fused-parallel dispatcher over the "
-             "length-prefixed columnar socket protocol",
-    )
-    sub.add_argument("--connect", required=True, metavar="HOST:PORT",
-                     help="dispatcher address to dial into")
-    sub.set_defaults(handler=_cmd_worker)
 
     sub = subparsers.add_parser(
         "audit",

@@ -25,7 +25,6 @@ _EXPORTS = {
     "ExecutorBase": ".executors",
     "ExperimentProgram": ".scheduler",
     "FusedExecutor": ".executors",
-    "LocalFleet": ".fleet",
     "MajXKernel": ".kernels",
     "MultiRowCopyKernel": ".kernels",
     "OutcomeColumns": ".columnar",
@@ -60,7 +59,6 @@ _EXPORTS = {
     "run_plan": ".executors",
     "run_task_serial": ".executors",
     "run_tasks_fused": ".executors",
-    "run_worker": ".fleet",
     "send_columns": ".fleet",
     "send_frame": ".fleet",
     "tasks_for_scope": ".plan",

@@ -30,12 +30,6 @@ DEFAULT_CAMPAIGN_FIGURES = ("fig4a", "fig9", "fig11")
 characterization family, dozens of small plans each -- the shape where
 per-plan pool spin-up dominates and pipelining pays."""
 
-DEFAULT_FLEET_FIGURES = (
-    "fig3", "fig4a", "fig6", "fig7", "fig8", "fig9",
-)
-"""Figures for the fleet benchmark: a >= 6-figure campaign, enough
-independent programs for two workers to stay saturated."""
-
 DEFAULT_CAMPAIGN_JOBS = max(1, min(4, available_cpu_count()))
 """Workers for the campaign benchmark when the caller passes no jobs.
 
@@ -77,9 +71,6 @@ class BenchmarkReport:
     campaign: Optional[Dict[str, object]] = None
     """Whole-campaign pipelining benchmark (see
     :func:`run_campaign_benchmark`), when requested."""
-    fleet: Optional[Dict[str, object]] = None
-    """Multi-worker fleet campaign benchmark (see
-    :func:`run_fleet_benchmark`), when requested."""
     planner: Optional[Dict[str, object]] = None
     """Adaptive-planner benchmark (see :func:`run_planner_benchmark`),
     when requested."""
@@ -100,8 +91,6 @@ class BenchmarkReport:
         }
         if self.campaign is not None:
             document["campaign"] = self.campaign
-        if self.fleet is not None:
-            document["fleet"] = self.fleet
         if self.planner is not None:
             document["planner"] = self.planner
         if self.provenance is not None:
@@ -149,29 +138,6 @@ class BenchmarkReport:
                     if self.campaign["identical"]
                     else "NO (DETERMINISM VIOLATION)"
                 )
-            )
-        if self.fleet is not None:
-            lines.append(
-                "fleet benchmark "
-                + ", ".join(
-                    f"{k}={v}" for k, v in self.fleet["scale"].items()
-                )
-            )
-            lines.append(f"  figures: {', '.join(self.fleet['figures'])}")
-            walls = self.fleet["wall_s"]
-            for mode in ("pipelined", "fleet"):
-                lines.append(f"  {mode:<15} {walls[mode]:8.3f} s")
-            lines.append(
-                f"  fleet speedup over single-pool pipelining: "
-                f"{self.fleet['speedup']:.2f}x"
-            )
-            lines.append(
-                "  fleet artifacts byte-equal to single-host store: "
-                + ("yes" if self.fleet["identical"] else "NO")
-            )
-            lines.append(
-                "  fleet store audit: "
-                + ("PASS" if self.fleet["audit_passed"] else "FAIL")
             )
         if self.planner is not None:
             lines.append(
@@ -414,96 +380,6 @@ def run_campaign_benchmark(
             "sequential": sequential_executor.metrics.as_dict(),
             "pipelined": pipelined_executor.metrics.as_dict(),
         },
-    }
-
-
-def run_fleet_benchmark(
-    columns: int = 128,
-    groups_per_size: int = 2,
-    trials: int = 8,
-    seed: int = 2024,
-    jobs: Optional[int] = None,
-    workers: int = 2,
-    figures: Sequence[str] = DEFAULT_FLEET_FIGURES,
-) -> Dict[str, object]:
-    """Time a campaign on one pipelined pool versus a worker fleet.
-
-    The baseline is the strongest single-host configuration: a
-    :class:`~repro.characterization.campaign.Campaign` on a pipelined
-    fused-parallel pool, committing to a store.  The challenger runs
-    the same figures through :class:`~repro.engine.fleet.LocalFleet`
-    -- the same executor over dial-in worker subprocesses --
-    committing to its own store.  Beyond wall-time, the comparison
-    checks the fleet's two supervision invariants: every stored
-    artifact byte-equal to the single-host store, and ``audit``
-    passing on the fleet store with no fleet-specific handling.
-    """
-    import tempfile
-
-    from ..characterization.campaign import Campaign
-    from ..characterization.store import ResultStore
-    from ..health import audit_store
-    from .fleet import LocalFleet
-
-    run_jobs = DEFAULT_CAMPAIGN_JOBS if jobs is None else jobs
-
-    def build_scope() -> CharacterizationScope:
-        return CharacterizationScope.build(
-            config=SimulationConfig(seed=seed, columns_per_row=columns),
-            specs=TESTED_MODULES,
-            modules_per_spec=1,
-            groups_per_size=groups_per_size,
-            trials=trials,
-        )
-
-    with tempfile.TemporaryDirectory() as tmp:
-        baseline_store = ResultStore(Path(tmp) / "pipelined")
-        executor = make_executor("fused-parallel", jobs=run_jobs)
-        campaign = Campaign(
-            build_scope(), store=baseline_store, executor=executor
-        )
-        started = time.perf_counter()
-        with executor:
-            baseline = campaign.run(list(figures))
-        pipelined_wall = time.perf_counter() - started
-        if not baseline.succeeded:
-            raise RuntimeError(
-                f"baseline campaign failed: {baseline.failures}"
-            )
-
-        fleet_store = ResultStore(Path(tmp) / "fleet")
-        with LocalFleet(workers=workers) as fleet:
-            fleet_campaign = Campaign(
-                build_scope(), store=fleet_store, executor=fleet
-            )
-            started = time.perf_counter()
-            result = fleet_campaign.run(list(figures))
-            fleet_wall = time.perf_counter() - started
-        if not result.succeeded:
-            raise RuntimeError(f"fleet campaign failed: {result.failures}")
-
-        identical = all(
-            (Path(tmp) / "fleet" / f"{name}.json").read_bytes()
-            == (Path(tmp) / "pipelined" / f"{name}.json").read_bytes()
-            for name in figures
-        )
-        audit_passed = audit_store(fleet_store, sample=2, seed=0).passed
-
-    return {
-        "scale": {
-            "columns": columns,
-            "groups_per_size": groups_per_size,
-            "trials": trials,
-            "seed": seed,
-            "jobs": run_jobs,
-            "workers": workers,
-        },
-        "figures": list(figures),
-        "wall_s": {"pipelined": pipelined_wall, "fleet": fleet_wall},
-        "speedup": pipelined_wall / fleet_wall if fleet_wall > 0 else 1.0,
-        "identical": identical,
-        "audit_passed": audit_passed,
-        "metrics": result.engine_stats,
     }
 
 

@@ -16,8 +16,7 @@ experiments, when driven by
 :class:`~repro.engine.scheduler.CampaignScheduler` through
 :meth:`ExecutorBase.run_many`), and are shut down by ``close()`` / the
 context-manager exit.  Slices travel to them, and outcomes back, as
-columnar frames over one socket protocol (:mod:`repro.engine.fleet`),
-whether the workers are forked locally or dial in from elsewhere.
+columnar frames over one socket protocol (:mod:`repro.engine.fleet`).
 """
 
 from __future__ import annotations
@@ -515,14 +514,13 @@ class SerialExecutor(ExecutorBase):
 
 
 class _Worker:
-    """Dispatcher-side handle of one worker: its socket and its process."""
+    """Dispatcher-side handle of one forked worker: its socket and pid."""
 
     __slots__ = ("sock", "process")
 
-    def __init__(self, sock: socket.socket, process: Any) -> None:
+    def __init__(self, sock: socket.socket, process: int) -> None:
         self.sock = sock
         self.process = process
-        """A pid for a forked worker, a ``Popen`` for a dial-in one."""
 
 
 class _PendingPlan:
@@ -584,11 +582,11 @@ class ProcessPoolExecutor(ExecutorBase):
     and reset them to the baseline environment on reuse, which the
     exact thermal settle makes bit-identical to a fresh rebuild.
 
-    Worker death is supervised once, whoever the worker is: the dead
-    worker's slice is re-queued onto a survivor -- safe because every
-    trial's noise is keyed by measurement context, never execution
-    history, so re-running a slice lands on identical bits -- and when
-    no worker survives, the rest of the batch runs in-process.
+    Worker death is supervised once: the dead worker's slice is
+    re-queued onto a survivor -- safe because every trial's noise is
+    keyed by measurement context, never execution history, so
+    re-running a slice lands on identical bits -- and when no worker
+    survives, the rest of the batch runs in-process.
     """
 
     name = "fused-parallel"
@@ -686,8 +684,8 @@ class ProcessPoolExecutor(ExecutorBase):
         return workers
 
     @staticmethod
-    def _greet(sock: socket.socket) -> int:
-        """Read a new worker's ``hello``; its pid."""
+    def _greet(sock: socket.socket) -> None:
+        """Read a new worker's ``hello``."""
         from .fleet import recv_frame
 
         header, _ = recv_frame(sock)
@@ -695,17 +693,16 @@ class ProcessPoolExecutor(ExecutorBase):
             raise ExperimentError(
                 f"worker opened with {header.get('type')!r}, expected hello"
             )
-        return int(header["pid"])
 
     @staticmethod
-    def _reap(process: Any, timeout: float) -> None:
+    def _reap(pid: int, timeout: float) -> None:
         """Wait for a forked worker to exit; SIGKILL it past ``timeout``."""
         deadline = time.monotonic() + timeout
         with contextlib.suppress(ChildProcessError, ProcessLookupError):
-            while not os.waitpid(process, os.WNOHANG)[0]:
+            while not os.waitpid(pid, os.WNOHANG)[0]:
                 if time.monotonic() >= deadline:
-                    os.kill(process, signal.SIGKILL)
-                    os.waitpid(process, 0)
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
                     return
                 time.sleep(0.001)
 

@@ -15,18 +15,15 @@ the kernel, the :class:`OperatingPoint`, each bench's serial,
 come back as data too, so the dispatcher credits the faults a slice
 injected before it re-raises.
 
-Where the workers come from is the only thing that differs:
-
-- ``--jobs N`` forks N local workers, each serving one end of a
-  socketpair (:meth:`ProcessPoolExecutor._launch`);
-- ``--fleet N`` (:class:`LocalFleet`) is the same executor over N
-  ``simra-dram worker --connect`` subprocesses that dial in over TCP.
+The workers are forked by the executor (``--jobs N``,
+:meth:`ProcessPoolExecutor._launch`), each serving one end of a
+socketpair with :func:`serve_connection`.
 
 Because the simulated fleet is a pure function of
 (spec, instance, config), :func:`fleet_scope` can sample instances
-*beyond* the paper's physical module counts -- scaling a campaign from
-the 120 tested chips to thousands of vendor-profile chips without new
-catalog data.
+*beyond* the paper's physical module counts (``campaign --chips N``)
+-- scaling a campaign from the 120 tested chips to thousands of
+vendor-profile chips without new catalog data.
 """
 
 from __future__ import annotations
@@ -37,8 +34,6 @@ import json
 import os
 import socket
 import struct
-import subprocess
-import sys
 import time
 from dataclasses import asdict
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -60,7 +55,7 @@ from .columnar import (
     pack_outcomes,
     unpack_tasks,
 )
-from .executors import ProcessPoolExecutor, _Worker, run_tasks_fused
+from .executors import run_tasks_fused
 from .kernels import (
     ActivationKernel,
     DisturbanceKernel,
@@ -74,9 +69,6 @@ from .plan import TaskOutcome, TrialTask
 MAX_FRAME_BYTES = 1 << 30
 """Refuse frames above this size: a corrupt length prefix should fail
 loudly, not allocate the machine away."""
-
-SPAWN_TIMEOUT_S = 60.0
-"""How long :class:`LocalFleet` waits for its workers to dial in."""
 
 _LENGTH = struct.Struct(">Q")
 _HEADER_LENGTH = struct.Struct(">I")
@@ -427,11 +419,11 @@ def serve_slice(
 def serve_connection(sock: socket.socket) -> int:
     """Serve one dispatcher connection until shutdown or EOF.
 
-    Greets with ``hello`` (carrying the worker's pid), then answers
+    Greets with ``hello``, then answers
     every ``run-slice`` frame with its ``slice-result``
     (:func:`serve_slice`).  Returns the number of slices served.
     """
-    send_frame(sock, {"type": "hello", "pid": os.getpid()})
+    send_frame(sock, {"type": "hello"})
     served = 0
     while True:
         try:
@@ -442,97 +434,6 @@ def serve_connection(sock: socket.socket) -> int:
             return served  # shutdown
         send_columns(sock, *serve_slice(header, columns))
         served += 1
-
-
-def run_worker(connect: str) -> int:
-    """CLI entry: dial the dispatcher and serve until shutdown."""
-    host, sep, port = connect.rpartition(":")
-    if not sep or not host:
-        raise ExperimentError(
-            f"worker --connect wants HOST:PORT, got {connect!r}"
-        )
-    sock = socket.create_connection((host, int(port)))
-    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    with contextlib.closing(sock):
-        serve_connection(sock)
-    return 0
-
-
-# -- dial-in workers -------------------------------------------------------
-
-
-class LocalFleet(ProcessPoolExecutor):
-    """The fused-parallel executor over dial-in worker subprocesses.
-
-    Each worker is a ``python -m repro.cli worker --connect`` process
-    that dials a listener on ``127.0.0.1`` -- the path a worker on
-    another host would take.  Dispatch, supervision and the
-    bit-identity contract are :class:`ProcessPoolExecutor`'s; only
-    where the workers come from differs.  :meth:`kill_worker` SIGKILLs
-    one to exercise the worker-death recovery.
-    """
-
-    def __init__(self, workers: int = 2) -> None:
-        if workers < 1:
-            raise ExperimentError("fleet needs at least one worker")
-        super().__init__(jobs=workers)
-        self.processes: List[subprocess.Popen] = []
-
-    def _launch(self, count: int) -> List[_Worker]:
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.bind(("127.0.0.1", 0))
-        listener.listen(count)
-        listener.settimeout(SPAWN_TIMEOUT_S)
-        port = listener.getsockname()[1]
-        src_root = os.path.dirname(os.path.dirname(
-            os.path.dirname(os.path.abspath(__file__))
-        ))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = src_root + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-        )
-        command = [
-            sys.executable, "-m", "repro.cli", "worker",
-            "--connect", f"127.0.0.1:{port}",
-        ]
-        spawned = {}
-        workers: List[_Worker] = []
-        with contextlib.closing(listener):
-            try:
-                for _ in range(count):
-                    process = subprocess.Popen(
-                        command, env=env, stdin=subprocess.DEVNULL
-                    )
-                    spawned[process.pid] = process
-                    self.processes.append(process)
-                for _ in range(count):
-                    conn, _ = listener.accept()
-                    conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                    workers.append(_Worker(conn, spawned[self._greet(conn)]))
-            except Exception as exc:  # a timeout, EOF, a stranger's hello
-                for worker in workers:
-                    worker.sock.close()
-                for process in spawned.values():
-                    self._reap(process, 0.0)
-                raise ExperimentError(
-                    f"fleet workers failed to dial in: {exc}"
-                ) from exc
-        return workers
-
-    @staticmethod
-    def _reap(process: subprocess.Popen, timeout: float) -> None:
-        try:
-            process.wait(timeout=timeout)
-        except subprocess.TimeoutExpired:
-            process.kill()
-            process.wait()
-
-    def kill_worker(self, index: int) -> int:
-        """SIGKILL one worker process (chaos for death-recovery tests)."""
-        process = self.processes[index]
-        process.kill()
-        process.wait(timeout=30)
-        return process.pid
 
 
 # -- sampled fleets --------------------------------------------------------
@@ -558,7 +459,7 @@ def fleet_scope(
     from ..characterization.experiment import CharacterizationScope
 
     if chips < 1:
-        raise ExperimentError("fleet needs at least one chip")
+        raise ExperimentError(f"a scope needs at least one chip, got {chips}")
     if config is None:
         config = SimulationConfig.quick()
     benches = [

@@ -43,7 +43,7 @@ class EngineMetrics:
     """Tasks re-issued after their worker died mid-slice."""
     worker_deaths: int = 0
     """Workers lost mid-run (EOF or a socket error: SIGKILL, OOM,
-    crash), whether forked locally or dialed in."""
+    crash)."""
     worker_bench_reuses: int = 0
     """Shards served by a worker's cached bench instead of a rebuild."""
     bytes_shipped: int = 0

@@ -2,11 +2,11 @@
 
 ``Campaign.run`` is one loop: a *source* (sequential, pipelined or
 adaptive) settles figures into one commit sink.  This matrix crosses
-the sources -- and the fleet, the fused-parallel executor over dial-in
-worker subprocesses, under the default and the adaptive source -- with
-a fresh run and a resume after one committed figure, and with chaos
-injection and health supervision wherever the constructor allows
-them.  Each allowed combination must
+the sources -- the adaptive one both in-process and on the
+fused-parallel pool's forked workers -- with a fresh run and a resume
+after one committed figure, and with chaos injection and health
+supervision wherever the constructor allows them.  Each allowed
+combination must
 commit artifacts byte-equal to its serial sequential counterpart (the
 adaptive serial run for adaptive campaigns) and pass ``audit``; each
 refused one must raise :class:`~repro.errors.ConfigurationError`.
@@ -38,20 +38,20 @@ from repro.engine import (
     SerialExecutor,
     make_executor,
 )
-from repro.engine.fleet import LocalFleet
 from repro.errors import ConfigurationError
 from repro.health import HealthTracker
 from repro.health.audit import audit_store
 
 FIGURES = ("fig4a", "fig11")
-SOURCES = ("sequential", "pipelined", "adaptive", "fleet", "fleet-adaptive")
+SOURCES = ("sequential", "pipelined", "adaptive", "pool-adaptive")
 MODES = ("fresh", "resume")
 FEATURES = ((), ("chaos",), ("supervise",), ("chaos", "supervise"))
 REFUSED = {
     ("adaptive", "supervise"),
-    ("fleet-adaptive", "supervise"),
+    ("pool-adaptive", "supervise"),
 }
-ADAPTIVE_SOURCES = ("adaptive", "fleet-adaptive")
+ADAPTIVE_SOURCES = ("adaptive", "pool-adaptive")
+POOL_SOURCES = ("pipelined", "pool-adaptive")
 ADAPTIVE = AdaptiveConfig(ci_target=0.05, round_trials=2, max_trials=8)
 
 
@@ -88,13 +88,7 @@ def pool():
         yield executor
 
 
-@pytest.fixture(scope="module")
-def fleet():
-    with LocalFleet(workers=2) as executor:
-        yield executor
-
-
-def _campaign(source, features, store, pool, reference=False, fleet=None):
+def _campaign(source, features, store, pool, reference=False):
     """A fresh campaign; ``reference`` swaps in the serial executor on
     the sequential (or adaptive) source with the same features."""
     kwargs = {
@@ -118,10 +112,8 @@ def _campaign(source, features, store, pool, reference=False, fleet=None):
         kwargs.update(executor=pool, pipeline=True)
     elif source == "adaptive":
         kwargs.update(executor=make_executor("fused"), adaptive=ADAPTIVE)
-    elif source == "fleet":
-        kwargs["executor"] = fleet
     else:
-        kwargs.update(executor=fleet, adaptive=ADAPTIVE)
+        kwargs.update(executor=pool, adaptive=ADAPTIVE)
     return Campaign(_scope(), **kwargs)
 
 
@@ -148,21 +140,21 @@ def references(tmp_path_factory, pool):
 
 @pytest.mark.parametrize("source, mode, features", CASES)
 def test_combination_matches_serial_and_audits(
-    source, mode, features, tmp_path, pool, fleet, references
+    source, mode, features, tmp_path, pool, references
 ):
     store = ResultStore(tmp_path / "store")
     if mode == "resume":
-        first = _campaign(source, features, store, pool, fleet=fleet).run(
+        first = _campaign(source, features, store, pool).run(
             [FIGURES[0]]
         )
         assert first.completed == [FIGURES[0]]
-        result = _campaign(source, features, store, pool, fleet=fleet).run(
+        result = _campaign(source, features, store, pool).run(
             list(FIGURES), resume=True
         )
         assert result.skipped == [FIGURES[0]]
         assert result.completed == [FIGURES[1]]
     else:
-        result = _campaign(source, features, store, pool, fleet=fleet).run(
+        result = _campaign(source, features, store, pool).run(
             list(FIGURES)
         )
         assert result.completed == list(FIGURES)
@@ -171,8 +163,8 @@ def test_combination_matches_serial_and_audits(
     if source == "pipelined":
         expected = "health-supervised" if "supervise" in features else None
         assert result.pipeline_declined_reason == expected
-    if source.startswith("fleet"):
-        # The slices ran on the dial-in workers.
+    if source in POOL_SOURCES:
+        # The slices ran on the forked workers.
         assert result.engine_stats["dispatches"] > 0
 
     reference = references(source, features)
@@ -185,10 +177,10 @@ def test_combination_matches_serial_and_audits(
 
 
 @pytest.mark.parametrize("source, features", REFUSED_CASES)
-def test_refused_combination_raises(source, features, pool):
+def test_refused_combination_raises(source, features):
     executor = ProcessPoolExecutor(jobs=2)
     with pytest.raises(ConfigurationError, match="does not combine"):
-        _campaign(source, features, None, pool, fleet=executor)
+        _campaign(source, features, None, executor)
     # Refused before any worker started.
     assert executor._workers == []
 

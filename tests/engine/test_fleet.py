@@ -1,15 +1,16 @@
-"""Fleet tier tests: the frame protocol, the wire codec, worker-death
-supervision, and the byte-equality contract of fleet campaigns.
+"""Transport tests: the frame protocol, the wire codec, worker-death
+supervision, and the byte-equality contract of pool campaigns.
 
-The fleet is the fused-parallel executor with workers that dial in
-over the same frame protocol its forked workers speak.  Its hard
-guarantee mirrors every executor's: distributing slices across worker
-processes changes *where* the work runs, never *what* gets stored.
-Artifacts from a fleet campaign are byte-equal to a single-host serial
-run, so ``simra-dram audit`` verifies fleet output with no special
-handling.
+The fused-parallel executor ships plan slices to forked workers over
+the frame protocol of :mod:`repro.engine.fleet`.  Its hard guarantee
+mirrors every executor's: distributing slices across worker processes
+changes *where* the work runs, never *what* gets stored.  Artifacts
+from a pool campaign are byte-equal to an in-process serial run, so
+``simra-dram audit`` verifies them with no special handling.
 """
 
+import os
+import signal
 import socket
 import threading
 
@@ -45,7 +46,6 @@ from repro.engine import (
 from repro.engine.columnar import pack_tasks, unpack_outcomes
 from repro.engine.executors import run_tasks_fused
 from repro.engine.fleet import (
-    LocalFleet,
     chaos_from_spec,
     chaos_to_spec,
     config_from_spec,
@@ -521,8 +521,8 @@ class TestFleetCampaign:
 
 
 @pytest.mark.slow
-class TestLocalFleetLive:
-    """Real dial-in worker subprocesses over real sockets."""
+class TestForkedPoolLive:
+    """Real forked worker processes over real sockets."""
 
     def test_two_worker_campaign_byte_equal_and_audited(self, tmp_path):
         from repro.health import audit_store
@@ -532,8 +532,8 @@ class TestLocalFleetLive:
         Campaign(make_scope(), store=ref_store).run(figures)
 
         fleet_store = ResultStore(tmp_path / "fleet")
-        with LocalFleet(workers=2) as fleet:
-            result = fleet_campaign(fleet, fleet_store).run(figures)
+        with ProcessPoolExecutor(jobs=2) as executor:
+            result = fleet_campaign(executor, fleet_store).run(figures)
         assert result.succeeded
         assert result.completed == figures  # deterministic commit order
         # Slices run on the workers, and their work is counted.
@@ -556,11 +556,12 @@ class TestLocalFleetLive:
         ref_store = ResultStore(tmp_path / "ref")
         Campaign(make_scope(), store=ref_store).run(figures)
         fleet_store = ResultStore(tmp_path / "fleet")
-        with LocalFleet(workers=2) as fleet:
+        with ProcessPoolExecutor(jobs=2) as executor:
             # SIGKILL a started worker: the dispatcher finds out on its
             # next slice to it and re-queues that slice.
-            fleet.kill_worker(0)
-            result = fleet_campaign(fleet, fleet_store).run(figures)
+            executor.start()
+            os.kill(executor._workers[0].process, signal.SIGKILL)
+            result = fleet_campaign(executor, fleet_store).run(figures)
         assert result.succeeded
         assert result.completed == figures
         stats = result.engine_stats

@@ -57,7 +57,7 @@ def test_files_outside_src_and_benchmarks_do_not_count(run_benchmarks, checkout)
 def test_provenance_carries_the_hash(run_benchmarks):
     args = argparse.Namespace(
         columns=64, groups=1, trials=2, seed=2024, jobs=None,
-        campaign=False, campaign_trials=0, fleet=False, fleet_workers=0,
+        campaign=False, campaign_trials=0,
         planner=False, planner_max_trials=0,
     )
     stamp = run_benchmarks.provenance(args)

@@ -199,7 +199,10 @@ class TestAdaptiveCampaignCommand:
 
 
 class TestFleetCampaignCommand:
+    """Campaigns on the fused-parallel executor's forked workers."""
+
     SCALE = ["--columns", "64", "--groups", "1", "--trials", "2"]
+    POOL = ["--executor", "fused-parallel", "--jobs", "2"]
 
     @pytest.mark.parametrize("flags", [
         ["--supervise"],
@@ -207,10 +210,9 @@ class TestFleetCampaignCommand:
          "--max-trials", "8"],
     ], ids=["supervise", "adaptive"])
     def test_fleet_combines(self, capsys, tmp_path, flags):
-        # The fleet is the fused-parallel executor over dial-in
-        # workers, so every source runs on it.
+        # Every source runs on the fused-parallel executor.
         assert main([
-            "campaign", "--fleet", "2", *flags, "--experiments", "fig3",
+            "campaign", *self.POOL, *flags, "--experiments", "fig3",
             *self.SCALE, "--results-dir", str(tmp_path / "r"),
         ]) == 0
         assert "fig3: done" in capsys.readouterr().out
@@ -218,15 +220,15 @@ class TestFleetCampaignCommand:
     def test_fleet_refuses_a_bad_figure_list_before_spawning(
         self, capsys, tmp_path, monkeypatch
     ):
-        import repro.engine.fleet
+        from repro.engine import ProcessPoolExecutor
 
         def spawn(*args, **kwargs):
-            raise AssertionError("a refused campaign spawned its fleet")
+            raise AssertionError("a refused campaign started its workers")
 
-        monkeypatch.setattr(repro.engine.fleet, "LocalFleet", spawn)
+        monkeypatch.setattr(ProcessPoolExecutor, "_launch", spawn)
         results_dir = tmp_path / "r"
         assert main([
-            "campaign", "--fleet", "2", "--experiments", "fig99",
+            "campaign", *self.POOL, "--experiments", "fig99",
             *self.SCALE, "--results-dir", str(results_dir),
         ]) == 2
         assert "unknown experiments ['fig99']" in capsys.readouterr().err
@@ -234,7 +236,7 @@ class TestFleetCampaignCommand:
 
     def test_fleet_campaign_resumes(self, capsys, tmp_path):
         command = [
-            "campaign", "--fleet", "2", "--experiments", "fig3", "fig6",
+            "campaign", *self.POOL, "--experiments", "fig3", "fig6",
             *self.SCALE, "--results-dir", str(tmp_path / "results"),
         ]
         assert main(command) == 0
@@ -246,6 +248,59 @@ class TestFleetCampaignCommand:
         for name in ("fig3", "fig6"):
             assert f"{name}: skipped (already completed, resumed)" in out
         assert ": done" not in out
+
+    def test_chips_samples_beyond_the_catalog_on_any_executor(
+        self, capsys, tmp_path
+    ):
+        stores = {}
+        for name, executor in (
+            ("fused", ["--executor", "fused"]), ("pool", self.POOL),
+        ):
+            stores[name] = tmp_path / name
+            assert main([
+                "campaign", *executor, "--chips", "6",
+                "--experiments", "fig3", *self.SCALE,
+                "--results-dir", str(stores[name]),
+            ]) == 0
+            assert "Campaign over 6 modules" in capsys.readouterr().out
+        assert (stores["fused"] / "fig3.json").read_bytes() == (
+            stores["pool"] / "fig3.json"
+        ).read_bytes()
+        assert main([
+            "audit", "--results-dir", str(stores["fused"]), "--sample", "1",
+        ]) == 0
+        assert "verdict: PASS" in capsys.readouterr().out
+
+    def test_default_scope_is_the_catalog_scope(self):
+        from repro.characterization.experiment import CharacterizationScope
+        from repro.cli import _scope_from
+        from repro.config import SimulationConfig
+
+        args = build_parser().parse_args(["campaign", *self.SCALE])
+        got = _scope_from(args)
+        want = CharacterizationScope.build(
+            config=SimulationConfig(seed=args.seed, columns_per_row=64),
+            groups_per_size=1,
+            trials=2,
+        )
+        assert [b.module.serial for b in got.benches] == [
+            b.module.serial for b in want.benches
+        ]
+        assert [b.module.config for b in got.benches] == [
+            b.module.config for b in want.benches
+        ]
+        assert (got.banks, got.subarrays, got.groups_per_size, got.trials) == (
+            want.banks, want.subarrays, want.groups_per_size, want.trials,
+        )
+
+    def test_zero_chips_is_a_usage_error(self, capsys, tmp_path):
+        results_dir = tmp_path / "r"
+        assert main([
+            "campaign", "--chips", "0", "--experiments", "fig3",
+            *self.SCALE, "--results-dir", str(results_dir),
+        ]) == 2
+        assert "at least one chip" in capsys.readouterr().err
+        assert not results_dir.exists()
 
     def test_stats_on_a_fleet_store(self, capsys, tmp_path):
         from repro.characterization.campaign import Campaign

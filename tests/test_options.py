@@ -1,11 +1,10 @@
-"""The settable values of the executors, the fleet and the campaign.
+"""The settable values of the executors and the campaign.
 
 Each entry freezes one constructor's parameter names, the way
 ``tests/test_public_api.py`` freezes ``__all__``: a new knob shows up
 as an edit here, next to the ones it would join.  Tuning constants
 that no caller sets live at module level instead (``DISPATCH_TARGET_S``
-in :mod:`repro.engine.executors`, ``SPAWN_TIMEOUT_S`` in
-:mod:`repro.engine.fleet`).
+and ``SHUTDOWN_TIMEOUT_S`` in :mod:`repro.engine.executors`).
 """
 
 import inspect
@@ -14,12 +13,10 @@ import pytest
 
 from repro.characterization.campaign import Campaign
 from repro.engine.executors import ProcessPoolExecutor, make_executor
-from repro.engine.fleet import LocalFleet
 
 FROZEN_OPTIONS = {
     "make_executor": (make_executor, ["name", "jobs", "chaos", "cache"]),
     "ProcessPoolExecutor": (ProcessPoolExecutor, ["jobs", "chaos", "cache"]),
-    "LocalFleet": (LocalFleet, ["workers"]),
     "Campaign": (
         Campaign,
         [

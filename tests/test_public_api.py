@@ -59,7 +59,7 @@ FROZEN_ALL = {
         "ActivationKernel", "AdaptiveConfig", "AdaptiveOutcome",
         "AdaptivePlanner", "CellReport",
         "CampaignScheduler", "DisturbanceKernel", "EngineMetrics",
-        "ExecutorBase", "ExperimentProgram", "FusedExecutor", "LocalFleet",
+        "ExecutorBase", "ExperimentProgram", "FusedExecutor",
         "MajXKernel", "MultiRowCopyKernel", "OutcomeColumns",
         "PlanResult", "PlanStep", "ProcessPoolExecutor",
         "SerialExecutor", "TaskColumns", "TaskOutcome", "TrialCache",
@@ -70,7 +70,7 @@ FROZEN_ALL = {
         "make_executor", "measurement_context", "pack_outcomes",
         "pack_tasks", "point_token", "rates_by_serial", "recv_columns",
         "recv_frame", "render_stats_dict",
-        "run_plan", "run_task_serial", "run_tasks_fused", "run_worker",
+        "run_plan", "run_task_serial", "run_tasks_fused",
         "send_columns", "send_frame", "tasks_for_scope",
         "unpack_outcomes", "unpack_tasks"
     ],
