@@ -419,9 +419,9 @@ def serve_slice(
 def serve_connection(sock: socket.socket) -> int:
     """Serve one dispatcher connection until shutdown or EOF.
 
-    Greets with ``hello``, then answers
-    every ``run-slice`` frame with its ``slice-result``
-    (:func:`serve_slice`).  Returns the number of slices served.
+    Greets with ``hello``, then answers every ``run-slice`` frame with
+    its ``slice-result`` (:func:`serve_slice`).  Returns the number of
+    slices served.
     """
     send_frame(sock, {"type": "hello"})
     served = 0

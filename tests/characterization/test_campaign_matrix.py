@@ -6,13 +6,12 @@ the sources -- the adaptive one both in-process and on the
 fused-parallel pool's forked workers -- with a fresh run and a resume
 after one committed figure, and with chaos injection and health
 supervision wherever the constructor allows them.  Each allowed
-combination must
-commit artifacts byte-equal to its serial sequential counterpart (the
-adaptive serial run for adaptive campaigns) and pass ``audit``; each
-refused one must raise :class:`~repro.errors.ConfigurationError`.
-Under the matrix sits a property over every registered figure: on
-random tiny scopes, serial, fused and the pipelined pool give equal
-data.
+combination must commit artifacts byte-equal to its serial sequential
+counterpart (the adaptive serial run for adaptive campaigns) and pass
+``audit``; each refused one must raise
+:class:`~repro.errors.ConfigurationError`.  Under the matrix sits a
+property over every registered figure: on random tiny scopes, serial,
+fused and the pipelined pool give equal data.
 """
 
 import itertools
@@ -144,9 +143,7 @@ def test_combination_matches_serial_and_audits(
 ):
     store = ResultStore(tmp_path / "store")
     if mode == "resume":
-        first = _campaign(source, features, store, pool).run(
-            [FIGURES[0]]
-        )
+        first = _campaign(source, features, store, pool).run([FIGURES[0]])
         assert first.completed == [FIGURES[0]]
         result = _campaign(source, features, store, pool).run(
             list(FIGURES), resume=True
@@ -154,9 +151,7 @@ def test_combination_matches_serial_and_audits(
         assert result.skipped == [FIGURES[0]]
         assert result.completed == [FIGURES[1]]
     else:
-        result = _campaign(source, features, store, pool).run(
-            list(FIGURES)
-        )
+        result = _campaign(source, features, store, pool).run(list(FIGURES))
         assert result.completed == list(FIGURES)
     assert result.succeeded
 
