@@ -23,13 +23,14 @@ the executor is failure-isolated:
   ``retry_failed=True`` -- does not burn its retry budget on figures
   already recorded as failed for a *non-transient* cause;
 - with a :class:`~repro.health.HealthTracker` attached, every bench is
-  probed before each figure; modules whose circuit breaker trips
-  (persistent faults, repeated transient faults) are quarantined, the
-  figure degrades gracefully to the healthy subset -- bit-identical to
-  a run scoped to that subset from the start, because group sampling
-  and measurement noise are serial-keyed -- and the stored result
-  carries an explicit data-quality annotation naming what was
-  excluded;
+  probed before the figures run (and again before each figure the
+  retry pass or the adaptive planner runs); modules whose circuit
+  breaker trips (persistent faults, repeated transient faults) are
+  quarantined, the figures degrade gracefully to the healthy subset --
+  bit-identical to a run scoped to that subset from the start, because
+  group sampling and measurement noise are serial-keyed -- and the
+  stored result carries an explicit data-quality annotation naming
+  what was excluded;
 - a :class:`~repro.chaos.ChaosConfig` can be attached to prove all of
   the above under injected faults (the rig is restored afterwards);
 - with an :class:`~repro.engine.planner.AdaptiveConfig` attached, the
@@ -43,9 +44,9 @@ the executor is failure-isolated:
   adaptive knobs ride in the manifest fingerprint so resume refuses to
   mix budgets and the audit can rebuild the exact planner.
 
-Where the trials run is the executor's business: the
-``fused-parallel`` executor's worker processes combine with every
-source below, chaos and health supervision included, and commit bytes
+Where the trials run is the executor's business: every executor,
+the ``fused-parallel`` pool's forked workers included, combines with
+chaos, health supervision and adaptive planning, and commits bytes
 equal to an in-process run.
 
 One loop drives every run.  :meth:`Campaign.run` prepares the manifest
@@ -55,21 +56,26 @@ exactly one *source*:
 ========== ===========================================================
 source     settles each figure through
 ========== ===========================================================
-sequential ``_run_one`` (retries, time budget), scoped per figure by
-           health supervision
-pipelined  :meth:`CampaignScheduler.run` ``on_program`` (a pipelining
-           executor and at least two figures)
-adaptive   :meth:`AdaptivePlanner.run_program`, with a ``planner``
-           quality annotation
+stream     :meth:`CampaignScheduler.run` ``on_program``: every figure's
+           plans as one ``run_many`` stream (back to back in-process,
+           pipelined on ``fused-parallel``), on the scope one health
+           probe leaves
+adaptive   :meth:`AdaptivePlanner.run_program`, one figure at a time,
+           with a ``planner`` quality annotation
 ========== ===========================================================
 
 Each source streams settled ``(name, outcome[, quality])`` in figure
 order into one *sink*.  The sink commits data (journal intent, atomic
 artifact write, manifest update, journal done) or records the failure
 in the manifest -- a commit that raises becomes a resumable
-``store-error``.  An outcome that leaks a
-:class:`~repro.errors.TransientInfrastructureError` goes to the
-sequential source after the chosen one finishes.
+``store-error``.  A streamed figure that leaked a
+:class:`~repro.errors.TransientInfrastructureError` -- or, under
+health supervision, died with a
+:class:`~repro.errors.PersistentBenchError` -- goes to the *retry
+pass* once the stream ends: it re-runs each such figure under the
+retry policy on a freshly probed scope, and the streamed run counts
+as its first attempt.  The result lists figures in the requested
+order, however late they committed.
 
 Every source builds each figure from one registry,
 :data:`EXPERIMENT_PROGRAMS`: a figure is a program, whichever source
@@ -77,9 +83,9 @@ runs it.  Names must be known and may appear only once in a run,
 because outcomes are routed and committed by figure name
 (:func:`check_experiments`).
 
-The constructor refuses, with :class:`~repro.errors.ConfigurationError`,
-the one combination no source runs: adaptive planning with health
-supervision.
+Chaos, health supervision and adaptive planning combine freely; the
+constructor refuses (with :class:`~repro.errors.ConfigurationError`)
+only an adaptive campaign without an executor.
 """
 
 from __future__ import annotations
@@ -92,6 +98,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import rng
 from ..bender.program import ProgramBuilder
+from ..engine.executors import SerialExecutor
 from ..engine.metrics import EngineMetrics
 from ..engine.planner import AdaptiveConfig
 from ..engine.scheduler import CampaignScheduler
@@ -128,35 +135,6 @@ EXPERIMENT_PROGRAMS: Dict[str, Callable] = {
 builder (scope -> :class:`~repro.engine.scheduler.ExperimentProgram`).
 Each builder's program is named by its key; every source and the
 audit build figures from this one table."""
-
-
-_REFUSED: Tuple[Tuple[str, str, str], ...] = (
-    ("adaptive", "health",
-     "the planner does not re-scope its matrix between rounds"),
-)
-"""Constructor keyword pairs no source runs, with the reason."""
-
-_FEATURES: Dict[str, str] = {
-    "chaos": "chaos injection (--chaos)",
-    "health": "health supervision (--supervise)",
-    "adaptive": "adaptive planning (--adaptive)",
-}
-
-
-def refuse_combinations(**given: object) -> None:
-    """Raise :class:`ConfigurationError` for a refused feature pair.
-
-    ``given`` maps the :class:`Campaign` keywords ``chaos``,
-    ``health`` and ``adaptive`` to what the caller set; ``None`` means
-    the feature is off.  The CLI calls this before it starts any
-    worker, the constructor again for library callers.
-    """
-    for first, second, why in _REFUSED:
-        if given.get(first) is not None and given.get(second) is not None:
-            raise ConfigurationError(
-                f"{_FEATURES[first]} does not combine with "
-                f"{_FEATURES[second]}: {why}"
-            )
 
 
 def check_experiments(experiments: Sequence[str]) -> None:
@@ -250,6 +228,23 @@ def _chain(exc: BaseException) -> Tuple[str, ...]:
     return tuple(parts)
 
 
+def _failure(
+    name: str,
+    reason: str,
+    attempts: int,
+    exc: BaseException,
+    elapsed_s: float = 0.0,
+) -> ExperimentFailure:
+    return ExperimentFailure(
+        experiment=name,
+        reason=reason,
+        attempts=attempts,
+        elapsed_s=elapsed_s,
+        error=_describe(exc),
+        chain=_chain(exc),
+    )
+
+
 @dataclass
 class CampaignResult:
     """Outcome of one campaign run."""
@@ -284,9 +279,6 @@ class CampaignResult:
     picks up from the manifest."""
     not_run: List[str] = field(default_factory=list)
     """Experiments never attempted because the run was interrupted."""
-    pipeline_declined_reason: Optional[str] = None
-    """Why this run fell back to sequential scheduling (``None`` when
-    it pipelined, or when there was nothing to decline)."""
 
     @property
     def succeeded(self) -> bool:
@@ -356,12 +348,10 @@ class Campaign:
         clock: Callable[[], float] = time.monotonic,
         executor: Optional["ExecutorBase"] = None,  # noqa: F821
         health: Optional[HealthTracker] = None,
-        pipeline: Optional[bool] = None,
         adaptive: Optional[AdaptiveConfig] = None,
     ):
         if time_budget_s is not None and time_budget_s <= 0:
             raise ConfigurationError("time budget must be positive")
-        refuse_combinations(chaos=chaos, health=health, adaptive=adaptive)
         if adaptive is not None and executor is None:
             raise ConfigurationError(
                 "adaptive campaigns need an engine executor"
@@ -375,10 +365,6 @@ class Campaign:
         self._clock = clock
         self._executor = executor
         self._health = health
-        self._pipeline = pipeline
-        """``True`` forces pipelined scheduling (when eligible), ``False``
-        disables it, ``None`` (default) engages it automatically for
-        multi-experiment runs on a pipelining executor."""
         self._adaptive = adaptive
 
     @property
@@ -495,6 +481,15 @@ class Campaign:
                         harness.engine.stats.total_injected
                     )
                     harness.uninstall()
+            # Retried figures commit late; report in requested order.
+            order = list(experiments).index
+            result.completed.sort(key=order)
+            result.failures.sort(key=lambda failure: order(failure.experiment))
+            result.data = {
+                name: result.data[name]
+                for name in experiments
+                if name in result.data
+            }
             if result.interrupted:
                 accounted = (
                     set(result.skipped)
@@ -529,9 +524,6 @@ class Campaign:
         if self._executor is not None:
             metrics = self._executor.metrics
             run = metrics.since(engine_before)
-            run.pipeline_declined_reason = (
-                result.pipeline_declined_reason or ""
-            )
             if self._health is not None:
                 # The tracker's totals, not engine counters: the run
                 # record and the engine's own report both carry them.
@@ -574,31 +566,28 @@ class Campaign:
 
         The sink commits each settled figure (or records its failure)
         the moment it arrives, so a crash loses at most the figures
-        still in flight.  An outcome that leaked a transient fault
-        stays unsettled and then runs through the sequential source.
+        still in flight.  A figure whose run leaked a transient fault
+        -- or, under health supervision, lost its bench -- stays
+        unsettled and then runs through the retry pass.
         """
         pending = [
             name
             for name in experiments
             if name not in result.skipped and name not in result.skipped_failed
         ]
-        settled: set = set()
+        unsettled: Dict[str, Exception] = {}
 
         def sink(name: str, outcome, quality=None) -> None:
-            if isinstance(outcome, TransientInfrastructureError):
-                return  # escaped the executor's retries: re-run below
-            settled.add(name)
+            if isinstance(outcome, TransientInfrastructureError) or (
+                self._health is not None
+                and isinstance(outcome, PersistentBenchError)
+            ):
+                unsettled[name] = outcome  # re-run by the retry pass
+                return
             if quality is not None:
                 result.quality[name] = quality
             if isinstance(outcome, Exception):
-                outcome = ExperimentFailure(
-                    experiment=name,
-                    reason="error",
-                    attempts=1,
-                    elapsed_s=0.0,
-                    error=_describe(outcome),
-                    chain=_chain(outcome),
-                )
+                outcome = _failure(name, "error", 1, outcome)
             if not isinstance(outcome, ExperimentFailure):
                 data, attempts = outcome
                 try:
@@ -610,14 +599,7 @@ class Campaign:
                     # The data is fine but the disk is not: its own
                     # reason, so resume (which skips only "error")
                     # re-runs it once the store is repaired.
-                    outcome = ExperimentFailure(
-                        experiment=name,
-                        reason="store-error",
-                        attempts=attempts,
-                        elapsed_s=0.0,
-                        error=_describe(exc),
-                        chain=_chain(exc),
-                    )
+                    outcome = _failure(name, "store-error", attempts, exc)
                 else:
                     result.data[name] = data
                     result.attempts[name] = attempts
@@ -632,108 +614,81 @@ class Campaign:
             result.attempts[name] = outcome.attempts
             self._record_failure(manifest, outcome)
 
-        source = self._source(pending, result)
-        if source is not None:
-            source(pending, sink)
-        self._sequential_source(
-            [name for name in pending if name not in settled], sink
+        if self._adaptive is not None:
+            self._one_at_a_time(pending, sink, self._adaptive_run(), {})
+        else:
+            self._stream(pending, sink)
+        self._one_at_a_time(
+            [name for name in pending if name in unsettled],
+            sink,
+            lambda program: (program.run(self._executor), {}),
+            unsettled,
         )
 
-    def _source(
-        self, pending: Sequence[str], result: CampaignResult
-    ) -> Optional[Callable]:
-        """The source for this run's figures.
+    def _stream(self, names: Sequence[str], emit: Callable) -> None:
+        """Every figure's plans as one stream through the executor.
 
-        ``None`` means the sequential source runs everything.  The
-        pipelined scheduler changes *when* trials execute, never what
-        they compute (plan building is pure and worker-side chaos
-        schedules partition per (epoch, serial)), so it stands down
-        only when it cannot help: pipelining disabled, an executor
-        that cannot pipeline, health supervision (probes and
-        quarantine decisions run between figures), or fewer than two
-        figures unless ``pipeline=True``.  The reason
-        lands in :attr:`CampaignResult.pipeline_declined_reason`.
+        Health supervision probes once, up front: the stream runs on
+        the scope it leaves, and every figure carries that quality
+        annotation.  Each figure settles the moment its last plan
+        does, strictly in figure order, while later figures' plans are
+        still executing.
         """
-        if self._adaptive is not None:
-            return self._adaptive_source
-        if self._pipeline is False:
-            reason = "disabled"
-        elif self._executor is None:
-            reason = "no-executor"
-        elif not getattr(self._executor, "supports_pipelining", False):
-            reason = "executor-not-pipelining"
-        elif self._health is not None:
-            reason = "health-supervised"
-        elif not pending or (len(pending) < 2 and not self._pipeline):
-            reason = "fewer-than-2-eligible-experiments"
-        else:
-            return self._pipelined_source
-        result.pipeline_declined_reason = reason
-        if self._executor is not None:
-            self._executor.metrics.pipeline_declined_reason = reason
-        return None
+        scope, quality = self._scoped()
+        if scope is None:
+            for name in names:
+                emit(name, _no_healthy_modules(name), quality)
+            return
+        programs = []
+        for name in names:
+            try:
+                programs.append(EXPERIMENT_PROGRAMS[name](scope))
+            except Exception as exc:  # noqa: BLE001 -- isolate the sweep
+                emit(name, exc, quality)
 
-    def _sequential_source(
-        self, names: Sequence[str], emit: Callable
+        def settled(name: str, outcome: Tuple[str, object]) -> None:
+            status, value = outcome
+            emit(name, (value, 1) if status == "ok" else value, quality)
+
+        CampaignScheduler(self._executor or SerialExecutor()).run(
+            programs, on_program=settled
+        )
+
+    def _one_at_a_time(
+        self,
+        names: Sequence[str],
+        emit: Callable,
+        run: Callable,
+        failed: Dict[str, Exception],
     ) -> None:
         """Each figure in turn under the retry policy and time budget,
-        on the scope health supervision leaves it."""
+        on the scope a fresh health probe leaves.
+
+        ``run(program)`` returns the figure's data and the quality
+        keys it adds to supervision's; ``failed`` maps a figure to the
+        fault its streamed run died of.
+        """
         for name in names:
             scope, quality = self._scoped()
             if scope is None:
-                failure = ExperimentFailure(
-                    experiment=name,
-                    reason="no-healthy-modules",
-                    attempts=0,
-                    elapsed_s=0.0,
-                    error=_describe(
-                        NoHealthyModulesError(
-                            "every module in the scope is quarantined"
-                        )
-                    ),
-                    chain=(),
-                )
-                emit(name, failure, quality)
+                emit(name, _no_healthy_modules(name), quality)
                 continue
             # Built inside the retried call: a transient fault raised
             # while building the program is retried like one raised
             # while running it.
-            emit(
+            settled = self._run_one(
                 name,
-                self._run_one(
-                    name,
-                    lambda: EXPERIMENT_PROGRAMS[name](scope).run(
-                        self._executor
-                    ),
-                ),
-                quality,
+                lambda: run(EXPERIMENT_PROGRAMS[name](scope)),
+                failed.get(name),
             )
+            if isinstance(settled, ExperimentFailure):
+                emit(name, settled, quality)
+                continue
+            (data, added), attempts = settled
+            emit(name, (data, attempts), {**(quality or {}), **added} or None)
 
-    def _pipelined_source(
-        self, names: Sequence[str], emit: Callable
-    ) -> None:
-        """Every figure's plans as one stream through the shared pool.
-
-        Each figure settles the moment its last plan does, strictly in
-        figure order, while later figures' plans are still executing.
-        """
-        programs = []
-        for name in names:
-            try:
-                programs.append(EXPERIMENT_PROGRAMS[name](self._scope))
-            except Exception as exc:  # noqa: BLE001 -- isolate the sweep
-                emit(name, exc)
-
-        def settled(name: str, outcome: Tuple[str, object]) -> None:
-            status, value = outcome
-            emit(name, (value, 1) if status == "ok" else value)
-
-        CampaignScheduler(self._executor).run(programs, on_program=settled)
-
-    def _adaptive_source(
-        self, names: Sequence[str], emit: Callable
-    ) -> None:
-        """Each figure's corner matrix in CI-targeted planner rounds.
+    def _adaptive_run(self) -> Callable:
+        """A figure's corner matrix in CI-targeted planner rounds.
 
         Every completed round appends an ``adaptive-round`` journal
         record (``simra-dram repair`` ignores unknown events, so these
@@ -765,22 +720,12 @@ class Campaign:
         planner = self._adaptive.planner(
             self._executor, on_round=journal_round
         )
-        for name in names:
-            settled = self._run_one(
-                name,
-                lambda: planner.run_program(
-                    EXPERIMENT_PROGRAMS[name](self._scope)
-                ),
-            )
-            if isinstance(settled, ExperimentFailure):
-                emit(name, settled)
-                continue
-            outcome, attempts = settled
-            emit(
-                name,
-                (outcome.value, attempts),
-                {"planner": outcome.planner_dict()},
-            )
+
+        def run(program):
+            outcome = planner.run_program(program)
+            return outcome.value, {"planner": outcome.planner_dict()}
+
+        return run
 
     def _commit_experiment(
         self, name: str, data, manifest: CampaignManifest, store, config,
@@ -812,7 +757,7 @@ class Campaign:
         )
 
     def _scoped(self):
-        """The (possibly degraded) scope for the next experiment.
+        """The (possibly degraded) scope for the figures about to run.
 
         Without a health tracker this is the full scope.  With one,
         every bench is probed first; quarantined modules leave the
@@ -968,48 +913,42 @@ class Campaign:
         return manifest
 
     def _run_one(
-        self, name: str, call: Callable[[], object]
+        self,
+        name: str,
+        call: Callable[[], object],
+        failed: Optional[Exception] = None,
     ) -> Union[Tuple[object, int], ExperimentFailure]:
-        """``call()`` under the retry policy and time budget."""
+        """``call()`` under the retry policy and time budget.
+
+        ``failed`` is the fault the figure's streamed run died of: that
+        run counts as attempt 1.
+        """
         started = self._clock()
-        attempt = 0
+        attempt = 0 if failed is None else 1
         while True:
-            attempt += 1
-            try:
-                return call(), attempt
-            except TransientInfrastructureError as exc:
+            if isinstance(failed, TransientInfrastructureError):
                 elapsed = self._clock() - started
                 if attempt >= self._retry.max_attempts:
-                    return ExperimentFailure(
-                        experiment=name,
-                        reason="retries-exhausted",
-                        attempts=attempt,
-                        elapsed_s=elapsed,
-                        error=_describe(exc),
-                        chain=_chain(exc),
+                    return _failure(
+                        name, "retries-exhausted", attempt, failed, elapsed
                     )
                 if (
                     self._time_budget_s is not None
                     and elapsed >= self._time_budget_s
                 ):
-                    return ExperimentFailure(
-                        experiment=name,
-                        reason="time-budget",
-                        attempts=attempt,
-                        elapsed_s=elapsed,
-                        error=_describe(exc),
-                        chain=_chain(exc),
+                    return _failure(
+                        name, "time-budget", attempt, failed, elapsed
                     )
                 draw = rng.generator("campaign-backoff", name, attempt).random()
                 self._sleep(self._retry.delay_s(attempt - 1, draw))
+            attempt += 1
+            try:
+                return call(), attempt
+            except TransientInfrastructureError as exc:
+                failed = exc
             except Exception as exc:  # noqa: BLE001 -- isolate the sweep
-                return ExperimentFailure(
-                    experiment=name,
-                    reason="error",
-                    attempts=attempt,
-                    elapsed_s=self._clock() - started,
-                    error=_describe(exc),
-                    chain=_chain(exc),
+                return _failure(
+                    name, "error", attempt, exc, self._clock() - started
                 )
 
     def render(self, result: CampaignResult) -> str:
@@ -1023,6 +962,15 @@ class Campaign:
             lines.extend(f"  {link}" for link in failure.chain)
             sections.append("\n".join(lines))
         return "\n\n".join(sections)
+
+
+def _no_healthy_modules(name: str) -> ExperimentFailure:
+    return _failure(
+        name,
+        "no-healthy-modules",
+        0,
+        NoHealthyModulesError("every module in the scope is quarantined"),
+    )
 
 
 def _render_experiment(name: str, data) -> str:

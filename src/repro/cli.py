@@ -378,7 +378,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         Campaign,
         RetryPolicy,
         check_experiments,
-        refuse_combinations,
     )
     from .characterization.store import ResultStore
     from .chaos import ChaosConfig
@@ -420,8 +419,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
     try:
-        # Refused pairs fail before any worker starts.
-        refuse_combinations(chaos=chaos, health=health, adaptive=adaptive)
         store = ResultStore(Path(args.results_dir))
         with contextlib.ExitStack() as stack:
             executor = stack.enter_context(_executor_from(args))
@@ -435,7 +432,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                 chaos=chaos,
                 executor=executor,
                 health=health,
-                pipeline=args.pipeline,
                 adaptive=adaptive,
             )
             stack.enter_context(_graceful_signals())
@@ -914,12 +910,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--retry-failed", action="store_true",
                      help="on --resume, retry figures recorded as failed "
                           "for a non-transient cause")
-    sub.add_argument("--pipeline", action=argparse.BooleanOptionalAction,
-                     default=None,
-                     help="force (--pipeline) or disable (--no-pipeline) "
-                          "pipelined cross-experiment scheduling; the "
-                          "default engages it automatically for "
-                          "multi-figure runs on a pipelining executor")
     sub.add_argument("--chips", type=int, default=None, metavar="N",
                      help="characterize N vendor-profile chips sampled "
                           "round-robin over the catalog instead of the "

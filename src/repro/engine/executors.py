@@ -309,8 +309,6 @@ class ExecutorBase:
     """
 
     name = "base"
-    supports_pipelining = False
-    """Whether :meth:`run_many` overlaps plans on shared workers."""
 
     def __init__(self, cache: Optional[TrialCache] = None) -> None:
         self.metrics = EngineMetrics(executor=self.name)
@@ -380,16 +378,18 @@ class ExecutorBase:
     ) -> List[Union[PlanResult, Exception]]:
         """Run plans back to back, isolating per-plan failures.
 
-        The default implementation is strictly sequential; pipelining
-        executors override it to keep their workers saturated across
-        plan boundaries.  The returned list is parallel to ``plans``:
-        each element is the plan's :class:`PlanResult`, or the
-        exception that plan died of.
+        The default implementation is strictly sequential; the
+        process-pool executor overrides it to keep its workers
+        saturated across plan boundaries.  The returned list is
+        parallel to ``plans``: each element is the plan's
+        :class:`PlanResult`, or the exception that plan died of.
 
         ``on_result`` streams each settled plan (index, result-or-
         exception) to the caller as soon as it is available, strictly
         in plan order -- the hook incremental campaign commits hang
-        off.  Exceptions it raises propagate to the caller (a
+        off.  A streamed result is the caller's alone: with
+        ``on_result`` set the returned list is empty.  Exceptions the
+        callback raises propagate to the caller (a
         ``KeyboardInterrupt`` mid-stream leaves already-streamed plans
         delivered).
         """
@@ -399,8 +399,9 @@ class ExecutorBase:
                 result: Union[PlanResult, Exception] = self.run(plan)
             except Exception as exc:
                 result = exc
-            results.append(result)
-            if on_result is not None:
+            if on_result is None:
+                results.append(result)
+            else:
                 on_result(index, result)
         return results
 
@@ -590,7 +591,6 @@ class ProcessPoolExecutor(ExecutorBase):
     """
 
     name = "fused-parallel"
-    supports_pipelining = True
 
     def __init__(
         self,
@@ -739,9 +739,10 @@ class ProcessPoolExecutor(ExecutorBase):
         the caller as soon as its last slice lands (still strictly in
         plan order), instead of after the whole batch drains -- so a
         crash mid-batch loses only plans whose results were never
-        delivered.  Exceptions the callback raises abort the batch:
-        workers holding in-flight slices are discarded, and the
-        exception propagates.
+        delivered -- and, as in :meth:`ExecutorBase.run_many`, the
+        returned list is empty.  Exceptions the callback raises abort
+        the batch: workers holding in-flight slices are discarded, and
+        the exception propagates.
         """
         batch_started = time.perf_counter()
         splits = [
@@ -773,7 +774,7 @@ class ProcessPoolExecutor(ExecutorBase):
         next_emit = [0]
 
         def settle(index: int) -> None:
-            if index in settled:
+            if index < next_emit[0] or index in settled:
                 return
             pending = pendings[index]
             try:
@@ -785,7 +786,7 @@ class ProcessPoolExecutor(ExecutorBase):
                 settled[index] = exc
             while next_emit[0] in settled:
                 if on_result is not None:
-                    on_result(next_emit[0], settled[next_emit[0]])
+                    on_result(next_emit[0], settled.pop(next_emit[0]))
                 next_emit[0] += 1
 
         # Per-plan wall/execute windows overlap across a pipelined
@@ -815,7 +816,7 @@ class ProcessPoolExecutor(ExecutorBase):
             if live:
                 self.metrics.execute_s += now - execute_started
             self.metrics.wall_s += now - batch_started
-        return [settled[index] for index in range(len(pendings))]
+        return [settled[index] for index in sorted(settled)]
 
     def _prepare(self, plan: TrialPlan) -> _PendingPlan:
         """Environment, bench sections and the plan's slice header."""
@@ -1072,7 +1073,7 @@ class ProcessPoolExecutor(ExecutorBase):
         assert delta is not None
         fresh: List[TaskOutcome] = []
         for index in sorted(pending.shard_columns):
-            columns, busy_s = pending.shard_columns[index]
+            columns, busy_s = pending.shard_columns.pop(index)
             delta.busy_s += busy_s
             fresh.extend(unpack_outcomes(columns))
         for task in pending.plan.tasks:

@@ -53,17 +53,11 @@ class EngineMetrics:
     bytes_shipped_down: int = 0
     """Columnar task-spec bytes shipped down to workers."""
     pipelined_plans: int = 0
-    """Plans executed through the pipelined campaign scheduler."""
+    """Plans executed through the campaign scheduler's plan stream."""
     pipeline_wall_s: float = 0.0
-    """Wall-clock spent inside pipelined scheduler batches."""
+    """Wall-clock spent inside scheduler streams."""
     pipeline_busy_s: float = 0.0
-    """Summed worker compute time within pipelined batches."""
-    pipeline_declined_reason: str = ""
-    """Why the campaign fell back to sequential execution instead of
-    pipelining (``disabled`` / ``no-executor`` /
-    ``executor-not-pipelining`` / ``health-supervised`` /
-    ``fewer-than-2-eligible-experiments``); empty when pipelining
-    ran or was never considered."""
+    """Summed compute time of the plans within scheduler streams."""
     audit_mismatches: int = 0
     """Artifacts flagged by a result-integrity audit."""
     rounds: int = 0
@@ -135,17 +129,14 @@ class EngineMetrics:
             if not (skip_windows and name in _WINDOWS):
                 setattr(self, name, getattr(self, name) + getattr(other, name))
         self.workers = max(self.workers, other.workers)
-        if not self.pipeline_declined_reason:
-            self.pipeline_declined_reason = other.pipeline_declined_reason
         for name, seconds in other.stages.items():
             self.add_stage(name, seconds)
 
     def since(self, earlier: "EngineMetrics") -> "EngineMetrics":
         """The counters gained since an ``earlier`` copy of this record.
 
-        Counters and stage times subtract; ``workers``, ``executor``
-        and ``pipeline_declined_reason`` are states, not counts, and
-        keep their current values.
+        Counters and stage times subtract; ``workers`` and ``executor``
+        are states, not counts, and keep their current values.
         """
         delta = replace(self, stages={})
         for name in _COUNTERS:
@@ -219,12 +210,7 @@ class EngineMetrics:
             lines.append("  fleet health")
             for label, count in health:
                 lines.append(f"    {label:<18}: {count}")
-        if (
-            self.pipelined_plans
-            or self.bytes_shipped
-            or self.dispatches
-            or self.pipeline_declined_reason
-        ):
+        if self.pipelined_plans or self.bytes_shipped or self.dispatches:
             # Only non-zero counters print: a serial, non-pipelined run
             # should not render a wall of zero-valued scheduler lines.
             lines.append("  scheduler")
@@ -245,11 +231,6 @@ class EngineMetrics:
                 )
                 lines.append(
                     f"    pipeline occupancy: {self.pipeline_occupancy:.1%}"
-                )
-            if self.pipeline_declined_reason:
-                lines.append(
-                    "    pipeline declined : "
-                    f"{self.pipeline_declined_reason}"
                 )
         if self.rounds or self.cells_converged or self.trials_saved:
             lines.append("  adaptive planner")

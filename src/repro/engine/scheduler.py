@@ -11,11 +11,11 @@ one assembly function -- so the same program can run two ways:
 
 - :meth:`ExperimentProgram.run` executes the steps strictly in order
   on any executor: the sequential reference, and how a campaign's
-  sequential source and the audit run a figure;
+  retry pass and the audit run a figure;
 - :class:`CampaignScheduler` flattens *many* programs into a single
-  plan stream and hands it to a pipelining executor's ``run_many``,
-  which keeps one shared persistent worker pool saturated across
-  experiment boundaries instead of draining it at each figure's edge.
+  plan stream and hands it to the executor's ``run_many``, which runs
+  it back to back in-process and keeps one shared persistent worker
+  pool saturated across experiment boundaries on ``fused-parallel``.
 
 Determinism is preserved by construction.  Plan building is pure
 (group sampling and noise are serial-keyed, never history-keyed), the
@@ -31,7 +31,6 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..errors import ExperimentError
 from .executors import ExecutorBase, run_plan
 from .plan import PlanResult, TrialPlan
 
@@ -67,24 +66,19 @@ class ExperimentProgram:
 
 
 class CampaignScheduler:
-    """Runs many programs as one pipelined plan stream.
+    """Runs many programs as one plan stream.
 
     All programs' plans are flattened up front and submitted through
     the executor's :meth:`~repro.engine.executors.ExecutorBase.run_many`,
-    so the shared worker pool never drains between experiments.
-    Results are buffered and reduced/assembled strictly in program and
-    step order; a plan failure surfaces as that *program's* error
-    without disturbing its neighbours.  Pipeline throughput counters
-    (``pipelined_plans``, ``pipeline_wall_s``, ``pipeline_busy_s``)
-    accumulate on the executor's metrics.
+    so a shared worker pool never drains between experiments.  Results
+    are reduced and assembled strictly in program and step order; a
+    plan failure surfaces as that *program's* error without disturbing
+    its neighbours.  Stream counters (``pipelined_plans``,
+    ``pipeline_wall_s``, ``pipeline_busy_s``) accumulate on the
+    executor's metrics.
     """
 
     def __init__(self, executor: ExecutorBase) -> None:
-        if not getattr(executor, "supports_pipelining", False):
-            raise ExperimentError(
-                f"executor {executor.name!r} does not support pipelined "
-                "scheduling; use a process-pool executor"
-            )
         self.executor = executor
 
     def run(
@@ -106,65 +100,56 @@ class CampaignScheduler:
         (the executor abandons its in-flight shards on the way out).
         """
         started = time.perf_counter()
-        plans: List[TrialPlan] = []
-        spans: List[Tuple[ExperimentProgram, int, int]] = []
-        for program in programs:
-            spans.append((program, len(plans), len(program.steps)))
-            plans.extend(step.plan for step in program.steps)
-        results: List[Any] = [None] * len(plans)
-        outcomes: Dict[str, Tuple[str, Any]] = {}
-        next_span = [0]
-
-        def finish_span(span_index: int) -> None:
-            program, start, count = spans[span_index]
-            chunk = results[start:start + count]
-            error = next(
-                (item for item in chunk if isinstance(item, Exception)), None
-            )
-            if error is not None:
-                outcome: Tuple[str, Any] = ("error", error)
-            else:
-                try:
-                    values = [
-                        step.reduce(result)
-                        for step, result in zip(program.steps, chunk)
-                    ]
-                    outcome = ("ok", program.assemble(values))
-                except Exception as exc:  # noqa: BLE001 -- isolate programs
-                    outcome = ("error", exc)
-            outcomes[program.name] = outcome
-            if on_program is not None:
-                on_program(program.name, outcome)
-
-        def plan_settled(index: int, result: Any) -> None:
-            results[index] = result
-            # run_many streams strictly in plan order, so every span
-            # ending at or before this plan is fully buffered.
-            while next_span[0] < len(spans):
-                _, start, count = spans[next_span[0]]
-                if start + count > index + 1:
-                    break
-                finish_span(next_span[0])
-                next_span[0] += 1
-
-        raw = (
-            self.executor.run_many(plans, on_result=plan_settled)
-            if plans
-            else []
-        )
         metrics = self.executor.metrics
+        plans = [step.plan for program in programs for step in program.steps]
+        chunk: List[Any] = []  # settled results of the program at cursor
+        cursor = [0]
+        outcomes: Dict[str, Tuple[str, Any]] = {}
+
+        def settle_ready() -> None:
+            # run_many streams strictly in plan order, so the program
+            # at the cursor settles once it holds one result per step;
+            # its results are dropped as it does.
+            while (
+                cursor[0] < len(programs)
+                and len(chunk) == len(programs[cursor[0]].steps)
+            ):
+                program = programs[cursor[0]]
+                outcome = _settle(program, chunk)
+                chunk.clear()
+                cursor[0] += 1
+                outcomes[program.name] = outcome
+                if on_program is not None:
+                    on_program(program.name, outcome)
+
+        def plan_settled(_index: int, result: Any) -> None:
+            if isinstance(result, PlanResult):
+                metrics.pipeline_busy_s += result.metrics.busy_s
+            chunk.append(result)
+            settle_ready()
+
+        settle_ready()  # leading zero-step programs
+        if plans:
+            self.executor.run_many(plans, on_result=plan_settled)
         metrics.pipelined_plans += len(plans)
         metrics.pipeline_wall_s += time.perf_counter() - started
-        metrics.pipeline_busy_s += sum(
-            result.metrics.busy_s
-            for result in raw
-            if isinstance(result, PlanResult)
-        )
-        # Sweep any span the stream did not cover: zero-step programs,
-        # and every span when the executor ignored the callback.
-        for index, result in enumerate(raw):
-            results[index] = result
-        while next_span[0] < len(spans):
-            finish_span(next_span[0])
-            next_span[0] += 1
         return outcomes
+
+
+def _settle(
+    program: ExperimentProgram, results: List[Any]
+) -> Tuple[str, Any]:
+    """One program's outcome from its plans' results, in step order."""
+    error = next(
+        (item for item in results if isinstance(item, Exception)), None
+    )
+    if error is not None:
+        return ("error", error)
+    try:
+        values = [
+            step.reduce(result)
+            for step, result in zip(program.steps, results)
+        ]
+        return ("ok", program.assemble(values))
+    except Exception as exc:  # noqa: BLE001 -- isolate programs
+        return ("error", exc)

@@ -152,6 +152,30 @@ class TestAdaptiveDeterminism:
             assert a["quality"] == b["quality"]
 
 
+class TestSupervisedAdaptive:
+    def test_combines_with_supervision(self, stored, tmp_path):
+        from repro.health import HealthTracker
+
+        _, _, unsupervised = stored
+        store = ResultStore(tmp_path / "supervised")
+        result = Campaign(
+            _scope(),
+            store=store,
+            executor=SerialExecutor(),
+            health=HealthTracker(),
+            adaptive=ADAPTIVE,
+        ).run(FIGURES)
+        assert result.completed == list(FIGURES)
+        for name in FIGURES:
+            # Supervision's annotation plus the planner's, same data.
+            quality = result.quality[name]
+            assert quality["supervised"] is True
+            assert quality["coverage"] == 1.0
+            assert quality["planner"] == unsupervised.quality[name]["planner"]
+            assert result.data[name] == unsupervised.data[name]
+        assert audit_store(store, sample=len(FIGURES)).passed
+
+
 class TestFixedBudgetUnaffected:
     def test_fixed_campaign_has_no_adaptive_fingerprint(self, tmp_path):
         store = ResultStore(tmp_path / "fixed")
@@ -165,14 +189,3 @@ class TestGuards:
     def test_adaptive_requires_an_executor(self):
         with pytest.raises(ConfigurationError, match="executor"):
             Campaign(_scope(), adaptive=ADAPTIVE)
-
-    def test_adaptive_refuses_health_supervision(self):
-        from repro.health import HealthTracker
-
-        with pytest.raises(ConfigurationError, match="supervision"):
-            Campaign(
-                _scope(),
-                executor=SerialExecutor(),
-                health=HealthTracker(),
-                adaptive=ADAPTIVE,
-            )

@@ -1,17 +1,17 @@
 """Every campaign combination the product exposes, generated.
 
-``Campaign.run`` is one loop: a *source* (sequential, pipelined or
-adaptive) settles figures into one commit sink.  This matrix crosses
-the sources -- the adaptive one both in-process and on the
-fused-parallel pool's forked workers -- with a fresh run and a resume
-after one committed figure, and with chaos injection and health
-supervision wherever the constructor allows them.  Each allowed
-combination must commit artifacts byte-equal to its serial sequential
-counterpart (the adaptive serial run for adaptive campaigns) and pass
-``audit``; each refused one must raise
-:class:`~repro.errors.ConfigurationError`.  Under the matrix sits a
-property over every registered figure: on random tiny scopes, serial,
-fused and the pipelined pool give equal data.
+``Campaign.run`` is one loop: a *source* (the plan stream or the
+adaptive planner) settles figures into one commit sink.  This matrix
+crosses the sources -- the stream run back to back in-process on
+``fused`` ("sequential") and pipelined on the fused-parallel pool's
+forked workers ("pipelined"), the adaptive planner on both -- with a
+fresh run and a resume after one committed figure, and with every
+subset of chaos injection and health supervision.  Each combination
+must commit artifacts byte-equal to its serial counterpart (the
+adaptive serial run for adaptive campaigns), leave a clean store and
+pass ``audit``.  Under the matrix sits a property over every
+registered figure: on random tiny scopes, serial, fused and the
+pipelined pool give equal data.
 """
 
 import itertools
@@ -33,11 +33,9 @@ from repro.engine import (
     AdaptiveConfig,
     CampaignScheduler,
     FusedExecutor,
-    ProcessPoolExecutor,
     SerialExecutor,
     make_executor,
 )
-from repro.errors import ConfigurationError
 from repro.health import HealthTracker
 from repro.health.audit import audit_store
 
@@ -45,10 +43,6 @@ FIGURES = ("fig4a", "fig11")
 SOURCES = ("sequential", "pipelined", "adaptive", "pool-adaptive")
 MODES = ("fresh", "resume")
 FEATURES = ((), ("chaos",), ("supervise",), ("chaos", "supervise"))
-REFUSED = {
-    ("adaptive", "supervise"),
-    ("pool-adaptive", "supervise"),
-}
 ADAPTIVE_SOURCES = ("adaptive", "pool-adaptive")
 POOL_SOURCES = ("pipelined", "pool-adaptive")
 ADAPTIVE = AdaptiveConfig(ci_target=0.05, round_trials=2, max_trials=8)
@@ -64,20 +58,10 @@ def _scope():
     )
 
 
-def _refused(source, features):
-    return any((source, feature) in REFUSED for feature in features)
-
-
 CASES = [
     pytest.param(source, mode, features, id=f"{source}-{mode}-"
                  + ("+".join(features) or "plain"))
     for source, mode, features in itertools.product(SOURCES, MODES, FEATURES)
-    if not _refused(source, features)
-]
-REFUSED_CASES = [
-    pytest.param(source, features, id=f"{source}-" + "+".join(features))
-    for source, features in itertools.product(SOURCES, FEATURES)
-    if _refused(source, features)
 ]
 
 
@@ -88,8 +72,8 @@ def pool():
 
 
 def _campaign(source, features, store, pool, reference=False):
-    """A fresh campaign; ``reference`` swaps in the serial executor on
-    the sequential (or adaptive) source with the same features."""
+    """A fresh campaign; ``reference`` swaps in the serial executor
+    with the same source kind (stream or adaptive) and features."""
     kwargs = {
         "store": store,
         "retry": RetryPolicy(max_attempts=20, base_delay_s=0.0),
@@ -102,13 +86,12 @@ def _campaign(source, features, store, pool, reference=False):
         kwargs["health"] = HealthTracker()
     if reference:
         kwargs["executor"] = SerialExecutor()
-        kwargs["pipeline"] = False
         if source in ADAPTIVE_SOURCES:
             kwargs["adaptive"] = ADAPTIVE
     elif source == "sequential":
         kwargs["executor"] = make_executor("fused")
     elif source == "pipelined":
-        kwargs.update(executor=pool, pipeline=True)
+        kwargs["executor"] = pool
     elif source == "adaptive":
         kwargs.update(executor=make_executor("fused"), adaptive=ADAPTIVE)
     else:
@@ -118,7 +101,7 @@ def _campaign(source, features, store, pool, reference=False):
 
 @pytest.fixture(scope="module")
 def references(tmp_path_factory, pool):
-    """Serial sequential stores, built once per (adaptive, features)."""
+    """Serial stores, built once per (adaptive, features)."""
     root = tmp_path_factory.mktemp("matrix_reference")
     built = {}
 
@@ -155,9 +138,9 @@ def test_combination_matches_serial_and_audits(
         assert result.completed == list(FIGURES)
     assert result.succeeded
 
-    if source == "pipelined":
-        expected = "health-supervised" if "supervise" in features else None
-        assert result.pipeline_declined_reason == expected
+    if source not in ADAPTIVE_SOURCES:
+        # Every fixed-budget figure ran through the plan stream.
+        assert result.engine_stats["pipelined_plans"] > 0
     if source in POOL_SOURCES:
         # The slices ran on the forked workers.
         assert result.engine_stats["dispatches"] > 0
@@ -168,16 +151,10 @@ def test_combination_matches_serial_and_audits(
             reference / f"{name}.json"
         ).read_bytes(), name
     assert sorted(store.load_manifest().completed) == sorted(FIGURES)
+    scan = store.verify()
+    assert scan["orphaned_tmp"] == []
+    assert scan["unreferenced_sidecars"] == []
     assert audit_store(store, sample=len(FIGURES), seed=0).passed
-
-
-@pytest.mark.parametrize("source, features", REFUSED_CASES)
-def test_refused_combination_raises(source, features):
-    executor = ProcessPoolExecutor(jobs=2)
-    with pytest.raises(ConfigurationError, match="does not combine"):
-        _campaign(source, features, None, executor)
-    # Refused before any worker started.
-    assert executor._workers == []
 
 
 @settings(max_examples=5, deadline=None)

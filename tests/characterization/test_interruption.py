@@ -100,7 +100,6 @@ class TestPipelinedInterruption:
                 _scope(),
                 store=KillingStore(directory, kill_on=FIGURES[1]),
                 executor=executor,
-                pipeline=True,
             ).run(list(FIGURES))
         assert partial.interrupted
         # The first program was committed by the streaming commit
@@ -141,7 +140,6 @@ class TestPipelinedInterruption:
                 _scope(),
                 store=KillingStore(directory, kill_on=FIGURES[1]),
                 executor=executor,
-                pipeline=True,
             ).run(list(FIGURES))
         store = ResultStore(directory)
         with make_executor("fused-parallel", jobs=2) as executor:

@@ -41,9 +41,7 @@ def stores(tmp_path_factory):
 
     pipe_store = ResultStore(root / "pipelined")
     with make_executor("fused-parallel", jobs=2) as executor:
-        Campaign(
-            _scope(), store=pipe_store, executor=executor, pipeline=True
-        ).run(FIGURES)
+        Campaign(_scope(), store=pipe_store, executor=executor).run(FIGURES)
         pipelined_plans = executor.metrics.pipelined_plans
     return serial_store, pipe_store, pipelined_plans
 

@@ -86,7 +86,6 @@ def run_chaotic(directory, name):
             chaos=chaos,
             retry=RetryPolicy(max_attempts=20, base_delay_s=0.0),
             executor=executor,
-            pipeline=False,
         ).run(list(FIGURES))
     assert result.succeeded
     return store, result

@@ -283,14 +283,22 @@ class TestStreamingRunMany:
         plans = self._plans()
         streamed = []
         with EXECUTOR_FACTORIES[name]() as executor:
-            results = executor.run_many(
+            kept = executor.run_many(
                 plans, on_result=lambda i, r: streamed.append((i, r))
             )
+            unstreamed = executor.run_many(plans)
         assert [index for index, _ in streamed] == [0, 1, 2]
-        assert [result for _, result in streamed] == results
-        assert len(results) == len(plans)
+        # A streamed result is the caller's alone: nothing is kept.
+        assert kept == []
+        results = [result for _, result in streamed]
         for result in results:
             assert not isinstance(result, Exception)
+        assert [
+            [(o.rate, o.mask.tobytes()) for o in r.outcomes] for r in results
+        ] == [
+            [(o.rate, o.mask.tobytes()) for o in r.outcomes]
+            for r in unstreamed
+        ]
 
     def test_interrupt_in_hook_leaves_streamed_plans_delivered(self):
         plans = self._plans(2)

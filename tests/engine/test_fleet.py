@@ -418,10 +418,14 @@ class TestDispatcherLocalFallback:
         # The only worker dies on its first slice.
         chaos = ChaosConfig(seed=3, worker_kill_serials=(KILL_SERIAL,))
         streamed = []
+        results = []
+
+        def keep(index, result):
+            streamed.append(index)
+            results.append(result)
+
         with ProcessPoolExecutor(jobs=1, chaos=chaos) as executor:
-            results = executor.run_many(
-                plans, on_result=lambda index, _: streamed.append(index)
-            )
+            executor.run_many(plans, on_result=keep)
             assert executor._workers == []
         assert streamed == [0, 1, 2]
         assert [

@@ -47,14 +47,10 @@ class TestSince:
 
     def test_states_keep_their_current_values(self):
         earlier = EngineMetrics(executor="fused-parallel", workers=2)
-        later = EngineMetrics(
-            executor="fused-parallel", workers=2,
-            pipeline_declined_reason="disabled",
-        )
+        later = EngineMetrics(executor="fused-parallel", workers=2)
         gained = later.since(earlier)
         assert gained.workers == 2
         assert gained.executor == "fused-parallel"
-        assert gained.pipeline_declined_reason == "disabled"
 
 
 class TestOccupancy:
@@ -148,33 +144,6 @@ class TestSchedulerCounters:
                          "pipeline occupancy"):
             assert fragment in report
         assert render_stats_dict(busy.as_dict()) == report
-
-
-class TestPipelineDeclinedReason:
-    def test_default_empty_and_in_dict(self):
-        metrics = EngineMetrics()
-        assert metrics.pipeline_declined_reason == ""
-        assert metrics.as_dict()["pipeline_declined_reason"] == ""
-
-    def test_merge_keeps_first_non_empty(self):
-        total = EngineMetrics()
-        total.merge(EngineMetrics(pipeline_declined_reason=""))
-        total.merge(
-            EngineMetrics(pipeline_declined_reason="health-supervised")
-        )
-        total.merge(EngineMetrics(pipeline_declined_reason="disabled"))
-        assert total.pipeline_declined_reason == "health-supervised"
-
-    def test_reason_renders_in_scheduler_section(self):
-        metrics = EngineMetrics(
-            executor="fused-parallel",
-            workers=2,
-            pipeline_declined_reason="health-supervised",
-        )
-        report = metrics.render()
-        assert "pipeline declined" in report
-        assert "health-supervised" in report
-        assert render_stats_dict(metrics.as_dict()) == report
 
 
 class TestDispatchAndFleetCounters:

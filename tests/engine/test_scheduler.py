@@ -1,5 +1,7 @@
 """Tests for pipelined cross-experiment scheduling."""
 
+import weakref
+
 import pytest
 
 from repro.characterization.activation import program_fig4a
@@ -14,7 +16,6 @@ from repro.engine import (
     SerialExecutor,
     make_executor,
 )
-from repro.errors import ExperimentError
 
 
 @pytest.fixture(scope="module")
@@ -38,10 +39,6 @@ class TestExperimentProgram:
 
 
 class TestCampaignScheduler:
-    def test_rejects_non_pipelining_executor(self):
-        with pytest.raises(ExperimentError):
-            CampaignScheduler(SerialExecutor())
-
     def test_pipelined_matches_sequential_reference(self, scope):
         reference = {
             "fig4a": program_fig4a(scope).run(),
@@ -83,6 +80,61 @@ class TestCampaignScheduler:
     def test_empty_program_list(self):
         with make_executor("fused-parallel", jobs=2) as executor:
             assert CampaignScheduler(executor).run([]) == {}
+
+
+class TestInProcessStream:
+    """Every executor runs the stream: in-process ones back to back."""
+
+    @pytest.mark.parametrize("name", ["serial", "fused"])
+    def test_stream_matches_program_runs(self, scope, name):
+        programs = [program_fig4a(scope), program_fig11(scope)]
+        executor = make_executor(name)
+        outcome = CampaignScheduler(executor).run(programs)
+        assert outcome == {
+            program.name: ("ok", program.run(SerialExecutor()))
+            for program in programs
+        }
+        assert executor.metrics.pipelined_plans == sum(
+            len(program.steps) for program in programs
+        )
+
+    def test_zero_step_programs_settle_in_order(self, scope):
+        def empty(name):
+            return ExperimentProgram(name, (), lambda values: name)
+
+        streamed = []
+        CampaignScheduler(SerialExecutor()).run(
+            [empty("lead"), program_fig4a(scope), empty("tail")],
+            on_program=lambda name, outcome: streamed.append(
+                (name, outcome[0])
+            ),
+        )
+        assert streamed == [("lead", "ok"), ("fig4a", "ok"), ("tail", "ok")]
+
+    def test_settled_programs_release_their_plan_results(self, scope):
+        executor = SerialExecutor()
+        run = executor.run
+        refs = []
+
+        def tracked(plan):
+            result = run(plan)
+            refs.append(weakref.ref(result))
+            return result
+
+        executor.run = tracked
+        first = program_fig4a(scope)
+        alive = {}
+
+        def settled(name, _outcome):
+            alive[name] = sum(
+                ref() is not None for ref in refs[:len(first.steps)]
+            )
+
+        CampaignScheduler(executor).run(
+            [first, program_fig11(scope)], on_program=settled
+        )
+        # Once fig4a has settled, the stream holds none of its results.
+        assert alive["fig11"] == 0
 
 
 class TestStreamingPrograms:

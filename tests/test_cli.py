@@ -176,13 +176,19 @@ class TestAdaptiveCampaignCommand:
         assert "adaptive planner" in out
         assert "rounds" in out
 
-    def test_adaptive_refuses_supervision(self, capsys, tmp_path):
+    def test_adaptive_combines_with_supervision(self, capsys, tmp_path):
+        results_dir = str(tmp_path / "r")
         assert main([
             "campaign", "--supervise", *self.ADAPTIVE, *self.SCALE,
-            "--results-dir", str(tmp_path / "r"),
-        ]) == 2
-        err = capsys.readouterr().err
-        assert "--supervise" in err and "--adaptive" in err
+            "--experiments", "fig9", "--results-dir", results_dir,
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "fig9: done" in out and "[adaptive:" in out
+        assert "fleet health: 0 module(s) quarantined" in out
+        assert main([
+            "audit", "--results-dir", results_dir, "--sample", "1",
+        ]) == 0
+        assert "verdict: PASS" in capsys.readouterr().out
 
     def test_bad_knobs_are_usage_errors(self, capsys, tmp_path):
         assert main([
@@ -638,35 +644,6 @@ class TestRepairCommand:
         capsys.readouterr()
         assert main(["repair", "--results-dir", str(results_dir)]) == 0
         assert "nothing to repair" in capsys.readouterr().out
-
-
-class TestPipelineFlag:
-    SCALE = ["--columns", "64", "--groups", "1", "--trials", "2"]
-
-    def test_parses_both_polarities(self):
-        parser = build_parser()
-        assert parser.parse_args(
-            ["campaign", "--pipeline"]
-        ).pipeline is True
-        assert parser.parse_args(
-            ["campaign", "--no-pipeline"]
-        ).pipeline is False
-        assert parser.parse_args(["campaign"]).pipeline is None
-
-    def test_declined_reason_reaches_stats(self, capsys, tmp_path):
-        results_dir = str(tmp_path / "results")
-        # The fused executor cannot pipeline, so the campaign records
-        # why the pipelined scheduler stood down.
-        assert main([
-            "campaign", "--experiments", "fig4a", *self.SCALE,
-            "--results-dir", results_dir,
-            "--executor", "fused", "--pipeline",
-        ]) == 0
-        capsys.readouterr()
-        assert main(["stats", "--results-dir", results_dir]) == 0
-        out = capsys.readouterr().out
-        assert "pipeline declined" in out
-        assert "executor-not-pipelining" in out
 
 
 class TestServeCommand:

@@ -21,7 +21,7 @@ FROZEN_OPTIONS = {
         Campaign,
         [
             "scope", "store", "retry", "time_budget_s", "chaos", "sleep",
-            "clock", "executor", "health", "pipeline", "adaptive",
+            "clock", "executor", "health", "adaptive",
         ],
     ),
 }
