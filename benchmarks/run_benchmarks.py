@@ -165,7 +165,7 @@ def tree_hash(root: Path = REPO_ROOT, paths=("src", "benchmarks")):
     return "sha256:" + digest.hexdigest()
 
 
-def provenance(args) -> dict:
+def machine_provenance() -> dict:
     """The code and machine a report was measured on."""
     import numpy
 
@@ -180,7 +180,21 @@ def provenance(args) -> dict:
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "platform": platform.platform(),
-        "scale": {
+        "notes": [],
+    }
+    if usable < 2:
+        stamp["notes"].append(
+            f"time-sliced: {usable} usable CPU, so parallel numbers "
+            "measure time-slicing, not scaling"
+        )
+    return stamp
+
+
+def provenance(args) -> dict:
+    """:func:`machine_provenance` plus the engine run's scale."""
+    return dict(
+        machine_provenance(),
+        scale={
             "columns": args.columns,
             "groups_per_size": args.groups,
             "trials": args.trials,
@@ -191,14 +205,7 @@ def provenance(args) -> dict:
                 args.planner_max_trials if args.planner else None
             ),
         },
-        "notes": [],
-    }
-    if usable < 2:
-        stamp["notes"].append(
-            f"time-sliced: {usable} usable CPU, so parallel numbers "
-            "measure time-slicing, not scaling"
-        )
-    return stamp
+    )
 
 
 def _jobs_value(text: str):

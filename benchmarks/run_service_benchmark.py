@@ -2,13 +2,20 @@
 """Result-service load benchmark: thousands of concurrent readers.
 
 Starts the asyncio HTTP query service in-process over a stored
-campaign (``campaign_results/`` by default -- the committed fig3/fig10
-store), opens ``--readers`` concurrent keep-alive connections, and
+campaign (``campaign_results/`` by default, a git-ignored store that
+CI builds with ``campaign --executor fused --experiments fig3 fig7
+fig10``), opens ``--readers`` concurrent keep-alive connections, and
 drives ``--requests-per-reader`` GETs per connection across a
 representative endpoint mix (hot figures, the inventory, bootstrap
-CIs, and ETag revalidations).  Writes ``BENCH_service.json`` at the
-repository root (the CI artifact): served request count, overall RPS,
-p50/p95/p99 latency, cache and digest-memoization counters.
+CIs, and ETag revalidations).  Readers hold all their sockets open but
+keep at most the server's admission budget of requests in flight, the
+way a client pool honours a service's concurrency limit; a request
+the server still sheds with ``503`` is counted as ``shed``, not
+served.  Writes ``BENCH_service.json`` at the repository root (the CI
+artifact): served request count, RPS and p50/p95/p99 latency over the
+answered (200/304) requests, the shed count, cache and
+digest-memoization counters, and the provenance of the run (git sha,
+usable CPUs, Python and numpy versions).
 
 With ``--floors benchmarks/service_floors.json`` the run additionally
 acts as a perf-regression gate: it fails when the measured RPS drops
@@ -43,6 +50,8 @@ from repro.service import (  # noqa: E402
     ResultService,
 )
 from repro.service.api import _summary_means  # noqa: E402
+
+from run_benchmarks import machine_provenance  # noqa: E402
 
 
 def _raise_fd_limit(wanted: int) -> int:
@@ -95,11 +104,18 @@ async def _reader_session(
     port: int,
     requests: List[str],
     latencies: List[float],
+    shed: List[str],
     errors: List[str],
     barrier: asyncio.Barrier,
+    in_flight: asyncio.Semaphore,
     etags: Dict[str, str],
 ) -> None:
-    """One concurrent reader: connect, sync on the barrier, hammer."""
+    """One concurrent reader: connect, sync on the barrier, hammer.
+
+    Each request waits for an ``in_flight`` slot; its latency runs
+    from that wait's start to the last response byte, so the time a
+    reader queues for a slot counts.
+    """
     try:
         stream_reader, writer = await asyncio.open_connection(host, port)
     except OSError as exc:
@@ -115,11 +131,15 @@ async def _reader_session(
                 head += f"If-None-Match: {conditional}\r\n"
             head += "\r\n"
             started = time.perf_counter()
-            writer.write(head.encode("latin1"))
-            await writer.drain()
-            status = await _read_response(stream_reader)
-            latencies.append(time.perf_counter() - started)
-            if status not in (200, 304):
+            async with in_flight:
+                writer.write(head.encode("latin1"))
+                await writer.drain()
+                status = await _read_response(stream_reader)
+            if status in (200, 304):
+                latencies.append(time.perf_counter() - started)
+            elif status == 503:
+                shed.append(target)
+            else:
                 errors.append(f"{target}: HTTP {status}")
     except (ConnectionError, asyncio.IncompleteReadError, OSError) as exc:
         errors.append(f"session: {exc}")
@@ -191,12 +211,17 @@ async def run_service_benchmark(
         request_plans.append(plan)
 
     latencies: List[float] = []
+    shed: List[str] = []
     errors: List[str] = []
     barrier = asyncio.Barrier(readers + 1)
+    # The server sheds what exceeds its admission budget instead of
+    # queueing it, so readers queue for the budget on their side.
+    in_flight = asyncio.Semaphore(server.policy.max_concurrent_requests)
     tasks = [
         asyncio.create_task(
             _reader_session(
-                host, port, plan, latencies, errors, barrier, etags
+                host, port, plan, latencies, shed, errors, barrier,
+                in_flight, etags,
             )
         )
         for plan in request_plans
@@ -216,7 +241,9 @@ async def run_service_benchmark(
         "figures": names,
         "concurrent_readers": readers,
         "requests_per_reader": requests_per_reader,
+        "in_flight_limit": server.policy.max_concurrent_requests,
         "requests_served": served,
+        "shed": len(shed),
         "errors": len(errors),
         "error_samples": errors[:5],
         "elapsed_s": elapsed,
@@ -319,7 +346,7 @@ def main(argv=None) -> int:
         )
     )
     output = Path(args.output)
-    payload: Dict[str, object] = dict(report)
+    payload: Dict[str, object] = dict(report, provenance=machine_provenance())
     if output.exists():
         # The overload benchmark merges its section into the same
         # artifact; a steady-state rerun must not wipe it.
@@ -336,6 +363,10 @@ def main(argv=None) -> int:
         f"served {report['requests_served']} requests from "
         f"{report['concurrent_readers']} concurrent readers in "
         f"{report['elapsed_s']:.2f} s"
+    )
+    print(
+        f"  {report['shed']} shed with 503 at the admission budget "
+        f"({report['in_flight_limit']} in flight)"
     )
     print(
         f"  rps {report['rps']:.0f}  p50 {latency['p50']:.2f} ms  "

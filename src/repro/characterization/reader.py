@@ -20,7 +20,9 @@ Read-path contract:
   ``np.savez``-written uncompressed (``ZIP_STORED``), so their member
   arrays can be served straight off a shared read-only ``mmap`` --
   zero copies per reader -- with a transparent ``np.load`` fallback
-  for anything the fast path cannot prove safe.
+  for anything the fast path cannot prove safe.  The sidecar code is
+  the only code here that needs numpy and imports it where it runs,
+  so reading a version-2 document (the served hot path) loads none.
 - **Memoized digests.**  Content sha256 digests are cached per
   artifact, keyed by the ``(mtime_ns, size, inode)`` stat signatures
   of the document and of the sidecar it references.  The memo holds
@@ -52,9 +54,16 @@ import struct
 import zipfile
 from dataclasses import asdict
 from pathlib import Path
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple, Union
-
-import numpy as np
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from ..errors import (
     ChecksumMismatchError,
@@ -62,6 +71,9 @@ from ..errors import (
     ResultCorruptionError,
 )
 from .stats import DistributionSummary
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _FORMAT_VERSION = 2
 _COLUMNAR_FORMAT_VERSION = 3
@@ -223,6 +235,8 @@ def _columns_checksum(arrays: Dict[str, np.ndarray]) -> str:
     Hashing array *contents* (not the ``.npz`` file bytes) keeps the
     digest independent of zip metadata such as entry timestamps.
     """
+    import numpy as np
+
     digest = hashlib.sha256()
     for name in _COLUMN_FIELDS:
         arr = np.ascontiguousarray(arrays[name])
@@ -277,6 +291,8 @@ def _npy_from_buffer(
     is ``None``); it is matched, never evaluated.  Anything else
     returns ``None`` and the caller falls back to ``np.load``.
     """
+    import numpy as np
+
     if bytes(buffer[offset : offset + 8]) != b"\x93NUMPY\x01\x00":
         return None
     (header_len,) = struct.unpack(
@@ -682,6 +698,8 @@ class ResultReader:
         )
         if arrays is None:
             # Fallback: let np.load produce the canonical corruption errors.
+            import numpy as np
+
             try:
                 with np.load(path) as archive:
                     arrays = {

@@ -10,17 +10,21 @@ summary per sample with a single percentile/mean/extrema pass per
 sample length (bit-identical to looping :func:`summarize`), and
 :func:`bootstrap_mean_ci` resamples a whole bootstrap in one indexed
 gather instead of ``resamples`` Python-level draws.
+
+NumPy (and :mod:`repro.rng`, which needs it) is imported inside the
+functions that compute, so a reader that only carries the dataclasses
+-- the result service answering a figure -- never loads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import TYPE_CHECKING, Dict, List, Sequence
 
-import numpy as np
-
-from .. import rng
 from ..errors import ExperimentError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -62,6 +66,8 @@ class DistributionSummary:
 
 def _validated(values: Sequence[float]) -> np.ndarray:
     """A non-empty, NaN-free float64 array of the sample."""
+    import numpy as np
+
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1:
         raise ExperimentError(
@@ -76,6 +82,8 @@ def _validated(values: Sequence[float]) -> np.ndarray:
 
 def summarize(values: Sequence[float]) -> DistributionSummary:
     """Compute the five-number summary of a non-empty sample."""
+    import numpy as np
+
     arr = _validated(values)
     q1, median, q3 = np.percentile(arr, [25.0, 50.0, 75.0])
     return DistributionSummary(
@@ -91,6 +99,8 @@ def summarize(values: Sequence[float]) -> DistributionSummary:
 
 def _summaries_from_matrix(matrix: np.ndarray) -> List[DistributionSummary]:
     """One summary per row, all rows reduced in single vector passes."""
+    import numpy as np
+
     quartiles = np.percentile(matrix, [25.0, 50.0, 75.0], axis=1)
     means = matrix.mean(axis=1)
     minima = matrix.min(axis=1)
@@ -120,6 +130,8 @@ def summarize_each(
     NumPy reductions instead of one per module.  Results are
     bit-identical to ``[summarize(s) for s in samples]``.
     """
+    import numpy as np
+
     arrays = [_validated(sample) for sample in samples]
     out: List[DistributionSummary] = [None] * len(arrays)  # type: ignore[list-item]
     by_length: Dict[int, List[int]] = {}
@@ -168,6 +180,10 @@ def bootstrap_mean_ci(
     gathered row-mean, deterministic for a given ``(seed, n,
     resamples)`` triple.
     """
+    import numpy as np
+
+    from .. import rng
+
     if not 0.0 < confidence < 1.0:
         raise ExperimentError(f"confidence must be in (0, 1), got {confidence}")
     if resamples < 1:
@@ -205,6 +221,10 @@ def bootstrap_mean_ci_each(
     the contiguous trailing axis with the same pairwise summation
     either way -- which the test suite asserts exactly.
     """
+    import numpy as np
+
+    from .. import rng
+
     if not 0.0 < confidence < 1.0:
         raise ExperimentError(f"confidence must be in (0, 1), got {confidence}")
     if resamples < 1:
@@ -266,6 +286,8 @@ class StreamingBootstrap:
         resamples: int = 2000,
         seed: int = 0,
     ):
+        import numpy as np
+
         if not 0.0 < confidence < 1.0:
             raise ExperimentError(
                 f"confidence must be in (0, 1), got {confidence}"
@@ -288,6 +310,10 @@ class StreamingBootstrap:
 
     def extend(self, values: Sequence[float]) -> None:
         """Absorb one chunk of observations (a round's worth)."""
+        import numpy as np
+
+        from .. import rng
+
         chunk = np.asarray(values, dtype=np.float64)
         if chunk.ndim != 1:
             raise ExperimentError(
@@ -309,6 +335,8 @@ class StreamingBootstrap:
 
     def ci(self) -> BootstrapCI:
         """The CI over everything absorbed so far."""
+        import numpy as np
+
         if self._n == 0:
             raise ExperimentError("cannot compute a CI before any observations")
         mean = self._total / self._n

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .. import rng
 from ..errors import ConfigurationError
 
 
@@ -163,6 +162,10 @@ class CircuitBreaker:
     def _jitter(self) -> int:
         if self._policy.cooldown_jitter <= 0:
             return 0
+        # Only the jitter needs numpy; the result service's breaker
+        # runs without it.
+        from .. import rng
+
         draw = rng.generator(
             "breaker", self._policy.seed, self._name, self._trips
         )

@@ -257,8 +257,6 @@ class ResultServer:
         """The keep-alive request loop of one connection."""
         stats = self.resilience.stats
         while True:
-            if self._draining:
-                break
             try:
                 request = await asyncio.wait_for(
                     self._read_request_or_drain(reader),
@@ -367,7 +365,11 @@ class ResultServer:
         A request already on the wire when the drain starts gets a
         short grace (``drain_grace_s``) to finish arriving -- it will
         be served with ``Connection: close`` -- so a drain never
-        drops a request the client believes it sent.
+        drops a request the client believes it sent.  The grace also
+        covers a connection whose keep-alive response went out while
+        the drain began: its client may already be sending the next
+        request, and closing the socket over unread bytes would reset
+        the connection instead of answering it.
         """
         read = asyncio.ensure_future(self._read_request(reader))
         assert self._drain_event is not None
@@ -387,18 +389,17 @@ class ResultServer:
                     drain_wait.cancel()
                     with contextlib.suppress(asyncio.CancelledError):
                         await drain_wait
-            if read not in done:
-                try:
-                    return await asyncio.wait_for(
-                        asyncio.shield(read),
-                        timeout=self.policy.drain_grace_s,
-                    )
-                except asyncio.TimeoutError:
-                    read.cancel()
-                    with contextlib.suppress(asyncio.CancelledError):
-                        await read
-                    return _DRAINING
-        return await read
+            if read in done:
+                return read.result()
+        try:
+            return await asyncio.wait_for(
+                asyncio.shield(read), timeout=self.policy.drain_grace_s
+            )
+        except asyncio.TimeoutError:
+            read.cancel()
+            with contextlib.suppress(asyncio.CancelledError):
+                await read
+            return _DRAINING
 
     async def _read_request(
         self, reader: asyncio.StreamReader

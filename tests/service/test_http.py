@@ -454,6 +454,46 @@ class TestResilienceTransport:
 
         asyncio.run(_run())
 
+    def test_drain_serves_a_request_sent_after_a_keepalive_response(
+        self, store
+    ):
+        """The drain begins just after a keep-alive response went out:
+        the client's next request, sent at once, is answered with
+        ``Connection: close`` instead of meeting a closed socket."""
+
+        async def _run():
+            service = ResultService(ResultReader(store.directory))
+            server = ResultServer(service)
+            await server.start()
+            host, port = server.address
+            write_response = server._write_response
+            drains = []
+
+            async def respond_then_drain(*args, **kwargs):
+                await write_response(*args, **kwargs)
+                if not drains:
+                    drains.append(asyncio.ensure_future(server.drain()))
+                    while not server.resilience.draining:
+                        await asyncio.sleep(0.005)
+                    await asyncio.sleep(0.05)  # the next request lands
+
+            server._write_response = respond_then_drain
+            reader, writer = await asyncio.open_connection(host, port)
+            status, headers, _b = await _request(reader, writer, "/figures/fig3")
+            assert (status, headers["connection"]) == (200, "keep-alive")
+            status, headers, body = await _request(
+                reader, writer, "/figures/fig3"
+            )
+            assert (status, headers["connection"]) == (200, "close")
+            assert json.loads(body)["name"] == "fig3"
+            assert await drains[0] is True
+            assert await reader.read() == b""
+            writer.close()
+            await writer.wait_closed()
+            await server.stop()
+
+        asyncio.run(_run())
+
     def test_drain_timeout_cancels_stragglers_unclean(self, store):
         async def _run():
             faultable = _FaultableReader(ResultReader(store.directory))

@@ -1,10 +1,12 @@
-"""The read path never loads the simulator.
+"""The read path never loads the simulator, nor numpy until it computes.
 
 ``serve``, ``stats``, ``cache`` and every ``--help`` only read stored
 results, so importing them must not pay for the DRAM model, the test
-rig or the trial engine.  Each case runs in a fresh interpreter (the
-test process itself has everything loaded) and reports which of the
-simulator's modules ended up in ``sys.modules``.
+rig or the trial engine.  A served version-2 figure does no array
+math either, so ``serve`` loads numpy only for a ``/ci`` bootstrap or
+a version-3 column sidecar.  Each case runs in a fresh interpreter
+(the test process itself has everything loaded) and reports which of
+the watched modules ended up in ``sys.modules``.
 """
 
 import json
@@ -16,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.characterization.stats import summarize
 from repro.characterization.store import ResultStore
 from repro.engine.metrics import EngineMetrics
 
@@ -29,27 +32,32 @@ SIMULATOR = (
     "repro.chaos",
     "repro.rngblock",
 )
+READ_PATH = SIMULATOR + ("numpy",)
+
+
+def _probe(snippet: str, cwd: Path):
+    """Run ``snippet`` in a fresh interpreter; its last line as JSON."""
+    env = dict(os.environ)
+    existing = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = str(SRC_DIR) + (os.pathsep + existing if existing else "")
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(snippet)],
+        capture_output=True, text=True, cwd=cwd, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.strip().splitlines()[-1])
 
 
 def _loaded_after(snippet: str, cwd: Path, watched=SIMULATOR) -> list:
     """The ``watched`` modules (and their submodules) after ``snippet``."""
-    probe = textwrap.dedent(snippet) + textwrap.dedent(f"""
+    return _probe(textwrap.dedent(snippet) + textwrap.dedent(f"""
         import json, sys
         watched = {list(watched)!r}
         print(json.dumps(sorted(
             name for name in sys.modules
             if any(name == w or name.startswith(w + ".") for w in watched)
         )))
-    """)
-    env = dict(os.environ)
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = str(SRC_DIR) + (os.pathsep + existing if existing else "")
-    done = subprocess.run(
-        [sys.executable, "-c", probe],
-        capture_output=True, text=True, cwd=cwd, env=env, timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    """), cwd)
 
 
 def _main(argv: list) -> str:
@@ -74,23 +82,88 @@ def tiny_store(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "snippet",
+    "snippet, watched",
     [
-        "import repro.service.http",
-        "import repro.cli",
-        _main(["serve", "--help"]),
-        _main(["campaign", "--help"]),
-        _main(["stats", "--results-dir", "results"]),
-        _main(["cache", "stats", "--cache-dir", "cache"]),
+        ("import repro.service.http", READ_PATH),
+        ("import repro.cli", READ_PATH),
+        (_main(["serve", "--help"]), READ_PATH),
+        (_main(["campaign", "--help"]), READ_PATH),
+        (_main(["stats", "--results-dir", "results"]), READ_PATH),
+        # `cache stats` opens the TrialCache, whose stored outcomes are
+        # numpy arrays, so it still loads numpy until the trial cache
+        # retires onto the result store.
+        (_main(["cache", "stats", "--cache-dir", "cache"]), SIMULATOR),
     ],
     ids=["import-http", "import-cli", "serve-help", "campaign-help",
          "stats", "cache-stats"],
 )
-def test_read_path_loads_no_simulator_module(snippet, tiny_store):
-    assert _loaded_after(snippet, cwd=tiny_store.parent) == []
+def test_read_path_loads_no_simulator_module(snippet, watched, tiny_store):
+    assert _loaded_after(snippet, cwd=tiny_store.parent, watched=watched) == []
 
 
 def test_breaker_loads_without_the_audit(tmp_path):
-    watched = SIMULATOR + ("repro.health.audit",)
+    watched = READ_PATH + ("repro.health.audit",)
     assert _loaded_after("import repro.health.breaker", tmp_path, watched) == []
 
+
+_SERVED = [
+    ("results", "/figures/fig", False),
+    ("results", "/figures/fig", True),
+    ("results", "/figures", False),
+    ("results", "/ci/fig?resamples=200&seed=1", False),
+    ("columnar", "/figures/fig", False),
+]
+"""The served requests, as ``(store, target, revalidate)``: a
+version-2 figure, its ``If-None-Match`` revalidation and the listing,
+then the two that need numpy -- a bootstrap CI, and the same figure
+saved in version 3, whose summaries sit in a column sidecar.  The
+version-3 save has a store of its own because the listing reads every
+artifact."""
+
+_SERVE_PROBE = f"""
+import json, sys
+from repro.characterization.reader import ResultReader
+from repro.service import HotFigureCache, ResultService
+services, answers, numpy_loaded = {{}}, [], []
+for store, target, revalidate in {_SERVED!r}:
+    if store not in services:
+        reader = ResultReader(store)
+        services[store] = ResultService(reader, cache=HotFigureCache(reader))
+    headers = {{"If-None-Match": answers[0][1]}} if revalidate else {{}}
+    response = services[store].handle("GET", target, headers)
+    answers.append(
+        [response.status, response.headers.get("ETag"), response.body.decode()]
+    )
+    numpy_loaded.append("numpy" in sys.modules)
+print(json.dumps({{"answers": answers, "numpy": numpy_loaded}}))
+"""
+"""Serve :data:`_SERVED` from the stores under the working directory;
+print every ``[status, ETag, body]`` and whether numpy was loaded
+after each request."""
+
+
+def test_served_figure_loads_numpy_only_for_ci_or_a_sidecar(
+    tmp_path, monkeypatch, capsys
+):
+    data = {
+        "rows": {
+            str(rows): summarize([0.5 + 0.01 * rows + 0.002 * k for k in range(9)])
+            for rows in (2, 4, 8, 16, 32)
+        },
+        "rows_tested": [2, 4, 8, 16, 32],
+    }
+    for name, columnar in (("results", False), ("columnar", True)):
+        ResultStore(tmp_path / name, columnar=columnar).save(
+            "fig", data, notes=name
+        )
+    served = _probe(_SERVE_PROBE, cwd=tmp_path)
+    assert served["numpy"] == [False, False, False, True, True]
+    assert [status for status, _, _ in served["answers"]] == [
+        200, 304, 200, 200, 200,
+    ]
+
+    # The same requests in this process, which has numpy loaded.
+    monkeypatch.chdir(tmp_path)
+    exec(_SERVE_PROBE, {})
+    rendered = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert served["answers"] == rendered["answers"]
