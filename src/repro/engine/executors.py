@@ -15,14 +15,16 @@ they start lazily on first use, survive across plans (and across
 experiments, when driven by
 :class:`~repro.engine.scheduler.CampaignScheduler` through
 :meth:`ExecutorBase.run_many`), and are shut down by ``close()`` / the
-context-manager exit.  Slices travel to them, and outcomes back, as
-columnar frames over one socket protocol (:mod:`repro.engine.fleet`).
+context-manager exit.  Slices of the batch's task stream travel to
+them, and outcomes back, as columnar frames over one socket protocol
+(:mod:`repro.engine.fleet`).
 """
 
 from __future__ import annotations
 
 import collections
 import contextlib
+import itertools
 import os
 import select
 import signal
@@ -48,6 +50,7 @@ from .. import rng
 from ..bender.program import apa_program
 from ..bender.testbench import TestBench
 from ..chaos import ChaosConfig, FaultKind
+from ..config import SimulationConfig
 from ..errors import ExperimentError
 from . import bitplane
 from .cache import TrialCache
@@ -514,6 +517,10 @@ class SerialExecutor(ExecutorBase):
         return self._finish(plan, delta, outcomes, started)
 
 
+_Segment = Tuple["_PendingPlan", Dict[str, Any], TaskColumns]
+"""One plan's part of a frame: its owner, segment header and tasks."""
+
+
 class _Worker:
     """Dispatcher-side handle of one forked worker: its socket and pid."""
 
@@ -525,7 +532,7 @@ class _Worker:
 
 
 class _PendingPlan:
-    """One plan moving through prepare -> slice -> execute -> finalize."""
+    """One plan moving through prepare -> segment -> execute -> finalize."""
 
     __slots__ = (
         "plan", "started", "delta", "head", "sections", "kills",
@@ -537,16 +544,18 @@ class _PendingPlan:
         self.started = started
         self.delta: Optional[EngineMetrics] = None
         self.head: Dict[str, Any] = {}
-        """The plan's part of every ``run-slice`` header (kernel,
-        operating point, checkpoints) as wire specs."""
+        """The plan's part of every ``run-slice`` segment header
+        (kernel, operating point, checkpoints) as wire specs."""
         self.sections: List[Dict[str, Any]] = []
         """Per-bench wire specs (serial/config/chaos)."""
         self.kills: List[bool] = []
-        """Per section: whether its slice carries the chaos worker kill."""
+        """Per section: whether the chaos worker kill has yet to ride
+        a segment (the first segment holding the section takes it)."""
         self.section_tasks: List[List[TrialTask]] = []
         """Tasks per section, parallel to ``sections``, in plan order."""
         self.execute_started: float = started
-        self.shard_columns: Dict[int, Tuple[OutcomeColumns, float]] = {}
+        self.shard_columns: List[Tuple[OutcomeColumns, float]] = []
+        """Harvested (outcomes, worker busy seconds) per segment."""
         self.error: Optional[Exception] = None
 
 
@@ -555,6 +564,11 @@ DISPATCH_TARGET_S = 0.05
 round-trip amortizes over at least this much work (0 disables the
 adaptation)."""
 
+SLICES_PER_WORKER = 8
+"""Most slices per worker a multi-plan batch's task stream is cut
+into: enough that a worker finishing early finds more queued, few
+enough that dispatch round trips stay a sliver of the batch."""
+
 SHUTDOWN_TIMEOUT_S = 5.0
 """How long ``close()`` waits for a worker to exit before SIGKILL."""
 
@@ -562,9 +576,10 @@ SHUTDOWN_TIMEOUT_S = 5.0
 class ProcessPoolExecutor(ExecutorBase):
     """Shards a plan's tasks across benches and runs them fused in workers.
 
-    Each slice travels to a worker process as one ``run-slice`` frame
-    over a socket (:mod:`repro.engine.fleet`): wire specs rebuild the
-    kernel, operating point and each bench from its catalog spec
+    A batch's task stream is cut into slices (:meth:`_build_frames`),
+    and each slice travels to a worker process as one ``run-slice``
+    frame over a socket (:mod:`repro.engine.fleet`): wire specs
+    rebuild the kernel, operating point and each bench from its catalog spec
     (``module.spec``), so benches built by hand around a bare
     :class:`~repro.dram.module.Module` cannot be shipped and raise
     :class:`~repro.errors.ExperimentError`.  When ``chaos`` is set,
@@ -583,7 +598,7 @@ class ProcessPoolExecutor(ExecutorBase):
     and reset them to the baseline environment on reuse, which the
     exact thermal settle makes bit-identical to a fresh rebuild.
 
-    Worker death is supervised once: the dead worker's slice is
+    Worker death is supervised once: the dead worker's whole frame is
     re-queued onto a survivor -- safe because every trial's noise is
     keyed by measurement context, never execution history, so
     re-running a slice lands on identical bits -- and when no worker
@@ -615,6 +630,9 @@ class ProcessPoolExecutor(ExecutorBase):
         """Plan-run counter salting the worker chaos schedule, so a
         retried slice does not deterministically replay the exact
         fault sequence that just failed it."""
+        self._config_specs: Dict[SimulationConfig, Dict[str, Any]] = {}
+        """Wire spec per simulation config: a campaign ships the same
+        few configs in every section of every plan."""
 
     # -- workers --------------------------------------------------------------
 
@@ -726,14 +744,15 @@ class ProcessPoolExecutor(ExecutorBase):
             Callable[[int, Union[PlanResult, Exception]], None]
         ] = None,
     ) -> List[Union[PlanResult, Exception]]:
-        """Pipelined execution: one slice stream over the shared workers.
+        """Pipelined execution: one task stream over the shared workers.
 
         Every plan is prepared up front (tasks the trial cache holds
-        are served, the rest become the plan's work), all slices run
-        as a single supervised stream (so the workers stay saturated
-        across plan boundaries), and results are finalized strictly in
-        plan order -- a failing plan surfaces as its exception without
-        disturbing its neighbours.
+        are served, the rest become the plan's work), the plans' tasks
+        run as a single supervised stream of frames that span plan
+        boundaries (so the workers stay saturated and a small plan
+        costs no round trip of its own), and results are finalized
+        strictly in plan order -- a failing plan surfaces as its
+        exception without disturbing its neighbours.
 
         With ``on_result`` set, each plan is finalized and streamed to
         the caller as soon as its last slice lands (still strictly in
@@ -819,7 +838,7 @@ class ProcessPoolExecutor(ExecutorBase):
         return [settled[index] for index in sorted(settled)]
 
     def _prepare(self, plan: TrialPlan) -> _PendingPlan:
-        """Environment, bench sections and the plan's slice header."""
+        """Environment, bench sections and the plan's segment header."""
         from .fleet import (
             chaos_to_spec,
             config_to_spec,
@@ -846,9 +865,14 @@ class ProcessPoolExecutor(ExecutorBase):
                 )
             serial = module.serial
             chaos = self._worker_chaos(serial)
+            config = self._config_specs.get(module.config)
+            if config is None:
+                config = self._config_specs[module.config] = config_to_spec(
+                    module.config
+                )
             pending.sections.append({
                 "serial": serial,
-                "config": config_to_spec(module.config),
+                "config": config,
                 "chaos": None if chaos is None else chaos_to_spec(chaos),
             })
             kill = (
@@ -862,7 +886,6 @@ class ProcessPoolExecutor(ExecutorBase):
             pending.section_tasks.append(shards[bench_index])
         if pending.sections:
             pending.head = {
-                "type": "run-slice",
                 "kernel": kernel_to_spec(plan.kernel),
                 "point": point_to_spec(plan.point),
                 "checkpoints": list(plan.checkpoints),
@@ -871,107 +894,124 @@ class ProcessPoolExecutor(ExecutorBase):
         pending.execute_started = time.perf_counter()
         return pending
 
-    def _build_slices(
-        self, pending: _PendingPlan
-    ) -> List[Tuple[Dict[str, Any], TaskColumns]]:
-        """Chunk one plan's prepared work into contiguous slices.
+    def _build_frames(
+        self, pendings: Sequence[_PendingPlan]
+    ) -> List[List[_Segment]]:
+        """Cut the batch's task stream into contiguous slices, one frame each.
 
-        The flattened (section, task) stream is cut into at most
-        ``workers`` contiguous slices -- one dispatch per worker is the
-        O(workers) round-trip floor.  Once a per-task cost estimate
+        Every plan's flattened (section, task) stream is joined in plan
+        order and cut into ``min(tasks, workers * min(plans,
+        SLICES_PER_WORKER))`` slices of near-equal task count.  A
+        one-plan batch thus gets at most one slice per worker -- the
+        O(workers) round-trip floor -- and a pipelined stream of
+        hundreds of small plans travels in a few frames per worker
+        instead of one or more per plan.  Once a per-task cost estimate
         exists (EMA over observed worker busy seconds, see
         :meth:`_harvest`), the slice count also adapts *downward* so
         every dispatch carries at least :data:`DISPATCH_TARGET_S` of
-        estimated compute: tiny plans collapse toward a single dispatch
-        instead of fanning out work that costs less than its own
-        round-trip.
+        estimated compute.
 
-        Each slice is a ``run-slice`` header carrying a slice-local
-        section table (just the benches the slice touches) plus the
-        slice's tasks as one :class:`~repro.engine.columnar.TaskColumns`
-        message; tasks reference sections by slot, so the worker
-        rebuilds or fetches each bench once per slice.
+        A slice may span plan boundaries: its frame holds one segment
+        per plan it touches (:meth:`_segment`).
         """
-        flat: List[Tuple[int, TrialTask]] = []
-        for section_index, tasks in enumerate(pending.section_tasks):
-            for task in tasks:
-                flat.append((section_index, task))
+        flat = [
+            (pending, section_index, task)
+            for pending in pendings
+            for section_index, tasks in enumerate(pending.section_tasks)
+            for task in tasks
+        ]
         if not flat:
             return []
-        delta = pending.delta
-        assert delta is not None
         total = len(flat)
-        n_slices = max(1, min(self._pool_target(), total))
+        n_slices = min(
+            total,
+            self._pool_target() * min(len(pendings), SLICES_PER_WORKER),
+        )
         if self._task_cost_ema and DISPATCH_TARGET_S > 0:
             affordable = int(total * self._task_cost_ema / DISPATCH_TARGET_S)
             n_slices = max(1, min(n_slices, affordable))
         base, extra = divmod(total, n_slices)
-        slices: List[Tuple[Dict[str, Any], TaskColumns]] = []
+        frames: List[List[_Segment]] = []
         cursor = 0
         for slice_index in range(n_slices):
             size = base + (1 if slice_index < extra else 0)
             chunk = flat[cursor:cursor + size]
             cursor += size
-            if not chunk:
-                continue
-            slot_of: Dict[int, int] = {}
-            sections: List[Dict[str, Any]] = []
-            slots: List[int] = []
-            tasks: List[TrialTask] = []
-            kill = False
-            for section_index, task in chunk:
-                slot = slot_of.get(section_index)
-                if slot is None:
-                    slot = len(sections)
-                    slot_of[section_index] = slot
-                    sections.append(pending.sections[section_index])
-                    kill = kill or pending.kills[section_index]
-                slots.append(slot)
-                tasks.append(task)
-            columns = pack_tasks(tasks, slots)
-            header = dict(pending.head, sections=sections, kill_worker=kill)
-            delta.dispatches += 1
-            delta.bytes_shipped_down += columns.nbytes()
-            slices.append((header, columns))
-        delta.workers = max(1, min(self._pool_target(), len(slices)))
-        return slices
+            runs = itertools.groupby(chunk, key=lambda item: item[0])
+            frames.append([
+                self._segment(owner, [item[1:] for item in run])
+                for owner, run in runs
+            ])
+        return frames
+
+    @staticmethod
+    def _segment(
+        pending: _PendingPlan, items: Sequence[Tuple[int, TrialTask]]
+    ) -> _Segment:
+        """One plan's part of a slice: its ``run-slice`` segment.
+
+        The header carries a segment-local section table (just the
+        benches the segment touches) and the tasks travel as one
+        :class:`~repro.engine.columnar.TaskColumns` message; tasks
+        reference sections by slot, so the worker rebuilds or fetches
+        each bench once per segment.  A chaos worker kill rides only
+        the first segment that holds its section.
+        """
+        slot_of: Dict[int, int] = {}
+        sections: List[Dict[str, Any]] = []
+        slots: List[int] = []
+        tasks: List[TrialTask] = []
+        kill = False
+        for section_index, task in items:
+            slot = slot_of.get(section_index)
+            if slot is None:
+                slot = slot_of[section_index] = len(sections)
+                sections.append(pending.sections[section_index])
+                kill = kill or pending.kills[section_index]
+                pending.kills[section_index] = False
+            slots.append(slot)
+            tasks.append(task)
+        columns = pack_tasks(tasks, slots)
+        assert pending.delta is not None
+        pending.delta.bytes_shipped_down += columns.nbytes()
+        header = dict(pending.head, sections=sections, kill_worker=kill)
+        return pending, header, columns
 
     def _execute_batch(
         self,
         pendings: List[_PendingPlan],
         on_complete: Optional[Callable[[_PendingPlan], None]] = None,
     ) -> None:
-        """Run every pending plan's slices to completion, supervised.
+        """Run every pending plan's segments to completion, supervised.
 
-        All slices share one queue over the workers, driven by a
-        ``select`` loop: each idle worker takes the next slice, and
-        each reply is harvested into its owner.  A worker that dies
-        (EOF or a socket error) takes nothing with it: its slice goes
-        back to the front of the queue for a survivor, and once no
-        worker survives the rest of the queue runs in-process.
-        Per-plan accounting (resharded tasks, chaos faults) lands in
-        each owner's delta; worker deaths are credited once -- to the
-        single owner's delta when one plan runs alone, or straight to
-        the cumulative metrics for a pipelined batch.
+        All frames share one queue over the workers, driven by a
+        ``select`` loop: each idle worker takes the next frame, and
+        each reply segment is harvested into its owner plan.  A worker
+        that dies (EOF or a socket error) takes nothing with it: its
+        whole frame goes back to the front of the queue for a
+        survivor, and once no worker survives the rest of the queue
+        runs in-process.  Per-plan accounting (resharded tasks, chaos
+        faults) lands in each owner's delta; frames, the workers that
+        received one, and worker deaths are batch facts, credited once
+        -- to the single owner's delta when one plan runs alone, or
+        straight to the cumulative metrics for a pipelined batch.
 
         ``on_complete`` fires the moment a plan has no outstanding
-        slices left -- every slice harvested, or the plan abandoned on
-        its first error -- which is what lets :meth:`run_many` stream
-        finalized plans mid-batch.  Idle workers are refilled before
-        the callbacks run, so a slow commit never starves them.
+        segments left -- every segment harvested, or the plan
+        abandoned on its first error -- which is what lets
+        :meth:`run_many` stream finalized plans mid-batch.  Idle
+        workers are refilled before the callbacks run, so a slow
+        commit never starves them.
         """
         from .fleet import recv_columns, send_columns, serve_slice
 
-        jobs: List[Tuple[_PendingPlan, Dict[str, Any], TaskColumns]] = [
-            (pending, header, columns)
-            for pending in pendings
-            for header, columns in self._build_slices(pending)
-        ]
-        if not jobs:
+        frames = self._build_frames(pendings)
+        if not frames:
             return
         outstanding: Dict[int, int] = {}
-        for owner, _, _ in jobs:
-            outstanding[id(owner)] = outstanding.get(id(owner), 0) + 1
+        for frame in frames:
+            for owner, _, _ in frame:
+                outstanding[id(owner)] = outstanding.get(id(owner), 0) + 1
         done: List[_PendingPlan] = []
         batch_extra = (
             pendings[0].delta
@@ -979,44 +1019,58 @@ class ProcessPoolExecutor(ExecutorBase):
             else EngineMetrics(executor=self.name)
         )
         assert batch_extra is not None
-        queue = collections.deque(range(len(jobs)))
+        queue = collections.deque(range(len(frames)))
         in_flight: Dict[_Worker, int] = {}
+        reached: set = set()  # pids of workers that received a frame
 
-        def settle(index: int, reply) -> None:
-            owner = jobs[index][0]
+        def settle(owner: _PendingPlan, reply) -> None:
             try:
-                harvested = self._harvest(reply, owner.delta)
+                owner.shard_columns.append(self._harvest(reply, owner.delta))
             except Exception as exc:
                 if owner.error is None:
                     owner.error = exc
-            else:
-                owner.shard_columns[index] = harvested
             done.append(owner)
 
         def requeue(worker: _Worker, index: int) -> None:
-            owner, header, columns = jobs[index]
             self._drop(worker, SHUTDOWN_TIMEOUT_S)
             batch_extra.worker_deaths += 1
-            owner.delta.tasks_resharded += len(columns)
-            # A chaos kill fires once: clear it before the slice is
+            # A chaos kill fires once: clear it before the frame is
             # re-issued, or the survivor dies too.
-            jobs[index] = (owner, dict(header, kill_worker=False), columns)
+            frames[index] = [
+                (owner, dict(header, kill_worker=False), columns)
+                for owner, header, columns in frames[index]
+            ]
+            for owner, _, columns in frames[index]:
+                owner.delta.tasks_resharded += len(columns)
             queue.appendleft(index)
+
+        def live_segments(index: int) -> List[_Segment]:
+            """The frame minus segments abandoned with their plans."""
+            for owner, _, _ in frames[index]:
+                if owner.error is not None:
+                    done.append(owner)
+            frames[index] = [s for s in frames[index] if s[0].error is None]
+            return frames[index]
 
         def dispatch() -> None:
             idle = [w for w in self._workers if w not in in_flight]
             while queue and idle:
                 index = queue.popleft()
-                owner, header, columns = jobs[index]
-                if owner.error is not None:
-                    done.append(owner)  # abandoned with its plan
+                frame = live_segments(index)
+                if not frame:
                     continue
                 worker = idle.pop(0)
                 try:
-                    send_columns(worker.sock, header, columns)
+                    send_columns(
+                        worker.sock,
+                        {"type": "run-slice"},
+                        [(header, columns) for _, header, columns in frame],
+                    )
                 except OSError:
                     requeue(worker, index)
                     continue
+                batch_extra.dispatches += 1
+                reached.add(worker.process)
                 in_flight[worker] = index
 
         def complete() -> None:
@@ -1026,21 +1080,19 @@ class ProcessPoolExecutor(ExecutorBase):
                 if outstanding[id(owner)] == 0 and on_complete is not None:
                     on_complete(owner)
 
-        self._ensure_workers(len(jobs))
+        self._ensure_workers(len(frames))
         try:
             while queue or in_flight:
                 dispatch()
                 if not in_flight:
                     # No worker left: finish the queue in-process.
                     while queue:
-                        index = queue.popleft()
-                        owner, header, columns = jobs[index]
-                        if owner.error is None:
-                            settle(index, serve_slice(
+                        for owner, header, columns in live_segments(
+                            queue.popleft()
+                        ):
+                            settle(owner, serve_slice(
                                 dict(header, kill_worker=False), columns
                             ))
-                        else:
-                            done.append(owner)
                         complete()
                     break
                 readable, _, _ = select.select(
@@ -1049,19 +1101,26 @@ class ProcessPoolExecutor(ExecutorBase):
                 for worker in [w for w in in_flight if w.sock in readable]:
                     index = in_flight.pop(worker)
                     try:
-                        reply = recv_columns(worker.sock)
+                        _, replies = recv_columns(worker.sock)
+                        if len(replies) != len(frames[index]):
+                            raise ExperimentError(
+                                f"worker answered {len(replies)} segments "
+                                f"for {len(frames[index])}"
+                            )
                     except Exception:  # EOF, a socket error, a torn frame
                         requeue(worker, index)
                         continue
-                    settle(index, reply)
+                    for (owner, _, _), reply in zip(frames[index], replies):
+                        settle(owner, reply)
                 dispatch()
                 complete()
         except BaseException:
-            # A worker still holding a slice would answer into the next
+            # A worker still holding a frame would answer into the next
             # batch: it goes with the batch.
             for worker in list(in_flight):
                 self._drop(worker, 0.0)
             raise
+        batch_extra.workers = max(1, len(reached))
         if len(pendings) > 1:
             self.metrics.merge(batch_extra)
 
@@ -1072,10 +1131,10 @@ class ProcessPoolExecutor(ExecutorBase):
         delta = pending.delta
         assert delta is not None
         fresh: List[TaskOutcome] = []
-        for index in sorted(pending.shard_columns):
-            columns, busy_s = pending.shard_columns.pop(index)
+        for columns, busy_s in pending.shard_columns:
             delta.busy_s += busy_s
             fresh.extend(unpack_outcomes(columns))
+        pending.shard_columns.clear()
         for task in pending.plan.tasks:
             delta.tasks += 1
             delta.trials += task.trials
@@ -1093,7 +1152,7 @@ class ProcessPoolExecutor(ExecutorBase):
     def _worker_chaos(self, serial: str) -> Optional[ChaosConfig]:
         """The chaos profile one slice's worker should install.
 
-        Worker harnesses are rebuilt per slice, so two properties the
+        Worker harnesses are rebuilt per segment, so two properties the
         serial harness gets for free must be restored here:
 
         - **caps persist**: a fault kind whose accumulated worker-side
@@ -1138,7 +1197,7 @@ class ProcessPoolExecutor(ExecutorBase):
         reply: Tuple[Dict[str, Any], Optional[OutcomeColumns]],
         delta: EngineMetrics,
     ) -> Tuple[OutcomeColumns, float]:
-        """Account one ``slice-result``, re-raising the error it carries.
+        """Account one ``slice-result`` segment, re-raising its error.
 
         The fault ledger is credited *before* the raise so that a
         retried plan runs against a diminished budget -- the property

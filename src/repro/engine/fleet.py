@@ -1,19 +1,24 @@
 """The one transport between the fused-parallel executor and its workers.
 
 :class:`~repro.engine.executors.ProcessPoolExecutor` (``fused-parallel``)
-cuts each plan into slices and ships every slice to a worker as one
-``run-slice`` frame; the worker replies with one ``slice-result``
-frame.  A frame is an 8-byte length, a JSON header, and zero or more
-raw numpy array segments -- exactly the serialization of
-:func:`~repro.engine.columnar.columns_to_arrays`, so task specs travel
-down as :class:`~repro.engine.columnar.TaskColumns` and outcomes come
-back as :class:`~repro.engine.columnar.OutcomeColumns` with packed
-masks.  Everything else a slice needs travels as a JSON-safe *spec*:
+cuts a batch's task stream into slices and ships every slice to a
+worker as one ``run-slice`` frame; the worker replies with one
+``slice-result`` frame.  A frame is an 8-byte length, a JSON header,
+and zero or more raw numpy array segments -- exactly the serialization
+of :func:`~repro.engine.columnar.columns_to_arrays`.  A slice may span
+plan boundaries, so a frame carries a list of per-plan *segments*:
+each ``run-slice`` segment is one plan's header (kernel, operating
+point, checkpoints, bench sections) with its tasks as
+:class:`~repro.engine.columnar.TaskColumns`, and each ``slice-result``
+segment answers it with stats, injected faults, an error and the
+outcomes as :class:`~repro.engine.columnar.OutcomeColumns` with packed
+masks.  Everything else a segment needs travels as a JSON-safe *spec*:
 the kernel, the :class:`OperatingPoint`, each bench's serial,
 :class:`~repro.config.SimulationConfig` and
 :class:`~repro.chaos.ChaosConfig` (the wire codec below).  Errors
-come back as data too, so the dispatcher credits the faults a slice
-injected before it re-raises.
+come back as data too, so the dispatcher credits the faults a segment
+injected before it re-raises, and an error in one plan's segment
+leaves the frame's other segments intact.
 
 The workers are forked by the executor (``--jobs N``,
 :meth:`ProcessPoolExecutor._launch`), each serving one end of a
@@ -161,25 +166,50 @@ def recv_frame(
 
 
 def send_columns(
-    sock: socket.socket, header: Dict[str, Any], columns
+    sock: socket.socket,
+    header: Dict[str, Any],
+    segments: Sequence[Tuple[Dict[str, Any], Any]],
 ) -> None:
-    """Ship a header with an optional columns record as one frame."""
-    if columns is None:
-        send_frame(sock, header)
-        return
-    column_header, arrays = columns_to_arrays(columns)
-    merged = dict(header)
-    merged["columns"] = column_header
-    send_frame(sock, merged, arrays)
+    """Ship ``header`` and its segments as one frame.
+
+    ``segments`` lists (segment header, columns record or ``None``)
+    pairs; every record's arrays follow the JSON header in segment
+    order.
+    """
+    heads: List[Dict[str, Any]] = []
+    arrays: List[np.ndarray] = []
+    for head, columns in segments:
+        head = dict(head)
+        if columns is not None:
+            head["columns"], record_arrays = columns_to_arrays(columns)
+            arrays.extend(record_arrays)
+        heads.append(head)
+    send_frame(sock, dict(header, segments=heads), arrays)
 
 
-def recv_columns(sock: socket.socket) -> Tuple[Dict[str, Any], Any]:
-    """Receive a frame and rebuild its columns record (or ``None``)."""
+def recv_columns(
+    sock: socket.socket,
+) -> Tuple[Dict[str, Any], List[Tuple[Dict[str, Any], Any]]]:
+    """Receive a frame; its header and rebuilt (header, columns) segments."""
     header, arrays = recv_frame(sock)
-    column_header = header.pop("columns", None)
-    if column_header is None:
-        return header, None
-    return header, columns_from_arrays(column_header, arrays)
+    segments: List[Tuple[Dict[str, Any], Any]] = []
+    cursor = 0
+    for head in header.pop("segments", []):
+        column_header = head.pop("columns", None)
+        columns = None
+        if column_header is not None:
+            count = len(column_header["fields"])
+            columns = columns_from_arrays(
+                column_header, arrays[cursor:cursor + count]
+            )
+            cursor += count
+        segments.append((head, columns))
+    if cursor != len(arrays):
+        raise ExperimentError(
+            f"fleet frame carries {len(arrays) - cursor} arrays no segment "
+            "claims"
+        )
+    return header, segments
 
 
 # -- wire codec ------------------------------------------------------------
@@ -342,22 +372,22 @@ def _bench_for_section(section: Dict[str, Any]) -> Tuple[TestBench, bool]:
 def serve_slice(
     header: Dict[str, Any], columns: TaskColumns
 ) -> Tuple[Dict[str, Any], Optional[OutcomeColumns]]:
-    """Run one ``run-slice`` frame; the ``slice-result`` reply.
+    """Run one ``run-slice`` segment; its ``slice-result`` reply.
 
-    A slice spans one or more bench *sections* (serial, config and
+    A segment spans one or more bench *sections* (serial, config and
     chaos per bench); its tasks reference sections by slot, so each
     bench is rebuilt or fetched, and its chaos harness installed, once
-    per slice.  Each bench's tasks run fused
+    per segment.  Each bench's tasks run fused
     (:func:`~repro.engine.executors.run_tasks_fused`).  The reply
     carries a stats dict (busy time, worker-side APA programs, stage
     timings, bench reuses, tasks run), the per-kind faults the local
-    harnesses injected, and the error the slice died of, if any, as
+    harnesses injected, and the error the segment died of, if any, as
     data: the dispatcher credits the injected faults to its
     ``max_faults_per_kind`` ledger before it re-raises, or a chaotic
     campaign would retry against an undiminished fault budget forever.
     """
     if header.get("kill_worker"):
-        # Chaos proof load: this slice's worker dies abruptly, the way
+        # Chaos proof load: this segment's worker dies abruptly, the way
         # an OOM kill or segfault would -- no exception, no cleanup.
         os._exit(86)
     started = time.perf_counter()
@@ -420,19 +450,20 @@ def serve_connection(sock: socket.socket) -> int:
     """Serve one dispatcher connection until shutdown or EOF.
 
     Greets with ``hello``, then answers every ``run-slice`` frame with
-    its ``slice-result`` (:func:`serve_slice`).  Returns the number of
-    slices served.
+    one ``slice-result`` frame holding a reply per segment
+    (:func:`serve_slice`).  Returns the number of frames served.
     """
     send_frame(sock, {"type": "hello"})
     served = 0
     while True:
         try:
-            header, columns = recv_columns(sock)
+            header, segments = recv_columns(sock)
         except (EOFError, OSError):
             return served
         if header.get("type") != "run-slice":
             return served  # shutdown
-        send_columns(sock, *serve_slice(header, columns))
+        replies = [serve_slice(head, columns) for head, columns in segments]
+        send_columns(sock, {"type": "slice-result"}, replies)
         served += 1
 
 

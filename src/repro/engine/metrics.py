@@ -27,6 +27,8 @@ class EngineMetrics:
     decision table without replaying cells; it still counts."""
     cells: int = 0
     workers: int = 1
+    """Workers that ran the work: 1 in-process; on the pool, the
+    workers that received a frame in the batch."""
     environment_s: float = 0.0
     execute_s: float = 0.0
     reduce_s: float = 0.0
@@ -49,7 +51,8 @@ class EngineMetrics:
     bytes_shipped: int = 0
     """Columnar result bytes shipped up from the workers."""
     dispatches: int = 0
-    """Slice payloads submitted to workers (parent round-trips)."""
+    """``run-slice`` frames sent to workers (parent round trips; a
+    frame re-sent after a worker death counts again)."""
     bytes_shipped_down: int = 0
     """Columnar task-spec bytes shipped down to workers."""
     pipelined_plans: int = 0

@@ -55,15 +55,25 @@ EXECUTOR_FACTORIES = {
 NON_SERIAL = ["fused", "fused-parallel", "fused-parallel@1"]
 
 
-def make_scope(seed: int = 51, columns: int = 64, trials: int = 4):
+def make_scope(
+    seed: int = 51, columns: int = 64, trials: int = 4,
+    specs=TESTED_MODULES[:2],
+):
     """A fresh two-manufacturer scope (fresh rig per executor run)."""
     return CharacterizationScope.build(
         config=SimulationConfig(seed=seed, columns_per_row=columns),
-        specs=TESTED_MODULES[:2],
+        specs=specs,
         modules_per_spec=1,
         groups_per_size=2,
         trials=trials,
     )
+
+
+def outcome_keys(outcomes):
+    return [
+        (o.index, o.rate, o.trials, o.cells, o.mask.tobytes(), o.trial_rates)
+        for o in outcomes
+    ]
 
 
 class TestBitIdentity:
@@ -399,6 +409,70 @@ class TestSliceDispatch:
         # Every plan of the warm batch finds its benches cached --
         # reuse scales with batch size.
         assert executor.metrics.worker_bench_reuses - before == benches * 3
+
+
+class TestStreamedFrames:
+    """A pipelined batch cuts its task stream, not each plan: one
+    ``run-slice`` frame carries consecutive plans."""
+
+    def test_multi_figure_campaign_ships_few_frames_on_every_worker(self):
+        from repro.characterization.campaign import Campaign
+
+        with ProcessPoolExecutor(jobs=2) as executor:
+            result = Campaign(make_scope(), executor=executor).run(
+                ["fig3", "fig6", "fig10"]
+            )
+        assert result.succeeded
+        stats = result.engine_stats
+        assert stats["pipelined_plans"] > 2 * executors.SLICES_PER_WORKER
+        assert 2 <= stats["dispatches"] <= 2 * executors.SLICES_PER_WORKER
+        assert stats["workers"] == 2
+
+    def test_chaos_kill_in_a_multi_plan_frame_fires_once(self, monkeypatch):
+        from repro.engine import fleet
+
+        scope = make_scope()
+        plans = [build_activation_plan(scope, 8, ACT_POINT) for _ in range(3)]
+        reference = [SerialExecutor().run(plan).outcomes for plan in plans]
+        real_send = fleet.send_columns
+        kill_frames = []
+
+        def recording_send(sock, header, segments):
+            if any(head.get("kill_worker") for head, _ in segments):
+                kill_frames.append(len(segments))
+            real_send(sock, header, segments)
+
+        monkeypatch.setattr(fleet, "send_columns", recording_send)
+        # One frame per worker: each frame spans plan boundaries.
+        monkeypatch.setattr(executors, "SLICES_PER_WORKER", 1)
+        kill_serial = TESTED_MODULES[1].module_identifier + "#0"
+        chaos = ChaosConfig(seed=3, worker_kill_serials=(kill_serial,))
+        with ProcessPoolExecutor(jobs=2, chaos=chaos) as executor:
+            results = executor.run_many(plans)
+        assert len(kill_frames) == 1 and kill_frames[0] > 1
+        assert executor.metrics.worker_deaths == 1
+        for result, want in zip(results, reference):
+            assert outcome_keys(result.outcomes) == outcome_keys(want)
+
+    def test_error_in_one_plan_spares_its_frame_neighbour(self, monkeypatch):
+        # Two single-module plans share one frame; the first module's
+        # bench fails persistently, the second plan still lands.
+        monkeypatch.setattr(executors, "SLICES_PER_WORKER", 1)
+        doomed_scope = make_scope(specs=TESTED_MODULES[:1])
+        doomed = build_activation_plan(doomed_scope, 8, ACT_POINT)
+        clean = build_activation_plan(
+            make_scope(specs=TESTED_MODULES[1:2]), 8, ACT_POINT
+        )
+        reference = SerialExecutor().run(clean).outcomes
+        serial = doomed_scope.benches[0].module.serial
+        chaos = ChaosConfig(seed=3, bench_failure_serials=(serial,))
+        with ProcessPoolExecutor(jobs=1, chaos=chaos) as executor:
+            failed, landed = executor.run_many([doomed, clean])
+            assert executor.metrics.dispatches == 1
+        assert isinstance(failed, Exception)
+        assert outcome_keys(landed.outcomes) == outcome_keys(reference)
+        # The failed segment's injected fault is still on the ledger.
+        assert executor._faults_spent.get("bench-failure", 0) >= 1
 
 
 class TestBatchMetricsWindows:

@@ -89,12 +89,11 @@ def section_for(bench, chaos=None):
     }
 
 
-def slice_frame(plan, tasks=None):
-    """One ``run-slice`` header and task columns covering ``tasks``."""
+def slice_frame(plan, tasks=None, chaos=None):
+    """One ``run-slice`` segment header and task columns covering ``tasks``."""
     tasks = list(plan.tasks if tasks is None else tasks)
     header = {
-        "type": "run-slice",
-        "sections": [section_for(bench) for bench in plan.benches],
+        "sections": [section_for(bench, chaos) for bench in plan.benches],
         "kernel": kernel_to_spec(plan.kernel),
         "point": point_to_spec(plan.point),
         "checkpoints": list(plan.checkpoints),
@@ -136,6 +135,29 @@ class TestFrameProtocol:
             a.close()
             b.close()
 
+    def test_segments_keep_their_own_columns(self):
+        plan = build_activation_plan(make_scope(), 8, ACT_POINT)
+        first, second = plan.tasks[:3], plan.tasks[3:]
+        segments = [
+            ({"part": 0}, pack_tasks(first, [0] * len(first))),
+            ({"part": 1}, None),
+            ({"part": 2}, pack_tasks(second, [1] * len(second))),
+        ]
+        a, b = socket.socketpair()
+        try:
+            send_columns(a, {"type": "run-slice"}, segments)
+            _, got = recv_columns(b)
+        finally:
+            a.close()
+            b.close()
+        assert [head for head, _ in got] == [head for head, _ in segments]
+        assert got[1][1] is None
+        for (_, sent), (_, received) in zip(segments[::2], got[::2]):
+            assert len(received) == len(sent)
+            assert np.array_equal(received.trials, sent.trials)
+            assert np.array_equal(received.slots, sent.slots)
+            assert np.array_equal(received.indices, sent.indices)
+
     def test_eof_on_closed_peer(self):
         a, b = socket.socketpair()
         a.close()
@@ -153,11 +175,13 @@ class TestFrameProtocol:
         columns = pack_tasks(plan.tasks, slots)
         a, b = socket.socketpair()
         try:
-            send_columns(a, {"type": "tasks"}, columns)
-            _, rebuilt = recv_columns(b)
+            send_columns(a, {"type": "tasks"}, [({"part": 0}, columns)])
+            header, [(head, rebuilt)] = recv_columns(b)
         finally:
             a.close()
             b.close()
+        assert header == {"type": "tasks"}
+        assert head == {"part": 0}
         serials = [bench.module.serial for bench in plan.benches]
         recovered = unpack_tasks(rebuilt, serials)
         assert [t.group_token for t in recovered] == [
@@ -381,8 +405,9 @@ class TestServedSlices:
         plan = slice_plan(builder(scope), offset, trials)
         tasks = plan.tasks[lo % len(plan.tasks):][:span]
         header, columns = slice_frame(plan, tasks)
-        send_columns(worker, header, columns)
-        reply, outcome_columns = recv_columns(worker)
+        send_columns(worker, {"type": "run-slice"}, [(header, columns)])
+        frame, [(reply, outcome_columns)] = recv_columns(worker)
+        assert frame["type"] == "slice-result"
         assert reply["error"] is None
         got = unpack_outcomes(outcome_columns)
 
@@ -401,6 +426,63 @@ class TestServedSlices:
             ))
         assert sorted(map(_outcome_key, got)) == sorted(
             map(_outcome_key, expected)
+        )
+
+
+    @settings(max_examples=4, deadline=None)
+    @given(
+        builders=st.lists(
+            st.sampled_from(PLAN_BUILDERS), min_size=2, max_size=2
+        ),
+        seeds=st.lists(st.integers(0, 2**16), min_size=2, max_size=2),
+    )
+    def test_two_plan_frame_answers_as_two_frames(
+        self, worker, builders, seeds
+    ):
+        segments = []
+        for builder, seed in zip(builders, seeds):
+            scope = CharacterizationScope.build(
+                config=SimulationConfig(seed=seed, columns_per_row=64),
+                specs=TESTED_MODULES[:2],
+                modules_per_spec=1,
+                groups_per_size=1,
+                trials=2,
+            )
+            segments.append(slice_frame(builder(scope)))
+        send_columns(worker, {"type": "run-slice"}, segments)
+        _, together = recv_columns(worker)
+        apart = []
+        for segment in segments:
+            send_columns(worker, {"type": "run-slice"}, [segment])
+            _, [reply] = recv_columns(worker)
+            apart.append(reply)
+        assert len(together) == 2
+        for (got, got_columns), (want, want_columns) in zip(together, apart):
+            assert got["error"] is None and want["error"] is None
+            assert got["injected"] == want["injected"]
+            for key in ("apa_programs", "tasks_run"):
+                assert got["stats"][key] == want["stats"][key]
+            assert list(map(_outcome_key, unpack_outcomes(got_columns))) == (
+                list(map(_outcome_key, unpack_outcomes(want_columns)))
+            )
+
+    def test_error_in_one_segment_spares_the_other(self, worker):
+        # Segment 0 dies on its first dropped program; segment 1 is a
+        # clean plan on the same frame.
+        doomed = build_activation_plan(make_scope(), 8, ACT_POINT)
+        clean = build_activation_plan(make_scope(), 8, ACT_POINT)
+        drops = ChaosConfig(seed=5, program_drop_rate=1.0)
+        segments = [slice_frame(doomed, chaos=drops), slice_frame(clean)]
+        send_columns(worker, {"type": "run-slice"}, segments)
+        _, [(failed, failed_columns), (ok, ok_columns)] = recv_columns(worker)
+        assert failed["error"] is not None
+        assert failed_columns is None
+        assert failed["injected"]  # credited although the segment died
+        assert ok["error"] is None
+        assert ok["injected"] == {}
+        reference = SerialExecutor().run(clean).outcomes
+        assert sorted(map(_outcome_key, unpack_outcomes(ok_columns))) == (
+            sorted(map(_outcome_key, reference))
         )
 
 
@@ -554,6 +636,44 @@ class TestForkedPoolLive:
         )
         report = audit_store(fleet_store, sample=1, seed=0)
         assert report.passed
+
+    def test_sigkill_mid_frame_requeues_the_whole_frame(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.engine import fleet
+
+        figures = ["fig3", "fig6"]
+        ref_store = ResultStore(tmp_path / "ref")
+        Campaign(make_scope(), store=ref_store).run(figures)
+        real_send = fleet.send_columns
+        killed = []
+        executor = ProcessPoolExecutor(jobs=2)
+
+        def send_then_kill(sock, header, segments):
+            real_send(sock, header, segments)
+            if (
+                header["type"] == "run-slice"
+                and len(segments) > 1
+                and not killed
+            ):
+                # The worker dies holding a frame of several plans.
+                worker = next(w for w in executor._workers if w.sock is sock)
+                os.kill(worker.process, signal.SIGKILL)
+                killed.append(sum(len(columns) for _, columns in segments))
+
+        monkeypatch.setattr(fleet, "send_columns", send_then_kill)
+        fleet_store = ResultStore(tmp_path / "fleet")
+        with executor:
+            result = fleet_campaign(executor, fleet_store).run(figures)
+        assert killed
+        assert result.succeeded
+        stats = result.engine_stats
+        assert stats["worker_deaths"] == 1
+        assert stats["tasks_resharded"] == killed[0]
+        for name in figures:
+            assert (tmp_path / "fleet" / f"{name}.json").read_bytes() == (
+                tmp_path / "ref" / f"{name}.json"
+            ).read_bytes()
 
     def test_worker_death_mid_run_recovers(self, tmp_path):
         figures = ["fig3", "fig4a", "fig6", "fig7"]

@@ -120,6 +120,36 @@ class TestRoundSlicing:
             ]
             _assert_outcomes_equal(merged, reference)
 
+    @settings(max_examples=8, deadline=None)
+    @given(cuts=st.sets(st.integers(1, SLICE_TRIALS - 1)), data=st.data())
+    def test_batched_slices_merge_to_one_shot(
+        self, cuts, data, kernel_plans, executor
+    ):
+        # Every window of every kernel's plan runs as one multi-plan
+        # batch in a random order, so pool frames span plan and kernel
+        # boundaries.
+        bounds = [0, *sorted(cuts), SLICE_TRIALS]
+        windows = [
+            (kernel, slice_plan(plan, start, stop - start))
+            for kernel, (plan, _) in enumerate(kernel_plans)
+            for start, stop in zip(bounds, bounds[1:])
+        ]
+        order = data.draw(st.permutations(range(len(windows))))
+        results = dict(
+            zip(order, executor.run_many([windows[i][1] for i in order]))
+        )
+        for kernel, (_, reference) in enumerate(kernel_plans):
+            parts = [
+                results[index].outcomes
+                for index, (owner, _) in enumerate(windows)
+                if owner == kernel
+            ]
+            merged = [
+                functools.reduce(merge_outcomes, pieces)
+                for pieces in zip(*parts)
+            ]
+            _assert_outcomes_equal(merged, reference)
+
     def test_extension_past_built_budget(self):
         # A plan built for 4 trials, sliced out to 12, must be
         # bit-identical to a plan built for 12 from the start: the
