@@ -40,7 +40,7 @@ _EXPORTS = {
     "overestimate_at": ".convergence",
     "ResultReader": ".reader",
     "ResultStore": ".store",
-    "CampaignManifest": ".store",
+    "CampaignManifest": ".reader",
     "RepairFinding": ".repair",
     "RepairReport": ".repair",
     "repair_store": ".repair",

@@ -52,7 +52,7 @@ import os
 import re
 import struct
 import zipfile
-from dataclasses import asdict
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
@@ -361,6 +361,21 @@ def mmap_npz_columns(
         return None
 
 
+def _pid_alive(pid: int) -> bool:
+    """Whether a process with this pid currently exists."""
+    if pid <= 0:
+        return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:
+        return True  # exists, owned by someone else
+    except OSError:
+        return False
+    return True
+
+
 def _stat_signature(path: Path) -> Optional[Tuple[int, int, int]]:
     """``(mtime_ns, size, inode)`` of a file, or ``None`` if absent.
 
@@ -388,6 +403,23 @@ ArtifactKey = Tuple[
 """One artifact's slice of the state token: its document and canonical
 sidecar signatures, then every parked sidecar generation's file name
 and signature, in name order."""
+
+
+@dataclass
+class CampaignManifest:
+    """Checkpoint of one campaign: what was planned, what finished."""
+
+    planned: List[str]
+    completed: List[str] = field(default_factory=list)
+    fingerprint: Optional[Dict[str, Any]] = None
+    """:meth:`~repro.config.SimulationConfig.fingerprint` of the run."""
+    failures: Dict[str, Dict[str, Any]] = field(default_factory=dict)
+    """Experiments the campaign gave up on, by name: ``reason`` /
+    ``attempts`` / ``error`` / ``chain``.  Non-transient failures are
+    skipped on resume unless ``--retry-failed`` is passed."""
+    serials: List[str] = field(default_factory=list)
+    """Module serials of the campaign's full scope, in bench order --
+    what ``simra-dram audit`` rebuilds the recompute scope from."""
 
 
 class StoreScan(NamedTuple):
@@ -859,10 +891,8 @@ class ResultReader:
 
     # -- campaign checkpoint / journal (read side) -----------------------------
 
-    def load_manifest(self) -> Optional["CampaignManifest"]:  # noqa: F821
+    def load_manifest(self) -> Optional[CampaignManifest]:
         """Reload the campaign checkpoint, or ``None`` if none exists."""
-        from .store import CampaignManifest
-
         path = self.manifest_path
         if not path.exists():
             return None
@@ -909,8 +939,6 @@ class ResultReader:
         Purely observational: a reader never acquires, steals, or
         removes the lock.
         """
-        from .store import _pid_alive
-
         try:
             holder = int(self.lock_path.read_text().strip() or "0")
         except (OSError, ValueError):

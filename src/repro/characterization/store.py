@@ -51,7 +51,6 @@ import contextlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Union
 
@@ -59,7 +58,7 @@ import numpy as np
 
 from ..config import SimulationConfig
 from ..errors import ExperimentError, StoreLockedError
-from .reader import (  # noqa: F401  (re-exported: the codec lives with the reader)
+from .reader import (  # noqa: F401  (re-exported: the codec and manifest live with the reader)
     _CHECKSUM_ALGORITHM,
     _COLUMN_FIELDS,
     _COLUMN_REF,
@@ -74,10 +73,12 @@ from .reader import (  # noqa: F401  (re-exported: the codec lives with the read
     _SUMMARY_MARKER,
     _SUPPORTED_MANIFEST_VERSIONS,
     _SUPPORTED_VERSIONS,
+    CampaignManifest,
     ResultReader,
     _columns_checksum,
     _decode,
     _encode,
+    _pid_alive,
     _restore_summaries,
     _strip_summaries,
     canonical_data,
@@ -125,38 +126,6 @@ def _write_atomic(path: Path, text: str) -> None:
         except OSError:
             pass
         raise
-
-
-def _pid_alive(pid: int) -> bool:
-    """Whether a process with this pid currently exists."""
-    if pid <= 0:
-        return False
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:
-        return True  # exists, owned by someone else
-    except OSError:
-        return False
-    return True
-
-
-@dataclass
-class CampaignManifest:
-    """Checkpoint of one campaign: what was planned, what finished."""
-
-    planned: List[str]
-    completed: List[str] = field(default_factory=list)
-    fingerprint: Optional[Dict[str, Any]] = None
-    """:meth:`~repro.config.SimulationConfig.fingerprint` of the run."""
-    failures: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-    """Experiments the campaign gave up on, by name: ``reason`` /
-    ``attempts`` / ``error`` / ``chain``.  Non-transient failures are
-    skipped on resume unless ``--retry-failed`` is passed."""
-    serials: List[str] = field(default_factory=list)
-    """Module serials of the campaign's full scope, in bench order --
-    what ``simra-dram audit`` rebuilds the recompute scope from."""
 
 
 class ResultStore:

@@ -22,18 +22,14 @@ writing Python::
     simra-dram migrate --results-dir d --out d3   # re-save as columnar v3
     simra-dram bench                    # executor benchmark sweep
     simra-dram bench --campaign         # + sequential-vs-pipelined campaign
-    simra-dram cache stats              # trial-cache inventory
-    simra-dram cache clear              # drop every cached outcome
 
 Every command accepts ``--columns/--groups/--trials/--seed`` scale
 knobs where relevant; measurement commands additionally take
 ``--executor {serial,fused,fused-parallel}`` + ``--jobs N`` to pick
-the trial-engine execution strategy,
-``--cache``/``--cache-dir`` to reuse bit-identical trial outcomes
-across runs, and ``--stats`` to print the engine's per-layer
-counters afterwards.  ``campaign --chips N`` characterizes N
-vendor-profile chips sampled round-robin over the catalog (instances
-beyond the paper's module counts) on any executor.
+the trial-engine execution strategy and ``--stats`` to print the
+engine's per-layer counters afterwards.  ``campaign --chips N``
+characterizes N vendor-profile chips sampled round-robin over the
+catalog (instances beyond the paper's module counts) on any executor.
 
 Exit codes: 0 success; 1 experiment failures, audit FAIL, or damage
 found by a dry-run repair; 2 usage/configuration error (including a
@@ -53,8 +49,8 @@ from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from .config import SimulationConfig
 
-# Handlers import what they run, so `serve`, `stats`, `cache` and
-# every `--help` never load the simulator.
+# Handlers import what they run, so `serve`, `stats` and every
+# `--help` never load the simulator.
 if TYPE_CHECKING:
     from .characterization.experiment import CharacterizationScope
 
@@ -147,25 +143,8 @@ def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
                         help="worker processes for --executor fused-parallel "
                              "(an integer, or 'auto' for the usable "
                              "cgroup-aware CPU count)")
-    parser.add_argument("--cache", action=argparse.BooleanOptionalAction,
-                        default=False,
-                        help="serve bit-identical trial outcomes from the "
-                             "on-disk trial cache and store fresh ones")
-    parser.add_argument("--cache-dir", default=".simra-cache",
-                        help="trial-cache directory (default .simra-cache)")
     parser.add_argument("--stats", action="store_true",
                         help="print trial-engine per-layer counters afterwards")
-
-
-def _cache_from(args: argparse.Namespace, require_origin: Optional[str] = None):
-    from .engine import TrialCache
-
-    if not getattr(args, "cache", False):
-        return None
-    return TrialCache(
-        getattr(args, "cache_dir", ".simra-cache"),
-        require_origin=require_origin,
-    )
 
 
 def _executor_from(args: argparse.Namespace):
@@ -174,7 +153,6 @@ def _executor_from(args: argparse.Namespace):
     return make_executor(
         getattr(args, "executor", "serial"),
         jobs=getattr(args, "jobs", None),
-        cache=_cache_from(args),
     )
 
 
@@ -473,14 +451,8 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     from .health import audit_store
 
     store = ResultStore(Path(args.results_dir))
-    # Audits only ever consume cache entries the serial reference
-    # itself produced; anything else would certify an executor
-    # against its own stored output.
-    cache = _cache_from(args, require_origin="serial")
     try:
-        report = audit_store(
-            store, sample=args.sample, seed=args.seed, cache=cache
-        )
+        report = audit_store(store, sample=args.sample, seed=args.seed)
     except ExperimentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -736,22 +708,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_cache(args: argparse.Namespace) -> int:
-    from .engine import TrialCache
-
-    cache = TrialCache(args.cache_dir)
-    if args.action == "clear":
-        removed = cache.clear()
-        print(f"removed {removed} cached trial outcome(s) from "
-              f"{args.cache_dir}/")
-        return 0
-    stats = cache.stats()
-    print(f"trial cache at {args.cache_dir}/")
-    print(f"  entries     : {stats['entries']}")
-    print(f"  disk bytes  : {stats['disk_bytes']}")
-    return 0
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
     from .engine.benchmark import (
         run_campaign_benchmark,
@@ -942,12 +898,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="completed figures to recompute (default 2)")
     sub.add_argument("--seed", type=int, default=0,
                      help="seed for the deterministic sample choice")
-    sub.add_argument("--cache", action=argparse.BooleanOptionalAction,
-                     default=False,
-                     help="reuse serial-origin trial-cache entries for the "
-                          "recompute sample")
-    sub.add_argument("--cache-dir", default=".simra-cache",
-                     help="trial-cache directory (default .simra-cache)")
     sub.set_defaults(handler=_cmd_audit)
 
     sub = subparsers.add_parser(
@@ -1081,14 +1031,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="write columnar v3 documents (--no-columnar "
                           "re-saves as plain v2 instead)")
     sub.set_defaults(handler=_cmd_migrate)
-
-    sub = subparsers.add_parser(
-        "cache", help="inspect or clear the on-disk trial cache"
-    )
-    sub.add_argument("action", choices=("stats", "clear"))
-    sub.add_argument("--cache-dir", default=".simra-cache",
-                     help="trial-cache directory (default .simra-cache)")
-    sub.set_defaults(handler=_cmd_cache)
 
     sub = subparsers.add_parser("decoder", help="activation-set lookup")
     sub.add_argument("--rf", type=int, required=True)

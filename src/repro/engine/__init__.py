@@ -34,7 +34,6 @@ _EXPORTS = {
     "SerialExecutor": ".executors",
     "TaskColumns": ".columnar",
     "TaskOutcome": ".plan",
-    "TrialCache": ".cache",
     "TrialKernel": ".kernels",
     "TrialPlan": ".plan",
     "TrialTask": ".plan",

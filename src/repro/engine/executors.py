@@ -30,7 +30,7 @@ import select
 import signal
 import socket
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -53,7 +53,6 @@ from ..chaos import ChaosConfig, FaultKind
 from ..config import SimulationConfig
 from ..errors import ExperimentError
 from . import bitplane
-from .cache import TrialCache
 from .columnar import OutcomeColumns, TaskColumns, pack_tasks, unpack_outcomes
 from .kernels import TrialKernel, point_token
 from .metrics import EngineMetrics
@@ -270,39 +269,11 @@ def run_tasks_fused(
     return outcomes
 
 
-_CACHE_COUNTER_FIELDS = (
-    "cache_hits",
-    "cache_misses",
-    "cache_bytes_read",
-    "cache_bytes_written",
-)
-
-
-@dataclass
-class _CacheSplit:
-    """One plan split by the trial cache into served and missing tasks."""
-
-    plan: TrialPlan
-    started: float
-    before: Dict[str, int]
-    """The cache's counters before the lookups."""
-    keys: Dict[int, str] = field(default_factory=dict)
-    served: List[TaskOutcome] = field(default_factory=list)
-    missing: List[TrialTask] = field(default_factory=list)
-
-
 class ExecutorBase:
     """Shared surface: ``run(plan) -> PlanResult`` plus cumulative metrics.
 
-    With a :class:`~repro.engine.cache.TrialCache` attached, ``run``
-    becomes a read-through wrapper: tasks whose outcome is already
-    cached are served from disk, the remainder run as a sub-plan on
-    the concrete executor (``_run``), and fresh outcomes are stored
-    back under the executor's name as their origin.  Because every
-    executor is bit-identical, a cached outcome is interchangeable
-    with a recomputed one -- except for audits, which pass a cache
-    with ``require_origin`` set so they never certify an executor
-    against its own stored output.
+    ``run`` executes the plan on the concrete executor; every executor
+    is bit-identical to :class:`SerialExecutor`, the reference.
 
     Executors also expose an explicit lifecycle -- ``start()`` /
     ``close()`` / context manager.  In-process executors hold no
@@ -313,9 +284,8 @@ class ExecutorBase:
 
     name = "base"
 
-    def __init__(self, cache: Optional[TrialCache] = None) -> None:
+    def __init__(self) -> None:
         self.metrics = EngineMetrics(executor=self.name)
-        self.cache = cache
         self._merge_skip_windows = False
         """While True (pipelined batches), per-plan deltas merge into
         the cumulative metrics without their wall/execute windows --
@@ -362,15 +332,16 @@ class ExecutorBase:
     # -- execution ------------------------------------------------------------
 
     def run(self, plan: TrialPlan) -> PlanResult:
-        if self.cache is None:
-            return self._run(plan)
-        split = self._cache_split(plan)
-        sub = (
-            self._run(replace(plan, tasks=split.missing))
-            if split.missing
-            else None
-        )
-        return self._cache_join(split, sub)
+        """Execute one plan; each executor implements ``_run``.
+
+        ``run`` lives on this class alone, so wrapping
+        ``ExecutorBase.run`` (as the e2e span tracer in
+        ``benchmarks/e2e/tracing.py`` does) covers every executor.
+        """
+        return self._run(plan)
+
+    def _run(self, plan: TrialPlan) -> PlanResult:
+        raise NotImplementedError
 
     def run_many(
         self,
@@ -407,70 +378,6 @@ class ExecutorBase:
             else:
                 on_result(index, result)
         return results
-
-    def _run(self, plan: TrialPlan) -> PlanResult:
-        raise NotImplementedError
-
-    def _cache_split(self, plan: TrialPlan) -> _CacheSplit:
-        """Serve what the trial cache holds; the rest is the plan's work."""
-        cache = self.cache
-        assert cache is not None
-        split = _CacheSplit(
-            plan=plan, started=time.perf_counter(), before=cache.counters()
-        )
-        ptoken = point_token(plan.point)
-        checkpoints = tuple(plan.checkpoints)
-        for task in plan.tasks:
-            config = plan.benches[task.bench_index].module.config
-            key = cache.key_for(config, plan.kernel, ptoken, task, checkpoints)
-            split.keys[task.index] = key
-            outcome = cache.load(key, task)
-            if outcome is None:
-                split.missing.append(task)
-            else:
-                split.served.append(outcome)
-        return split
-
-    def _cache_join(
-        self, split: _CacheSplit, sub: Optional[PlanResult]
-    ) -> PlanResult:
-        """Store the recomputed outcomes and merge them with the served.
-
-        ``sub`` is the result of running ``split.missing`` (``None``
-        when the cache served every task).  This plan's cache activity
-        is credited to both the returned delta and the cumulative
-        metrics (the sub-plan's delta was already merged by
-        :meth:`_finish`, so both are mutated explicitly).
-        """
-        cache = self.cache
-        assert cache is not None
-        if sub is None:
-            # Every task served from cache: the plan still counts, but
-            # no tasks/trials were *executed* -- the hit counters tell
-            # that story.
-            delta = EngineMetrics(executor=self.name, workers=1)
-            delta.plans += 1
-            delta.wall_s += time.perf_counter() - split.started
-            self.metrics.merge(delta, skip_windows=self._merge_skip_windows)
-            fresh: List[TaskOutcome] = []
-        else:
-            delta = sub.metrics
-            fresh = list(sub.outcomes)
-            for outcome in fresh:
-                cache.store(
-                    split.keys[outcome.index], outcome, origin=self.name
-                )
-        after = cache.counters()
-        for name in _CACHE_COUNTER_FIELDS:
-            gained = after[name] - split.before[name]
-            setattr(delta, name, getattr(delta, name) + gained)
-            setattr(self.metrics, name, getattr(self.metrics, name) + gained)
-        outcomes = sorted(
-            split.served + fresh, key=lambda outcome: outcome.index
-        )
-        return PlanResult(
-            plan_name=split.plan.name, outcomes=outcomes, metrics=delta
-        )
 
     def _apply_environment(self, plan: TrialPlan, delta: EngineMetrics) -> None:
         if not plan.apply_environment:
@@ -611,9 +518,8 @@ class ProcessPoolExecutor(ExecutorBase):
         self,
         jobs: Optional[int] = None,
         chaos: Optional[ChaosConfig] = None,
-        cache: Optional[TrialCache] = None,
     ) -> None:
-        super().__init__(cache=cache)
+        super().__init__()
         self.jobs = jobs
         self.chaos = chaos
         self._task_cost_ema: Optional[float] = None
@@ -746,13 +652,12 @@ class ProcessPoolExecutor(ExecutorBase):
     ) -> List[Union[PlanResult, Exception]]:
         """Pipelined execution: one task stream over the shared workers.
 
-        Every plan is prepared up front (tasks the trial cache holds
-        are served, the rest become the plan's work), the plans' tasks
-        run as a single supervised stream of frames that span plan
-        boundaries (so the workers stay saturated and a small plan
-        costs no round trip of its own), and results are finalized
-        strictly in plan order -- a failing plan surfaces as its
-        exception without disturbing its neighbours.
+        Every plan is prepared up front, the plans' tasks run as a
+        single supervised stream of frames that span plan boundaries
+        (so the workers stay saturated and a small plan costs no round
+        trip of its own), and results are finalized strictly in plan
+        order -- a failing plan surfaces as its exception without
+        disturbing its neighbours.
 
         With ``on_result`` set, each plan is finalized and streamed to
         the caller as soon as its last slice lands (still strictly in
@@ -764,17 +669,8 @@ class ProcessPoolExecutor(ExecutorBase):
         the exception propagates.
         """
         batch_started = time.perf_counter()
-        splits = [
-            self._cache_split(plan) if self.cache is not None else None
-            for plan in plans
-        ]
-        pendings: List[Optional[_PendingPlan]] = []
-        for plan, split in zip(plans, splits):
-            if split is not None and not split.missing:
-                pendings.append(None)  # every task served from the cache
-                continue
-            if split is not None:
-                plan = replace(plan, tasks=split.missing)
+        pendings: List[_PendingPlan] = []
+        for plan in plans:
             try:
                 pending = self._prepare(plan)
             except Exception as exc:
@@ -784,9 +680,7 @@ class ProcessPoolExecutor(ExecutorBase):
         live = {
             index: pending
             for index, pending in enumerate(pendings)
-            if pending is not None
-            and pending.error is None
-            and pending.sections
+            if pending.error is None and pending.sections
         }
         order = {id(pending): index for index, pending in live.items()}
         settled: Dict[int, Union[PlanResult, Exception]] = {}
@@ -795,12 +689,8 @@ class ProcessPoolExecutor(ExecutorBase):
         def settle(index: int) -> None:
             if index < next_emit[0] or index in settled:
                 return
-            pending = pendings[index]
             try:
-                result = None if pending is None else self._finalize(pending)
-                if splits[index] is not None:
-                    result = self._cache_join(splits[index], result)
-                settled[index] = result
+                settled[index] = self._finalize(pendings[index])
             except Exception as exc:
                 settled[index] = exc
             while next_emit[0] in settled:
@@ -816,9 +706,9 @@ class ProcessPoolExecutor(ExecutorBase):
         self._merge_skip_windows = True
         execute_started = time.perf_counter()
         try:
-            # Plans that never reach a worker (prepare errors, fully
-            # cache-served) settle up front so their stream position
-            # never blocks a later live plan's delivery.
+            # Plans that never reach a worker (prepare errors, no
+            # tasks) settle up front so their stream position never
+            # blocks a later live plan's delivery.
             for index in range(len(pendings)):
                 if index not in live:
                     settle(index)
@@ -1127,6 +1017,12 @@ class ProcessPoolExecutor(ExecutorBase):
     def _finalize(self, pending: _PendingPlan) -> PlanResult:
         """Unpack, account, and commit one plan's outcomes, in order."""
         if pending.error is not None:
+            # A failed plan does not count, but the faults its segments
+            # injected did fire: credit them before the raise.
+            if pending.delta is not None:
+                self.metrics.chaos_faults_injected += (
+                    pending.delta.chaos_faults_injected
+                )
             raise pending.error
         delta = pending.delta
         assert delta is not None
@@ -1282,15 +1178,14 @@ def make_executor(
     name: Optional[str],
     jobs: Optional[int] = None,
     chaos: Optional[ChaosConfig] = None,
-    cache: Optional[TrialCache] = None,
 ) -> ExecutorBase:
     """Build an executor from a CLI-style name."""
     if name in (None, "serial"):
-        return SerialExecutor(cache=cache)
+        return SerialExecutor()
     if name == "fused":
-        return FusedExecutor(cache=cache)
+        return FusedExecutor()
     if name == "fused-parallel":
-        return ProcessPoolExecutor(jobs=jobs, chaos=chaos, cache=cache)
+        return ProcessPoolExecutor(jobs=jobs, chaos=chaos)
     raise ExperimentError(
         f"unknown executor {name!r}; choose serial, fused, or fused-parallel"
     )

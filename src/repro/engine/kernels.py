@@ -166,17 +166,6 @@ class TrialKernel:
     regime-independent), and its probe then replays one real APA for
     :meth:`finalize` to audit."""
 
-    @property
-    def cache_token(self) -> str:
-        """Identity of this kernel's math for the trial cache.
-
-        Defaults to ``signature``; kernels whose results depend on
-        constructor state the signature does not capture must extend
-        it, or the cache would serve one configuration's bits to
-        another.
-        """
-        return self.signature
-
     def setup(self, bench: TestBench, task: TrialTask, point: OperatingPoint) -> None:
         """Once-per-task preparation (default: nothing)."""
 
@@ -569,13 +558,6 @@ class DisturbanceKernel(TrialKernel):
     def __init__(self, pattern: DataPattern, bystanders: Tuple[int, ...]):
         self.pattern = pattern
         self.bystanders = tuple(bystanders)
-
-    @property
-    def cache_token(self) -> str:
-        # The signature alone misses the constructor state the audit
-        # depends on (which bystanders, what reference data).
-        bystanders = ",".join(str(row) for row in self.bystanders)
-        return f"{self.signature}:{self.pattern.kind}:{bystanders}"
 
     def _reference(self, columns: int, row: int) -> np.ndarray:
         return self.pattern.row_bits(columns, "disturb-bystander", row)

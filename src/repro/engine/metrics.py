@@ -69,14 +69,6 @@ class EngineMetrics:
     """Corner-matrix cells that reached the target CI width early."""
     trials_saved: int = 0
     """Trials the adaptive planner skipped versus its fixed budget."""
-    cache_hits: int = 0
-    """Tasks whose outcome was served from the trial cache."""
-    cache_misses: int = 0
-    """Tasks looked up in the trial cache and recomputed."""
-    cache_bytes_read: int = 0
-    """Bytes of cache entries successfully loaded."""
-    cache_bytes_written: int = 0
-    """Bytes of cache entries persisted."""
     stages: Dict[str, float] = field(default_factory=dict)
     """Optional extra per-stage wall-times (e.g. ``probe``/``fuse``)."""
 
@@ -240,15 +232,6 @@ class EngineMetrics:
             lines.append(f"    rounds            : {self.rounds}")
             lines.append(f"    cells converged   : {self.cells_converged}")
             lines.append(f"    trials saved      : {self.trials_saved}")
-        lookups = self.cache_hits + self.cache_misses
-        if lookups:
-            hit_rate = self.cache_hits / lookups
-            lines.append("  trial cache")
-            lines.append(f"    hits              : {self.cache_hits}")
-            lines.append(f"    misses            : {self.cache_misses}")
-            lines.append(f"    hit rate          : {hit_rate:.1%}")
-            lines.append(f"    bytes read        : {self.cache_bytes_read}")
-            lines.append(f"    bytes written     : {self.cache_bytes_written}")
         return "\n".join(lines)
 
 

@@ -189,7 +189,6 @@ def audit_store(
     sample: int = 2,
     seed: int = 0,
     scope=None,
-    cache=None,
 ) -> AuditReport:
     """Audit one stored campaign: checksums for all, recompute a sample.
 
@@ -197,11 +196,9 @@ def audit_store(
     recomputed with the reference serial executor and compared against
     the stored bits.  ``scope`` overrides the manifest-rebuilt scope
     (useful when auditing inside a live session that already holds the
-    benches).  ``cache`` (a :class:`~repro.engine.cache.TrialCache`)
-    lets repeated audits skip bit-identical recomputation; pass one
-    built with ``require_origin="serial"`` so the audit only consumes
-    entries the reference executor itself produced -- never the output
-    of an executor it is supposed to cross-check.
+    benches).  Every recompute runs from scratch on a fresh
+    :class:`~repro.engine.executors.SerialExecutor`, so an audit never
+    consumes the output of an executor it is supposed to cross-check.
     """
     # The campaign layer imports repro.health; import it lazily here so
     # the health package never imports it at module load.
@@ -305,7 +302,7 @@ def audit_store(
                 )
                 continue
             program = EXPERIMENT_PROGRAMS[name](figure_scope)
-            reference = SerialExecutor(cache=cache)
+            reference = SerialExecutor()
             if adaptive is not None:
                 # Same planner, same knobs, reference executor: the
                 # round schedule replays deterministically, so the

@@ -471,8 +471,12 @@ class TestStreamedFrames:
             assert executor.metrics.dispatches == 1
         assert isinstance(failed, Exception)
         assert outcome_keys(landed.outcomes) == outcome_keys(reference)
-        # The failed segment's injected fault is still on the ledger.
+        # The failed segment's injected fault is still on the ledger,
+        # and in the executor's metrics.
         assert executor._faults_spent.get("bench-failure", 0) >= 1
+        assert executor.metrics.chaos_faults_injected == sum(
+            executor._faults_spent.values()
+        )
 
 
 class TestBatchMetricsWindows:

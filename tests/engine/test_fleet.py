@@ -248,7 +248,7 @@ kernels = st.one_of(
 
 class TestWireCodec:
     """spec -> object -> spec is a fixed point, and the rebuilt object
-    keys the same noise and cache entries as the original."""
+    keys the same noise as the original."""
 
     @settings(max_examples=40, deadline=None)
     @given(kernel=kernels)
@@ -258,7 +258,6 @@ class TestWireCodec:
         assert type(rebuilt) is type(kernel)
         assert kernel_to_spec(rebuilt) == spec
         assert rebuilt.signature == kernel.signature
-        assert rebuilt.cache_token == kernel.cache_token
 
     @settings(max_examples=40, deadline=None)
     @given(

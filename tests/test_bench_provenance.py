@@ -2,13 +2,15 @@
 
 import argparse
 import importlib.util
+import json
 import shutil
 import subprocess
 from pathlib import Path
 
 import pytest
 
-SCRIPT = Path(__file__).resolve().parent.parent / "benchmarks" / "run_benchmarks.py"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "benchmarks" / "run_benchmarks.py"
 
 pytestmark = pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
 
@@ -62,3 +64,11 @@ def test_provenance_carries_the_hash(run_benchmarks):
     )
     stamp = run_benchmarks.provenance(args)
     assert stamp["tree_sha256"] == run_benchmarks.tree_hash()
+
+
+@pytest.mark.parametrize(
+    "path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda path: path.name
+)
+def test_committed_bench_files_come_from_a_clean_tree(path):
+    # A report stamped dirty measured code no commit holds.
+    assert json.loads(path.read_text())["provenance"]["git_dirty"] is False

@@ -412,6 +412,26 @@ class TestEngineCommands:
         assert "engine stats (parallel executor)" in out
         assert "executor busy fraction: 50.0%" in out
 
+    def test_stats_renders_stored_cache_counters(self, capsys, tmp_path):
+        from repro.characterization.store import ResultStore
+        from repro.engine import EngineMetrics
+
+        # Stats payloads stored while the trial cache existed carry its
+        # four counters; they load and render without a cache section.
+        payload = EngineMetrics(
+            executor="fused", plans=1, tasks=6, trials=24, cells=64,
+        ).as_dict()
+        payload.update(
+            cache_hits=5, cache_misses=1, cache_bytes_read=2048,
+            cache_bytes_written=512,
+        )
+        results_dir = tmp_path / "results"
+        ResultStore(results_dir).save("engine-stats", payload)
+        assert main(["stats", "--results-dir", str(results_dir)]) == 0
+        out = capsys.readouterr().out
+        assert "engine stats (fused executor)" in out
+        assert "trial cache" not in out
+
     def test_stats_renders_a_stored_stragglers_reissued_key(
         self, capsys, tmp_path
     ):

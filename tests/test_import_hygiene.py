@@ -1,6 +1,6 @@
 """The read path never loads the simulator, nor numpy until it computes.
 
-``serve``, ``stats``, ``cache`` and every ``--help`` only read stored
+``serve``, ``stats`` and every ``--help`` only read stored
 results, so importing them must not pay for the DRAM model, the test
 rig or the trial engine.  A served version-2 figure does no array
 math either, so ``serve`` loads numpy only for a ``/ci`` bootstrap or
@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from repro.characterization.stats import summarize
-from repro.characterization.store import ResultStore
+from repro.characterization.store import CampaignManifest, ResultStore
 from repro.engine.metrics import EngineMetrics
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -89,13 +89,9 @@ def tiny_store(tmp_path):
         (_main(["serve", "--help"]), READ_PATH),
         (_main(["campaign", "--help"]), READ_PATH),
         (_main(["stats", "--results-dir", "results"]), READ_PATH),
-        # `cache stats` opens the TrialCache, whose stored outcomes are
-        # numpy arrays, so it still loads numpy until the trial cache
-        # retires onto the result store.
-        (_main(["cache", "stats", "--cache-dir", "cache"]), SIMULATOR),
     ],
     ids=["import-http", "import-cli", "serve-help", "campaign-help",
-         "stats", "cache-stats"],
+         "stats"],
 )
 def test_read_path_loads_no_simulator_module(snippet, watched, tiny_store):
     assert _loaded_after(snippet, cwd=tiny_store.parent, watched=watched) == []
@@ -110,15 +106,17 @@ _SERVED = [
     ("results", "/figures/fig", False),
     ("results", "/figures/fig", True),
     ("results", "/figures", False),
+    ("manifest", "/audit/status", False),
     ("results", "/ci/fig?resamples=200&seed=1", False),
     ("columnar", "/figures/fig", False),
 ]
 """The served requests, as ``(store, target, revalidate)``: a
-version-2 figure, its ``If-None-Match`` revalidation and the listing,
-then the two that need numpy -- a bootstrap CI, and the same figure
+version-2 figure, its ``If-None-Match`` revalidation, the listing and
+the audit status of a store holding a campaign manifest, then the two
+that need numpy -- a bootstrap CI, and the same figure
 saved in version 3, whose summaries sit in a column sidecar.  The
-version-3 save has a store of its own because the listing reads every
-artifact."""
+version-3 save and the manifest have a store each because the listing
+reads every artifact."""
 
 _SERVE_PROBE = f"""
 import json, sys
@@ -156,10 +154,13 @@ def test_served_figure_loads_numpy_only_for_ci_or_a_sidecar(
         ResultStore(tmp_path / name, columnar=columnar).save(
             "fig", data, notes=name
         )
+    ResultStore(tmp_path / "manifest").save_manifest(
+        CampaignManifest(planned=["fig"], completed=["fig"], serials=["A#0"])
+    )
     served = _probe(_SERVE_PROBE, cwd=tmp_path)
-    assert served["numpy"] == [False, False, False, True, True]
+    assert served["numpy"] == [False, False, False, False, True, True]
     assert [status for status, _, _ in served["answers"]] == [
-        200, 304, 200, 200, 200,
+        200, 304, 200, 200, 200, 200,
     ]
 
     # The same requests in this process, which has numpy loaded.

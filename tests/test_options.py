@@ -15,8 +15,8 @@ from repro.characterization.campaign import Campaign
 from repro.engine.executors import ProcessPoolExecutor, make_executor
 
 FROZEN_OPTIONS = {
-    "make_executor": (make_executor, ["name", "jobs", "chaos", "cache"]),
-    "ProcessPoolExecutor": (ProcessPoolExecutor, ["jobs", "chaos", "cache"]),
+    "make_executor": (make_executor, ["name", "jobs", "chaos"]),
+    "ProcessPoolExecutor": (ProcessPoolExecutor, ["jobs", "chaos"]),
     "Campaign": (
         Campaign,
         [

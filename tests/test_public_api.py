@@ -62,7 +62,7 @@ FROZEN_ALL = {
         "ExecutorBase", "ExperimentProgram", "FusedExecutor",
         "MajXKernel", "MultiRowCopyKernel", "OutcomeColumns",
         "PlanResult", "PlanStep", "ProcessPoolExecutor",
-        "SerialExecutor", "TaskColumns", "TaskOutcome", "TrialCache",
+        "SerialExecutor", "TaskColumns", "TaskOutcome",
         "TrialKernel", "TrialPlan", "TrialTask", "allocate_round",
         "available_cpu_count", "checkpoint_means",
         "checkpoint_rates_by_count", "merge_outcomes", "slice_plan",
