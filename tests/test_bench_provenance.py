@@ -1,4 +1,4 @@
-"""BENCH_engine.json's provenance names the code it measured."""
+"""Each BENCH file's provenance names the code it measured."""
 
 import argparse
 import importlib.util
