@@ -54,6 +54,15 @@ from repro.service.api import _summary_means  # noqa: E402
 from run_benchmarks import machine_provenance  # noqa: E402
 
 
+def _stamped(path: Path) -> str:
+    """``path`` as the report records it: relative to the repository
+    root when it lies inside, so a report names no checkout's path."""
+    try:
+        return str(path.resolve().relative_to(REPO_ROOT))
+    except ValueError:
+        return str(path)
+
+
 def _raise_fd_limit(wanted: int) -> int:
     """Best-effort RLIMIT_NOFILE bump (N readers need ~2N+ fds)."""
     try:
@@ -237,7 +246,7 @@ async def run_service_benchmark(
     latencies.sort()
     served = len(latencies)
     report: Dict[str, object] = {
-        "results_dir": str(results_dir),
+        "results_dir": _stamped(results_dir),
         "figures": names,
         "concurrent_readers": readers,
         "requests_per_reader": requests_per_reader,

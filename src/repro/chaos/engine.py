@@ -8,6 +8,12 @@ is a deterministic function of the chaos seed, the fault kind, and
 how many times that kind has been consulted, so a chaotic campaign is
 bit-for-bit reproducible -- the property every chaos test in this
 repository relies on.
+
+Executors consult a campaign's one engine once per *site* and kind, in
+the campaign's canonical order: each plan's environment step per bench,
+then each task in plan order (bench-major).  The pool decides its sites in the dispatching process, so
+every executor walks the same consult sequence and injects the same
+faults.
 """
 
 from __future__ import annotations
@@ -45,11 +51,13 @@ class FaultKind(Enum):
 class ChaosConfig:
     """Which faults to inject, how often, and with what magnitude.
 
-    Rates are per *opportunity* (one program replay, one settle, one
-    voltage programming).  ``max_faults_per_kind`` caps how many times
-    each kind fires over the harness's lifetime; a finite cap plus a
-    retry policy whose attempt count exceeds it guarantees a campaign
-    eventually converges despite the chaos.
+    Rig rates are per *site*: one task of a plan for the link kinds,
+    one (plan, bench) environment step for the thermal and VPP kinds,
+    and one crossing for bench work outside any task.  Reader rates
+    are per load.  ``max_faults_per_kind`` caps how many times each
+    kind fires over the engine's lifetime; a finite cap plus a retry
+    policy whose attempt count exceeds four times it guarantees a
+    campaign eventually converges despite the chaos.
     """
 
     seed: int = 7
@@ -78,12 +86,13 @@ class ChaosConfig:
     corrupted_bits: int = 4
     """How many bits a readback corruption flips (before detection)."""
     bench_failure_serials: Tuple[str, ...] = ()
-    """Modules whose benches fail *persistently*: every program replay
+    """Modules whose benches fail *persistently*: every link site
     raises :class:`~repro.errors.PersistentBenchError` (after
-    ``bench_failure_after`` clean replays).  Target-keyed rather than
+    ``bench_failure_after`` clean sites).  Target-keyed rather than
     rate-keyed so quarantine paths are exercised deterministically."""
     bench_failure_after: int = 0
-    """Clean program replays a doomed bench performs before dying."""
+    """Clean link sites (tasks, or crossings outside a task) a doomed
+    bench passes, in canonical order, before dying."""
     worker_kill_serials: Tuple[str, ...] = ()
     """Modules whose shard kills its pool worker (``os._exit``) the
     first time a parallel executor dispatches it -- the worker-death
@@ -207,13 +216,13 @@ class ChaosStats:
 
 
 class ChaosEngine:
-    """Deterministic, capped fault scheduling for one harness."""
+    """Deterministic, capped fault scheduling for one campaign."""
 
     def __init__(self, config: ChaosConfig):
         self._config = config
         self._opportunities: Dict[FaultKind, int] = {k: 0 for k in FaultKind}
         self._injected: Dict[FaultKind, int] = {k: 0 for k in FaultKind}
-        self._bench_replays: Dict[str, int] = {}
+        self._bench_sites: Dict[str, int] = {}
         self._corrupted_names: set = set()
         self._extra_injected: Dict[str, int] = {}
 
@@ -239,16 +248,16 @@ class ChaosEngine:
         return False
 
     def bench_should_fail(self, serial: str) -> bool:
-        """Whether this replay on this bench fails *persistently*.
+        """Whether this link site on this bench fails *persistently*.
 
         Target-keyed, not rate-keyed: benches listed in
-        ``bench_failure_serials`` fail every replay once they have
-        performed ``bench_failure_after`` clean ones.
+        ``bench_failure_serials`` fail every site once they have
+        passed ``bench_failure_after`` clean ones.
         """
         if serial not in self._config.bench_failure_serials:
             return False
-        count = self._bench_replays.get(serial, 0)
-        self._bench_replays[serial] = count + 1
+        count = self._bench_sites.get(serial, 0)
+        self._bench_sites[serial] = count + 1
         if count < self._config.bench_failure_after:
             return False
         self._extra_injected["bench-failure"] = (

@@ -51,20 +51,24 @@ class _ChaoticProxy:
 class ChaoticBender(_ChaoticProxy):
     """FPGA replayer with transfer faults on both directions.
 
+    Link faults are decided once per *site*.  A task of a plan is one
+    site: the executor decides it up front (:meth:`decide_site`) and
+    then runs the task with ``decided`` set, so the task's crossings
+    go through clean.  Any crossing outside a task -- a health probe,
+    hand-driven bench work -- is a site of its own and is checked as
+    it happens.
+
     Besides the rate-keyed transient faults, a bench listed in
     ``ChaosConfig.bench_failure_serials`` fails *persistently*: every
-    replay raises :class:`~repro.errors.PersistentBenchError` (a
+    site raises :class:`~repro.errors.PersistentBenchError` (a
     non-transient error the campaign does not retry -- the health
     layer's quarantine path is the only way past it).
     """
 
-    def _through_link(self, program, deliver: Callable):
-        """``deliver(program)`` behind the link's fault checks.
+    decided = False
+    """While set, the site in progress was decided up front."""
 
-        Every program crossing the link -- replayed or only resolved --
-        consumes the same checks in the same order, so a seeded chaos
-        campaign fires the same fault sequence on every executor path.
-        """
+    def _check_send(self) -> None:
         serial = self._wrapped.module.serial
         if self._engine.bench_should_fail(serial):
             raise PersistentBenchError(
@@ -74,14 +78,33 @@ class ChaoticBender(_ChaoticProxy):
         if self._engine.should_fire(FaultKind.PROGRAM_DROP):
             raise ProgramTransferError(
                 "command program dropped before FPGA replay "
-                f"({len(program)} commands lost; device untouched)"
+                "(device untouched)"
             )
-        result = deliver(program)
+
+    def _check_receive(self) -> None:
         if self._engine.should_fire(FaultKind.READBACK_CORRUPTION):
             raise ReadbackCorruptionError(
                 "execution-result upload failed the host integrity check "
                 "(result discarded)"
             )
+
+    def decide_site(self) -> None:
+        """Decide one task site's link faults; raise the first that fires."""
+        self._check_send()
+        self._check_receive()
+
+    def _through_link(self, program, deliver: Callable):
+        """``deliver(program)`` behind the link's fault checks.
+
+        Every program crossing the link -- replayed or only resolved --
+        takes the same checks in the same order, unless its site was
+        decided up front.
+        """
+        if self.decided:
+            return deliver(program)
+        self._check_send()
+        result = deliver(program)
+        self._check_receive()
         return result
 
     def execute(self, program):

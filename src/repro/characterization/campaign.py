@@ -263,6 +263,8 @@ class CampaignResult:
     stored_at: Optional[Path] = None
     data: Dict[str, object] = field(default_factory=dict)
     chaos_faults_injected: int = 0
+    """Every fault the campaign's one chaos engine injected, on any
+    executor."""
     engine_stats: Optional[Dict[str, object]] = None
     """Cumulative :class:`~repro.engine.EngineMetrics` of the campaign's
     executor (``None`` when the campaign ran without one)."""
@@ -450,13 +452,11 @@ class Campaign:
                 manifest = self._prepare_manifest(
                     experiments, config, resume, result, retry_failed
                 )
-            # Process-pool executors re-run plans in worker processes
-            # where the main harness's proxies don't reach; hand them
-            # the chaos profile so injection composes with sharded
-            # execution too.  The executor's chaos_profile context
-            # restores the previous profile in a finally block, so an
-            # executor-raised error can never leave it pointing at this
-            # campaign's engine.
+            # Every executor decides rig faults on the harnessed benches
+            # above; the pool also needs the profile for its worker
+            # kills.  The executor's chaos_profile context restores the
+            # previous profile in a finally block, so an executor-raised
+            # error can never leave it pointing at this campaign's.
             swap = (
                 self._executor.chaos_profile(self._chaos)
                 if self._chaos is not None and self._executor is not None

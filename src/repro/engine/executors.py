@@ -18,6 +18,11 @@ experiments, when driven by
 context-manager exit.  Slices of the batch's task stream travel to
 them, and outcomes back, as columnar frames over one socket protocol
 (:mod:`repro.engine.fleet`).
+
+Chaos is one schedule for all three: each executor decides a plan's
+rig faults -- the environment step per bench, then one link site per
+task (:func:`decide_sites`) -- before any of its tasks run, on the
+campaign's harnessed benches and in plan order.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ import select
 import signal
 import socket
 import time
-from dataclasses import replace
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -46,10 +50,9 @@ from typing import (
 
 import numpy as np
 
-from .. import rng
 from ..bender.program import apa_program
 from ..bender.testbench import TestBench
-from ..chaos import ChaosConfig, FaultKind
+from ..chaos import ChaosConfig, ChaoticBender
 from ..config import SimulationConfig
 from ..errors import ExperimentError
 from . import bitplane
@@ -269,6 +272,27 @@ def run_tasks_fused(
     return outcomes
 
 
+def decide_sites(plan: TrialPlan) -> List[ChaoticBender]:
+    """Decide the link faults of every task site of ``plan``.
+
+    A task is one site: its chaotic link is consulted once, in plan
+    order (which :func:`~repro.engine.plan.tasks_for_scope` makes
+    bench-major), and the first fault raises, so no later site of the
+    plan is consulted.  Every executor calls this before the plan's
+    tasks run, so the order never depends on how they run.  Returns the
+    plan's chaotic links -- empty on a clean rig, which costs one pass
+    over the benches.
+    """
+    links = [bench.bender for bench in plan.benches]
+    chaotic = [link for link in links if isinstance(link, ChaoticBender)]
+    if chaotic:
+        for task in plan.tasks:
+            link = links[task.bench_index]
+            if isinstance(link, ChaoticBender):
+                link.decide_site()
+    return chaotic
+
+
 class ExecutorBase:
     """Shared surface: ``run(plan) -> PlanResult`` plus cumulative metrics.
 
@@ -380,6 +404,8 @@ class ExecutorBase:
         return results
 
     def _apply_environment(self, plan: TrialPlan, delta: EngineMetrics) -> None:
+        """Drive each bench to the plan's point: one environment site
+        per bench for a chaotic rig."""
         if not plan.apply_environment:
             return
         started = time.perf_counter()
@@ -387,6 +413,25 @@ class ExecutorBase:
             bench.set_temperature(plan.point.temperature_c)
             bench.set_vpp(plan.point.vpp)
         delta.environment_s += time.perf_counter() - started
+
+    @contextlib.contextmanager
+    def _decided(self, plan: TrialPlan, delta: EngineMetrics) -> Iterator[None]:
+        """Decide every rig fault of ``plan``, then run the body clean.
+
+        The environment step and each task site are decided before any
+        task runs (:func:`decide_sites`), so an in-process executor
+        meets exactly the faults the pool decides in its parent; the
+        tasks then cross their chaotic links without further checks.
+        """
+        self._apply_environment(plan, delta)
+        links = decide_sites(plan)
+        for link in links:
+            link.decided = True
+        try:
+            yield
+        finally:
+            for link in links:
+                link.decided = False
 
     def _finish(self, plan: TrialPlan, delta: EngineMetrics,
                 outcomes: List[TaskOutcome], started: float) -> PlanResult:
@@ -407,19 +452,19 @@ class SerialExecutor(ExecutorBase):
     def _run(self, plan: TrialPlan) -> PlanResult:
         started = time.perf_counter()
         delta = EngineMetrics(executor=self.name, workers=1)
-        self._apply_environment(plan, delta)
-        execute_started = time.perf_counter()
-        outcomes: List[TaskOutcome] = []
-        for task in plan.tasks:
-            bench = plan.benches[task.bench_index]
-            outcomes.append(
-                run_task_serial(plan.kernel, plan.point, plan.checkpoints, bench, task)
-            )
-            delta.tasks += 1
-            delta.trials += task.trials
-            delta.cells += task.cells
-            delta.apa_programs += task.trials
-        delta.execute_s += time.perf_counter() - execute_started
+        with self._decided(plan, delta):
+            execute_started = time.perf_counter()
+            outcomes: List[TaskOutcome] = []
+            for task in plan.tasks:
+                bench = plan.benches[task.bench_index]
+                outcomes.append(run_task_serial(
+                    plan.kernel, plan.point, plan.checkpoints, bench, task
+                ))
+                delta.tasks += 1
+                delta.trials += task.trials
+                delta.cells += task.cells
+                delta.apa_programs += task.trials
+            delta.execute_s += time.perf_counter() - execute_started
         delta.busy_s = delta.execute_s
         return self._finish(plan, delta, outcomes, started)
 
@@ -454,7 +499,7 @@ class _PendingPlan:
         """The plan's part of every ``run-slice`` segment header
         (kernel, operating point, checkpoints) as wire specs."""
         self.sections: List[Dict[str, Any]] = []
-        """Per-bench wire specs (serial/config/chaos)."""
+        """Per-bench wire specs (serial and simulation config)."""
         self.kills: List[bool] = []
         """Per section: whether the chaos worker kill has yet to ride
         a segment (the first segment holding the section takes it)."""
@@ -489,12 +534,14 @@ class ProcessPoolExecutor(ExecutorBase):
     rebuild the kernel, operating point and each bench from its catalog spec
     (``module.spec``), so benches built by hand around a bare
     :class:`~repro.dram.module.Module` cannot be shipped and raise
-    :class:`~repro.errors.ExperimentError`.  When ``chaos`` is set,
-    each worker installs its own fault harness so fault injection
-    composes with sharded execution; worker-side injection counts
-    surface in ``metrics.chaos_faults_injected``, and the parent keeps
-    a per-kind ledger of them so ``max_faults_per_kind`` holds across
-    slice re-executions (see :meth:`_worker_chaos`).
+    :class:`~repro.errors.ExperimentError`.  Workers run no chaos
+    harness: every rig fault a plan can meet is decided in this
+    process while the plan is prepared (:meth:`_prepare`), against the
+    campaign's harnessed benches and in the order an in-process
+    executor decides them, so the pool injects exactly the faults
+    ``serial`` and ``fused`` do.  A faulted plan never ships.  The
+    ``chaos`` profile only names the modules whose segment kills its
+    worker (``worker_kill_serials``).
 
     The workers are *persistent*: they are forked lazily on the first
     plan (sized to the work at hand, capped at ``jobs``), serve every
@@ -528,14 +575,6 @@ class ProcessPoolExecutor(ExecutorBase):
         self._workers: List[_Worker] = []
         self._kills_done: set = set()
         """Module serials whose one-shot chaos worker-kill already fired."""
-        self._faults_spent: Dict[str, int] = {}
-        """Worker-injected faults per kind, accumulated across every
-        plan this executor has run -- the parent-side ledger that makes
-        ``max_faults_per_kind`` hold across slice re-executions."""
-        self._chaos_epoch = 0
-        """Plan-run counter salting the worker chaos schedule, so a
-        retried slice does not deterministically replay the exact
-        fault sequence that just failed it."""
         self._config_specs: Dict[SimulationConfig, Dict[str, Any]] = {}
         """Wire spec per simulation config: a campaign ships the same
         few configs in every section of every plan."""
@@ -728,21 +767,20 @@ class ProcessPoolExecutor(ExecutorBase):
         return [settled[index] for index in sorted(settled)]
 
     def _prepare(self, plan: TrialPlan) -> _PendingPlan:
-        """Environment, bench sections and the plan's segment header."""
-        from .fleet import (
-            chaos_to_spec,
-            config_to_spec,
-            kernel_to_spec,
-            point_to_spec,
-        )
+        """Rig faults, bench sections and the plan's segment header.
+
+        The local benches take the environment step and every task
+        site is decided here, in plan order, so a faulted plan raises
+        before it ships -- and the rig observable to the caller ends in
+        the state a serial run would leave.
+        """
+        from .fleet import config_to_spec, kernel_to_spec, point_to_spec
 
         pending = _PendingPlan(plan, time.perf_counter())
-        self._chaos_epoch += 1
         delta = EngineMetrics(executor=self.name)
         pending.delta = delta
-        # Drive the local benches too, so the rig observable to the
-        # caller ends in the same state a serial run would leave.
         self._apply_environment(plan, delta)
+        decide_sites(plan)
         shards: Dict[int, List[TrialTask]] = {}
         for task in plan.tasks:
             shards.setdefault(task.bench_index, []).append(task)
@@ -754,17 +792,12 @@ class ProcessPoolExecutor(ExecutorBase):
                     f"module {module.serial!r} has no spec to rebuild from"
                 )
             serial = module.serial
-            chaos = self._worker_chaos(serial)
             config = self._config_specs.get(module.config)
             if config is None:
                 config = self._config_specs[module.config] = config_to_spec(
                     module.config
                 )
-            pending.sections.append({
-                "serial": serial,
-                "config": config,
-                "chaos": None if chaos is None else chaos_to_spec(chaos),
-            })
+            pending.sections.append({"serial": serial, "config": config})
             kill = (
                 self.chaos is not None
                 and serial in self.chaos.worker_kill_serials
@@ -880,8 +913,8 @@ class ProcessPoolExecutor(ExecutorBase):
         that dies (EOF or a socket error) takes nothing with it: its
         whole frame goes back to the front of the queue for a
         survivor, and once no worker survives the rest of the queue
-        runs in-process.  Per-plan accounting (resharded tasks, chaos
-        faults) lands in each owner's delta; frames, the workers that
+        runs in-process.  Per-plan accounting (resharded tasks) lands
+        in each owner's delta; frames, the workers that
         received one, and worker deaths are batch facts, credited once
         -- to the single owner's delta when one plan runs alone, or
         straight to the cumulative metrics for a pipelined batch.
@@ -1017,12 +1050,6 @@ class ProcessPoolExecutor(ExecutorBase):
     def _finalize(self, pending: _PendingPlan) -> PlanResult:
         """Unpack, account, and commit one plan's outcomes, in order."""
         if pending.error is not None:
-            # A failed plan does not count, but the faults its segments
-            # injected did fire: credit them before the raise.
-            if pending.delta is not None:
-                self.metrics.chaos_faults_injected += (
-                    pending.delta.chaos_faults_injected
-                )
             raise pending.error
         delta = pending.delta
         assert delta is not None
@@ -1038,74 +1065,15 @@ class ProcessPoolExecutor(ExecutorBase):
         delta.execute_s += time.perf_counter() - pending.execute_started
         return self._finish(pending.plan, delta, fresh, pending.started)
 
-    _RATE_FIELDS = {
-        FaultKind.PROGRAM_DROP: "program_drop_rate",
-        FaultKind.READBACK_CORRUPTION: "readback_corruption_rate",
-        FaultKind.THERMAL_EXCURSION: "thermal_excursion_rate",
-        FaultKind.VPP_BROWNOUT: "vpp_brownout_rate",
-    }
-
-    def _worker_chaos(self, serial: str) -> Optional[ChaosConfig]:
-        """The chaos profile one slice's worker should install.
-
-        Worker harnesses are rebuilt per segment, so two properties the
-        serial harness gets for free must be restored here:
-
-        - **caps persist**: a fault kind whose accumulated worker-side
-          injections have reached ``max_faults_per_kind`` is shipped
-          with rate 0, so a retried plan eventually runs fault-free
-          and a chaotic campaign converges;
-        - **schedules advance**: the seed is salted with a per-plan
-          epoch (and the slice's serial), so a retried slice does not
-          deterministically replay the exact fault sequence that just
-          failed it.
-
-        Target-keyed faults (bench failures, worker kills) are
-        unaffected: they ignore the seed and are capped elsewhere.
-        """
-        chaos = self.chaos
-        if chaos is None:
-            return None
-        rated = [
-            name
-            for name in self._RATE_FIELDS.values()
-            if getattr(chaos, name) > 0.0
-        ]
-        if not rated:
-            return chaos
-        overrides: Dict[str, Any] = {}
-        cap = chaos.max_faults_per_kind
-        if cap is not None:
-            for kind, name in self._RATE_FIELDS.items():
-                if (
-                    name in rated
-                    and self._faults_spent.get(kind.value, 0) >= cap
-                ):
-                    overrides[name] = 0.0
-        salt = rng.generator(
-            "worker-chaos", chaos.seed, self._chaos_epoch, serial
-        )
-        overrides["seed"] = int(salt.integers(0, 2**31))
-        return replace(chaos, **overrides)
-
     def _harvest(
         self,
         reply: Tuple[Dict[str, Any], Optional[OutcomeColumns]],
         delta: EngineMetrics,
     ) -> Tuple[OutcomeColumns, float]:
-        """Account one ``slice-result`` segment, re-raising its error.
-
-        The fault ledger is credited *before* the raise so that a
-        retried plan runs against a diminished budget -- the property
-        that makes chaotic parallel campaigns converge.
-        """
+        """Account one ``slice-result`` segment, re-raising its error."""
         from .fleet import error_from_spec
 
         header, columns = reply
-        injected: Dict[str, int] = header["injected"]
-        delta.chaos_faults_injected += sum(injected.values())
-        for kind, count in injected.items():
-            self._faults_spent[kind] = self._faults_spent.get(kind, 0) + count
         if header["error"] is not None:
             raise error_from_spec(header["error"])
         stats = header["stats"]
@@ -1132,8 +1100,7 @@ class FusedExecutor(ExecutorBase):
     """Evaluates whole plans as fused array programs over bit-planes.
 
     Per task it probes ONE APA program through the bench (resolved
-    from the bank's decision table; also the point where chaos faults
-    can fire).  Per bench, every task whose probed semantic the kernel
+    from the bank's decision table).  Per bench, every task whose probed semantic the kernel
     fuses has its (site x row-group x trial) keyed draws gathered into
     a handful of block RNG calls
     (``ReliabilityModel.context_noise_block``, and
@@ -1152,24 +1119,24 @@ class FusedExecutor(ExecutorBase):
     def _run(self, plan: TrialPlan) -> PlanResult:
         started = time.perf_counter()
         delta = EngineMetrics(executor=self.name, workers=1)
-        self._apply_environment(plan, delta)
-        execute_started = time.perf_counter()
-        shards: Dict[int, List[TrialTask]] = {}
-        for task in plan.tasks:
-            shards.setdefault(task.bench_index, []).append(task)
-            delta.tasks += 1
-            delta.trials += task.trials
-            delta.cells += task.cells
-        outcomes: List[TaskOutcome] = []
-        for bench_index in sorted(shards):
-            bench = plan.benches[bench_index]
-            outcomes.extend(
-                run_tasks_fused(
-                    plan.kernel, plan.point, plan.checkpoints,
-                    bench, shards[bench_index], delta,
+        with self._decided(plan, delta):
+            execute_started = time.perf_counter()
+            shards: Dict[int, List[TrialTask]] = {}
+            for task in plan.tasks:
+                shards.setdefault(task.bench_index, []).append(task)
+                delta.tasks += 1
+                delta.trials += task.trials
+                delta.cells += task.cells
+            outcomes: List[TaskOutcome] = []
+            for bench_index in sorted(shards):
+                bench = plan.benches[bench_index]
+                outcomes.extend(
+                    run_tasks_fused(
+                        plan.kernel, plan.point, plan.checkpoints,
+                        bench, shards[bench_index], delta,
+                    )
                 )
-            )
-        delta.execute_s += time.perf_counter() - execute_started
+            delta.execute_s += time.perf_counter() - execute_started
         delta.busy_s = delta.execute_s
         return self._finish(plan, delta, outcomes, started)
 

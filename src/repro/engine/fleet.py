@@ -10,15 +10,17 @@ plan boundaries, so a frame carries a list of per-plan *segments*:
 each ``run-slice`` segment is one plan's header (kernel, operating
 point, checkpoints, bench sections) with its tasks as
 :class:`~repro.engine.columnar.TaskColumns`, and each ``slice-result``
-segment answers it with stats, injected faults, an error and the
-outcomes as :class:`~repro.engine.columnar.OutcomeColumns` with packed
-masks.  Everything else a segment needs travels as a JSON-safe *spec*:
-the kernel, the :class:`OperatingPoint`, each bench's serial,
-:class:`~repro.config.SimulationConfig` and
-:class:`~repro.chaos.ChaosConfig` (the wire codec below).  Errors
-come back as data too, so the dispatcher credits the faults a segment
-injected before it re-raises, and an error in one plan's segment
-leaves the frame's other segments intact.
+segment answers it with stats, an error and the outcomes as
+:class:`~repro.engine.columnar.OutcomeColumns` with packed masks.
+Everything else a segment needs travels as a JSON-safe *spec*: the
+kernel, the :class:`OperatingPoint`, and each bench's serial and
+:class:`~repro.config.SimulationConfig` (the wire codec below).
+Errors come back as data too, so an error in one plan's segment leaves
+the frame's other segments intact.
+
+Workers inject no chaos: the dispatcher decides every rig fault of a
+plan before the plan ships, so a segment only ever runs clean benches.
+The one chaos fault a worker sees is ``kill_worker``, which ends it.
 
 The workers are forked by the executor (``--jobs N``,
 :meth:`ProcessPoolExecutor._launch`), each serving one end of a
@@ -47,7 +49,6 @@ import numpy as np
 
 from .. import errors
 from ..bender.testbench import TestBench
-from ..chaos import ChaosConfig, ChaosHarness
 from ..config import SimulationConfig
 from ..core.patterns import DataPattern
 from ..dram.vendor import TESTED_MODULES
@@ -293,23 +294,6 @@ def config_from_spec(spec: Dict[str, Any]) -> SimulationConfig:
     return SimulationConfig(**spec)
 
 
-def chaos_to_spec(chaos: ChaosConfig) -> Dict[str, Any]:
-    """JSON-safe form of a :class:`ChaosConfig` (name tuples as lists)."""
-    return {
-        name: list(value) if isinstance(value, tuple) else value
-        for name, value in asdict(chaos).items()
-    }
-
-
-def chaos_from_spec(spec: Dict[str, Any]) -> ChaosConfig:
-    return ChaosConfig(
-        **{
-            name: tuple(value) if isinstance(value, list) else value
-            for name, value in spec.items()
-        }
-    )
-
-
 def error_to_spec(error: Exception) -> List[str]:
     return [type(error).__name__, str(error)]
 
@@ -353,9 +337,7 @@ def _bench_for_section(section: Dict[str, Any]) -> Tuple[TestBench, bool]:
     key = (section["serial"], config)
     bench = _BENCH_CACHE.get(key)
     if bench is not None:
-        # Same starting point as a fresh build: baseline environment,
-        # applied before any chaos harness goes in (a fresh bench's
-        # constructor drives the same settings pre-harness).
+        # Same starting point as a fresh build: baseline environment.
         bench.reset_environment()
         return bench, True
     identifier, _, instance = section["serial"].rpartition("#")
@@ -374,17 +356,13 @@ def serve_slice(
 ) -> Tuple[Dict[str, Any], Optional[OutcomeColumns]]:
     """Run one ``run-slice`` segment; its ``slice-result`` reply.
 
-    A segment spans one or more bench *sections* (serial, config and
-    chaos per bench); its tasks reference sections by slot, so each
-    bench is rebuilt or fetched, and its chaos harness installed, once
-    per segment.  Each bench's tasks run fused
+    A segment spans one or more bench *sections* (serial and config
+    per bench); its tasks reference sections by slot, so each bench is
+    rebuilt or fetched once per segment.  Each bench's tasks run fused
     (:func:`~repro.engine.executors.run_tasks_fused`).  The reply
     carries a stats dict (busy time, worker-side APA programs, stage
-    timings, bench reuses, tasks run), the per-kind faults the local
-    harnesses injected, and the error the segment died of, if any, as
-    data: the dispatcher credits the injected faults to its
-    ``max_faults_per_kind`` ledger before it re-raises, or a chaotic
-    campaign would retry against an undiminished fault budget forever.
+    timings, bench reuses, tasks run) and the error the segment died
+    of, if any, as data.
     """
     if header.get("kill_worker"):
         # Chaos proof load: this segment's worker dies abruptly, the way
@@ -394,7 +372,6 @@ def serve_slice(
     stats: Dict[str, Any] = {
         "apa_programs": 0, "stages": {}, "bench_reuses": 0, "tasks_run": 0,
     }
-    injected: Dict[str, int] = {}
     outcomes: List[TaskOutcome] = []
     error: Optional[Exception] = None
     try:
@@ -408,27 +385,16 @@ def serve_slice(
             section = sections[slot]
             bench, reused = _bench_for_section(section)
             stats["bench_reuses"] += int(reused)
-            harness: Optional[ChaosHarness] = None
-            if section["chaos"] is not None:
-                harness = ChaosHarness(chaos_from_spec(section["chaos"]))
-                harness.install(bench)
-            try:
-                if header["apply_environment"]:
-                    bench.set_temperature(point.temperature_c)
-                    bench.set_vpp(point.vpp)
-                scratch = EngineMetrics(executor="slice")
-                outcomes.extend(
-                    run_tasks_fused(
-                        kernel, point, header["checkpoints"], bench,
-                        by_slot[slot], scratch,
-                    )
+            if header["apply_environment"]:
+                bench.set_temperature(point.temperature_c)
+                bench.set_vpp(point.vpp)
+            scratch = EngineMetrics(executor="slice")
+            outcomes.extend(
+                run_tasks_fused(
+                    kernel, point, header["checkpoints"], bench,
+                    by_slot[slot], scratch,
                 )
-            finally:
-                if harness is not None:
-                    for kind, count in harness.engine.stats.injected.items():
-                        if count:
-                            injected[kind] = injected.get(kind, 0) + count
-                    harness.uninstall()
+            )
             stats["apa_programs"] += scratch.apa_programs
             for stage, seconds in scratch.stages.items():
                 stages = stats["stages"]
@@ -440,7 +406,6 @@ def serve_slice(
     reply = {
         "type": "slice-result",
         "stats": stats,
-        "injected": injected,
         "error": None if error is None else error_to_spec(error),
     }
     return reply, None if error is not None else pack_outcomes(outcomes)

@@ -35,8 +35,6 @@ class EngineMetrics:
     wall_s: float = 0.0
     busy_s: float = 0.0
     """Summed worker compute time (== execute_s for in-process runs)."""
-    chaos_faults_injected: int = 0
-    """Faults injected by worker-side chaos harnesses (parallel runs)."""
     breaker_trips: int = 0
     """Circuit-breaker trips observed by the supervising health layer."""
     modules_quarantined: int = 0
@@ -190,10 +188,6 @@ class EngineMetrics:
         lines.append(
             f"  executor busy fraction: {self.executor_busy_fraction:.1%}"
         )
-        if self.chaos_faults_injected:
-            lines.append(
-                f"  worker chaos faults: {self.chaos_faults_injected}"
-            )
         health = [
             ("breaker trips", self.breaker_trips),
             ("modules quarantined", self.modules_quarantined),

@@ -9,9 +9,12 @@ fresh run and a resume after one committed figure, and with every
 subset of chaos injection and health supervision.  Each combination
 must commit artifacts byte-equal to its serial counterpart (the
 adaptive serial run for adaptive campaigns), leave a clean store and
-pass ``audit``.  Under the matrix sits a property over every
-registered figure: on random tiny scopes, serial, fused and the
-pipelined pool give equal data.
+pass ``audit``.  A fresh run also commits a byte-equal manifest, so
+figures commit in the same order; under chaos it injects as many
+faults and takes as many attempts per figure, because every executor
+decides faults on one schedule.  Under the matrix sits a property
+over every registered figure: on random tiny scopes, serial, fused
+and the pipelined pool give equal data.
 """
 
 import itertools
@@ -101,7 +104,8 @@ def _campaign(source, features, store, pool, reference=False):
 
 @pytest.fixture(scope="module")
 def references(tmp_path_factory, pool):
-    """Serial stores, built once per (adaptive, features)."""
+    """Serial stores and their results, built once per (adaptive,
+    features)."""
     root = tmp_path_factory.mktemp("matrix_reference")
     built = {}
 
@@ -114,7 +118,7 @@ def references(tmp_path_factory, pool):
                 reference=True,
             ).run(list(FIGURES))
             assert result.succeeded
-            built[key] = directory
+            built[key] = directory, result
         return built[key]
 
     return get
@@ -145,7 +149,17 @@ def test_combination_matches_serial_and_audits(
         # The slices ran on the forked workers.
         assert result.engine_stats["dispatches"] > 0
 
-    reference = references(source, features)
+    reference, reference_result = references(source, features)
+    if mode == "fresh":
+        manifest = "campaign-manifest.json"
+        assert (store.directory / manifest).read_bytes() == (
+            reference / manifest
+        ).read_bytes()
+        if "chaos" in features:
+            assert result.chaos_faults_injected == (
+                reference_result.chaos_faults_injected
+            )
+            assert result.attempts == reference_result.attempts
     for name in FIGURES:
         assert (store.directory / f"{name}.json").read_bytes() == (
             reference / f"{name}.json"

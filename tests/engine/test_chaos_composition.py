@@ -1,11 +1,11 @@
 """Fault injection and retry/resume composed with every executor.
 
-The campaign's chaos harness wraps the scope's benches, so faults
-fire inside whichever executor drives those benches; the campaign's
-retry policy must still converge to exactly the fault-free data.
-Process-pool workers cannot see the main harness's proxies, so the
-campaign hands them the chaos profile to install locally -- that
-wiring is covered here too.
+The campaign's chaos harness wraps the scope's benches, and every
+executor decides a plan's faults on those benches in the same order --
+the process pool in its dispatching process, before a plan ships -- so
+every executor injects the same faults, and the campaign's retry
+policy converges to exactly the fault-free data.  The campaign still
+hands the pool its chaos profile, for the worker kills.
 """
 
 import pytest
@@ -41,56 +41,65 @@ def no_sleep(_delay: float) -> None:
 
 class TestChaosWithExecutors:
     @pytest.mark.parametrize(
-        "executor_factory", [SerialExecutor, FusedExecutor]
+        "executor_factory",
+        [SerialExecutor, FusedExecutor, lambda: ProcessPoolExecutor(jobs=2)],
+        ids=["serial", "fused", "fused-parallel"],
     )
     def test_burst_chaos_converges_to_clean_run(self, executor_factory):
         """Every fault kind fires once mid-campaign; the retrying
         campaign still produces data identical to a fault-free run,
-        regardless of which in-process executor drives the trials."""
+        regardless of which executor drives the trials."""
         experiments = ["fig4a", "fig11"]
-        clean = Campaign(make_scope(), executor=executor_factory()).run(
-            experiments
-        )
-        chaotic = Campaign(
-            make_scope(),
-            retry=RetryPolicy(max_attempts=6, base_delay_s=0.0),
-            chaos=ChaosConfig.burst(seed=5),
-            sleep=no_sleep,
-            executor=executor_factory(),
-        ).run(experiments)
+        with executor_factory() as executor:
+            clean = Campaign(make_scope(), executor=executor).run(
+                experiments
+            )
+        with executor_factory() as executor:
+            chaotic = Campaign(
+                make_scope(),
+                retry=RetryPolicy(max_attempts=6, base_delay_s=0.0),
+                chaos=ChaosConfig.burst(seed=5),
+                sleep=no_sleep,
+                executor=executor,
+            ).run(experiments)
         assert chaotic.succeeded
         assert chaotic.chaos_faults_injected == 4  # one per fault kind
         assert chaotic.data == clean.data
 
     def test_rate_chaos_converges_under_parallel_executor(self):
-        """Worker harnesses are rebuilt per shard, so the parent must
-        carry the fault-cap ledger across attempts (and salt each
-        retry's schedule) or a rate-keyed chaotic campaign would retry
-        against an undiminished, identically-scheduled fault budget
-        forever."""
+        """The pool decides faults in its dispatching process against
+        the campaign's one capped engine, so a rate-keyed chaotic
+        campaign converges -- and injects exactly what ``fused`` does."""
         experiments = ["fig4a"]
-        clean = Campaign(
-            make_scope(), executor=ProcessPoolExecutor(jobs=2)
-        ).run(experiments)
-        executor = ProcessPoolExecutor(jobs=2)
-        chaotic = Campaign(
-            make_scope(),
-            retry=RetryPolicy(max_attempts=20, base_delay_s=0.0),
-            chaos=ChaosConfig.light(seed=11, rate=0.2, max_faults_per_kind=2),
-            sleep=no_sleep,
-            executor=executor,
-        ).run(experiments)
+
+        def run(executor, chaos=None):
+            with executor:
+                return Campaign(
+                    make_scope(),
+                    retry=RetryPolicy(max_attempts=20, base_delay_s=0.0),
+                    chaos=chaos,
+                    sleep=no_sleep,
+                    executor=executor,
+                ).run(experiments)
+
+        chaos = ChaosConfig.light(seed=11, rate=0.2, max_faults_per_kind=2)
+        clean = run(ProcessPoolExecutor(jobs=2))
+        chaotic = run(ProcessPoolExecutor(jobs=2), chaos)
+        in_process = run(FusedExecutor(), chaos)
         assert chaotic.succeeded
         assert chaotic.data == clean.data
-        # Faults really fired somewhere (main harness and/or workers).
-        assert chaotic.chaos_faults_injected >= 1
+        assert in_process.chaos_faults_injected > 0
+        assert chaotic.chaos_faults_injected == (
+            in_process.chaos_faults_injected
+        )
+        assert chaotic.attempts == in_process.attempts
 
     def test_campaign_hands_chaos_profile_to_parallel_executor(
         self, fake_figure
     ):
-        """The worker-side injection path: the campaign temporarily
-        points the executor's chaos profile at its own, and restores
-        it afterwards."""
+        """The worker-kill path: the campaign temporarily points the
+        executor's chaos profile at its own, and restores it
+        afterwards."""
         observed = {}
         executor = ProcessPoolExecutor(jobs=1)
 

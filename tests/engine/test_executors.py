@@ -40,8 +40,8 @@ from repro.engine import (
     run_task_serial,
 )
 from repro.engine import executors
-from repro.chaos import ChaosConfig
-from repro.errors import ExperimentError
+from repro.chaos import ChaosConfig, ChaosHarness
+from repro.errors import ExperimentError, PersistentBenchError
 
 ACT_POINT = OperatingPoint(t1_ns=1.5, t2_ns=3.0)
 COPY_POINT = OperatingPoint(t1_ns=36.0, t2_ns=3.0)
@@ -455,8 +455,9 @@ class TestStreamedFrames:
             assert outcome_keys(result.outcomes) == outcome_keys(want)
 
     def test_error_in_one_plan_spares_its_frame_neighbour(self, monkeypatch):
-        # Two single-module plans share one frame; the first module's
-        # bench fails persistently, the second plan still lands.
+        # Two single-module plans in one batch; the first module's bench
+        # fails persistently, so its plan is refused in the dispatching
+        # process before it ships, and the second plan still lands.
         monkeypatch.setattr(executors, "SLICES_PER_WORKER", 1)
         doomed_scope = make_scope(specs=TESTED_MODULES[:1])
         doomed = build_activation_plan(doomed_scope, 8, ACT_POINT)
@@ -465,18 +466,17 @@ class TestStreamedFrames:
         )
         reference = SerialExecutor().run(clean).outcomes
         serial = doomed_scope.benches[0].module.serial
-        chaos = ChaosConfig(seed=3, bench_failure_serials=(serial,))
-        with ProcessPoolExecutor(jobs=1, chaos=chaos) as executor:
-            failed, landed = executor.run_many([doomed, clean])
-            assert executor.metrics.dispatches == 1
-        assert isinstance(failed, Exception)
-        assert outcome_keys(landed.outcomes) == outcome_keys(reference)
-        # The failed segment's injected fault is still on the ledger,
-        # and in the executor's metrics.
-        assert executor._faults_spent.get("bench-failure", 0) >= 1
-        assert executor.metrics.chaos_faults_injected == sum(
-            executor._faults_spent.values()
+        harness = ChaosHarness(
+            ChaosConfig(seed=3, bench_failure_serials=(serial,))
         )
+        with harness.installed(doomed_scope.benches):
+            with ProcessPoolExecutor(jobs=1) as executor:
+                failed, landed = executor.run_many([doomed, clean])
+                assert executor.metrics.dispatches == 1
+        assert isinstance(failed, PersistentBenchError)
+        assert outcome_keys(landed.outcomes) == outcome_keys(reference)
+        # The doomed plan stopped at its first task site.
+        assert harness.engine.stats.injected["bench-failure"] == 1
 
 
 class TestBatchMetricsWindows:

@@ -99,13 +99,6 @@ class TestReporting:
         assert "occupancy" not in payload
         json.dumps(payload)  # must not raise
 
-    def test_worker_chaos_counts_surface_in_render(self):
-        metrics = EngineMetrics(
-            executor="fused-parallel", chaos_faults_injected=3
-        )
-        assert "chaos" in metrics.render()
-        assert EngineMetrics().render().count("chaos") == 0
-
 
 class TestSchedulerCounters:
     def test_merge_adds_scheduler_counters(self):

@@ -72,3 +72,38 @@ def test_provenance_carries_the_hash(run_benchmarks):
 def test_committed_bench_files_come_from_a_clean_tree(path):
     # A report stamped dirty measured code no commit holds.
     assert json.loads(path.read_text())["provenance"]["git_dirty"] is False
+
+
+def test_service_report_names_its_store_relative_to_the_root(
+    tmp_path, monkeypatch
+):
+    # The nightly command passes no --results-dir; the default store
+    # lies under the repository root, whose path the report must not
+    # carry.
+    from repro.characterization.campaign import Campaign
+    from repro.characterization.experiment import CharacterizationScope
+    from repro.characterization.store import ResultStore
+    from repro.config import SimulationConfig
+    from repro.dram.vendor import TESTED_MODULES
+
+    monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
+    spec = importlib.util.spec_from_file_location(
+        "run_service_benchmark", ROOT / "benchmarks" / "run_service_benchmark.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(module, "REPO_ROOT", tmp_path)
+    scope = CharacterizationScope.build(
+        config=SimulationConfig(seed=1, columns_per_row=64),
+        specs=TESTED_MODULES[:1],
+        modules_per_spec=1,
+        groups_per_size=1,
+        trials=2,
+    )
+    store = ResultStore(tmp_path / "campaign_results")
+    assert Campaign(scope, store=store).run(["fig4a"]).succeeded
+    output = tmp_path / "BENCH_service.json"
+    module.main(
+        ["--readers", "2", "--requests-per-reader", "2", "--output", str(output)]
+    )
+    assert json.loads(output.read_text())["results_dir"] == "campaign_results"
